@@ -37,7 +37,7 @@ def _apply_thread_cap() -> None:
 def _fmt(x) -> str:
     if isinstance(x, float):
         if x != x:
-            return "NaN"
+            return '"NaN"'
         if x in (float("inf"), float("-inf")):
             return '"Infinity"' if x > 0 else '"-Infinity"'
         if x == int(x) and abs(x) < 1e16:

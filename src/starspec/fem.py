@@ -2,6 +2,10 @@
 polygons: ear-clipping triangulation with Delaunay flips, uniform red
 refinement, sparse assembly, and Richardson-extrapolated spectra.
 
+Refinement is nested and deterministic: the old nodes keep their indices and
+each new edge midpoint is numbered in order of first appearance (triangle
+edges in triangle order, then boundary edges).
+
 FEM eigenvalues from a conforming space are variational upper bounds; they
 are never used as lower bounds anywhere in the package.
 """
@@ -213,37 +217,40 @@ def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
 
 
 def refine(mesh: Mesh) -> Mesh:
-    """Uniform red refinement: every triangle into four; nested spaces."""
-    nodes = list(map(tuple, mesh.nodes))
-    midpoint: dict[tuple[int, int], int] = {}
+    """Uniform red refinement: every triangle into four; nested spaces.
 
-    def mid(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key not in midpoint:
-            p = (
-                0.5 * (mesh.nodes[i][0] + mesh.nodes[j][0]),
-                0.5 * (mesh.nodes[i][1] + mesh.nodes[j][1]),
-            )
-            midpoint[key] = len(nodes)
-            nodes.append(p)
-        return midpoint[key]
+    Numbering: the old nodes keep their indices, then each new edge midpoint
+    follows in order of first appearance, scanning the triangle edges
+    (a,b), (b,c), (c,a) in triangle order and then the boundary edges.
+    Each midpoint is 0.5 * (x_i + x_j) of the edge's first-seen pair."""
+    nn = len(mesh.nodes)
+    tris = mesh.triangles
+    bedges = mesh.boundary_edges
+    pairs = np.concatenate(
+        [np.stack([tris, tris[:, [1, 2, 0]]], axis=2).reshape(-1, 2), bedges]
+    )
+    keys = np.minimum(pairs[:, 0], pairs[:, 1]) * nn + np.maximum(pairs[:, 0], pairs[:, 1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    mid = nn + rank[inverse]
+    parents = pairs[first[order]]
+    nodes = np.concatenate(
+        [mesh.nodes, 0.5 * (mesh.nodes[parents[:, 0]] + mesh.nodes[parents[:, 1]])]
+    )
 
-    new_tris = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_tris.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
-    new_bedges, new_tags, new_src = [], [], []
-    for (i, j), tag, src in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.boundary_src):
-        m = mid(int(i), int(j))
-        new_bedges.extend([[i, m], [m, j]])
-        new_tags.extend([tag, tag])
-        new_src.extend([src, src])
+    a, b, c = tris.T
+    ab, bc, ca = mid[: 3 * len(tris)].reshape(-1, 3).T
+    new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    m = mid[3 * len(tris):]
+    new_bedges = np.stack([bedges[:, 0], m, m, bedges[:, 1]], axis=1).reshape(-1, 2)
     return Mesh(
-        nodes=np.array(nodes, dtype=float),
-        triangles=np.array(new_tris, dtype=int),
-        boundary_edges=np.array(new_bedges, dtype=int),
-        boundary_tags=new_tags,
-        boundary_src=new_src,
+        nodes=nodes,
+        triangles=new_tris,
+        boundary_edges=new_bedges,
+        boundary_tags=[tag for tag in mesh.boundary_tags for _ in range(2)],
+        boundary_src=[src for src in mesh.boundary_src for _ in range(2)],
     )
 
 
@@ -271,12 +278,8 @@ def assemble(mesh: Mesh) -> DiscreteProblem:
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
     M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    dirichlet = set()
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag is BC.DIRICHLET:
-            dirichlet.add(int(i))
-            dirichlet.add(int(j))
-    free = np.array(sorted(set(range(nn)) - dirichlet), dtype=int)
+    is_dirichlet = np.array([tag is BC.DIRICHLET for tag in mesh.boundary_tags], dtype=bool)
+    free = np.setdiff1d(np.arange(nn), mesh.boundary_edges[is_dirichlet])
     return DiscreteProblem(
         stiffness=K[np.ix_(free, free)].tocsr(),
         mass=M[np.ix_(free, free)].tocsr(),
@@ -323,11 +326,10 @@ def dn_spectrum(poly: Polygon, k: int, levels: int, h0: float = 0.25) -> FemSpec
     if levels < 2:
         raise ValueError("levels must be >= 2")
     mesh = triangulate(poly, h0)
-    level_values = []
-    for _ in range(levels):
-        vals = np.array(lowest_eigs(assemble(mesh), k).values)
-        level_values.append(vals)
+    level_values = [np.array(lowest_eigs(assemble(mesh), k).values)]
+    for _ in range(levels - 1):
         mesh = refine(mesh)
+        level_values.append(np.array(lowest_eigs(assemble(mesh), k).values))
     return _extrapolate(level_values)
 
 

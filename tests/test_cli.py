@@ -60,6 +60,11 @@ class TestCertifyCommand:
         assert code == cli.EXIT_ERROR
 
 
+class TestReportFormat:
+    def test_nan_is_valid_json(self):
+        assert json.loads(cli.dumps_report({"x": float("nan")})) == {"x": "NaN"}
+
+
 class TestSpectrumCommand:
     def test_equilateral_values(self, capsys):
         code, out, _ = run(

@@ -1,11 +1,12 @@
 """P1 finite elements: meshing, assembly invariants, convergence."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from starspec import fem
+from starspec import certify, fem, geom
 from starspec.exact import PI2, box_eigs, equilateral_eigs
 from starspec.geom import BC, EdgeRole, Polygon, simple_polygon
 
@@ -103,6 +104,107 @@ class TestAssembly:
         assert b == pytest.approx(a, rel=1e-8)
 
 
+# sha256 of the text dump of one refinement of the coarse t_junction mesh;
+# pins the node numbering (old nodes, then midpoints by first appearance)
+T_JUNCTION_REFINED_SHA256 = "a935c564e5d55de71ab1be0bb4a9d750ffb4b865d03d443f0a4247bd5c2189a9"
+
+
+def _loop_refine(mesh):
+    """Edge-by-edge reference for fem.refine, with the same numbering rule."""
+    nodes = [tuple(p) for p in mesh.nodes]
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            midpoint[key] = len(nodes)
+            nodes.append(tuple(0.5 * (mesh.nodes[i] + mesh.nodes[j])))
+        return midpoint[key]
+
+    tris = []
+    for a, b, c in mesh.triangles:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        tris += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+    bedges = []
+    for i, j in mesh.boundary_edges:
+        m = mid(i, j)
+        bedges += [[i, m], [m, j]]
+    return np.array(nodes), np.array(tris), np.array(bedges)
+
+
+class TestRefineNumbering:
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        poly = geom.truncate(certify.preset("t_junction")[0], 3.0)
+        coarse = fem.triangulate(poly, 0.5)
+        return coarse, fem.refine(coarse)
+
+    def test_golden_dump(self, meshes):
+        _, fine = meshes
+        assert len(fine.nodes) == 4257
+        digest = hashlib.sha256(fem.mesh_text_dump(fine).encode()).hexdigest()
+        assert digest == T_JUNCTION_REFINED_SHA256
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            DN_SQUARE,
+            NEUMANN_TRIANGLE,
+            simple_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+        ],
+    )
+    def test_matches_edge_loop_reference(self, poly):
+        mesh = fem.triangulate(poly, 0.5)
+        for _ in range(2):
+            nodes, tris, bedges = _loop_refine(mesh)
+            fine = fem.refine(mesh)
+            assert np.array_equal(fine.nodes, nodes)
+            assert np.array_equal(fine.triangles, tris)
+            assert np.array_equal(fine.boundary_edges, bedges)
+            assert fine.boundary_tags == [t for t in mesh.boundary_tags for _ in range(2)]
+            assert fine.boundary_src == [s for s in mesh.boundary_src for _ in range(2)]
+            mesh = fine
+
+    def test_old_nodes_are_a_prefix(self, meshes):
+        coarse, fine = meshes
+        assert np.array_equal(fine.nodes[: len(coarse.nodes)], coarse.nodes)
+
+    def test_new_nodes_are_exact_edge_midpoints(self, meshes):
+        coarse, fine = meshes
+        a, b, c = coarse.triangles.T
+        # children of triangle t are 4t..4t+3; the last is (ab, bc, ca)
+        ab, bc, ca = fine.triangles[3::4].T
+        x = coarse.nodes
+        for m, (i, j) in ((ab, (a, b)), (bc, (b, c)), (ca, (c, a))):
+            assert np.all(fine.nodes[m] == 0.5 * (x[i] + x[j]))
+        bm = fine.boundary_edges[0::2, 1]
+        bi, bj = coarse.boundary_edges.T
+        assert np.all(fine.nodes[bm] == 0.5 * (x[bi] + x[bj]))
+        new = np.unique(np.concatenate([ab, bc, ca, bm]))
+        assert np.array_equal(new, np.arange(len(coarse.nodes), len(fine.nodes)))
+
+    def test_no_duplicate_nodes(self, meshes):
+        _, fine = meshes
+        assert len(np.unique(fine.nodes, axis=0)) == len(fine.nodes)
+
+    def test_children_positively_oriented(self, meshes):
+        _, fine = meshes
+        p = fine.nodes[fine.triangles]
+        det = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+            p[:, 2, 0] - p[:, 0, 0]
+        ) * (p[:, 1, 1] - p[:, 0, 1])
+        assert np.all(det > 0)
+
+    def test_boundary_edges_belong_to_one_triangle(self, meshes):
+        _, fine = meshes
+        t = fine.triangles
+        edges = np.sort(np.stack([t, t[:, [1, 2, 0]]], axis=2).reshape(-1, 2), axis=1)
+        keys, counts = np.unique(edges, axis=0, return_counts=True)
+        owners = dict(zip(map(tuple, keys), counts))
+        for e in np.sort(fine.boundary_edges, axis=1):
+            assert owners.get(tuple(e)) == 1
+
+
 class TestConvergence:
     def test_upper_bound_and_nesting_on_dn_square(self):
         exact_vals = np.array(box_eigs((1.0, 1.0), ("NN", "DN"), 3).values)
@@ -131,6 +233,22 @@ class TestConvergence:
         spec = fem.dn_spectrum(NEUMANN_TRIANGLE, 2, 4, 0.25)
         rel = abs(spec.extrapolated[1] - lam2) / lam2
         assert rel < 0.005
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_refines_only_between_solves(self, monkeypatch, levels):
+        calls = []
+        refine = fem.refine
+
+        def counting_refine(mesh):
+            calls.append(1)
+            return refine(mesh)
+
+        monkeypatch.setattr(fem, "refine", counting_refine)
+        fem.triangulate(DN_SQUARE, 0.25)
+        by_triangulate = len(calls)
+        calls.clear()
+        fem.dn_spectrum(DN_SQUARE, 2, levels, 0.25)
+        assert len(calls) == by_triangulate + levels - 1
 
     def test_deterministic_repeat(self):
         a = fem.dn_spectrum(DN_SQUARE, 2, 3, 0.25)
