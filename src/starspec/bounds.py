@@ -41,15 +41,6 @@ class MixedDirections(ValueError):
 
 
 @dataclass(frozen=True)
-class OperatorRef:
-    """Symbolic handle for a spectral problem; bounds combine only when the
-    handles match."""
-
-    name: str
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class TraceStep:
     rule: str
     params: dict
@@ -79,13 +70,6 @@ class SpectralBound:
 def lower_bound(operator: str, index: int, value: float, rule: str, params: dict, tol: float = 0.0) -> SpectralBound:
     return SpectralBound(
         operator, index, value, Direction.LOWER,
-        (TraceStep(rule, params, value),), tol,
-    )
-
-
-def upper_bound(operator: str, index: int, value: float, rule: str, params: dict, tol: float = 0.0) -> SpectralBound:
-    return SpectralBound(
-        operator, index, value, Direction.UPPER,
         (TraceStep(rule, params, value),), tol,
     )
 
@@ -187,34 +171,6 @@ def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10, sample
                 )
 
 
-def neumann_enclosure(
-    dn_op: str,
-    center: Polygon | None,
-    enclosure: Polygon | None,
-    enclosure_eigs: EigList,
-    enclosure_name: str = "enclosure",
-) -> list[SpectralBound]:
-    """Zero-extension lower bounds: test functions of the mixed problem on C
-    extend by zero across Dirichlet edges into the Neumann problem on an
-    enclosing domain M, so lambda_k(C, mixed) >= lambda_k(M, Neumann).
-
-    center is None (or equal to enclosure) for the pure tag-relaxation case
-    M = C; otherwise geometric containment is checked by edge sampling."""
-    if center is not None and enclosure is not None and center is not enclosure:
-        check_containment(center, enclosure)
-    out = []
-    for i, v in enumerate(enclosure_eigs.values, start=1):
-        step = TraceStep(
-            "neumann-enclosure",
-            {"enclosure": enclosure_name, "index": i, "provenance": enclosure_eigs.provenance[i - 1]},
-            v,
-        )
-        out.append(
-            SpectralBound(dn_op, i, v, Direction.LOWER, (step,), 0.0)
-        )
-    return out
-
-
 def neumann_enclosure_bounds(
     dn_op: str,
     center: Polygon | None,
@@ -222,8 +178,14 @@ def neumann_enclosure_bounds(
     enclosure_bounds: list[SpectralBound],
     enclosure_name: str = "enclosure",
 ) -> list[SpectralBound]:
-    """Like neumann_enclosure, but the enclosure spectrum is itself known
-    only through lower bounds (e.g. produced by scale_bound)."""
+    """Zero-extension lower bounds: test functions of the mixed problem on C
+    extend by zero across Dirichlet edges into the Neumann problem on an
+    enclosing domain M, so lambda_k(C, mixed) >= lambda_k(M, Neumann).  The
+    enclosure spectrum is given through lower bounds (e.g. produced by
+    scale_bound).
+
+    center is None (or equal to enclosure) for the pure tag-relaxation case
+    M = C; otherwise geometric containment is checked by edge sampling."""
     if center is not None and enclosure is not None and center is not enclosure:
         check_containment(center, enclosure)
     out = []
@@ -237,17 +199,6 @@ def neumann_enclosure_bounds(
         )
         out.append(b.extended(step, operator=dn_op))
     return out
-
-
-def direct_sum_eigs(parts: list[EigList], k: int | None = None) -> EigList:
-    """Sorted multiset merge of the spectra of disjoint summands."""
-    pairs = []
-    for p in parts:
-        pairs.extend(zip(p.values, p.provenance))
-    pairs.sort(key=lambda t: t[0])
-    if k is not None:
-        pairs = pairs[:k]
-    return EigList(tuple(v for v, _ in pairs), tuple(pr for _, pr in pairs))
 
 
 def direct_sum_bounds(

@@ -11,13 +11,13 @@ holding by more than the accumulated floating-point budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional
 
 from . import bounds as bnd
 from . import exact, fem, geom
 from .bounds import Direction, SpectralBound, TraceStep
-from .exact import EigList, PI2
+from .exact import PI2
 from .geom import BC, Branch, CrossSection, EdgeRole, Polygon, StarWaveguideConfig, ValidatedConfig
 
 BUDGET_FLOOR_REL = 1e-8
@@ -40,8 +40,8 @@ class CertificationPlan:
     """Replayable strategy: how to count eigenvalues below the threshold and
     how to bound the center spectrum from below."""
 
-    count_strategy: str  # "fem" | "exact_box_B" | "family_fact"
-    lower_strategy: str
+    count_strategy: str  # a key of _COUNT_RULES
+    lower_strategy: str  # a key of _LOWER_RULES, or "crossing_symmetry"
     truncation_length: float = 3.0
     fem_h0: float = 0.25
     fem_levels: int = 2
@@ -49,17 +49,8 @@ class CertificationPlan:
     count_stability: bool = True
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "count_strategy": self.count_strategy,
-            "lower_strategy": self.lower_strategy,
-            "truncation_length": self.truncation_length,
-            "fem_h0": self.fem_h0,
-            "fem_levels": self.fem_levels,
-            "k_upper": self.k_upper,
-            "count_stability": self.count_stability,
-            "params": self.params,
-        }
+
+_PLAN_FIELDS = frozenset(f.name for f in fields(CertificationPlan))
 
 
 @dataclass(frozen=True)
@@ -77,17 +68,18 @@ class Verdict:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The report: margins as a name/value list and one trace list with
+        the lower bounds first, then the upper bounds."""
         return {
             "name": self.name,
             "nu": self.nu,
             "verdict": "CertifiedNoResonance" if self.certified else "Inconclusive",
             "n": self.n_discrete,
             "rigor": self.rigor,
-            "margins": self.margins,
+            "margins": [{"name": k, "value": v} for k, v in self.margins.items()],
             "reason": self.reason,
             "budget": self.budget,
-            "lower_bounds": [bnd.bound_to_json(b) for b in self.lower_bounds],
-            "upper_bounds": [bnd.bound_to_json(b) for b in self.upper_bounds],
+            "trace": [bnd.bound_to_json(b) for b in self.lower_bounds + self.upper_bounds],
             "extra": self.extra,
         }
 
@@ -102,7 +94,21 @@ def _budget(nu: float, used: list[SpectralBound]) -> float:
     return max(sum(b.tol for b in used), BUDGET_FLOOR_REL * nu)
 
 
+def _lookup(table: dict, kind: str, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise NoPipeline(f"unknown {kind} {name!r}") from None
+
+
 # -- counting (upper-bound) pipelines --------------------------------------
+#
+# Each count rule takes (vcfg, plan, nu) and returns the number of
+# eigenvalues below nu with the upper bounds that witness them.
+
+
+def _n_below(ub: list[SpectralBound], nu: float) -> int:
+    return sum(1 for b in ub if b.value < nu - _budget(nu, [b]))
 
 
 def _fem_upper_bounds(
@@ -133,70 +139,92 @@ def _fem_upper_bounds(
     return bnd.dirichlet_monotone(out, WAVEGUIDE_OP)
 
 
+def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float):
+    """FEM count on the truncated waveguide.  With count_stability the count
+    must survive doubling the truncation and one more refinement level, and
+    the sharper bounds of that second run are kept."""
+    runs = [(plan.truncation_length, plan.fem_levels)]
+    if plan.count_stability:
+        runs.append((2 * plan.truncation_length, plan.fem_levels + 1))
+    counts = []
+    for length, levels in runs:
+        ub = _fem_upper_bounds(vcfg, length, plan.fem_h0, levels, plan.k_upper)
+        counts.append(_n_below(ub, nu))
+    if counts[-1] != counts[0]:
+        raise UnstableCount(
+            f"count changed from {counts[0]} to {counts[-1]} under truncation doubling"
+        )
+    return counts[0], ub
+
+
+def _count_exact_box_B(vcfg, plan: CertificationPlan, nu: float):
+    """The all-Dirichlet box params["dims"] is a subdomain of the waveguide."""
+    dims = list(plan.params["dims"])
+    eigs = exact.box_eigs(tuple(dims), ("DD", "DD"), plan.k_upper)
+    raw = bnd.bounds_from_eiglist(
+        "center-dirichlet", eigs, Direction.UPPER, "box-eig",
+        {"dims": dims, "bcs": ["DD", "DD"]},
+    )
+    ub = bnd.dirichlet_monotone(raw, WAVEGUIDE_OP)
+    return _n_below(ub, nu), ub
+
+
+def _count_family_fact(vcfg, plan: CertificationPlan, nu: float):
+    n = int(plan.params["n"])
+    step = TraceStep(
+        "assumption",
+        {
+            "fact": plan.params.get("justification", ""),
+            "anchor": plan.params.get("anchor", None),
+        },
+        float(n),
+    )
+    witness = SpectralBound(WAVEGUIDE_OP, n, nu, Direction.UPPER, (step,), 0.0)
+    return n, [witness]
+
+
+_COUNT_RULES = {
+    "fem": _count_fem,
+    "exact_box_B": _count_exact_box_B,
+    "family_fact": _count_family_fact,
+}
+
+
 def count_discrete(
     vcfg: ValidatedConfig, plan: CertificationPlan, nu: float
 ) -> tuple[int, list[SpectralBound]]:
     """Number of certified discrete eigenvalues below the threshold, with the
     upper bounds that witness them."""
-    if plan.count_strategy == "fem":
-        ub = _fem_upper_bounds(
-            vcfg, plan.truncation_length, plan.fem_h0, plan.fem_levels, plan.k_upper
-        )
-        n = sum(1 for b in ub if b.value < nu - _budget(nu, [b]))
-        if plan.count_stability:
-            ub2 = _fem_upper_bounds(
-                vcfg,
-                2 * plan.truncation_length,
-                plan.fem_h0,
-                plan.fem_levels + 1,
-                plan.k_upper,
-            )
-            n2 = sum(1 for b in ub2 if b.value < nu - _budget(nu, [b]))
-            if n2 != n:
-                raise UnstableCount(
-                    f"count changed from {n} to {n2} under truncation doubling"
-                )
-            ub = ub2  # keep the sharper bounds
-        return n, ub
-    if plan.count_strategy == "exact_box_B":
-        a, b = plan.params["a"], plan.params["b"]
-        eigs = exact.box_eigs((a, b), ("DD", "DD"), plan.k_upper)
-        raw = bnd.bounds_from_eiglist(
-            "center-dirichlet", eigs, Direction.UPPER, "box-eig",
-            {"dims": [a, b], "bcs": ["DD", "DD"]},
-        )
-        ub = bnd.dirichlet_monotone(raw, WAVEGUIDE_OP)
-        n = sum(1 for x in ub if x.value < nu - _budget(nu, [x]))
-        return n, ub
-    if plan.count_strategy == "family_fact":
-        n = int(plan.params["n"])
-        step = TraceStep(
-            "assumption",
-            {
-                "fact": plan.params.get("justification", ""),
-                "anchor": plan.params.get("anchor", None),
-            },
-            float(n),
-        )
-        witness = SpectralBound(WAVEGUIDE_OP, n, nu, Direction.UPPER, (step,), 0.0)
-        return n, [witness]
-    raise NoPipeline(f"unknown count strategy {plan.count_strategy!r}")
+    return _lookup(_COUNT_RULES, "count strategy", plan.count_strategy)(vcfg, plan, nu)
 
 
 # -- lower-bound (center) pipelines ----------------------------------------
+#
+# Each lower rule takes (vcfg, plan, k) and returns lower bounds for the k
+# lowest eigenvalues of the mixed-condition center operator.
 
 
-def _lower_dn_square(k: int) -> list[SpectralBound]:
-    # unit square, Dirichlet on one side, Neumann on the other three:
-    # NN along the wall direction, DN across it
-    eigs = exact.box_eigs((1.0, 1.0), ("NN", "DN"), k)
-    return bnd.bounds_from_eiglist(
-        DN_CENTER_OP, eigs, Direction.LOWER, "box-eig",
-        {"dims": [1.0, 1.0], "bcs": ["NN", "DN"]},
+def _lower_box(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+    """Separable box params["dims"] with the interval condition pairs
+    params["bcs"].  With params["relaxed"] the box is the center with part of
+    its Dirichlet boundary relaxed to Neumann, which only lowers eigenvalues;
+    the string says which part."""
+    p = plan.params
+    dims, bcs = list(p["dims"]), list(p["bcs"])
+    out = bnd.bounds_from_eiglist(
+        DN_CENTER_OP, exact.box_eigs(tuple(dims), tuple(bcs), k), Direction.LOWER,
+        "box-eig", {"dims": dims, "bcs": bcs},
     )
+    if "relaxed" in p:
+        out = [
+            b.extended(TraceStep("neumann-relaxation", {"detail": p["relaxed"]}, b.value))
+            for b in out
+        ]
+    return out
 
 
-def _lower_neumann_equilateral(side: float, k: int) -> list[SpectralBound]:
+def _lower_neumann_equilateral(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+    side = plan.params.get("side", 1.0)
     eigs = exact.equilateral_eigs(side, "neumann", k)
     return bnd.bounds_from_eiglist(
         DN_CENTER_OP, eigs, Direction.LOWER, "equilateral-eig",
@@ -204,17 +232,10 @@ def _lower_neumann_equilateral(side: float, k: int) -> list[SpectralBound]:
     )
 
 
-def _lower_neumann_square(k: int) -> list[SpectralBound]:
-    eigs = exact.box_eigs((1.0, 1.0), ("NN", "NN"), k)
-    return bnd.bounds_from_eiglist(
-        DN_CENTER_OP, eigs, Direction.LOWER, "box-eig",
-        {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]},
-    )
-
-
-def _lower_broken_chain(alpha: float, k: int) -> list[SpectralBound]:
+def _lower_broken_chain(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     """Reflection split of the bent-guide center into a Dirichlet-hypotenuse
     and a Neumann-hypotenuse right triangle, floored analytically."""
+    alpha = plan.params["alpha"]
     f_d = exact.right_triangle_dn_lower_bound(alpha)
     odd = [
         bnd.lower_bound(
@@ -249,9 +270,11 @@ def _lower_broken_chain(alpha: float, k: int) -> list[SpectralBound]:
     return bnd.direct_sum_bounds([odd, even], DN_CENTER_OP, k)
 
 
-def _lower_y_chain(alpha: float, k: int, center: Optional[Polygon] = None) -> list[SpectralBound]:
+def _lower_y_chain(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     """Neumann triangle enclosure of the Y-junction center plus contraction
     to an equilateral triangle."""
+    alpha = plan.params["alpha"]
+    center = vcfg.center if vcfg is not None and not vcfg.is_3d else None
     if alpha <= math.pi / 3:
         l, h = exact.y_alpha_enclosure_triangle(alpha) if alpha < math.pi / 3 else (1.0, math.sqrt(3) / 2)
         side_eq = 2 * h / math.sqrt(3)
@@ -277,9 +300,10 @@ def _lower_y_chain(alpha: float, k: int, center: Optional[Polygon] = None) -> li
     )
 
 
-def _lower_sector(alpha: float, k: int) -> list[SpectralBound]:
+def _lower_sector(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     """Analytic lower bounds for the circular-sector center spectrum from the
     Bessel-zero inequalities; k = 2 is what certification needs."""
+    alpha = plan.params["alpha"]
     out = [bnd.lower_bound(DN_CENTER_OP, 1, 0.0, "trivial-floor", {})]
     if k >= 2:
         cand = [
@@ -298,32 +322,9 @@ def _lower_sector(alpha: float, k: int) -> list[SpectralBound]:
     return out[:k]
 
 
-def _lower_box3(dims, bcs, k: int) -> list[SpectralBound]:
-    eigs = exact.box_eigs(tuple(dims), tuple(bcs), k)
-    raw = bnd.bounds_from_eiglist(
-        "box3-dn", eigs, Direction.LOWER, "box-eig", {"dims": list(dims), "bcs": list(bcs)}
-    )
-    out = []
-    for b in raw:
-        step = TraceStep("neumann-relaxation", {"detail": "cut patch relaxed to full face"}, b.value)
-        out.append(b.extended(step, operator=DN_CENTER_OP))
-    return out
-
-
-def _lower_box_A(a: float, b: float, k: int) -> list[SpectralBound]:
-    eigs = exact.box_eigs((a, b), ("DN", "DD"), k)
-    raw = bnd.bounds_from_eiglist(
-        "box-A", eigs, Direction.LOWER, "box-eig",
-        {"dims": [a, b], "bcs": ["DN", "DD"]},
-    )
-    out = []
-    for x in raw:
-        step = TraceStep("neumann-relaxation", {"detail": "branch side relaxed to full Neumann"}, x.value)
-        out.append(x.extended(step, operator=DN_CENTER_OP))
-    return out
-
-
-def _lower_fem_estimate(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _lower_fem_estimate(vcfg: Optional[ValidatedConfig], plan: CertificationPlan, k: int) -> list[SpectralBound]:
+    if vcfg is None:
+        raise NoPipeline("fem_estimate needs a config")
     poly: Polygon = vcfg.center  # type: ignore[assignment]
     spec = fem.dn_spectrum(poly, k, max(plan.fem_levels, 2), plan.fem_h0)
     out = []
@@ -334,33 +335,20 @@ def _lower_fem_estimate(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) 
     return out
 
 
+_LOWER_RULES = {
+    "box": _lower_box,
+    "neumann_equilateral": _lower_neumann_equilateral,
+    "broken_chain": _lower_broken_chain,
+    "y_chain": _lower_y_chain,
+    "sector": _lower_sector,
+    "fem_estimate": _lower_fem_estimate,
+}
+
+
 def dn_lower_bounds(
     vcfg: Optional[ValidatedConfig], plan: CertificationPlan, upto: int
 ) -> list[SpectralBound]:
-    s = plan.lower_strategy
-    p = plan.params
-    if s == "dn_square":
-        return _lower_dn_square(upto)
-    if s == "neumann_equilateral":
-        return _lower_neumann_equilateral(p.get("side", 1.0), upto)
-    if s == "neumann_square":
-        return _lower_neumann_square(upto)
-    if s == "broken_chain":
-        return _lower_broken_chain(p["alpha"], upto)
-    if s == "y_chain":
-        center = vcfg.center if vcfg is not None and not vcfg.is_3d else None
-        return _lower_y_chain(p["alpha"], upto, center=center)
-    if s == "sector":
-        return _lower_sector(p["alpha"], upto)
-    if s == "box3":
-        return _lower_box3(p["dims"], p["bcs"], upto)
-    if s == "box_A":
-        return _lower_box_A(p["a"], p["b"], upto)
-    if s == "fem_estimate":
-        if vcfg is None:
-            raise NoPipeline("fem_estimate needs a config")
-        return _lower_fem_estimate(vcfg, plan, upto)
-    raise NoPipeline(f"unknown lower strategy {s!r}")
+    return _lookup(_LOWER_RULES, "lower strategy", plan.lower_strategy)(vcfg, plan, upto)
 
 
 # -- verdict assembly -------------------------------------------------------
@@ -444,7 +432,19 @@ def _certify_crossing_symmetry(vcfg: Optional[ValidatedConfig], plan: Certificat
     half-strips; only the square block can contribute discrete eigenvalues
     below the threshold.  The verdict requires the per-parity counts to sum
     to the waveguide count and each parity to keep a block strictly above
-    the threshold."""
+    the threshold.
+
+    The bookkeeping describes crossing_config() only, so a config with a
+    different center, branches or symmetry is Inconclusive."""
+    if vcfg is not None:
+        ref = crossing_config()
+        if (vcfg.center, vcfg.branches, vcfg.symmetry) != (ref.center, ref.branches, ref.symmetry):
+            nu = threshold(vcfg)
+            return Verdict(
+                name=name, certified=False, n_discrete=None, rigor=_rigor([]), nu=nu,
+                margins={}, reason="crossing_symmetry applies only to the crossing of two unit strips",
+                budget=_budget(nu, []), lower_bounds=(), upper_bounds=(),
+            )
     nu = PI2
     n_total, uppers = count_discrete(vcfg, plan, nu)
     budget = max(BUDGET_FLOOR_REL * nu, sum(b.tol for b in uppers))
@@ -660,32 +660,23 @@ def rect_two_eigs_config(a: float, b: float) -> ValidatedConfig:
     )
 
 
-def cube_square_config() -> ValidatedConfig:
-    box = geom.Box3(
-        dims=(1.0, 1.0, 1.0),
-        axis_bcs=((BC.DIRICHLET, BC.NEUMANN),) * 3,
-    )
+def _cube_config(name: str, duct: CrossSection) -> ValidatedConfig:
+    """Unit cube with Dirichlet low faces and a duct of the given
+    cross-section on each (Neumann) high face."""
+    box = geom.Box3(dims=(1.0, 1.0, 1.0), axis_bcs=((BC.DIRICHLET, BC.NEUMANN),) * 3)
     return geom.validate_config(
         StarWaveguideConfig(
-            name="cube_square",
-            center=box,
-            branches=tuple(Branch(2 * ax + 1, CrossSection.rectangle(1.0, 1.0)) for ax in range(3)),
+            name=name, center=box, branches=tuple(Branch(2 * ax + 1, duct) for ax in range(3))
         )
     )
+
+
+def cube_square_config() -> ValidatedConfig:
+    return _cube_config("cube_square", CrossSection.rectangle(1.0, 1.0))
 
 
 def cube_disk_config() -> ValidatedConfig:
-    box = geom.Box3(
-        dims=(1.0, 1.0, 1.0),
-        axis_bcs=((BC.DIRICHLET, BC.NEUMANN),) * 3,
-    )
-    return geom.validate_config(
-        StarWaveguideConfig(
-            name="cube_disk",
-            center=box,
-            branches=tuple(Branch(2 * ax + 1, CrossSection.disk(0.5)) for ax in range(3)),
-        )
-    )
+    return _cube_config("cube_disk", CrossSection.disk(0.5))
 
 
 # -- presets ----------------------------------------------------------------
@@ -697,105 +688,74 @@ BROKEN_EXISTENCE_NOTE = (
     "anchor angle and extended over the family"
 )
 
+_CUBE_PARAMS = {
+    "dims": [1.0, 1.0, 1.0], "bcs": ["DN", "DN", "DN"],
+    "relaxed": "cut patch relaxed to full face", "n": 1,
+}
+
+# name -> (config builder, shape keywords with their defaults, plan fields
+# that differ from the CertificationPlan defaults).  A None default marks a
+# required shape keyword.  A callable "params" derives the params from the
+# shape keywords.  The builders call the public config constructors by their
+# module-level names, so a wrapper or monkeypatch on those sees every call.
+_PRESETS = {
+    "t_junction": (lambda: t_junction_config(), {}, {
+        "count_strategy": "fem", "lower_strategy": "box",
+        "params": {"dims": [1.0, 1.0], "bcs": ["NN", "DN"]}}),
+    "y_junction": (lambda: y_junction_config(), {}, {
+        "count_strategy": "fem", "lower_strategy": "neumann_equilateral", "params": {"side": 1.0}}),
+    "crossing": (lambda: crossing_config(), {}, {
+        "count_strategy": "fem", "lower_strategy": "box",
+        "params": {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]}}),
+    "crossing_symmetric": (lambda: crossing_config(), {}, {
+        "count_strategy": "fem", "lower_strategy": "crossing_symmetry"}),
+    # stability doubling is skipped here: the arc polygon makes doubled
+    # truncations prohibitively large under uniform refinement, and the
+    # count is independently pinned by the analytic second-mode floor
+    "rounded_corner": (lambda alpha: rounded_corner_config(alpha), {"alpha": math.pi / 2}, {
+        "count_strategy": "fem", "lower_strategy": "sector",
+        "truncation_length": 4.0, "count_stability": False}),
+    "rect_two_eigs": (lambda a, b: rect_two_eigs_config(a, b), {"a": 2.381, "b": 2.041}, {
+        "count_strategy": "exact_box_B", "lower_strategy": "box",
+        "params": lambda a, b: {
+            "dims": [a, b], "bcs": ["DN", "DD"], "relaxed": "branch side relaxed to full Neumann"}}),
+    "cube_square": (lambda: cube_square_config(), {}, {
+        "count_strategy": "family_fact", "lower_strategy": "box",
+        "params": {**_CUBE_PARAMS, "anchor": "2d-bent-guide-fem",
+                   "justification": "prism over the right-angle bent strip is a Dirichlet subdomain"}}),
+    "cube_disk": (lambda: cube_disk_config(), {}, {
+        "count_strategy": "family_fact", "lower_strategy": "box",
+        "params": {**_CUBE_PARAMS, "anchor": None,
+                   "justification": "sharply bent circular cylinder inside the junction binds a state"}}),
+    "y_alpha": (lambda alpha: y_alpha_config(alpha), {"alpha": None}, {
+        "count_strategy": "fem", "lower_strategy": "y_chain"}),
+    "broken": (lambda alpha: broken_config(alpha), {"alpha": None}, {
+        "count_strategy": "fem", "lower_strategy": "broken_chain", "truncation_length": 4.0}),
+}
+
 
 def preset(name: str, **kw) -> tuple[Optional[ValidatedConfig], CertificationPlan]:
-    if name == "t_junction":
-        return t_junction_config(), CertificationPlan(
-            count_strategy="fem", lower_strategy="dn_square",
-            truncation_length=3.0, fem_h0=0.25, fem_levels=2,
-        )
-    if name == "y_junction":
-        return y_junction_config(), CertificationPlan(
-            count_strategy="fem", lower_strategy="neumann_equilateral",
-            truncation_length=3.0, fem_h0=0.25, fem_levels=2,
-            params={"side": 1.0},
-        )
-    if name == "y_alpha":
-        alpha = kw["alpha"]
-        return y_alpha_config(alpha), CertificationPlan(
-            count_strategy=kw.get("count_strategy", "fem"),
-            lower_strategy="y_chain",
-            truncation_length=kw.get("truncation_length", 3.0),
-            fem_h0=kw.get("fem_h0", 0.25),
-            fem_levels=kw.get("fem_levels", 2),
-            count_stability=kw.get("count_stability", True),
-            params={"alpha": alpha, **kw.get("params", {})},
-        )
-    if name == "broken":
-        alpha = kw["alpha"]
-        return broken_config(alpha), CertificationPlan(
-            count_strategy=kw.get("count_strategy", "fem"),
-            lower_strategy="broken_chain",
-            truncation_length=kw.get("truncation_length", 4.0),
-            fem_h0=kw.get("fem_h0", 0.25),
-            fem_levels=kw.get("fem_levels", 2),
-            count_stability=kw.get("count_stability", True),
-            params={"alpha": alpha, **kw.get("params", {})},
-        )
-    if name == "crossing":
-        return crossing_config(), CertificationPlan(
-            count_strategy="fem", lower_strategy="neumann_square",
-            truncation_length=3.0, fem_h0=0.25, fem_levels=2,
-        )
-    if name == "crossing_symmetric":
-        return crossing_config(), CertificationPlan(
-            count_strategy="fem", lower_strategy="crossing_symmetry",
-            truncation_length=3.0, fem_h0=0.25, fem_levels=2,
-        )
-    if name == "rounded_corner":
-        alpha = kw.get("alpha", math.pi / 2)
-        # stability doubling is skipped here: the arc polygon makes doubled
-        # truncations prohibitively large under uniform refinement, and the
-        # count is independently pinned by the analytic second-mode floor
-        return rounded_corner_config(alpha), CertificationPlan(
-            count_strategy="fem", lower_strategy="sector",
-            truncation_length=kw.get("truncation_length", 4.0),
-            fem_h0=kw.get("fem_h0", 0.25),
-            fem_levels=kw.get("fem_levels", 2),
-            count_stability=kw.get("count_stability", False),
-            params={"alpha": alpha},
-        )
-    if name == "rect_two_eigs":
-        a, b = kw.get("a", 2.381), kw.get("b", 2.041)
-        return rect_two_eigs_config(a, b), CertificationPlan(
-            count_strategy="exact_box_B", lower_strategy="box_A",
-            params={"a": a, "b": b},
-        )
-    if name == "cube_square":
-        return cube_square_config(), CertificationPlan(
-            count_strategy="family_fact", lower_strategy="box3",
-            params={
-                "dims": [1.0, 1.0, 1.0],
-                "bcs": ["DN", "DN", "DN"],
-                "n": 1,
-                "justification": "prism over the right-angle bent strip is a Dirichlet subdomain",
-                "anchor": "2d-bent-guide-fem",
-            },
-        )
-    if name == "cube_disk":
-        return cube_disk_config(), CertificationPlan(
-            count_strategy="family_fact", lower_strategy="box3",
-            params={
-                "dims": [1.0, 1.0, 1.0],
-                "bcs": ["DN", "DN", "DN"],
-                "n": 1,
-                "justification": "sharply bent circular cylinder inside the junction binds a state",
-                "anchor": None,
-            },
-        )
-    raise NoPipeline(f"unknown preset {name!r}")
+    """Config and plan of a catalog example.  Shape keywords go to the config
+    builder and into params; any other keyword sets a CertificationPlan
+    field, except params, which is merged into the preset's params."""
+    build, shape_defaults, plan_kw = _lookup(_PRESETS, "preset", name)
+    shape = {k: kw.pop(k, v) for k, v in shape_defaults.items()}
+    missing = [k for k, v in shape.items() if v is None]
+    if missing:
+        raise NoPipeline(f"preset {name!r} needs {', '.join(missing)}")
+    unknown = kw.keys() - _PLAN_FIELDS
+    if unknown:
+        raise NoPipeline(f"preset {name!r} has no parameter {', '.join(sorted(unknown))}")
+    params = plan_kw.get("params", {})
+    if callable(params):
+        params = params(**shape)
+    plan = CertificationPlan(
+        **{**plan_kw, **kw, "params": {**shape, **params, **kw.get("params", {})}}
+    )
+    return build(**shape), plan
 
 
-PRESET_NAMES = (
-    "t_junction",
-    "y_junction",
-    "crossing",
-    "crossing_symmetric",
-    "rounded_corner",
-    "rect_two_eigs",
-    "cube_square",
-    "cube_disk",
-)
+PRESET_NAMES = tuple(n for n, (_, shape, _) in _PRESETS.items() if None not in shape.values())
 
 
 # -- sweeps and the parameter region ---------------------------------------
@@ -811,58 +771,41 @@ class SweepRow:
     reason: str
 
 
-def sweep_broken(alphas, existence_anchor: float = 1.0) -> list[SweepRow]:
-    """Bent-guide sweep: per-angle analytic center bounds; the single-state
-    count is a family fact anchored by one truncated FEM verification."""
-    anchor_vcfg, anchor_plan = preset("broken", alpha=existence_anchor, count_stability=False)
+def _sweep(family: str, alphas, anchor_alpha: float, justification: str) -> list[SweepRow]:
+    """Per-angle analytic center bounds; the single-state count is a family
+    fact anchored by one truncated FEM verification of the bent guide at
+    anchor_alpha."""
+    anchor_vcfg, anchor_plan = preset("broken", alpha=anchor_alpha, count_stability=False)
     anchor_n, _ = count_discrete(anchor_vcfg, anchor_plan, PI2)
     if anchor_n < 1:
         raise UnstableCount("anchor verification found no eigenvalue below threshold")
+    fact = {
+        "n": 1,
+        "justification": justification,
+        "anchor": {"alpha": anchor_alpha, "fem_count": anchor_n},
+    }
     rows = []
     for a in alphas:
-        vcfg, plan = preset(
-            "broken",
-            alpha=a,
-            count_strategy="family_fact",
-            params={
-                "n": 1,
-                "justification": BROKEN_EXISTENCE_NOTE,
-                "anchor": {"alpha": existence_anchor, "fem_count": anchor_n},
-            },
-        )
+        vcfg, plan = preset(family, alpha=a, count_strategy="family_fact", params=fact)
         v = certify(vcfg, plan, name=vcfg.name)
         rows.append(
             SweepRow(a, v.nu, v.certified, v.n_discrete, v.margins["dn_gap"], v.reason)
         )
     return rows
+
+
+def sweep_broken(alphas, existence_anchor: float = 1.0) -> list[SweepRow]:
+    """Bent-guide sweep, anchored by the bent guide at existence_anchor."""
+    return _sweep("broken", alphas, existence_anchor, BROKEN_EXISTENCE_NOTE)
 
 
 def sweep_y_alpha(alphas, existence_anchor: float = 1.0) -> list[SweepRow]:
     """Y-junction family sweep; the count anchor reuses the bent-guide
     comparison (the junction contains a bent guide of complementary angle)."""
-    anchor_vcfg, anchor_plan = preset(
-        "broken", alpha=math.pi / 2 - existence_anchor, count_stability=False
+    return _sweep(
+        "y_alpha", alphas, math.pi / 2 - existence_anchor,
+        "junction contains a bent guide of complementary angle",
     )
-    anchor_n, _ = count_discrete(anchor_vcfg, anchor_plan, PI2)
-    if anchor_n < 1:
-        raise UnstableCount("anchor verification found no eigenvalue below threshold")
-    rows = []
-    for a in alphas:
-        vcfg, plan = preset(
-            "y_alpha",
-            alpha=a,
-            count_strategy="family_fact",
-            params={
-                "n": 1,
-                "justification": "junction contains a bent guide of complementary angle",
-                "anchor": {"alpha": math.pi / 2 - existence_anchor, "fem_count": anchor_n},
-            },
-        )
-        v = certify(vcfg, plan, name=vcfg.name)
-        rows.append(
-            SweepRow(a, v.nu, v.certified, v.n_discrete, v.margins["dn_gap"], v.reason)
-        )
-    return rows
 
 
 def first_certified(rows: list[SweepRow]) -> Optional[float]:
@@ -907,8 +850,8 @@ def region_rows(nx: int, ny: int) -> list[tuple[float, float, bool, bool]]:
             certified = False
             if inside:
                 a, b = 1.0 / x, 1.0 / y
-                _, plan = preset("rect_two_eigs", a=a, b=b)
-                v = certify(rect_two_eigs_config(a, b), plan, name=f"rect({a:.4g},{b:.4g})")
+                vcfg, plan = preset("rect_two_eigs", a=a, b=b)
+                v = certify(vcfg, plan, name=f"rect({a:.4g},{b:.4g})")
                 certified = v.certified and v.n_discrete == 2
             rows.append((x, y, inside, certified))
     return rows

@@ -10,6 +10,7 @@ floats printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -72,23 +73,6 @@ def _versions() -> dict:
     }
 
 
-def _verdict_report(v: certify.Verdict) -> dict:
-    d = v.to_dict()
-    return {
-        "name": d["name"],
-        "nu": d["nu"],
-        "verdict": d["verdict"],
-        "n": d["n"],
-        "rigor": d["rigor"],
-        "margins": [{"name": k, "value": val} for k, val in d["margins"].items()],
-        "reason": d["reason"],
-        "budget": d["budget"],
-        "trace": d["lower_bounds"] + d["upper_bounds"],
-        "extra": d["extra"],
-        "versions": _versions(),
-    }
-
-
 def _write(text: str, path: str | None) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -97,35 +81,38 @@ def _write(text: str, path: str | None) -> None:
             f.write(text)
 
 
-def _load(path: str):
-    vcfg = geom.load_config(path)
-    return vcfg
+# certify flags that set a CertificationPlan field; each is None unless given
+_PLAN_FLAGS = (
+    "lower_strategy", "count_strategy", "truncation_length", "fem_h0",
+    "fem_levels", "k_upper", "count_stability",
+)
 
 
-def _plan_for(vcfg, args) -> certify.CertificationPlan:
-    return certify.CertificationPlan(
-        count_strategy=getattr(args, "count_strategy", "fem"),
-        lower_strategy=args.lower_strategy,
-        truncation_length=args.truncation,
-        fem_h0=args.h0,
-        fem_levels=args.levels,
-        k_upper=args.k,
-        count_stability=not getattr(args, "no_stability", False),
-        params=json.loads(getattr(args, "params", "{}") or "{}"),
-    )
+def _overrides(args) -> dict:
+    """The plan flags the user set, then the keys of the --params object."""
+    extra = json.loads(args.params)
+    if not isinstance(extra, dict) or not isinstance(extra.get("params", {}), dict):
+        raise ValueError("--params and its params entry must be JSON objects")
+    flags = {f: getattr(args, f) for f in _PLAN_FLAGS if getattr(args, f) is not None}
+    return {**flags, **extra}
 
 
 def cmd_certify(args) -> int:
+    overrides = _overrides(args)
     if args.preset:
-        kw = json.loads(args.params or "{}")
-        vcfg, plan = certify.preset(args.preset, **kw)
+        vcfg, plan = certify.preset(args.preset, **overrides)
         name = args.preset
     else:
-        vcfg = _load(args.config)
-        plan = _plan_for(vcfg, args)
+        vcfg = geom.load_config(args.config)
+        unknown = set(overrides) - {f.name for f in dataclasses.fields(certify.CertificationPlan)}
+        if unknown:
+            raise ValueError(f"unknown plan field(s): {', '.join(sorted(unknown))}")
+        plan = certify.CertificationPlan(
+            **{"count_strategy": "fem", "lower_strategy": "fem_estimate", **overrides}
+        )
         name = vcfg.name
     v = certify.certify(vcfg, plan, name=name)
-    _write(dumps_report(_verdict_report(v)), args.output)
+    _write(dumps_report({**v.to_dict(), "versions": _versions()}), args.output)
     return EXIT_CERTIFIED if v.certified else EXIT_INCONCLUSIVE
 
 
@@ -168,12 +155,8 @@ def _sweep_csv(rows: list[certify.SweepRow]) -> str:
 
 def cmd_sweep(args) -> int:
     grid = np.arange(args.start, args.stop + 1e-12, args.step)
-    if args.family == "broken":
-        rows = certify.sweep_broken(grid, existence_anchor=args.anchor)
-    elif args.family == "y_alpha":
-        rows = certify.sweep_y_alpha(grid)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    sweep = {"broken": certify.sweep_broken, "y_alpha": certify.sweep_y_alpha}[args.family]
+    rows = sweep(grid, existence_anchor=args.anchor)
     _write(_sweep_csv(rows), args.output)
     first = certify.first_certified(rows)
     if first is not None:
@@ -196,7 +179,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    vcfg = _load(args.config)
+    vcfg = geom.load_config(args.config)
     poly = geom.truncate(vcfg, args.truncation) if args.truncate else vcfg.center
     mesh = fem.triangulate(poly, args.h0)
     for _ in range(args.levels - 1):
@@ -256,14 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="certify a configuration or preset")
     c.add_argument("config", nargs="?", help="JSON configuration file")
     c.add_argument("--preset", choices=certify.PRESET_NAMES, help="built-in example")
-    c.add_argument("--lower-strategy", dest="lower_strategy", default="fem_estimate")
-    c.add_argument("--count-strategy", dest="count_strategy", default="fem")
-    c.add_argument("--truncation", type=float, default=3.0, help="branch truncation length")
-    c.add_argument("--h0", type=float, default=0.25, help="target mesh size")
-    c.add_argument("--levels", type=int, default=2, help="refinement levels")
-    c.add_argument("-k", type=int, default=4, help="eigenvalues per solve")
-    c.add_argument("--no-stability", action="store_true", help="skip truncation-doubling check")
-    c.add_argument("--params", default="{}", help="extra plan parameters (JSON)")
+    c.add_argument("--lower-strategy", dest="lower_strategy", help="lower-bound rule (config default: fem_estimate)")
+    c.add_argument("--count-strategy", dest="count_strategy", help="count rule (config default: fem)")
+    c.add_argument("--truncation", dest="truncation_length", type=float, help="branch truncation length")
+    c.add_argument("--h0", dest="fem_h0", type=float, help="target mesh size")
+    c.add_argument("--levels", dest="fem_levels", type=int, help="refinement levels")
+    c.add_argument("-k", dest="k_upper", type=int, help="eigenvalues per solve")
+    c.add_argument(
+        "--no-stability", dest="count_stability", action="store_false", default=None,
+        help="skip truncation-doubling check",
+    )
+    c.add_argument("--params", default="{}", help="plan overrides and preset shape keywords (JSON object)")
     c.add_argument("-o", "--output", default="-")
     c.set_defaults(func=cmd_certify)
 

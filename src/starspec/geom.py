@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -456,40 +456,6 @@ def _clip_halfplane(poly: Polygon, axis: str, axis_tag: BC) -> Polygon:
             tags.append(poly.edge_tags[prev])
             roles.append(poly.edge_roles[prev])
     return Polygon(tuple(pts), tuple(tags), tuple(roles))
-
-
-def enlarge_center(vcfg: ValidatedConfig, depth: float) -> ValidatedConfig:
-    """Move every cut outward by absorbing a branch segment of the given depth."""
-    cfg = vcfg.cfg
-    if cfg.is_3d:
-        raise InvalidGeometry("enlarge_center applies to 2D configs only")
-    if depth <= 0:
-        raise InvalidGeometry("depth must be positive")
-    poly: Polygon = cfg.center  # type: ignore[assignment]
-    cut_edges = {br.edge for br in cfg.branches}
-    verts: list[tuple[float, float]] = []
-    tags: list[BC] = []
-    roles: list[EdgeRole] = []
-    new_cut_index: dict[int, int] = {}
-    for i in range(poly.n_edges):
-        p, q = poly.edge(i)
-        if i in cut_edges:
-            nx, ny = poly.outward_normal(i)
-            p2 = (p[0] + nx * depth, p[1] + ny * depth)
-            q2 = (q[0] + nx * depth, q[1] + ny * depth)
-            verts.extend([p, p2, q2])
-            tags.extend([BC.DIRICHLET, BC.NEUMANN, BC.DIRICHLET])
-            roles.extend([EdgeRole.WALL, EdgeRole.CUT, EdgeRole.WALL])
-            new_cut_index[i] = len(verts) - 2
-        else:
-            verts.append(p)
-            tags.append(poly.edge_tags[i])
-            roles.append(poly.edge_roles[i])
-    new_poly = Polygon(tuple(verts), tuple(tags), tuple(roles))
-    if not new_poly.is_simple():
-        raise StubOverlap(f"enlarging the center by {depth} makes it self-intersect")
-    branches = tuple(replace(b, edge=new_cut_index[b.edge]) for b in cfg.branches)
-    return validate_config(replace(cfg, center=new_poly, branches=branches))
 
 
 # -- config files -----------------------------------------------------------

@@ -17,18 +17,15 @@ from starspec.bounds import (
     branch_threshold_floor,
     check_containment,
     direct_sum_bounds,
-    direct_sum_eigs,
     dirichlet_monotone,
     dn_bracket,
     lower_bound,
-    neumann_enclosure,
     neumann_enclosure_bounds,
     replay_bound,
     scale_bound,
     trace_to_json,
-    upper_bound,
 )
-from starspec.exact import PI2, EigList, box_eigs, cross_section_threshold, equilateral_eigs, interval_eigs
+from starspec.exact import PI2, box_eigs, cross_section_threshold, equilateral_eigs
 from starspec.geom import CrossSection, simple_polygon
 
 REPLAY_REL = 1e-13
@@ -101,8 +98,11 @@ class TestRules:
     def test_neumann_enclosure_square_oracle(self):
         # mixed problem on the unit square vs the all-Neumann square: the
         # Neumann values never exceed the mixed ones
-        neu = box_eigs((1.0, 1.0), ("NN", "NN"), 4)
-        lows = neumann_enclosure("dn-square", None, None, neu)
+        neu = bounds_from_eiglist(
+            "neumann-square", box_eigs((1.0, 1.0), ("NN", "NN"), 4), Direction.LOWER,
+            "box-eig", {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]},
+        )
+        lows = neumann_enclosure_bounds("dn-square", None, None, neu)
         mixed = box_eigs((1.0, 1.0), ("NN", "DN"), 4).values
         for b, ev in zip(lows, mixed):
             assert b.value <= ev + 1e-12
@@ -110,8 +110,12 @@ class TestRules:
     def test_neumann_enclosure_containment_violation(self):
         inner = simple_polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
         outer = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        lows = bounds_from_eiglist(
+            "outer", box_eigs((1.0, 1.0), ("NN", "NN"), 2), Direction.LOWER,
+            "box-eig", {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]},
+        )
         with pytest.raises(ContainmentViolation):
-            neumann_enclosure("x", inner, outer, box_eigs((1.0, 1.0), ("NN", "NN"), 2))
+            neumann_enclosure_bounds("x", inner, outer, lows)
 
     def test_neumann_enclosure_bounds_transport(self):
         inner = simple_polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)])
@@ -142,26 +146,6 @@ class TestRules:
 
 
 class TestDirectSum:
-    def test_merge_matches_sort_oracle(self):
-        parts = [
-            interval_eigs(1.0, "DD", 5),
-            interval_eigs(2.0, "DN", 5),
-            box_eigs((1.0, 1.5), ("DD", "NN"), 5),
-        ]
-        merged = direct_sum_eigs(parts, 8)
-        oracle = sorted(v for p in parts for v in p.values)[:8]
-        assert list(merged.values) == pytest.approx(oracle, rel=1e-12)
-
-    def test_associative_and_commutative(self):
-        a = interval_eigs(1.0, "DD", 4)
-        b = interval_eigs(1.3, "NN", 4)
-        c = interval_eigs(0.7, "DN", 4)
-        v1 = direct_sum_eigs([direct_sum_eigs([a, b]), c], 6).values
-        v2 = direct_sum_eigs([a, direct_sum_eigs([b, c])], 6).values
-        v3 = direct_sum_eigs([c, b, a], 6).values
-        assert list(v1) == pytest.approx(list(v2), rel=1e-12)
-        assert list(v1) == pytest.approx(list(v3), rel=1e-12)
-
     def test_bound_merge_tail_extension_is_sound(self):
         # part one lists a single bound; indices beyond it must reuse that
         # value instead of pretending the part has no more spectrum
@@ -175,7 +159,8 @@ class TestDirectSum:
 
     def test_bound_merge_rejects_mixed_directions(self):
         lo = [lower_bound("a", 1, 1.0, "interval-eig", {"length": 1, "bc": "DD", "index": 1})]
-        hi = [upper_bound("b", 1, 2.0, "interval-eig", {"length": 1, "bc": "DD", "index": 1})]
+        step = TraceStep("interval-eig", {"length": 1, "bc": "DD", "index": 1}, 2.0)
+        hi = [SpectralBound("b", 1, 2.0, Direction.UPPER, (step,))]
         with pytest.raises((bnd.MixedDirections, DirectionMismatch)):
             direct_sum_bounds([lo, hi], "sum", 2)
 

@@ -1,11 +1,13 @@
 """Certification layer: thresholds, counting, verdicts, sweeps, region."""
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
 
 from starspec import bounds as bnd
-from starspec import certify
+from starspec import certify, cli
 from starspec.certify import (
     CertificationPlan,
     NoPipeline,
@@ -47,7 +49,7 @@ class TestCounting:
 
     def test_family_fact_records_assumption(self):
         plan = CertificationPlan(
-            count_strategy="family_fact", lower_strategy="dn_square",
+            count_strategy="family_fact", lower_strategy="box",
             params={"n": 1, "justification": "test"},
         )
         n, ub = count_discrete(None, plan, PI2)
@@ -56,7 +58,7 @@ class TestCounting:
 
     def test_unknown_strategies_raise(self):
         with pytest.raises(NoPipeline):
-            count_discrete(None, CertificationPlan("nope", "dn_square"), PI2)
+            count_discrete(None, CertificationPlan("nope", "box"), PI2)
         with pytest.raises(NoPipeline):
             dn_lower_bounds(None, CertificationPlan("fem", "nope"), 2)
         with pytest.raises(NoPipeline):
@@ -124,15 +126,67 @@ class TestVerdicts:
         d = run_certify(vcfg, plan, name="rect").to_dict()
         assert d["verdict"] == "CertifiedNoResonance"
         assert d["n"] == 2
-        for key in ("nu", "rigor", "margins", "budget", "lower_bounds", "upper_bounds"):
+        for key in ("nu", "rigor", "margins", "budget", "trace"):
             assert key in d
-        assert d["lower_bounds"][0]["direction"] == "lower"
+        assert d["trace"][0]["direction"] == "lower"
 
     def test_traces_replay_to_reported_values(self):
         vcfg, plan = preset("rect_two_eigs")
         v = run_certify(vcfg, plan, name="rect")
         for b in list(v.lower_bounds) + list(v.upper_bounds):
             assert bnd.replay_bound(b) == pytest.approx(b.value, rel=1e-13)
+
+
+class TestReports:
+    # sha256 of the reports below, without versions; every lower rule except
+    # sector and fem_estimate appears in them
+    GOLDEN = "a4a5c12abb3cacec9429c28754c4803405ce7f869cf0da6b48a1fb535c46942b"
+
+    def test_report_bytes_are_pinned(self):
+        texts = []
+        for name in ("t_junction", "y_junction", "crossing", "crossing_symmetric", "rect_two_eigs", "cube_square"):
+            vcfg, plan = preset(name)
+            if plan.count_strategy == "fem":
+                # a family fact keeps the FEM count out of this fast check
+                plan = dataclasses.replace(
+                    plan, count_strategy="family_fact",
+                    params={**plan.params, "n": 1, "justification": "golden"},
+                )
+            texts.append(cli.dumps_report(run_certify(vcfg, plan, name=name).to_dict()))
+        for family in ("broken", "y_alpha"):
+            vcfg, plan = preset(
+                family, alpha=1.0, count_strategy="family_fact",
+                params={"n": 1, "justification": "golden"},
+            )
+            texts.append(cli.dumps_report(run_certify(vcfg, plan, name=vcfg.name).to_dict()))
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == self.GOLDEN
+
+    def test_preset_names_and_strategies(self):
+        assert certify.PRESET_NAMES == tuple(cli.REPRO_TARGETS)
+        for name in certify._PRESETS:
+            shape = {"alpha": 1.0} if name in ("broken", "y_alpha") else {}
+            plan = preset(name, **shape)[1]
+            assert plan.count_strategy in certify._COUNT_RULES
+            assert plan.lower_strategy in {*certify._LOWER_RULES, "crossing_symmetry"}
+
+
+class TestPresetOverrides:
+    def test_overrides_reach_plan_and_params(self):
+        vcfg, plan = preset("t_junction", fem_levels=1, params={"extra": 2})
+        assert plan.fem_levels == 1
+        assert plan.truncation_length == 3.0
+        assert plan.params == {"dims": [1.0, 1.0], "bcs": ["NN", "DN"], "extra": 2}
+
+    def test_shape_keywords_build_the_config(self):
+        vcfg, plan = preset("rect_two_eigs", a=3.0, b=2.5)
+        assert vcfg.name == "rect_3x2.5"
+        assert plan.params["dims"] == [3.0, 2.5]
+
+    def test_bad_keywords_raise(self):
+        with pytest.raises(NoPipeline, match="bogus"):
+            preset("t_junction", bogus=1)
+        with pytest.raises(NoPipeline, match="alpha"):
+            preset("broken")
 
 
 class TestCrossingSymmetry:

@@ -40,6 +40,44 @@ class TestCertifyCommand:
         assert report["verdict"] == "Inconclusive"
         assert report["rigor"] == "heuristic"
 
+    def test_crossing_symmetry_needs_the_crossing(self, capsys):
+        args = ("--lower-strategy", "crossing_symmetry", "--truncation", "2", "--levels", "1", "--no-stability")
+        code, out, _ = run(capsys, "certify", "configs/t_junction.json", *args)
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert json.loads(out)["verdict"] == "Inconclusive"
+        code, out, _ = run(capsys, "certify", "configs/crossing.json", *args)
+        assert code == cli.EXIT_CERTIFIED
+        assert json.loads(out)["n"] == 1
+
+    def test_preset_takes_plan_flags(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "certify", "--preset", "t_junction",
+            "--lower-strategy", "fem_estimate",
+            "--truncation", "2.0", "--levels", "1", "--no-stability",
+        )
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert json.loads(out)["rigor"] == "heuristic"
+
+    def test_preset_takes_shape_keywords(self, capsys):
+        _, out, _ = run(capsys, "certify", "--preset", "rect_two_eigs", "--params", '{"a": 3.0, "b": 2.5}')
+        assert json.loads(out)["trace"][0]["trace"][0]["params"]["dims"] == [3.0, 2.5]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--preset", "rect_two_eigs", "--params", "[1]"),
+            ("--preset", "rect_two_eigs", "--params", '{"params": 1}'),
+            ("--preset", "t_junction", "--params", '{"bogus": 1}'),
+            ("configs/t_junction.json", "--params", '{"bogus": 1}'),
+        ],
+    )
+    def test_bad_params_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, "certify", *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_report_written_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out, _ = run(
@@ -133,6 +171,22 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert all("CertifiedNoResonance" in ln for ln in lines[1:])
         assert "first certified" in err
+
+
+    def test_anchor_reaches_both_families(self, capsys, monkeypatch):
+        seen = {}
+
+        def fake(family):
+            def sweep(alphas, existence_anchor=1.0):
+                seen[family] = existence_anchor
+                return []
+            return sweep
+
+        monkeypatch.setattr(cli.certify, "sweep_broken", fake("broken"))
+        monkeypatch.setattr(cli.certify, "sweep_y_alpha", fake("y_alpha"))
+        for family in ("broken", "y_alpha"):
+            run(capsys, "sweep", "--family", family, "--start", "1.0", "--stop", "1.0", "--anchor", "0.9")
+        assert seen == {"broken": 0.9, "y_alpha": 0.9}
 
 
 class TestReproCommand:

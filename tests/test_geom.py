@@ -219,16 +219,6 @@ class TestSymmetry:
             symmetry_reduce(tri, SymmetrySpec(("horizontal",)))
 
 
-class TestEnlarge:
-    def test_enlarge_center_grows_area(self):
-        vcfg = t_config()
-        bigger = geom.enlarge_center(vcfg, 0.5)
-        assert bigger.center.area() == pytest.approx(1.0 + 3 * 0.5)
-        # branch cuts keep unit width
-        for br in bigger.branches:
-            assert bigger.center.edge_length(br.edge) == pytest.approx(1.0)
-
-
 class TestConfigIO:
     def test_round_trip_2d(self, tmp_path):
         vcfg = t_config()
