@@ -46,7 +46,6 @@ class CertificationPlan:
     fem_h0: float = 0.25
     fem_levels: int = 2
     k_upper: int = 4
-    count_stability: bool = True
     params: dict = field(default_factory=dict)
 
 
@@ -140,21 +139,12 @@ def _fem_upper_bounds(
 
 
 def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float):
-    """FEM count on the truncated waveguide.  With count_stability the count
-    must survive doubling the truncation and one more refinement level, and
-    the sharper bounds of that second run are kept."""
-    runs = [(plan.truncation_length, plan.fem_levels)]
-    if plan.count_stability:
-        runs.append((2 * plan.truncation_length, plan.fem_levels + 1))
-    counts = []
-    for length, levels in runs:
-        ub = _fem_upper_bounds(vcfg, length, plan.fem_h0, levels, plan.k_upper)
-        counts.append(_n_below(ub, nu))
-    if counts[-1] != counts[0]:
-        raise UnstableCount(
-            f"count changed from {counts[0]} to {counts[-1]} under truncation doubling"
-        )
-    return counts[0], ub
+    """FEM count on the truncated waveguide from one solve at
+    (truncation_length, fem_levels).  One solve is enough: the upper bounds
+    give n_true >= n, and the verdict's center lower bound for the (n+1)-th
+    eigenvalue above nu gives n_true <= n (min-max)."""
+    ub = _fem_upper_bounds(vcfg, plan.truncation_length, plan.fem_h0, plan.fem_levels, plan.k_upper)
+    return _n_below(ub, nu), ub
 
 
 def _count_exact_box_B(vcfg, plan: CertificationPlan, nu: float):
@@ -709,12 +699,8 @@ _PRESETS = {
         "params": {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]}}),
     "crossing_symmetric": (lambda: crossing_config(), {}, {
         "count_strategy": "fem", "lower_strategy": "crossing_symmetry"}),
-    # stability doubling is skipped here: the arc polygon makes doubled
-    # truncations prohibitively large under uniform refinement, and the
-    # count is independently pinned by the analytic second-mode floor
     "rounded_corner": (lambda alpha: rounded_corner_config(alpha), {"alpha": math.pi / 2}, {
-        "count_strategy": "fem", "lower_strategy": "sector",
-        "truncation_length": 4.0, "count_stability": False}),
+        "count_strategy": "fem", "lower_strategy": "sector", "truncation_length": 4.0}),
     "rect_two_eigs": (lambda a, b: rect_two_eigs_config(a, b), {"a": 2.381, "b": 2.041}, {
         "count_strategy": "exact_box_B", "lower_strategy": "box",
         "params": lambda a, b: {
@@ -775,7 +761,7 @@ def _sweep(family: str, alphas, anchor_alpha: float, justification: str) -> list
     """Per-angle analytic center bounds; the single-state count is a family
     fact anchored by one truncated FEM verification of the bent guide at
     anchor_alpha."""
-    anchor_vcfg, anchor_plan = preset("broken", alpha=anchor_alpha, count_stability=False)
+    anchor_vcfg, anchor_plan = preset("broken", alpha=anchor_alpha)
     anchor_n, _ = count_discrete(anchor_vcfg, anchor_plan, PI2)
     if anchor_n < 1:
         raise UnstableCount("anchor verification found no eigenvalue below threshold")

@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import platform
 import sys
 
@@ -26,13 +25,6 @@ from . import __version__, certify, exact, fem, geom
 EXIT_CERTIFIED = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
-
-
-def _apply_thread_cap() -> None:
-    n = os.environ.get("STAR_SPECTRA_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
 
 
 def _fmt(x) -> str:
@@ -84,27 +76,56 @@ def _write(text: str, path: str | None) -> None:
 # certify flags that set a CertificationPlan field; each is None unless given
 _PLAN_FLAGS = (
     "lower_strategy", "count_strategy", "truncation_length", "fem_h0",
-    "fem_levels", "k_upper", "count_stability",
+    "fem_levels", "k_upper",
 )
 
 
+# JSON values accepted for each CertificationPlan field type; a bool is
+# never taken for a number
+_FIELD_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "dict": (dict, "a JSON object"),
+}
+_PLAN_TYPES = {f.name: f.type for f in dataclasses.fields(certify.CertificationPlan)}
+# mesh and solve sizes: a count of levels or eigenvalues is at least 1, a
+# length or mesh size is a positive finite number
+_POSITIVE = ("truncation_length", "fem_h0", "fem_levels", "k_upper")
+
+
 def _overrides(args) -> dict:
-    """The plan flags the user set, then the keys of the --params object."""
+    """The plan flags the user set, then the keys of the --params object.
+    Each plan field is checked against its type, and the mesh and solve sizes
+    must be positive; with --preset any other key is a shape keyword, and
+    every shape keyword is a number."""
     extra = json.loads(args.params)
-    if not isinstance(extra, dict) or not isinstance(extra.get("params", {}), dict):
-        raise ValueError("--params and its params entry must be JSON objects")
+    if not isinstance(extra, dict):
+        raise ValueError("--params must be a JSON object")
     flags = {f: getattr(args, f) for f in _PLAN_FLAGS if getattr(args, f) is not None}
-    return {**flags, **extra}
+    overrides = {**flags, **extra}
+    for key, value in overrides.items():
+        kind = _PLAN_TYPES.get(key, "float" if args.preset else None)
+        if kind is None:
+            continue
+        want, text = _FIELD_TYPES[kind]
+        if not isinstance(value, want) or isinstance(value, bool):
+            raise ValueError(f"{key} must be {text}, not {json.dumps(value)}")
+        if key in _POSITIVE and not 0 < value < math.inf:
+            raise ValueError(f"{key} must be positive and finite, not {value}")
+    return overrides
 
 
 def cmd_certify(args) -> int:
+    if args.config is None and not args.preset:
+        raise ValueError("certify needs a configuration file or --preset")
     overrides = _overrides(args)
     if args.preset:
         vcfg, plan = certify.preset(args.preset, **overrides)
         name = args.preset
     else:
         vcfg = geom.load_config(args.config)
-        unknown = set(overrides) - {f.name for f in dataclasses.fields(certify.CertificationPlan)}
+        unknown = set(overrides) - set(_PLAN_TYPES)
         if unknown:
             raise ValueError(f"unknown plan field(s): {', '.join(sorted(unknown))}")
         plan = certify.CertificationPlan(
@@ -246,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--levels", dest="fem_levels", type=int, help="refinement levels")
     c.add_argument("-k", dest="k_upper", type=int, help="eigenvalues per solve")
     c.add_argument(
-        "--no-stability", dest="count_stability", action="store_false", default=None,
-        help="skip truncation-doubling check",
+        "--no-stability", action="store_true",
+        help="no effect, kept for old scripts: the FEM count is always one solve",
     )
     c.add_argument("--params", default="{}", help="plan overrides and preset shape keywords (JSON object)")
     c.add_argument("-o", "--output", default="-")
@@ -301,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -318,6 +338,7 @@ def run(argv=None) -> int:
         certify.NoPipeline,
         certify.UnstableCount,
         fem.MeshFailure,
+        fem.SolverFailure,
     ) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_ERROR

@@ -23,7 +23,8 @@ import scipy.sparse.linalg as spla
 from .exact import EigList
 from .geom import BC, Polygon
 
-DENSE_DOF_LIMIT = 2000
+# dense eigh beats shift-invert eigsh (k = 2) at 189 DOF and loses from 272 up
+DENSE_DOF_LIMIT = 250
 
 
 class MeshFailure(RuntimeError):

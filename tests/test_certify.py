@@ -7,7 +7,7 @@ import math
 import pytest
 
 from starspec import bounds as bnd
-from starspec import certify, cli
+from starspec import certify, cli, fem
 from starspec.certify import (
     CertificationPlan,
     NoPipeline,
@@ -187,6 +187,27 @@ class TestPresetOverrides:
             preset("t_junction", bogus=1)
         with pytest.raises(NoPipeline, match="alpha"):
             preset("broken")
+
+
+class TestSingleSolveCount:
+    # coarse meshes keep each solve in milliseconds; the count rule is the same
+    CHEAP = {"fem_h0": 0.5, "fem_levels": 1, "truncation_length": 2.0}
+
+    @pytest.mark.parametrize("name", ["t_junction", "y_junction", "crossing", "crossing_symmetric", "rounded_corner"])
+    def test_one_solve_per_certify(self, monkeypatch, name):
+        calls = []
+        lowest_eigs = fem.lowest_eigs
+
+        def counting_lowest_eigs(prob, k):
+            calls.append(1)
+            return lowest_eigs(prob, k)
+
+        monkeypatch.setattr(fem, "lowest_eigs", counting_lowest_eigs)
+        vcfg, plan = preset(name, **self.CHEAP)
+        assert plan.count_strategy == "fem"
+        v = run_certify(vcfg, plan, name=name)
+        assert len(calls) == 1
+        assert {b.trace[0].params["length"] for b in v.upper_bounds} == {plan.truncation_length}
 
 
 class TestCrossingSymmetry:

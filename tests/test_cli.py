@@ -70,6 +70,22 @@ class TestCertifyCommand:
             ("--preset", "rect_two_eigs", "--params", '{"params": 1}'),
             ("--preset", "t_junction", "--params", '{"bogus": 1}'),
             ("configs/t_junction.json", "--params", '{"bogus": 1}'),
+            ("--preset", "t_junction", "--params", '{"fem_levels": "2"}'),
+            ("--preset", "t_junction", "--params", '{"fem_levels": 2.0}'),
+            ("--preset", "t_junction", "--params", '{"fem_levels": true}'),
+            ("--preset", "t_junction", "--params", '{"truncation_length": "3"}'),
+            ("--preset", "y_junction", "--params", '{"truncation_length": true}'),
+            ("--preset", "t_junction", "--params", '{"count_stability": true}'),
+            ("--preset", "y_junction", "-k", "-1"),
+            ("--preset", "y_junction", "--levels", "0"),
+            ("--preset", "y_junction", "--truncation", "0"),
+            ("--preset", "y_junction", "--params", '{"fem_h0": -0.5}'),
+            ("--preset", "y_junction", "--params", '{"fem_h0": NaN}'),
+            ("configs/y_junction.json", "--params", '{"truncation_length": Infinity}'),
+            ("--preset", "t_junction", "--params", '{"lower_strategy": 3}'),
+            ("configs/t_junction.json", "--params", '{"count_strategy": null}'),
+            ("configs/t_junction.json", "--params", '{"params": [1]}'),
+            ("--preset", "rounded_corner", "--params", '{"alpha": "1"}'),
         ],
     )
     def test_bad_params_exit_one(self, capsys, argv):
@@ -77,6 +93,12 @@ class TestCertifyCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:")
+
+    def test_no_input_exits_one(self, capsys):
+        code, out, err = run(capsys, "certify")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == "error: certify needs a configuration file or --preset\n"
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
