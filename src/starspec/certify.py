@@ -22,6 +22,7 @@ from .geom import BC, Branch, CrossSection, EdgeRole, Polygon, StarWaveguideConf
 
 BUDGET_FLOOR_REL = 1e-8
 FEM_UPPER_TOL_REL = 1e-8
+EQUILATERAL_RTOL = 1e-12  # side spread that moves an eigenvalue far less than the budget floor
 
 WAVEGUIDE_OP = "waveguide-dirichlet"
 DN_CENTER_OP = "dn-center"
@@ -33,6 +34,10 @@ class UnstableCount(RuntimeError):
 
 class NoPipeline(ValueError):
     pass
+
+
+class Unbound(ValueError):
+    """The rule does not describe the center; certify() makes it Inconclusive."""
 
 
 @dataclass(frozen=True)
@@ -147,13 +152,13 @@ def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float):
     return _n_below(ub, nu), ub
 
 
-def _count_exact_box_B(vcfg, plan: CertificationPlan, nu: float):
-    """The all-Dirichlet box params["dims"] is a subdomain of the waveguide."""
-    dims = list(plan.params["dims"])
-    eigs = exact.box_eigs(tuple(dims), ("DD", "DD"), plan.k_upper)
+def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float):
+    """The box center with Dirichlet conditions all round is a waveguide subdomain."""
+    dims = _box(vcfg, "exact_box_B")[0]
+    bcs = ["DD"] * len(dims)
     raw = bnd.bounds_from_eiglist(
-        "center-dirichlet", eigs, Direction.UPPER, "box-eig",
-        {"dims": dims, "bcs": ["DD", "DD"]},
+        "center-dirichlet", exact.box_eigs(tuple(dims), tuple(bcs), plan.k_upper), Direction.UPPER,
+        "box-eig", {"dims": dims, "bcs": bcs},
     )
     ub = bnd.dirichlet_monotone(raw, WAVEGUIDE_OP)
     return _n_below(ub, nu), ub
@@ -194,27 +199,47 @@ def count_discrete(
 # lowest eigenvalues of the mixed-condition center operator.
 
 
-def _lower_box(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
-    """Separable box params["dims"] with the interval condition pairs
-    params["bcs"].  With params["relaxed"] the box is the center with part of
-    its Dirichlet boundary relaxed to Neumann, which only lowers eigenvalues;
-    the string says which part."""
-    p = plan.params
-    dims, bcs = list(p["dims"]), list(p["bcs"])
+def _box(vcfg: ValidatedConfig, rule: str) -> tuple[list, list, Optional[str]]:
+    """Dims, interval condition pairs (low side first) and relaxation note of
+    a Box3 or an axis-aligned rectangle center.  A cut patch, or a side that
+    mixes D and N edges, is relaxed to Neumann, which only lowers eigenvalues."""
+    c = vcfg.center
+    if vcfg.is_3d:
+        return list(c.dims), [a.value + b.value for a, b in c.axis_bcs], "cut patch relaxed to full face"
+    bbox = [(min(xs), max(xs)) for xs in zip(*c.vertices)]
+    sides: dict = {}  # (axis, 0 for the low side or 1 for the high side) -> tags of its edges
+    for i, tag in enumerate(c.edge_tags):
+        p, q = c.edge(i)
+        ax = 0 if p[0] == q[0] else 1
+        if p[ax] != q[ax] or p[ax] not in bbox[ax]:
+            raise Unbound(f"{rule} needs an axis-aligned rectangle or box center")
+        sides.setdefault((ax, bbox[ax].index(p[ax])), set()).add(tag)
+    bcs = ["".join("N" if BC.NEUMANN in sides[ax, e] else "D" for e in (0, 1)) for ax in (0, 1)]
+    mixed = any(len(tags) > 1 for tags in sides.values())
+    return [hi - lo for lo, hi in bbox], bcs, "branch side relaxed to full Neumann" if mixed else None
+
+
+def _lower_box(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+    """Separable box with the center's dims and interval condition pairs."""
+    dims, bcs, relaxed = _box(vcfg, "box")
     out = bnd.bounds_from_eiglist(
         DN_CENTER_OP, exact.box_eigs(tuple(dims), tuple(bcs), k), Direction.LOWER,
         "box-eig", {"dims": dims, "bcs": bcs},
     )
-    if "relaxed" in p:
+    if relaxed:
         out = [
-            b.extended(TraceStep("neumann-relaxation", {"detail": p["relaxed"]}, b.value))
+            b.extended(TraceStep("neumann-relaxation", {"detail": relaxed}, b.value))
             for b in out
         ]
     return out
 
 
-def _lower_neumann_equilateral(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
-    side = plan.params.get("side", 1.0)
+def _lower_neumann_equilateral(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+    c = vcfg.center
+    sides = [] if vcfg.is_3d else [c.edge_length(i) for i in range(c.n_edges)]
+    side = max(sides, default=0.0)
+    if len(sides) != 3 or BC.DIRICHLET in c.edge_tags or side - min(sides) > EQUILATERAL_RTOL * side:
+        raise Unbound("neumann_equilateral needs an all-Neumann equilateral triangle center")
     eigs = exact.equilateral_eigs(side, "neumann", k)
     return bnd.bounds_from_eiglist(
         DN_CENTER_OP, eigs, Direction.LOWER, "equilateral-eig",
@@ -222,10 +247,22 @@ def _lower_neumann_equilateral(vcfg, plan: CertificationPlan, k: int) -> list[Sp
     )
 
 
-def _lower_broken_chain(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _family_alpha(vcfg: ValidatedConfig, plan: CertificationPlan, rule: str, polygon) -> float:
+    """params["alpha"], once the polygon center is exactly polygon(alpha)."""
+    alpha = plan.params["alpha"]
+    try:
+        bound = not vcfg.is_3d and polygon(alpha) == vcfg.center
+    except (ArithmeticError, TypeError, ValueError):  # no family polygon at this alpha
+        bound = False
+    if not bound:
+        raise Unbound(f"{rule} with alpha = {alpha} does not describe this center")
+    return alpha
+
+
+def _lower_broken_chain(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     """Reflection split of the bent-guide center into a Dirichlet-hypotenuse
     and a Neumann-hypotenuse right triangle, floored analytically."""
-    alpha = plan.params["alpha"]
+    alpha = _family_alpha(vcfg, plan, "broken_chain", _broken_polygon)
     f_d = exact.right_triangle_dn_lower_bound(alpha)
     odd = [
         bnd.lower_bound(
@@ -260,11 +297,10 @@ def _lower_broken_chain(vcfg, plan: CertificationPlan, k: int) -> list[SpectralB
     return bnd.direct_sum_bounds([odd, even], DN_CENTER_OP, k)
 
 
-def _lower_y_chain(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _lower_y_chain(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     """Neumann triangle enclosure of the Y-junction center plus contraction
     to an equilateral triangle."""
-    alpha = plan.params["alpha"]
-    center = vcfg.center if vcfg is not None and not vcfg.is_3d else None
+    alpha = _family_alpha(vcfg, plan, "y_chain", _y_center_polygon)
     if alpha <= math.pi / 3:
         l, h = exact.y_alpha_enclosure_triangle(alpha) if alpha < math.pi / 3 else (1.0, math.sqrt(3) / 2)
         side_eq = 2 * h / math.sqrt(3)
@@ -284,16 +320,16 @@ def _lower_y_chain(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]
         {"side": side_eq, "bc": "neumann"},
     )
     on_m = bnd.scale_bound(eq, coeffs, "enclosure-neumann")
-    enclosure = _y_enclosure_polygon(alpha) if center is not None else None
-    return bnd.neumann_enclosure_bounds(
-        DN_CENTER_OP, center, enclosure, on_m, enclosure_name=name
-    )
+    y0 = vcfg.center.vertices[0][1]  # the isosceles enclosure stands on the bottom cut
+    enclosure = geom.simple_polygon([(-l / 2, y0), (l / 2, y0), (0.0, y0 + h)])
+    return bnd.neumann_enclosure_bounds(DN_CENTER_OP, vcfg.center, enclosure, on_m, enclosure_name=name)
 
 
-def _lower_sector(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _lower_sector(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     """Analytic lower bounds for the circular-sector center spectrum from the
-    Bessel-zero inequalities; k = 2 is what certification needs."""
-    alpha = plan.params["alpha"]
+    Bessel-zero inequalities; k = 2 is what certification needs.  They bound
+    every polygon inscribed in the sector with Dirichlet on its arc side."""
+    alpha = _family_alpha(vcfg, plan, "sector", lambda a: _rounded_corner_polygon(a, vcfg.center.n_edges - 2))
     out = [bnd.lower_bound(DN_CENTER_OP, 1, 0.0, "trivial-floor", {})]
     if k >= 2:
         cand = [
@@ -312,11 +348,10 @@ def _lower_sector(vcfg, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     return out[:k]
 
 
-def _lower_fem_estimate(vcfg: Optional[ValidatedConfig], plan: CertificationPlan, k: int) -> list[SpectralBound]:
-    if vcfg is None:
-        raise NoPipeline("fem_estimate needs a config")
-    poly: Polygon = vcfg.center  # type: ignore[assignment]
-    spec = fem.dn_spectrum(poly, k, max(plan.fem_levels, 2), plan.fem_h0)
+def _lower_fem_estimate(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+    if vcfg.is_3d:
+        raise Unbound("fem_estimate needs a polygon center")
+    spec = fem.dn_spectrum(vcfg.center, k, max(plan.fem_levels, 2), plan.fem_h0)
     out = []
     for i in range(k):
         v = float(spec.extrapolated[i])
@@ -336,7 +371,7 @@ _LOWER_RULES = {
 
 
 def dn_lower_bounds(
-    vcfg: Optional[ValidatedConfig], plan: CertificationPlan, upto: int
+    vcfg: ValidatedConfig, plan: CertificationPlan, upto: int
 ) -> list[SpectralBound]:
     return _lookup(_LOWER_RULES, "lower strategy", plan.lower_strategy)(vcfg, plan, upto)
 
@@ -353,20 +388,27 @@ def _rigor(all_bounds: list[SpectralBound]) -> str:
     return "analytic"
 
 
-def certify(vcfg: Optional[ValidatedConfig], plan: CertificationPlan, name: str = "") -> Verdict:
-    if plan.lower_strategy == "crossing_symmetry":
-        return _certify_crossing_symmetry(vcfg, plan, name)
-    nu = plan.params["nu"] if vcfg is None else threshold(vcfg)
-    n, uppers = count_discrete(vcfg, plan, nu) if vcfg is not None or plan.count_strategy == "family_fact" else (0, [])
-    lowers = dn_lower_bounds(vcfg, plan, n + 1)
+def _inconclusive(name: str, nu: float, reason: str, uppers=(), lowers=()) -> Verdict:
+    used = list(uppers) + list(lowers)
+    return Verdict(
+        name=name, certified=False, n_discrete=None, rigor=_rigor(used), nu=nu,
+        margins={}, reason=reason, budget=_budget(nu, used),
+        lower_bounds=tuple(lowers), upper_bounds=tuple(uppers),
+    )
+
+
+def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> Verdict:
+    nu = threshold(vcfg)
+    try:
+        if plan.lower_strategy == "crossing_symmetry":
+            return _certify_crossing_symmetry(vcfg, plan, name, nu)
+        n, uppers = count_discrete(vcfg, plan, nu)
+        lowers = dn_lower_bounds(vcfg, plan, n + 1)
+    except Unbound as e:
+        return _inconclusive(name, nu, str(e))
     if len(lowers) <= n:
-        return Verdict(
-            name=name, certified=False, n_discrete=None,
-            rigor=_rigor(list(uppers) + list(lowers)), nu=nu,
-            margins={}, reason=f"lower-bound pipeline provides only {len(lowers)} values, need {n + 1}",
-            budget=_budget(nu, list(uppers) + list(lowers)),
-            lower_bounds=tuple(lowers), upper_bounds=tuple(uppers),
-        )
+        reason = f"lower-bound pipeline provides only {len(lowers)} values, need {n + 1}"
+        return _inconclusive(name, nu, reason, uppers, lowers)
     used = list(uppers) + list(lowers)
     budget = _budget(nu, used)
     rigor = _rigor(used)
@@ -414,7 +456,7 @@ def certify(vcfg: Optional[ValidatedConfig], plan: CertificationPlan, name: str 
     )
 
 
-def _certify_crossing_symmetry(vcfg: Optional[ValidatedConfig], plan: CertificationPlan, name: str) -> Verdict:
+def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:
     """Crossing-strips certification through the mirror-parity decomposition.
 
     Each parity (j, k) of the quarter domain splits, after inserting Neumann
@@ -426,18 +468,11 @@ def _certify_crossing_symmetry(vcfg: Optional[ValidatedConfig], plan: Certificat
 
     The bookkeeping describes crossing_config() only, so a config with a
     different center, branches or symmetry is Inconclusive."""
-    if vcfg is not None:
-        ref = crossing_config()
-        if (vcfg.center, vcfg.branches, vcfg.symmetry) != (ref.center, ref.branches, ref.symmetry):
-            nu = threshold(vcfg)
-            return Verdict(
-                name=name, certified=False, n_discrete=None, rigor=_rigor([]), nu=nu,
-                margins={}, reason="crossing_symmetry applies only to the crossing of two unit strips",
-                budget=_budget(nu, []), lower_bounds=(), upper_bounds=(),
-            )
-    nu = PI2
+    ref = crossing_config()
+    if (vcfg.center, vcfg.branches, vcfg.symmetry) != (ref.center, ref.branches, ref.symmetry):
+        raise Unbound("crossing_symmetry applies only to the crossing of two unit strips")
     n_total, uppers = count_discrete(vcfg, plan, nu)
-    budget = max(BUDGET_FLOOR_REL * nu, sum(b.tol for b in uppers))
+    budget = _budget(nu, uppers)
     parities = {}
     sum_njk = 0
     ok = True
@@ -542,16 +577,6 @@ def _y_center_polygon(alpha: float) -> Polygon:
     return Polygon(tuple(verts), tuple(tags), tuple(roles))
 
 
-def _y_enclosure_polygon(alpha: float) -> Polygon:
-    s, c = math.sin(alpha), math.cos(alpha)
-    y0 = -(1 - c) / (2 * s)
-    if alpha < math.pi / 3:
-        l, h = exact.y_alpha_enclosure_triangle(alpha)
-    else:
-        l, h = 1.0, 0.5 * math.tan(alpha)
-    return geom.simple_polygon([(-l / 2, y0), (l / 2, y0), (0.0, y0 + h)])
-
-
 def y_alpha_config(alpha: float, name: str | None = None) -> ValidatedConfig:
     poly = _y_center_polygon(alpha)
     cut_idx = [i for i, r in enumerate(poly.edge_roles) if r is EdgeRole.CUT]
@@ -565,15 +590,19 @@ def y_alpha_config(alpha: float, name: str | None = None) -> ValidatedConfig:
     )
 
 
-def broken_config(alpha: float) -> ValidatedConfig:
+def _broken_polygon(alpha: float) -> Polygon:
     s, c = math.sin(alpha), math.cos(alpha)
     verts = ((-1.0 / s, 0.0), (-s, -c), (0.0, 0.0), (-s, c))
     tags = (BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.DIRICHLET)
     roles = (EdgeRole.WALL, EdgeRole.CUT, EdgeRole.CUT, EdgeRole.WALL)
+    return Polygon(verts, tags, roles)
+
+
+def broken_config(alpha: float) -> ValidatedConfig:
     return geom.validate_config(
         StarWaveguideConfig(
             name=f"broken_{alpha:.6g}",
-            center=Polygon(verts, tags, roles),
+            center=_broken_polygon(alpha),
             branches=(Branch(1, CrossSection.interval(1.0)), Branch(2, CrossSection.interval(1.0))),
             symmetry=geom.SymmetrySpec(("horizontal",)),
         )
@@ -597,7 +626,7 @@ def crossing_config() -> ValidatedConfig:
     )
 
 
-def rounded_corner_config(alpha: float, arc_segments: int = 24) -> ValidatedConfig:
+def _rounded_corner_polygon(alpha: float, arc_segments: int) -> Polygon:
     """Inscribed polygonal stand-in for the circular-sector center: the arc is
     replaced by an inscribed polyline, so truncated FEM values stay upper
     bounds for the true rounded waveguide."""
@@ -615,12 +644,16 @@ def rounded_corner_config(alpha: float, arc_segments: int = 24) -> ValidatedConf
         else:
             tags.append(BC.DIRICHLET)
             roles.append(EdgeRole.WALL)
-    poly = Polygon(tuple(verts), tuple(tags), tuple(roles))
+    return Polygon(tuple(verts), tuple(tags), tuple(roles))
+
+
+def rounded_corner_config(alpha: float, arc_segments: int = 24) -> ValidatedConfig:
+    poly = _rounded_corner_polygon(alpha, arc_segments)
     return geom.validate_config(
         StarWaveguideConfig(
             name=f"rounded_corner_{alpha:.6g}",
             center=poly,
-            branches=(Branch(0, CrossSection.interval(1.0)), Branch(n - 1, CrossSection.interval(1.0))),
+            branches=(Branch(0, CrossSection.interval(1.0)), Branch(poly.n_edges - 1, CrossSection.interval(1.0))),
         )
     )
 
@@ -678,40 +711,29 @@ BROKEN_EXISTENCE_NOTE = (
     "anchor angle and extended over the family"
 )
 
-_CUBE_PARAMS = {
-    "dims": [1.0, 1.0, 1.0], "bcs": ["DN", "DN", "DN"],
-    "relaxed": "cut patch relaxed to full face", "n": 1,
-}
-
 # name -> (config builder, shape keywords with their defaults, plan fields
 # that differ from the CertificationPlan defaults).  A None default marks a
-# required shape keyword.  A callable "params" derives the params from the
-# shape keywords.  The builders call the public config constructors by their
-# module-level names, so a wrapper or monkeypatch on those sees every call.
+# required shape keyword.  Every rule reads the center's shape from the
+# config; the families' rules check their alpha against it.  The builders
+# call the public config constructors by their module-level names, so a
+# wrapper or monkeypatch on those sees every call.
 _PRESETS = {
-    "t_junction": (lambda: t_junction_config(), {}, {
-        "count_strategy": "fem", "lower_strategy": "box",
-        "params": {"dims": [1.0, 1.0], "bcs": ["NN", "DN"]}}),
-    "y_junction": (lambda: y_junction_config(), {}, {
-        "count_strategy": "fem", "lower_strategy": "neumann_equilateral", "params": {"side": 1.0}}),
-    "crossing": (lambda: crossing_config(), {}, {
-        "count_strategy": "fem", "lower_strategy": "box",
-        "params": {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]}}),
+    "t_junction": (lambda: t_junction_config(), {}, {"count_strategy": "fem", "lower_strategy": "box"}),
+    "y_junction": (lambda: y_junction_config(), {}, {"count_strategy": "fem", "lower_strategy": "neumann_equilateral"}),
+    "crossing": (lambda: crossing_config(), {}, {"count_strategy": "fem", "lower_strategy": "box"}),
     "crossing_symmetric": (lambda: crossing_config(), {}, {
         "count_strategy": "fem", "lower_strategy": "crossing_symmetry"}),
     "rounded_corner": (lambda alpha: rounded_corner_config(alpha), {"alpha": math.pi / 2}, {
         "count_strategy": "fem", "lower_strategy": "sector", "truncation_length": 4.0}),
     "rect_two_eigs": (lambda a, b: rect_two_eigs_config(a, b), {"a": 2.381, "b": 2.041}, {
-        "count_strategy": "exact_box_B", "lower_strategy": "box",
-        "params": lambda a, b: {
-            "dims": [a, b], "bcs": ["DN", "DD"], "relaxed": "branch side relaxed to full Neumann"}}),
+        "count_strategy": "exact_box_B", "lower_strategy": "box"}),
     "cube_square": (lambda: cube_square_config(), {}, {
         "count_strategy": "family_fact", "lower_strategy": "box",
-        "params": {**_CUBE_PARAMS, "anchor": "2d-bent-guide-fem",
+        "params": {"n": 1, "anchor": "2d-bent-guide-fem",
                    "justification": "prism over the right-angle bent strip is a Dirichlet subdomain"}}),
     "cube_disk": (lambda: cube_disk_config(), {}, {
         "count_strategy": "family_fact", "lower_strategy": "box",
-        "params": {**_CUBE_PARAMS, "anchor": None,
+        "params": {"n": 1, "anchor": None,
                    "justification": "sharply bent circular cylinder inside the junction binds a state"}}),
     "y_alpha": (lambda alpha: y_alpha_config(alpha), {"alpha": None}, {
         "count_strategy": "fem", "lower_strategy": "y_chain"}),
@@ -720,7 +742,7 @@ _PRESETS = {
 }
 
 
-def preset(name: str, **kw) -> tuple[Optional[ValidatedConfig], CertificationPlan]:
+def preset(name: str, **kw) -> tuple[ValidatedConfig, CertificationPlan]:
     """Config and plan of a catalog example.  Shape keywords go to the config
     builder and into params; any other keyword sets a CertificationPlan
     field, except params, which is merged into the preset's params."""
@@ -732,13 +754,8 @@ def preset(name: str, **kw) -> tuple[Optional[ValidatedConfig], CertificationPla
     unknown = kw.keys() - _PLAN_FIELDS
     if unknown:
         raise NoPipeline(f"preset {name!r} has no parameter {', '.join(sorted(unknown))}")
-    params = plan_kw.get("params", {})
-    if callable(params):
-        params = params(**shape)
-    plan = CertificationPlan(
-        **{**plan_kw, **kw, "params": {**shape, **params, **kw.get("params", {})}}
-    )
-    return build(**shape), plan
+    params = {**shape, **plan_kw.get("params", {}), **kw.get("params", {})}
+    return build(**shape), CertificationPlan(**{**plan_kw, **kw, "params": params})
 
 
 PRESET_NAMES = tuple(n for n, (_, shape, _) in _PRESETS.items() if None not in shape.values())

@@ -266,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--h0", dest="fem_h0", type=float, help="target mesh size")
     c.add_argument("--levels", dest="fem_levels", type=int, help="refinement levels")
     c.add_argument("-k", dest="k_upper", type=int, help="eigenvalues per solve")
-    c.add_argument(
-        "--no-stability", action="store_true",
-        help="no effect, kept for old scripts: the FEM count is always one solve",
-    )
     c.add_argument("--params", default="{}", help="plan overrides and preset shape keywords (JSON object)")
     c.add_argument("-o", "--output", default="-")
     c.set_defaults(func=cmd_certify)

@@ -54,8 +54,8 @@ class CrossSection:
             raise InvalidGeometry(f"unknown cross-section kind {self.kind!r}")
         if len(self.dims) != expected[self.kind]:
             raise InvalidGeometry(f"{self.kind} needs {expected[self.kind]} dims")
-        if any(d <= 0 for d in self.dims):
-            raise InvalidGeometry("cross-section dimensions must be positive")
+        if not all(0 < d < math.inf for d in self.dims):
+            raise InvalidGeometry(f"{self.kind} cross-section dims must be positive and finite, not {list(self.dims)}")
 
     @staticmethod
     def interval(width: float) -> "CrossSection":
@@ -225,8 +225,8 @@ class Box3:
     axis_bcs: tuple[tuple[BC, BC], tuple[BC, BC], tuple[BC, BC]]
 
     def __post_init__(self):
-        if any(d <= 0 for d in self.dims):
-            raise InvalidGeometry("box dimensions must be positive")
+        if not all(0 < d < math.inf for d in self.dims):
+            raise InvalidGeometry(f"box dims must be positive and finite, not {list(self.dims)}")
 
 
 @dataclass(frozen=True)
@@ -253,6 +253,8 @@ class ValidatedConfig:
 
 
 def validate_config(cfg: StarWaveguideConfig) -> ValidatedConfig:
+    if not cfg.branches:
+        raise InvalidGeometry("configuration has no branch")
     if cfg.is_3d:
         _validate_3d(cfg)
     else:
@@ -262,6 +264,8 @@ def validate_config(cfg: StarWaveguideConfig) -> ValidatedConfig:
 
 def _validate_2d(cfg: StarWaveguideConfig) -> None:
     poly: Polygon = cfg.center  # type: ignore[assignment]
+    if not all(len(v) == 2 and math.isfinite(v[0]) and math.isfinite(v[1]) for v in poly.vertices):
+        raise InvalidGeometry("center vertices must be pairs of finite numbers")
     if poly.signed_area() <= 0:
         raise InvalidGeometry("center polygon must be positively oriented")
     if not poly.is_simple():
@@ -286,7 +290,7 @@ def _validate_2d(cfg: StarWaveguideConfig) -> None:
             raise InvalidGeometry("2D branches must have interval cross-sections")
         width = br.cross_section.dims[0]
         cut_len = poly.edge_length(br.edge)
-        if abs(width - cut_len) > CUT_WIDTH_RTOL * max(1.0, abs(cut_len)):
+        if not abs(width - cut_len) <= CUT_WIDTH_RTOL * max(1.0, abs(cut_len)):
             raise InvalidGeometry(
                 f"branch width {width} does not match cut edge length {cut_len}"
             )
@@ -299,6 +303,8 @@ def _validate_2d(cfg: StarWaveguideConfig) -> None:
 
 def _validate_3d(cfg: StarWaveguideConfig) -> None:
     box: Box3 = cfg.center  # type: ignore[assignment]
+    if len(box.dims) != 3 or len(box.axis_bcs) != 3:
+        raise InvalidGeometry("box center needs three dims and three axis_bcs pairs")
     seen = set()
     for br in cfg.branches:
         if not 0 <= br.edge < 6:
@@ -464,7 +470,11 @@ def _clip_halfplane(poly: Polygon, axis: str, axis_tag: BC) -> Polygon:
 def load_config(path: str) -> ValidatedConfig:
     with open(path) as f:
         raw = json.load(f)
-    return validate_config(config_from_dict(raw))
+    try:
+        cfg = config_from_dict(raw)
+    except (KeyError, TypeError, ValueError) as e:  # a missing key, or a value of the wrong kind
+        raise InvalidGeometry(f"malformed configuration: {e}") from None
+    return validate_config(cfg)
 
 
 def config_from_dict(raw: dict) -> StarWaveguideConfig:

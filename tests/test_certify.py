@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
 from starspec import bounds as bnd
-from starspec import certify, cli, fem
+from starspec import certify, cli, fem, geom
 from starspec.certify import (
     CertificationPlan,
     NoPipeline,
@@ -42,8 +43,8 @@ class TestThreshold:
 
 class TestCounting:
     def test_exact_box_count_is_two(self):
-        _, plan = preset("rect_two_eigs")
-        n, ub = count_discrete(None, plan, PI2)
+        vcfg, plan = preset("rect_two_eigs")
+        n, ub = count_discrete(vcfg, plan, PI2)
         assert n == 2
         assert ub[1].value < PI2 < ub[2].value
 
@@ -175,18 +176,86 @@ class TestPresetOverrides:
         vcfg, plan = preset("t_junction", fem_levels=1, params={"extra": 2})
         assert plan.fem_levels == 1
         assert plan.truncation_length == 3.0
-        assert plan.params == {"dims": [1.0, 1.0], "bcs": ["NN", "DN"], "extra": 2}
+        assert plan.params == {"extra": 2}
 
     def test_shape_keywords_build_the_config(self):
         vcfg, plan = preset("rect_two_eigs", a=3.0, b=2.5)
         assert vcfg.name == "rect_3x2.5"
-        assert plan.params["dims"] == [3.0, 2.5]
+        assert run_certify(vcfg, plan).lower_bounds[0].trace[0].params["dims"] == [3.0, 2.5]
 
     def test_bad_keywords_raise(self):
         with pytest.raises(NoPipeline, match="bogus"):
             preset("t_junction", bogus=1)
         with pytest.raises(NoPipeline, match="alpha"):
             preset("broken")
+
+
+def _fact_plan(plan):
+    """The plan with a family-fact count, which keeps FEM out of a fast check."""
+    if plan.count_strategy != "fem":
+        return plan
+    return dataclasses.replace(
+        plan, count_strategy="family_fact", params={**plan.params, "n": 1, "justification": "binding"}
+    )
+
+
+class TestShapeBinding:
+    # config file -> the presets whose center it is, with their shape keywords
+    CONFIG_PRESETS = {
+        "broken_1.0": [("broken", {"alpha": 1.0})],
+        "crossing": [("crossing", {}), ("crossing_symmetric", {})],
+        "cube_disk": [("cube_disk", {})],
+        "cube_square": [("cube_square", {})],
+        "rect_two_eigs": [("rect_two_eigs", {})],
+        "rounded_corner": [("rounded_corner", {})],
+        "t_junction": [("t_junction", {})],
+        "y_alpha_0.95": [("y_alpha", {"alpha": 0.95})],
+        "y_junction": [("y_junction", {})],
+    }
+
+    def test_every_config_file_certifies_like_its_preset(self):
+        assert sorted(p.stem for p in Path("configs").glob("*.json")) == sorted(self.CONFIG_PRESETS)
+        for stem, presets in self.CONFIG_PRESETS.items():
+            from_file = geom.load_config(f"configs/{stem}.json")
+            for name, shape in presets:
+                vcfg, plan = preset(name, **shape)
+                plan = _fact_plan(plan)
+                want = cli.dumps_report(run_certify(vcfg, plan, name=name).to_dict())
+                assert cli.dumps_report(run_certify(from_file, plan, name=name).to_dict()) == want, name
+
+    @pytest.mark.parametrize(
+        "name, shape, overrides, rule",
+        [
+            ("broken", {"alpha": 1.0}, {"params": {"alpha": 1.5}}, "broken_chain"),
+            ("y_alpha", {"alpha": 1.0}, {"params": {"alpha": 0.9}}, "y_chain"),
+            ("rounded_corner", {}, {"params": {"alpha": 1.0}}, "sector"),
+            ("rounded_corner", {}, {"lower_strategy": "broken_chain"}, "broken_chain"),
+            ("broken", {"alpha": 1.0}, {"lower_strategy": "sector"}, "sector"),
+            ("y_junction", {}, {"lower_strategy": "box"}, "box"),
+            ("t_junction", {}, {"lower_strategy": "neumann_equilateral"}, "neumann_equilateral"),
+            ("broken", {"alpha": 1.0}, {"lower_strategy": "neumann_equilateral"}, "neumann_equilateral"),
+            ("y_alpha", {"alpha": 1.0}, {"count_strategy": "exact_box_B"}, "exact_box_B"),
+            ("cube_disk", {}, {"lower_strategy": "y_chain", "params": {"alpha": 1.0}}, "y_chain"),
+            ("cube_disk", {}, {"lower_strategy": "fem_estimate"}, "fem_estimate"),
+            ("t_junction", {}, {"lower_strategy": "crossing_symmetry"}, "crossing_symmetry"),
+        ],
+    )
+    def test_a_rule_that_does_not_describe_the_center_is_inconclusive(self, name, shape, overrides, rule):
+        vcfg, plan = preset(name, **shape)
+        plan = _fact_plan(dataclasses.replace(
+            plan, **{**overrides, "params": {**plan.params, **overrides.get("params", {})}}
+        ))
+        v = run_certify(vcfg, plan, name=name)
+        assert not v.certified
+        assert v.reason.startswith(rule)
+        assert v.margins == {} and v.lower_bounds == ()
+
+    def test_box_reads_the_center(self):
+        assert certify._box(certify.t_junction_config(), "box") == ([1.0, 1.0], ["NN", "DN"], None)
+        assert certify._box(certify.rect_two_eigs_config(3.0, 2.5), "box") == (
+            [3.0, 2.5], ["DN", "DD"], "branch side relaxed to full Neumann")
+        assert certify._box(certify.cube_disk_config(), "box") == (
+            [1.0, 1.0, 1.0], ["DN", "DN", "DN"], "cut patch relaxed to full face")
 
 
 class TestSingleSolveCount:
@@ -219,7 +288,7 @@ class TestCrossingSymmetry:
             lower_strategy="crossing_symmetry",
             params={"n": 1, "justification": "anchored separately"},
         )
-        v = run_certify(None, plan, name="crossing-sym")
+        v = run_certify(certify.crossing_config(), plan, name="crossing-sym")
         assert v.certified
         assert v.n_discrete == 1
         p = v.extra["parities"]

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, deterministic reports, CSV outputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ class TestCertifyCommand:
             capsys,
             "certify", "configs/t_junction.json",
             "--lower-strategy", "fem_estimate",
-            "--truncation", "2.0", "--levels", "1", "--no-stability",
+            "--truncation", "2.0", "--levels", "1",
         )
         assert code == cli.EXIT_INCONCLUSIVE
         report = json.loads(out)
@@ -41,7 +42,7 @@ class TestCertifyCommand:
         assert report["rigor"] == "heuristic"
 
     def test_crossing_symmetry_needs_the_crossing(self, capsys):
-        args = ("--lower-strategy", "crossing_symmetry", "--truncation", "2", "--levels", "1", "--no-stability")
+        args = ("--lower-strategy", "crossing_symmetry", "--truncation", "2", "--levels", "1")
         code, out, _ = run(capsys, "certify", "configs/t_junction.json", *args)
         assert code == cli.EXIT_INCONCLUSIVE
         assert json.loads(out)["verdict"] == "Inconclusive"
@@ -54,7 +55,7 @@ class TestCertifyCommand:
             capsys,
             "certify", "--preset", "t_junction",
             "--lower-strategy", "fem_estimate",
-            "--truncation", "2.0", "--levels", "1", "--no-stability",
+            "--truncation", "2.0", "--levels", "1",
         )
         assert code == cli.EXIT_INCONCLUSIVE
         assert json.loads(out)["rigor"] == "heuristic"
@@ -93,6 +94,84 @@ class TestCertifyCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("configs/crossing.json", "--lower-strategy", "box",
+             "--params", '{"params": {"dims": [1.0, 1.0], "bcs": ["NN", "DN"]}}', "--truncation", "2", "--levels", "1"),
+            ("--preset", "crossing", "--params", '{"params": {"bcs": ["NN", "DN"]}}', "--truncation", "2", "--levels", "1"),
+        ],
+    )
+    def test_box_reads_the_crossing_center(self, capsys, argv):
+        # the all-Neumann crossing center has lambda_2 = pi^2 = nu exactly
+        code, out, _ = run(capsys, "certify", *argv)
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert json.loads(out)["margins"][0] == {"name": "dn_gap", "value": 0.0}
+
+    @pytest.mark.parametrize(
+        "argv, rule",
+        [
+            (("configs/broken_1.0.json", "--lower-strategy", "broken_chain", "--params", '{"params": {"alpha": 1.5}}'), "broken_chain"),
+            (("--preset", "rounded_corner", "--lower-strategy", "broken_chain"), "broken_chain"),
+            (("--preset", "rounded_corner", "--params", '{"params": {"alpha": 1.0}}'), "sector"),
+        ],
+    )
+    def test_a_chain_that_does_not_describe_the_center_exits_two(self, capsys, argv, rule):
+        code, out, _ = run(capsys, "certify", *argv, "--truncation", "2", "--h0", "0.5", "--levels", "1")
+        assert code == cli.EXIT_INCONCLUSIVE
+        report = json.loads(out)
+        assert report["verdict"] == "Inconclusive"
+        assert report["reason"].startswith(rule)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("t_junction", {"dims": [0.5, 0.5]}), ("cube_square", {"bcs": ["DD", "DD", "DD"]})],
+    )
+    def test_shape_keys_in_params_leave_the_report_unchanged(self, capsys, name, params):
+        mesh = ("--truncation", "2", "--levels", "1")
+        _, want, _ = run(capsys, "certify", "--preset", name, *mesh)
+        _, got, _ = run(capsys, "certify", "--preset", name, *mesh, "--params", json.dumps({"params": params}))
+        assert got == want
+
+    def test_config_file_certifies_with_box(self, capsys):
+        code, out, _ = run(
+            capsys, "certify", "configs/t_junction.json", "--lower-strategy", "box", "--truncation", "2", "--levels", "1"
+        )
+        assert code == cli.EXIT_CERTIFIED
+        assert json.loads(out)["n"] == 1
+
+    @pytest.mark.parametrize(
+        "stem, edit, message",
+        [
+            ("t_junction", lambda c: c["branches"][1]["cross_section"].update(dims=[float("nan")]), "dims must be positive and finite"),
+            ("t_junction", lambda c: c["branches"][1]["cross_section"].update(dims=[float("inf")]), "dims must be positive and finite"),
+            ("t_junction", lambda c: c["center"]["vertices"][2].__setitem__(0, float("nan")), "vertices must be pairs of finite numbers"),
+            ("cube_square", lambda c: c["center"]["dims"].__setitem__(1, float("nan")), "box dims must be positive and finite"),
+            ("t_junction", lambda c: c["center"].update(vertices=[1, 2, 3]), "malformed configuration"),
+            ("t_junction", lambda c: c["center"].pop("edge_tags"), "malformed configuration: 'edge_tags'"),
+            ("cube_square", lambda c: c.update(branches=[]), "configuration has no branch"),
+            ("cube_square", lambda c: c["center"]["axis_bcs"].pop(), "three axis_bcs pairs"),
+        ],
+        ids=["nan-width", "inf-width", "nan-vertex", "nan-box-dim", "int-vertices", "no-edge-tags", "no-branch", "two-axis-pairs"],
+    )
+    def test_bad_config_files_exit_one(self, tmp_path, capsys, stem, edit, message):
+        cfg = json.loads(Path(f"configs/{stem}.json").read_text())
+        edit(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "certify", str(path), "--lower-strategy", "box", "--truncation", "2", "--levels", "1")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_non_object_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out, err = run(capsys, "certify", str(path))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: malformed configuration")
 
     def test_no_input_exits_one(self, capsys):
         code, out, err = run(capsys, "certify")
