@@ -62,7 +62,7 @@ class Verdict:
     name: str
     certified: bool
     n_discrete: Optional[int]
-    rigor: str  # "analytic" | "numerically_assisted" | "heuristic"
+    rigor: str  # "analytic" | "numerically_assisted" | "heuristic" | "none" (no bound)
     nu: float
     margins: dict
     reason: str
@@ -122,7 +122,10 @@ def _fem_upper_bounds(
     mesh = fem.triangulate(poly, h0)
     for _ in range(levels - 1):
         mesh = fem.refine(mesh)
-    eigs = fem.lowest_eigs(fem.assemble(mesh), k)
+    prob = fem.assemble(mesh)
+    eigs = fem.lowest_eigs(prob, k)
+    # deterministic mesh diagnostics: free nodes, largest edge, smallest angle
+    diagnostics = {"dof": int(prob.free_nodes.size), "h": mesh.max_diameter(), "min_angle": mesh.min_angle_deg()}
     out = []
     for i, v in enumerate(eigs.values, start=1):
         step = TraceStep(
@@ -132,6 +135,7 @@ def _fem_upper_bounds(
                 "length": length,
                 "h0": h0,
                 "levels": levels,
+                **diagnostics,
                 "index": i,
             },
             v,
@@ -145,9 +149,9 @@ def _fem_upper_bounds(
 
 def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float):
     """FEM count on the truncated waveguide from one solve at
-    (truncation_length, fem_levels).  One solve is enough: the upper bounds
-    give n_true >= n, and the verdict's center lower bound for the (n+1)-th
-    eigenvalue above nu gives n_true <= n (min-max)."""
+    (truncation_length, fem_h0, fem_levels).  One solve is enough: the upper
+    bounds give n_true >= n, and the verdict's center lower bound for the
+    (n+1)-th eigenvalue above nu gives n_true <= n (min-max)."""
     ub = _fem_upper_bounds(vcfg, plan.truncation_length, plan.fem_h0, plan.fem_levels, plan.k_upper)
     return _n_below(ub, nu), ub
 
@@ -380,6 +384,8 @@ def dn_lower_bounds(
 
 
 def _rigor(all_bounds: list[SpectralBound]) -> str:
+    if not all_bounds:
+        return "none"
     rules = {s.rule for b in all_bounds for s in b.trace}
     if "fem-estimate-lower" in rules:
         return "heuristic"
@@ -397,15 +403,62 @@ def _inconclusive(name: str, nu: float, reason: str, uppers=(), lowers=()) -> Ve
     )
 
 
+# (truncation_length, fem_h0, fem_levels) of the meshes a FEM count tries
+# before the plan's own, coarsest first.  Conforming P1 values on a truncated
+# Dirichlet guide are upper bounds on every mesh, so any rung whose count
+# closes the verdict gives a sound certificate.
+MESH_LADDER = ((2.0, 0.5, 1), (3.0, 0.25, 2))
+
+
+def _rungs(plan: CertificationPlan) -> list[CertificationPlan]:
+    """The plan on each ladder mesh that is no finer than its own, coarsest
+    first, then the plan itself: its mesh is the finest one ever solved."""
+    top = (plan.truncation_length, plan.fem_h0, plan.fem_levels)
+    return [
+        replace(plan, truncation_length=length, fem_h0=h0, fem_levels=levels)
+        for length, h0, levels in MESH_LADDER
+        if (length, h0, levels) != top and length <= top[0] and h0 >= top[1] and levels <= top[2]
+    ] + [plan]
+
+
 def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> Verdict:
+    """The verdict on the first rung of the mesh ladder that certifies, or
+    else on the plan's mesh, with the skipped rungs and their reasons in
+    extra.  Only a FEM count under a rigorous lower rule climbs: the other
+    counts solve no mesh, and a heuristic rule never certifies.  A rule that
+    does not describe the center is Inconclusive on the first rung."""
     nu = threshold(vcfg)
     try:
-        if plan.lower_strategy == "crossing_symmetry":
-            return _certify_crossing_symmetry(vcfg, plan, name, nu)
-        n, uppers = count_discrete(vcfg, plan, nu)
-        lowers = dn_lower_bounds(vcfg, plan, n + 1)
+        if plan.count_strategy != "fem" or plan.lower_strategy == "fem_estimate":
+            return _verdict(vcfg, plan, name, nu)
+        *coarser, top = _rungs(plan)
+        skipped = []
+        for rung in coarser:
+            try:
+                v = _verdict(vcfg, rung, name, nu)
+            except fem.SolverFailure as e:  # say k_upper exceeds the coarse DOF; the plan's mesh may still work
+                reason = str(e)
+            else:
+                if v.certified:
+                    break
+                reason = v.reason
+            skipped.append({
+                "length": rung.truncation_length, "h0": rung.fem_h0, "levels": rung.fem_levels, "reason": reason,
+            })
+        else:
+            v = _verdict(vcfg, top, name, nu)
     except Unbound as e:
         return _inconclusive(name, nu, str(e))
+    return replace(v, extra={**v.extra, "skipped_rungs": skipped}) if skipped else v
+
+
+def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:
+    """The verdict on the plan's mesh; raises Unbound for a rule that does
+    not describe the center."""
+    if plan.lower_strategy == "crossing_symmetry":
+        return _certify_crossing_symmetry(vcfg, plan, name, nu)
+    n, uppers = count_discrete(vcfg, plan, nu)
+    lowers = dn_lower_bounds(vcfg, plan, n + 1)
     if len(lowers) <= n:
         reason = f"lower-bound pipeline provides only {len(lowers)} values, need {n + 1}"
         return _inconclusive(name, nu, reason, uppers, lowers)
@@ -776,11 +829,14 @@ class SweepRow:
 
 def _sweep(family: str, alphas, anchor_alpha: float, justification: str) -> list[SweepRow]:
     """Per-angle analytic center bounds; the single-state count is a family
-    fact anchored by one truncated FEM verification of the bent guide at
-    anchor_alpha."""
+    fact anchored by a truncated FEM verification of the bent guide at
+    anchor_alpha, on the coarsest rung that finds an eigenvalue."""
     anchor_vcfg, anchor_plan = preset("broken", alpha=anchor_alpha)
-    anchor_n, _ = count_discrete(anchor_vcfg, anchor_plan, PI2)
-    if anchor_n < 1:
+    for rung in _rungs(anchor_plan):  # any upper bound below nu witnesses one
+        anchor_n, _ = count_discrete(anchor_vcfg, rung, PI2)
+        if anchor_n >= 1:
+            break
+    else:
         raise UnstableCount("anchor verification found no eigenvalue below threshold")
     fact = {
         "n": 1,

@@ -470,47 +470,114 @@ def _clip_halfplane(poly: Polygon, axis: str, axis_tag: BC) -> Polygon:
 def load_config(path: str) -> ValidatedConfig:
     with open(path) as f:
         raw = json.load(f)
+    return validate_config(config_from_dict(raw))
+
+
+def _malformed(path: str, problem: str) -> InvalidGeometry:
+    return InvalidGeometry(f"malformed configuration: {path}: {problem}")
+
+
+def _kind(kinds: tuple, text: str):
+    """Parser that passes a value of one of kinds through; a bool is never a
+    number."""
+    def parse(value, path: str):
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise _malformed(path, f"expected {text}, not {json.dumps(value)}")
+        return value
+    return parse
+
+
+_object = _kind((dict,), "an object")
+_string = _kind((str,), "a string")
+_integer = _kind((int,), "an integer")
+_boolean = _kind((bool,), "true or false")
+_numeric = _kind((int, float), "a number")
+
+
+def _number(value, path: str) -> float:
+    return float(_numeric(value, path))
+
+
+def _list(item, length: Optional[int] = None):
+    """Parser of a list (of the given length) whose entries item parses,
+    each under its index."""
+    text = "a list" if length is None else f"a list of {length}"
+
+    def parse(value, path: str) -> tuple:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise _malformed(path, f"expected {text}, not {json.dumps(value)}")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return parse
+
+
+def _enum(kind: type[Enum]):
+    def parse(value, path: str):
+        names = [m.value for m in kind]
+        if value not in names:
+            raise _malformed(path, f"expected one of {', '.join(names)}, not {json.dumps(value)}")
+        return kind(value)
+    return parse
+
+
+_MISSING = object()
+
+
+def _key(obj: dict, path: str, key: str, parse, default=_MISSING):
+    """obj[key] parsed under the key path; a missing key without a default is
+    malformed."""
+    if key in obj:
+        return parse(obj[key], f"{path}.{key}" if path else key)
+    if default is _MISSING:
+        raise InvalidGeometry(f"malformed configuration: {key!r} missing from {path or 'the top level'}")
+    return default
+
+
+def _build(path: str, cls, *args):
+    """cls(*args), with a check the constructor fails named by the key path."""
     try:
-        cfg = config_from_dict(raw)
-    except (KeyError, TypeError, ValueError) as e:  # a missing key, or a value of the wrong kind
-        raise InvalidGeometry(f"malformed configuration: {e}") from None
-    return validate_config(cfg)
+        return cls(*args)
+    except InvalidGeometry as e:
+        raise _malformed(path, str(e)) from None
+
+
+def _center(value, path: str) -> Polygon | Box3:
+    c = _object(value, path)
+    if "dims" in c:
+        return _build(
+            path, Box3, _key(c, path, "dims", _list(_number)), _key(c, path, "axis_bcs", _list(_list(_enum(BC), 2)))
+        )
+    return _build(
+        path, Polygon,
+        _key(c, path, "vertices", _list(_list(_number, 2))),
+        _key(c, path, "edge_tags", _list(_enum(BC))),
+        _key(c, path, "edge_roles", _list(_enum(EdgeRole))),
+    )
+
+
+def _branch(value, path: str) -> Branch:
+    b = _object(value, path)
+    where = f"{path}.cross_section"
+    cs = _key(b, path, "cross_section", _object)
+    section = _build(where, CrossSection, _key(cs, where, "type", _string), _key(cs, where, "dims", _list(_number)))
+    return Branch(edge=_key(b, path, "edge", _integer), cross_section=section)
+
+
+def _symmetry(value, path: str) -> SymmetrySpec:
+    return _build(path, SymmetrySpec, _key(_object(value, path), path, "axes", _list(_string)))
 
 
 def config_from_dict(raw: dict) -> StarWaveguideConfig:
-    center_raw = raw["center"]
-    if "dims" in center_raw:
-        center: Polygon | Box3 = Box3(
-            dims=tuple(float(d) for d in center_raw["dims"]),
-            axis_bcs=tuple(
-                (BC(a), BC(b)) for a, b in center_raw["axis_bcs"]
-            ),  # type: ignore[arg-type]
-        )
-    else:
-        center = Polygon(
-            vertices=tuple(tuple(map(float, v)) for v in center_raw["vertices"]),
-            edge_tags=tuple(BC(t) for t in center_raw["edge_tags"]),
-            edge_roles=tuple(EdgeRole(r) for r in center_raw["edge_roles"]),
-        )
-    branches = tuple(
-        Branch(
-            edge=int(b["edge"]),
-            cross_section=CrossSection(
-                b["cross_section"]["type"],
-                tuple(float(d) for d in b["cross_section"]["dims"]),
-            ),
-        )
-        for b in raw.get("branches", [])
-    )
-    sym = None
-    if "symmetry" in raw:
-        sym = SymmetrySpec(axes=tuple(raw["symmetry"]["axes"]))
+    """The configuration a JSON object describes.  Each field is parsed under
+    its key path (center.vertices, branches[1].cross_section.dims, ...), and a
+    missing key or a value of the wrong kind raises InvalidGeometry naming
+    that path."""
+    raw = _object(raw, "top level")
     return StarWaveguideConfig(
-        name=raw["name"],
-        center=center,
-        branches=branches,
-        symmetry=sym,
-        allow_no_dirichlet=bool(raw.get("allow_no_dirichlet", False)),
+        name=_key(raw, "", "name", _string),
+        center=_key(raw, "", "center", _center),
+        branches=_key(raw, "", "branches", _list(_branch), default=()),
+        symmetry=_key(raw, "", "symmetry", _symmetry, default=None),
+        allow_no_dirichlet=_key(raw, "", "allow_no_dirichlet", _boolean, default=False),
     )
 
 

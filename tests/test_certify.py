@@ -5,6 +5,7 @@ import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from starspec import bounds as bnd
@@ -277,6 +278,154 @@ class TestSingleSolveCount:
         v = run_certify(vcfg, plan, name=name)
         assert len(calls) == 1
         assert {b.trace[0].params["length"] for b in v.upper_bounds} == {plan.truncation_length}
+
+
+def _count_solves(monkeypatch) -> list:
+    """The DOF of every fem.lowest_eigs call from here on."""
+    dofs = []
+    lowest_eigs = fem.lowest_eigs
+
+    def counting_lowest_eigs(prob, k):
+        dofs.append(prob.stiffness.shape[0])
+        return lowest_eigs(prob, k)
+
+    monkeypatch.setattr(fem, "lowest_eigs", counting_lowest_eigs)
+    return dofs
+
+
+def _meshes(v: Verdict) -> set:
+    """The (length, h0, levels) of the fem-upper steps of a verdict."""
+    return {tuple(b.trace[0].params[k] for k in ("length", "h0", "levels")) for b in v.upper_bounds}
+
+
+def _dof(vcfg, length, h0, levels) -> int:
+    mesh = fem.triangulate(geom.truncate(vcfg, length), h0)
+    for _ in range(levels - 1):
+        mesh = fem.refine(mesh)
+    return fem.assemble(mesh).free_nodes.size
+
+
+class TestMeshLadder:
+    # preset -> the rung its verdict comes from, and the rungs it solves; the
+    # crossing certifies on none and reports its plan's mesh
+    CLOSING = {
+        "t_junction": ((2.0, 0.5, 1), 1),
+        "y_junction": ((2.0, 0.5, 1), 1),
+        "crossing_symmetric": ((2.0, 0.5, 1), 1),
+        "rounded_corner": ((3.0, 0.25, 2), 2),
+        "crossing": ((3.0, 0.25, 2), 2),
+    }
+
+    @pytest.mark.parametrize(
+        "mesh, coarser",
+        [
+            ((2.0, 0.5, 1), []),
+            ((3.0, 0.25, 2), [(2.0, 0.5, 1)]),
+            ((4.0, 0.25, 2), [(2.0, 0.5, 1), (3.0, 0.25, 2)]),
+            ((4.0, 0.25, 1), [(2.0, 0.5, 1)]),
+            ((3.0, 0.125, 3), [(2.0, 0.5, 1), (3.0, 0.25, 2)]),
+            ((2.0, 0.25, 2), [(2.0, 0.5, 1)]),
+            ((3.0, 1.0, 2), []),
+            ((1.0, 1.0, 1), []),
+        ],
+    )
+    def test_rungs_are_capped_by_the_plan_mesh(self, mesh, coarser):
+        plan = CertificationPlan("fem", "box", *mesh)
+        rungs = certify._rungs(plan)
+        assert rungs[-1] is plan
+        assert [(r.truncation_length, r.fem_h0, r.fem_levels) for r in rungs[:-1]] == coarser
+
+    @pytest.mark.parametrize("name", list(CLOSING))
+    def test_preset_closes_on_its_rung(self, monkeypatch, name):
+        dofs = _count_solves(monkeypatch)
+        vcfg, plan = preset(name)
+        v = run_certify(vcfg, plan, name=name)
+        rung, solves = self.CLOSING[name]
+        assert len(dofs) == solves
+        assert _meshes(v) == {rung}
+        skipped = v.extra.get("skipped_rungs", [])
+        assert [(s["length"], s["h0"], s["levels"]) for s in skipped] == [
+            (r.truncation_length, r.fem_h0, r.fem_levels) for r in certify._rungs(plan)[:solves - 1]
+        ]
+        top = certify._verdict(vcfg, plan, name, threshold(vcfg))
+        assert (v.certified, v.n_discrete) == (top.certified, top.n_discrete)
+        assert v.certified is (name != "crossing")
+        if name == "crossing":
+            assert v.margins["dn_gap"] == 0.0
+            assert v.to_dict() == {**top.to_dict(), "extra": {"skipped_rungs": skipped}}
+
+    def test_heuristic_rule_solves_only_the_plan_mesh(self, monkeypatch):
+        meshes = []
+        fem_upper_bounds = certify._fem_upper_bounds
+
+        def recording(vcfg, length, h0, levels, k):
+            meshes.append((length, h0, levels))
+            return fem_upper_bounds(vcfg, length, h0, levels, k)
+
+        monkeypatch.setattr(certify, "_fem_upper_bounds", recording)
+        plan = CertificationPlan("fem", "fem_estimate", truncation_length=3.0, fem_h0=0.5, fem_levels=2)
+        v = run_certify(certify.t_junction_config(), plan)
+        assert meshes == [(3.0, 0.5, 2)]
+        assert v.rigor == "heuristic" and v.extra == {}
+
+    def test_unbound_rule_costs_one_coarsest_solve(self, monkeypatch):
+        dofs = _count_solves(monkeypatch)
+        vcfg = geom.load_config("configs/broken_1.0.json")
+        v = run_certify(vcfg, CertificationPlan("fem", "broken_chain", params={"alpha": 1.5}))
+        assert v.reason.startswith("broken_chain")
+        assert v.rigor == "none" and v.extra == {}
+        assert dofs == [_dof(vcfg, *certify.MESH_LADDER[0])]
+
+    def test_a_coarse_rung_that_fails_is_skipped(self, monkeypatch):
+        lowest_eigs = fem.lowest_eigs
+
+        def failing_coarse(prob, k):
+            if prob.stiffness.shape[0] < 1000:
+                raise fem.SolverFailure("no convergence")
+            return lowest_eigs(prob, k)
+
+        monkeypatch.setattr(fem, "lowest_eigs", failing_coarse)
+        vcfg, plan = preset("y_junction")
+        v = run_certify(vcfg, plan)
+        assert v.certified and v.n_discrete == 1
+        assert _meshes(v) == {(3.0, 0.25, 2)}
+        assert v.extra["skipped_rungs"] == [{"length": 2.0, "h0": 0.5, "levels": 1, "reason": "no convergence"}]
+
+    def test_fem_upper_steps_carry_mesh_diagnostics(self):
+        vcfg, plan = preset("t_junction")
+        v = run_certify(vcfg, plan)
+        mesh = fem.triangulate(geom.truncate(vcfg, 2.0), 0.5)
+        want = {"dof": _dof(vcfg, 2.0, 0.5, 1), "h": mesh.max_diameter(), "min_angle": mesh.min_angle_deg()}
+        for b in v.upper_bounds:
+            assert {k: b.trace[0].params[k] for k in want} == want
+
+
+class TestSweepAnchor:
+    # sha256 of the sweep_broken rows on 0.30-1.56 and the sweep_y_alpha rows
+    # on 0.60-1.49 (0.01 grids) as CSV, measured when the anchor solved only
+    # the plan's mesh
+    ROWS = "97b7aeec36776feddb665b69df22a25843468951b41b843ad3c0cd47dae60bef"
+
+    def test_rows_are_unchanged(self):
+        texts = [
+            cli._sweep_csv(certify.sweep_broken(np.arange(0.30, 1.56 + 1e-12, 0.01))),
+            cli._sweep_csv(certify.sweep_y_alpha(np.arange(0.60, 1.49 + 1e-12, 0.01))),
+        ]
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == self.ROWS
+
+    @pytest.mark.parametrize(
+        "sweep, anchor, solves",
+        # the bent guide at 1.0 shows no eigenvalue on the coarsest rung
+        [(certify.sweep_broken, 1.0, 2), (certify.sweep_y_alpha, math.pi / 2 - 1.0, 1)],
+    )
+    def test_anchor_stops_at_its_first_rung_with_an_eigenvalue(self, monkeypatch, sweep, anchor, solves):
+        vcfg, plan = preset("broken", alpha=anchor)
+        rungs = certify._rungs(plan)
+        counts = [count_discrete(vcfg, r, PI2)[0] for r in rungs[:solves]]
+        assert counts[-1] >= 1 and not any(counts[:-1])
+        dofs = _count_solves(monkeypatch)
+        assert sweep([1.0])[0].certified
+        assert dofs == [_dof(vcfg, r.truncation_length, r.fem_h0, r.fem_levels) for r in rungs[:solves]]
 
 
 class TestCrossingSymmetry:

@@ -124,6 +124,15 @@ class TestCertifyCommand:
         assert report["verdict"] == "Inconclusive"
         assert report["reason"].startswith(rule)
 
+    def test_a_verdict_without_bounds_claims_no_rigor(self, capsys):
+        code, out, _ = run(
+            capsys, "certify", "configs/broken_1.0.json", "--lower-strategy", "broken_chain",
+            "--params", '{"params": {"alpha": 1.5}}',
+        )
+        assert code == cli.EXIT_INCONCLUSIVE
+        report = json.loads(out)
+        assert (report["rigor"], report["trace"], report["margins"]) == ("none", [], [])
+
     @pytest.mark.parametrize(
         "name, params",
         [("t_junction", {"dims": [0.5, 0.5]}), ("cube_square", {"bcs": ["DD", "DD", "DD"]})],
@@ -152,8 +161,15 @@ class TestCertifyCommand:
             ("t_junction", lambda c: c["center"].pop("edge_tags"), "malformed configuration: 'edge_tags'"),
             ("cube_square", lambda c: c.update(branches=[]), "configuration has no branch"),
             ("cube_square", lambda c: c["center"]["axis_bcs"].pop(), "three axis_bcs pairs"),
+            ("t_junction", lambda c: c["center"]["vertices"][1].__setitem__(1, "0"),
+             'malformed configuration: center.vertices[1][1]: expected a number, not "0"'),
+            ("t_junction", lambda c: c["center"]["edge_tags"].__setitem__(2, "X"),
+             'malformed configuration: center.edge_tags[2]: expected one of D, N, not "X"'),
+            ("t_junction", lambda c: c["branches"][1]["cross_section"].update(dims=[[1.0]]),
+             "malformed configuration: branches[1].cross_section.dims[0]: expected a number, not [1.0]"),
         ],
-        ids=["nan-width", "inf-width", "nan-vertex", "nan-box-dim", "int-vertices", "no-edge-tags", "no-branch", "two-axis-pairs"],
+        ids=["nan-width", "inf-width", "nan-vertex", "nan-box-dim", "int-vertices", "no-edge-tags", "no-branch",
+             "two-axis-pairs", "string-vertex-entry", "unknown-edge-tag", "list-dims-entry"],
     )
     def test_bad_config_files_exit_one(self, tmp_path, capsys, stem, edit, message):
         cfg = json.loads(Path(f"configs/{stem}.json").read_text())
@@ -250,6 +266,14 @@ class TestMeshCommand:
         assert code == 0
         assert "nodes" in err
         assert out  # dump lands on stdout
+
+    def test_dof_matches_the_report_of_the_same_rung(self, capsys):
+        _, out, _ = run(capsys, "certify", "--preset", "t_junction")
+        params = json.loads(out)["trace"][-1]["trace"][0]["params"]
+        mesh = ("--truncation", str(params["length"]), "--h0", str(params["h0"]), "--levels", str(params["levels"]))
+        code, _, err = run(capsys, "mesh", "configs/t_junction.json", "--truncate", *mesh)
+        assert code == 0
+        assert f" dof={params['dof']} " in err
 
     def test_svg_output(self, capsys):
         code, out, _ = run(
