@@ -421,19 +421,47 @@ def _rungs(plan: CertificationPlan) -> list[CertificationPlan]:
     ] + [plan]
 
 
+def _no_finer_rung(v: Verdict, nu: float) -> Optional[str]:
+    """Why no finer rung can certify when v does not, or None if one might.
+
+    The center lower bound does not depend on the mesh.  If it puts
+    l_{n+1} >= nu, then mu_{n+1} >= nu, Dirichlet-Neumann bracketing gives
+    n_true <= n, and the count gives n <= n_true, so n_true = n.  A finer rung
+    counts some n' <= n_true: with n' < n_true it needs l_{n'+1} > nu, but
+    l_{n'+1} <= mu_{n'+1} < nu; with n' = n it needs l_{n+1} - nu > budget,
+    and every budget is at least BUDGET_FLOOR_REL * nu.  So once
+    0 <= l_{n+1} - nu <= BUDGET_FLOOR_REL * nu, climbing cannot certify."""
+    gap = v.margins.get("dn_gap")  # present only with a lower bound for index n + 1
+    floor = BUDGET_FLOOR_REL * nu
+    if gap is None or not 0 <= gap <= floor:
+        return None
+    n = _n_below(v.upper_bounds, nu)
+    return (
+        f"center lower bound {v.lower_bounds[n].value:.6g} for eigenvalue {n + 1} is within the budget "
+        f"floor {floor:.6g} of threshold {nu:.6g}, with n = {n}: no finer mesh can certify"
+    )
+
+
+def _rung_record(rung: CertificationPlan, reason: str) -> dict:
+    return {"length": rung.truncation_length, "h0": rung.fem_h0, "levels": rung.fem_levels, "reason": reason}
+
+
 def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> Verdict:
     """The verdict on the first rung of the mesh ladder that certifies, or
     else on the plan's mesh, with the skipped rungs and their reasons in
-    extra.  Only a FEM count under a rigorous lower rule climbs: the other
-    counts solve no mesh, and a heuristic rule never certifies.  A rule that
-    does not describe the center is Inconclusive on the first rung."""
+    extra.  A rung whose center lower bound rules out every finer rung (see
+    _no_finer_rung) ends the climb with its own verdict, and the rungs left
+    unsolved go into extra with that reason.  Only a FEM count under a
+    rigorous lower rule climbs: the other counts solve no mesh, and a
+    heuristic rule never certifies.  A rule that does not describe the
+    center is Inconclusive on the first rung."""
     nu = threshold(vcfg)
     try:
         if plan.count_strategy != "fem" or plan.lower_strategy == "fem_estimate":
             return _verdict(vcfg, plan, name, nu)
         *coarser, top = _rungs(plan)
-        skipped = []
-        for rung in coarser:
+        skipped, unsolved = [], []
+        for i, rung in enumerate(coarser):
             try:
                 v = _verdict(vcfg, rung, name, nu)
             except fem.SolverFailure as e:  # say k_upper exceeds the coarse DOF; the plan's mesh may still work
@@ -441,15 +469,18 @@ def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> V
             else:
                 if v.certified:
                     break
+                stop = _no_finer_rung(v, nu)
+                if stop:
+                    unsolved = [_rung_record(r, stop) for r in coarser[i + 1:] + [top]]
+                    break
                 reason = v.reason
-            skipped.append({
-                "length": rung.truncation_length, "h0": rung.fem_h0, "levels": rung.fem_levels, "reason": reason,
-            })
+            skipped.append(_rung_record(rung, reason))
         else:
             v = _verdict(vcfg, top, name, nu)
     except Unbound as e:
         return _inconclusive(name, nu, str(e))
-    return replace(v, extra={**v.extra, "skipped_rungs": skipped}) if skipped else v
+    rungs = {"skipped_rungs": skipped, "unsolved_rungs": unsolved}
+    return replace(v, extra={**v.extra, **{k: r for k, r in rungs.items() if r}})
 
 
 def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:

@@ -175,6 +175,10 @@ def _sweep_csv(rows: list[certify.SweepRow]) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if not -math.inf < args.start <= args.stop < math.inf:
+        raise ValueError(f"--start and --stop must be finite with start <= stop, not {args.start} and {args.stop}")
+    if not 0 < args.step < math.inf:
+        raise ValueError(f"--step must be positive and finite, not {args.step}")
     grid = np.arange(args.start, args.stop + 1e-12, args.step)
     sweep = {"broken": certify.sweep_broken, "y_alpha": certify.sweep_y_alpha}[args.family]
     rows = sweep(grid, existence_anchor=args.anchor)
@@ -200,6 +204,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    if args.levels < 1:
+        raise ValueError(f"--levels must be at least 1, not {args.levels}")
     vcfg = geom.load_config(args.config)
     poly = geom.truncate(vcfg, args.truncation) if args.truncate else vcfg.center
     mesh = fem.triangulate(poly, args.h0)
@@ -229,6 +235,8 @@ REPRO_TARGETS = {
 
 
 def cmd_repro(args) -> int:
+    if not args.all and not args.names:
+        raise ValueError("repro needs --all or preset names")
     names = list(REPRO_TARGETS) if args.all else args.names
     failures = 0
     lines = []

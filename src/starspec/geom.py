@@ -356,8 +356,8 @@ def truncate(vcfg: ValidatedConfig, length: float) -> Polygon:
     cfg = vcfg.cfg
     if cfg.is_3d:
         raise InvalidGeometry("truncate applies to 2D configs only")
-    if length <= 0:
-        raise InvalidGeometry("truncation length must be positive")
+    if not 0 < length < math.inf:
+        raise InvalidGeometry(f"truncation length must be positive and finite, not {length}")
     poly: Polygon = cfg.center  # type: ignore[assignment]
     cut_edges = {br.edge for br in cfg.branches}
     verts: list[tuple[float, float]] = []

@@ -307,13 +307,14 @@ def _dof(vcfg, length, h0, levels) -> int:
 
 class TestMeshLadder:
     # preset -> the rung its verdict comes from, and the rungs it solves; the
-    # crossing certifies on none and reports its plan's mesh
+    # crossing certifies on none, and its coarsest rung's lower bound
+    # (lambda_2 = pi^2 = nu) rules out every finer rung
     CLOSING = {
         "t_junction": ((2.0, 0.5, 1), 1),
         "y_junction": ((2.0, 0.5, 1), 1),
         "crossing_symmetric": ((2.0, 0.5, 1), 1),
         "rounded_corner": ((3.0, 0.25, 2), 2),
-        "crossing": ((3.0, 0.25, 2), 2),
+        "crossing": ((2.0, 0.5, 1), 1),
     }
 
     @pytest.mark.parametrize(
@@ -350,9 +351,41 @@ class TestMeshLadder:
         top = certify._verdict(vcfg, plan, name, threshold(vcfg))
         assert (v.certified, v.n_discrete) == (top.certified, top.n_discrete)
         assert v.certified is (name != "crossing")
+        assert ("unsolved_rungs" in v.extra) is (name == "crossing")
         if name == "crossing":
             assert v.margins["dn_gap"] == 0.0
-            assert v.to_dict() == {**top.to_dict(), "extra": {"skipped_rungs": skipped}}
+            closing = certify._verdict(vcfg, certify._rungs(plan)[0], name, threshold(vcfg))
+            reason = (
+                "center lower bound 9.8696 for eigenvalue 2 is within the budget floor 9.8696e-08 "
+                "of threshold 9.8696, with n = 1: no finer mesh can certify"
+            )
+            unsolved = [{"length": 3.0, "h0": 0.25, "levels": 2, "reason": reason}]
+            assert v.to_dict() == {**closing.to_dict(), "extra": {"unsolved_rungs": unsolved}}
+
+    @pytest.mark.parametrize(
+        "factor, solves",
+        # l_{n+1} = nu * factor on t_junction (n = 1): only 0 <= l_{n+1} - nu
+        # <= BUDGET_FLOOR_REL * nu ends the climb
+        [(1 + 2 * certify.BUDGET_FLOOR_REL, 2), (1 - 1e-12, 2), (1.0, 1)],
+    )
+    def test_a_lower_bound_at_the_threshold_stops_the_climb(self, monkeypatch, factor, solves):
+        box = certify._LOWER_RULES["box"]
+
+        def pinned(vcfg, plan, k):
+            lowers = box(vcfg, plan, k)
+            return lowers[:1] + [dataclasses.replace(lowers[1], value=threshold(vcfg) * factor)] + lowers[2:]
+
+        monkeypatch.setitem(certify._LOWER_RULES, "box", pinned)
+        vcfg, plan = preset("t_junction")
+        dofs = _count_solves(monkeypatch)
+        v = run_certify(vcfg, plan)
+        assert len(dofs) == solves
+        assert not v.certified
+        assert v.margins["dn_gap"] == threshold(vcfg) * factor - threshold(vcfg)
+        rungs = [(r.truncation_length, r.fem_h0, r.fem_levels) for r in certify._rungs(plan)]
+        assert _meshes(v) == {rungs[solves - 1]}
+        unsolved = [(u["length"], u["h0"], u["levels"]) for u in v.extra.get("unsolved_rungs", [])]
+        assert unsolved == rungs[solves:]
 
     def test_heuristic_rule_solves_only_the_plan_mesh(self, monkeypatch):
         meshes = []

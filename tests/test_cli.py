@@ -275,6 +275,21 @@ class TestMeshCommand:
         assert code == 0
         assert f" dof={params['dof']} " in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--levels", "0"), "--levels must be at least 1"),
+            (("--levels", "-1"), "--levels must be at least 1"),
+            (("--h0", "nan"), "h_target must be positive and finite"),
+            (("--truncate", "--truncation", "nan"), "truncation length must be positive and finite"),
+        ],
+    )
+    def test_a_mesh_it_was_not_asked_for_is_not_dumped(self, capsys, argv, message):
+        code, out, err = run(capsys, "mesh", "configs/t_junction.json", *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_svg_output(self, capsys):
         code, out, _ = run(
             capsys, "mesh", "configs/t_junction.json", "--h0", "0.5", "--format", "svg"
@@ -297,6 +312,23 @@ class TestSweepCommand:
         assert all("CertifiedNoResonance" in ln for ln in lines[1:])
         assert "first certified" in err
 
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (("--start", "1.0", "--stop", "1.02", "--step", "0"), "--step must be positive"),
+            (("--start", "1.0", "--stop", "1.02", "--step", "-0.1"), "--step must be positive"),
+            (("--start", "1.0", "--stop", "1.02", "--step", "inf"), "--step must be positive"),
+            (("--start", "1.02", "--stop", "1.0"), "start <= stop"),
+            (("--start", "nan", "--stop", "1.0"), "start <= stop"),
+            (("--start", "1.0", "--stop", "inf"), "start <= stop"),
+        ],
+    )
+    def test_a_bad_grid_exits_one(self, capsys, grid, message):
+        code, out, err = run(capsys, "sweep", "--family", "broken", *grid)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_anchor_reaches_both_families(self, capsys, monkeypatch):
         seen = {}
@@ -321,3 +353,9 @@ class TestReproCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(ln.endswith("PASS") for ln in lines)
+
+    def test_no_preset_named_exits_one(self, capsys):
+        code, out, err = run(capsys, "repro")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == "error: repro needs --all or preset names\n"

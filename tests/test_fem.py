@@ -60,6 +60,50 @@ class TestMeshing:
         mesh = fem.triangulate(ell, 0.25)
         assert mesh.areas().sum() == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("h0", [0.0, -0.5, math.nan, math.inf])
+    def test_mesh_size_must_be_positive_and_finite(self, h0):
+        with pytest.raises(fem.MeshFailure):
+            fem.triangulate(DN_SQUARE, h0)
+
+
+def _norm_max_diameter(mesh):
+    """max_diameter as np.linalg.norm over (T, 2) edge vectors."""
+    p = mesh.nodes[mesh.triangles]
+    return float(np.max([np.linalg.norm(p[:, i] - p[:, j], axis=1) for i, j in ((0, 1), (1, 2), (2, 0))]))
+
+
+def _norm_min_angle_deg(mesh):
+    """min_angle_deg as np.sum and np.linalg.norm over (T, 2) edge vectors."""
+    p = mesh.nodes[mesh.triangles]
+    angles = []
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        cosang = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
+    return float(np.min(angles))
+
+
+class TestMeshDiagnostics:
+    # the rungs the FEM presets solve
+    @pytest.mark.parametrize(
+        "name, length, h0, levels",
+        [
+            ("t_junction", 2.0, 0.5, 1),
+            ("y_junction", 2.0, 0.5, 1),
+            ("crossing", 2.0, 0.5, 1),
+            ("crossing", 3.0, 0.25, 2),
+            ("rounded_corner", 2.0, 0.5, 1),
+            ("rounded_corner", 3.0, 0.25, 2),
+        ],
+    )
+    def test_column_formulas_give_the_same_bits(self, name, length, h0, levels):
+        mesh = fem.triangulate(geom.truncate(certify.preset(name)[0], length), h0)
+        for _ in range(levels - 1):
+            mesh = fem.refine(mesh)
+        assert mesh.max_diameter() == _norm_max_diameter(mesh)
+        assert mesh.min_angle_deg() == _norm_min_angle_deg(mesh)
+
 
 class TestAssembly:
     def test_mass_sums_to_area(self):

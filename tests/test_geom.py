@@ -163,6 +163,11 @@ class TestTruncate:
         poly = truncate(certify.crossing_config(), 2.0)
         assert poly.area() == pytest.approx(1.0 + 4 * 2.0)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_length_must_be_positive_and_finite(self, length):
+        with pytest.raises(InvalidGeometry):
+            truncate(t_config(), length)
+
     def test_facing_cuts_overlap_raises(self):
         # U-shaped center with facing cuts on the inner prong walls:
         # long stubs collide across the notch
