@@ -50,7 +50,6 @@ class CertificationPlan:
     truncation_length: float = 3.0
     fem_h0: float = 0.25
     fem_levels: int = 2
-    k_upper: int = 4
     params: dict = field(default_factory=dict)
 
 
@@ -107,7 +106,7 @@ def _lookup(table: dict, kind: str, name: str):
 
 # -- counting (upper-bound) pipelines --------------------------------------
 #
-# Each count rule takes (vcfg, plan, nu) and returns the number of
+# Each count rule takes (vcfg, plan, nu, extra) and returns the number of
 # eigenvalues below nu with the upper bounds that witness them.
 
 
@@ -116,59 +115,61 @@ def _n_below(ub: list[SpectralBound], nu: float) -> int:
 
 
 def _fem_upper_bounds(
-    vcfg: ValidatedConfig, length: float, h0: float, levels: int, k: int
-) -> list[SpectralBound]:
+    vcfg: ValidatedConfig, length: float, h0: float, levels: int, nu: float
+) -> tuple[list[SpectralBound], dict]:
+    """Upper bounds for every eigenvalue below the counting cut, from one
+    factorization on the truncated guide, and the record of that count."""
     poly = geom.truncate(vcfg, length)
     mesh = fem.triangulate(poly, h0)
     for _ in range(levels - 1):
         mesh = fem.refine(mesh)
     prob = fem.assemble(mesh)
-    eigs = fem.lowest_eigs(prob, k)
+    shift = nu - BUDGET_FLOOR_REL * nu  # below nu, the cut that _n_below applies
+    eigs = fem.eigs_below(prob, shift)
     # deterministic mesh diagnostics: free nodes, largest edge, smallest angle
     diagnostics = {"dof": int(prob.free_nodes.size), "h": mesh.max_diameter(), "min_angle": mesh.min_angle_deg()}
-    out = []
-    for i, v in enumerate(eigs.values, start=1):
-        step = TraceStep(
-            "fem-upper",
-            {
-                "domain": "truncated",
-                "length": length,
-                "h0": h0,
-                "levels": levels,
-                **diagnostics,
-                "index": i,
-            },
-            v,
+    mesh_params = {"length": length, "h0": h0, "levels": levels, **diagnostics}
+    # each tolerance covers rounding in forming the Rayleigh-Ritz pencil
+    out = [
+        SpectralBound(
+            "truncated-dirichlet", i, v, Direction.UPPER,
+            (TraceStep("fem-upper", {"domain": "truncated", **mesh_params, "index": i}, v),), FEM_UPPER_TOL_REL * v,
         )
-        b = SpectralBound(
-            "truncated-dirichlet", i, v, Direction.UPPER, (step,), FEM_UPPER_TOL_REL * v
-        )
-        out.append(b)
-    return bnd.dirichlet_monotone(out, WAVEGUIDE_OP)
+        for i, v in enumerate(eigs.values, start=1)
+    ]
+    record = {**mesh_params, "shift": shift, "inertia": len(eigs)}
+    return bnd.dirichlet_monotone(out, WAVEGUIDE_OP), record
 
 
-def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float):
-    """FEM count on the truncated waveguide from one solve at
-    (truncation_length, fem_h0, fem_levels).  One solve is enough: the upper
-    bounds give n_true >= n, and the verdict's center lower bound for the
-    (n+1)-th eigenvalue above nu gives n_true <= n (min-max)."""
-    ub = _fem_upper_bounds(vcfg, plan.truncation_length, plan.fem_h0, plan.fem_levels, plan.k_upper)
+def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
+    """FEM count on the truncated guide at (truncation_length, fem_h0,
+    fem_levels): inertia says how many P1 eigenvalues lie below the cut and
+    Rayleigh-Ritz values bound them.  For any m-dimensional P1 subspace the
+    j-th Rayleigh-Ritz value is >= lambda_j^h >= lambda_j(truncated) >=
+    lambda_j(waveguide) (min-max, Dirichlet monotonicity), converged or not,
+    so n_true >= n; the center lower bound for index n + 1 gives n_true <= n.
+    An undercount m only loses the certificate (l_{m+1} <= mu_{m+1} < nu); an
+    overcount puts the m-th value at or above the cut: fem.eigs_below raises."""
+    ub, extra["fem_count"] = _fem_upper_bounds(vcfg, plan.truncation_length, plan.fem_h0, plan.fem_levels, nu)
     return _n_below(ub, nu), ub
 
 
-def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float):
-    """The box center with Dirichlet conditions all round is a waveguide subdomain."""
+def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
+    """The box center with Dirichlet conditions all round is a waveguide
+    subdomain: every lattice value below the counting cut is an upper bound.
+    Each axis value (m pi / d)^2 of one below the cut is, so m < d sqrt(cut)
+    / pi, and the product k of those counts bounds how many there are."""
     dims = _box(vcfg, "exact_box_B")[0]
     bcs = ["DD"] * len(dims)
-    raw = bnd.bounds_from_eiglist(
-        "center-dirichlet", exact.box_eigs(tuple(dims), tuple(bcs), plan.k_upper), Direction.UPPER,
-        "box-eig", {"dims": dims, "bcs": bcs},
-    )
+    cut = nu - BUDGET_FLOOR_REL * nu
+    k = math.prod(math.ceil(d * math.sqrt(cut) / math.pi) - 1 for d in dims)
+    eigs = exact.box_eigs(tuple(dims), tuple(bcs), k, below=cut) if k > 0 else exact.EigList((), ())
+    raw = bnd.bounds_from_eiglist("center-dirichlet", eigs, Direction.UPPER, "box-eig", {"dims": dims, "bcs": bcs})
     ub = bnd.dirichlet_monotone(raw, WAVEGUIDE_OP)
     return _n_below(ub, nu), ub
 
 
-def _count_family_fact(vcfg, plan: CertificationPlan, nu: float):
+def _count_family_fact(vcfg, plan: CertificationPlan, nu: float, extra: dict):
     n = int(plan.params["n"])
     step = TraceStep(
         "assumption",
@@ -190,11 +191,12 @@ _COUNT_RULES = {
 
 
 def count_discrete(
-    vcfg: ValidatedConfig, plan: CertificationPlan, nu: float
+    vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: Optional[dict] = None
 ) -> tuple[int, list[SpectralBound]]:
     """Number of certified discrete eigenvalues below the threshold, with the
-    upper bounds that witness them."""
-    return _lookup(_COUNT_RULES, "count strategy", plan.count_strategy)(vcfg, plan, nu)
+    upper bounds that witness them.  A FEM count records its mesh, shift and
+    inertia in extra["fem_count"]: a count of 0 has no bound to carry them."""
+    return _lookup(_COUNT_RULES, "count strategy", plan.count_strategy)(vcfg, plan, nu, {} if extra is None else extra)
 
 
 # -- lower-bound (center) pipelines ----------------------------------------
@@ -464,7 +466,7 @@ def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> V
         for i, rung in enumerate(coarser):
             try:
                 v = _verdict(vcfg, rung, name, nu)
-            except fem.SolverFailure as e:  # say k_upper exceeds the coarse DOF; the plan's mesh may still work
+            except fem.SolverFailure as e:  # the plan's mesh may still work
                 reason = str(e)
             else:
                 if v.certified:
@@ -488,11 +490,12 @@ def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: floa
     not describe the center."""
     if plan.lower_strategy == "crossing_symmetry":
         return _certify_crossing_symmetry(vcfg, plan, name, nu)
-    n, uppers = count_discrete(vcfg, plan, nu)
+    extra: dict = {}
+    n, uppers = count_discrete(vcfg, plan, nu, extra)
     lowers = dn_lower_bounds(vcfg, plan, n + 1)
     if len(lowers) <= n:
         reason = f"lower-bound pipeline provides only {len(lowers)} values, need {n + 1}"
-        return _inconclusive(name, nu, reason, uppers, lowers)
+        return replace(_inconclusive(name, nu, reason, uppers, lowers), extra=extra)
     used = list(uppers) + list(lowers)
     budget = _budget(nu, used)
     rigor = _rigor(used)
@@ -537,6 +540,7 @@ def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: floa
         budget=budget,
         lower_bounds=tuple(lowers),
         upper_bounds=tuple(uppers),
+        extra=extra,
     )
 
 
@@ -555,7 +559,8 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
     ref = crossing_config()
     if (vcfg.center, vcfg.branches, vcfg.symmetry) != (ref.center, ref.branches, ref.symmetry):
         raise Unbound("crossing_symmetry applies only to the crossing of two unit strips")
-    n_total, uppers = count_discrete(vcfg, plan, nu)
+    extra: dict = {}
+    n_total, uppers = count_discrete(vcfg, plan, nu, extra)
     budget = _budget(nu, uppers)
     parities = {}
     sum_njk = 0
@@ -608,7 +613,7 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
         budget=budget,
         lower_bounds=(),
         upper_bounds=tuple(uppers),
-        extra={"parities": parities, "sum_njk": sum_njk},
+        extra={**extra, "parities": parities, "sum_njk": sum_njk},
     )
 
 

@@ -74,10 +74,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 # certify flags that set a CertificationPlan field; each is None unless given
-_PLAN_FLAGS = (
-    "lower_strategy", "count_strategy", "truncation_length", "fem_h0",
-    "fem_levels", "k_upper",
-)
+_PLAN_FLAGS = ("lower_strategy", "count_strategy", "truncation_length", "fem_h0", "fem_levels")
 
 
 # JSON values accepted for each CertificationPlan field type; a bool is
@@ -89,15 +86,15 @@ _FIELD_TYPES = {
     "dict": (dict, "a JSON object"),
 }
 _PLAN_TYPES = {f.name: f.type for f in dataclasses.fields(certify.CertificationPlan)}
-# mesh and solve sizes: a count of levels or eigenvalues is at least 1, a
-# length or mesh size is a positive finite number
-_POSITIVE = ("truncation_length", "fem_h0", "fem_levels", "k_upper")
+# mesh sizes: a count of levels is at least 1, a length or mesh size is a
+# positive finite number
+_POSITIVE = ("truncation_length", "fem_h0", "fem_levels")
 
 
 def _overrides(args) -> dict:
     """The plan flags the user set, then the keys of the --params object.
-    Each plan field is checked against its type, and the mesh and solve sizes
-    must be positive; with --preset any other key is a shape keyword, and
+    Each plan field is checked against its type, and the mesh sizes must be
+    positive; with --preset any other key is a shape keyword, and
     every shape keyword is a number."""
     extra = json.loads(args.params)
     if not isinstance(extra, dict):
@@ -139,18 +136,23 @@ def cmd_certify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     shape = args.shape
+    if not all(map(math.isfinite, [args.length, args.side, args.alpha, args.radius, *args.dims])):
+        raise ValueError("--length, --side, --alpha, --radius and --dims must be finite")
+    bc = args.bc or ("dirichlet" if shape == "equilateral" else "DD")
     if shape == "interval":
-        eigs = exact.interval_eigs(args.length, args.bc.upper(), args.k)
+        eigs = exact.interval_eigs(args.length, bc.upper(), args.k)
     elif shape == "box":
         dims = tuple(args.dims)
         bcs = tuple(b.upper() for b in args.bcs)
         eigs = exact.box_eigs(dims, bcs, args.k)
     elif shape == "equilateral":
-        eigs = exact.equilateral_eigs(args.side, args.bc.lower(), args.k)
+        eigs = exact.equilateral_eigs(args.side, bc.lower(), args.k)
     elif shape == "sector":
         eigs = exact.sector_dn_eigs(args.alpha, args.radius, args.k)
     else:
         raise ValueError(f"unknown shape {shape!r}")
+    if not all(map(math.isfinite, eigs.values)):
+        raise ValueError("an eigenvalue overflows: the size is too small")
     report = {
         "shape": shape,
         "k": args.k,
@@ -273,14 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--truncation", dest="truncation_length", type=float, help="branch truncation length")
     c.add_argument("--h0", dest="fem_h0", type=float, help="target mesh size")
     c.add_argument("--levels", dest="fem_levels", type=int, help="refinement levels")
-    c.add_argument("-k", dest="k_upper", type=int, help="eigenvalues per solve")
     c.add_argument("--params", default="{}", help="plan overrides and preset shape keywords (JSON object)")
     c.add_argument("-o", "--output", default="-")
     c.set_defaults(func=cmd_certify)
 
     s = sub.add_parser("spectrum", help="closed-form spectra of catalog shapes")
     s.add_argument("--shape", required=True, choices=["interval", "box", "equilateral", "sector"])
-    s.add_argument("--bc", default="DD", help="interval pair (DD/NN/DN/ND) or dirichlet/neumann")
+    s.add_argument("--bc", help="interval pair (DD/NN/DN/ND, default DD) or, for equilateral, dirichlet/neumann (default dirichlet)")
     s.add_argument("--length", type=float, default=1.0)
     s.add_argument("--side", type=float, default=1.0)
     s.add_argument("--dims", type=float, nargs="+", default=[1.0, 1.0])

@@ -66,8 +66,8 @@ def interval_eigs(length: float, bc: str, k: int) -> EigList:
 
     bc is one of "DD", "NN", "DN", "ND".
     """
-    if length <= 0:
-        raise ValueError("length must be positive")
+    if not 0 < length < math.inf:
+        raise ValueError(f"length must be positive and finite, not {length}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if bc not in ("DD", "NN", "DN", "ND"):
@@ -84,11 +84,12 @@ def interval_eigs(length: float, bc: str, k: int) -> EigList:
     return EigList(tuple(v for v, _ in vals), tuple(p for _, p in vals))
 
 
-def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int) -> EigList:
-    """First k eigenvalues of the separable box Laplacian.
+def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int, below: float = math.inf) -> EigList:
+    """First k eigenvalues of the separable box Laplacian below `below`.
 
     The k-th smallest sum uses at most the k-th smallest value on each axis,
-    so taking k values per axis makes the sorted k-prefix complete.
+    so k values per axis make the sorted k-prefix complete; axis values are
+    nonnegative and ascending, so a partial sum >= `below` ends its branch.
     """
     d = len(dims)
     if d not in (1, 2, 3) or len(bcs) != d:
@@ -103,6 +104,8 @@ def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int) -> EigList:
             pairs.append((total, "box[" + ",".join(label) + "]"))
             return
         for v, p in zip(axes[axis].values, axes[axis].provenance):
+            if total + v >= below:
+                break
             label.append(p)
             rec(axis + 1, total + v, label)
             label.pop()
@@ -118,8 +121,8 @@ def equilateral_eigs(side: float, bc: str, k: int) -> EigList:
     indices run over m, n >= 1, Neumann over m, n >= 0.  Unordered pairs
     with m != n count twice, diagonal pairs once.
     """
-    if side <= 0:
-        raise ValueError("side must be positive")
+    if not 0 < side < math.inf:
+        raise ValueError(f"side must be positive and finite, not {side}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if bc not in ("dirichlet", "neumann"):
@@ -214,8 +217,8 @@ def sector_dn_eigs(
     """
     if not 0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
-    if radius <= 0 or k < 1:
-        raise ValueError("radius must be positive and k >= 1")
+    if not 0 < radius < math.inf or k < 1:
+        raise ValueError("radius must be positive and finite and k >= 1")
     n_max, k_max = index_caps
     auto = n_max == 0 or k_max == 0
     if auto:

@@ -328,6 +328,37 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
     return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals))
 
 
+def eigs_below(prob: DiscreteProblem, sigma: float) -> EigList:
+    """Rayleigh-Ritz values for the eigenvalues of (K, M) below sigma: their
+    number m is the inertia of K - sigma M = P^T L D L^T P (symmetric-mode
+    SuperLU, no row pivoting, D = diag(U)), and shift-invert Lanczos on that
+    factorization finds their m vectors ("SA": the negative 1 / (lambda -
+    sigma)).  Row pivoting, no convergence or an m-th value >= sigma raise."""
+    K, M = prob.stiffness, prob.mass
+    n = K.shape[0]
+    try:
+        lu = spla.splu((K - sigma * M).tocsc(), diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly singular pivot: sigma is an eigenvalue
+        raise SolverFailure(str(exc)) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverFailure("the inertia factorization pivoted rows")
+    m = int(np.count_nonzero(lu.U.diagonal() < 0))
+    if m == 0:
+        return EigList((), ())
+    try:
+        _, X = spla.eigsh(
+            K, k=m, M=M, sigma=sigma, which="SA", ncv=min(n, 2 * m + 8), maxiter=100,
+            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            v0=np.full(n, 1.0 / math.sqrt(n)),  # deterministic restarts
+        )
+        vals = scipy.linalg.eigh(X.T @ (K @ X), X.T @ (M @ X), eigvals_only=True)
+    except (spla.ArpackError, np.linalg.LinAlgError, ValueError) as exc:  # no convergence, m >= n
+        raise SolverFailure(str(exc)) from exc
+    if vals[-1] >= sigma:
+        raise SolverFailure(f"Rayleigh-Ritz value {vals[-1]:.17g} is not below the shift {sigma:.17g}")
+    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals))
+
+
 def dn_spectrum(poly: Polygon, k: int, levels: int, h0: float = 0.25) -> FemSpectrum:
     """Eigenvalues on `levels` nested refinements starting from mesh size h0,
     with Richardson extrapolation using the empirically observed order."""

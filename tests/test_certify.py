@@ -23,7 +23,7 @@ from starspec.certify import (
     threshold,
     y_alpha_certified_interval,
 )
-from starspec.exact import PI2, bessel_zero
+from starspec.exact import PI2, bessel_zero, box_eigs
 
 
 class TestThreshold:
@@ -46,8 +46,25 @@ class TestCounting:
     def test_exact_box_count_is_two(self):
         vcfg, plan = preset("rect_two_eigs")
         n, ub = count_discrete(vcfg, plan, PI2)
-        assert n == 2
-        assert ub[1].value < PI2 < ub[2].value
+        assert n == len(ub) == 2
+        assert ub[1].value < PI2 < box_eigs((2.381, 2.041), ("DD", "DD"), 3).values[2]
+
+    @pytest.mark.parametrize("a, b", [(2.381, 2.041), (3.0, 2.5), (6.3, 2.2), (1.2, 2.1), (0.9, 2.5), (40.0, 2.9)])
+    def test_exact_box_lists_every_value_below_the_cut(self, a, b):
+        vcfg, plan = preset("rect_two_eigs", a=a, b=b)
+        cut = PI2 - certify.BUDGET_FLOOR_REL * PI2
+        n, ub = count_discrete(vcfg, plan, PI2)
+        want = [v for v in box_eigs((a, b), ("DD", "DD"), 200).values if v < cut]
+        assert n == len(ub) == len(want)
+        assert [u.value for u in ub] == want
+
+    def test_the_fem_count_is_not_capped(self):
+        # the former eigensolve asked for k_upper = 4 values and so counted 4 here
+        vcfg, plan = preset("broken", alpha=0.06, truncation_length=4.0, fem_h0=0.5, fem_levels=1)
+        extra = {}
+        n, ub = count_discrete(vcfg, plan, PI2, extra)
+        assert n == len(ub) == extra["fem_count"]["inertia"] == 6
+        assert all(u.value < PI2 for u in ub)
 
     def test_family_fact_records_assumption(self):
         plan = CertificationPlan(
@@ -142,7 +159,7 @@ class TestVerdicts:
 class TestReports:
     # sha256 of the reports below, without versions; every lower rule except
     # sector and fem_estimate appears in them
-    GOLDEN = "a4a5c12abb3cacec9429c28754c4803405ce7f869cf0da6b48a1fb535c46942b"
+    GOLDEN = "cb5adf26cadb064af5a807c11a3eefcd5c9aac5fd5a6808462c02332a322d014"
 
     def test_report_bytes_are_pinned(self):
         texts = []
@@ -265,31 +282,35 @@ class TestSingleSolveCount:
 
     @pytest.mark.parametrize("name", ["t_junction", "y_junction", "crossing", "crossing_symmetric", "rounded_corner"])
     def test_one_solve_per_certify(self, monkeypatch, name):
-        calls = []
-        lowest_eigs = fem.lowest_eigs
-
-        def counting_lowest_eigs(prob, k):
-            calls.append(1)
-            return lowest_eigs(prob, k)
-
-        monkeypatch.setattr(fem, "lowest_eigs", counting_lowest_eigs)
+        dofs = _count_solves(monkeypatch)
         vcfg, plan = preset(name, **self.CHEAP)
         assert plan.count_strategy == "fem"
         v = run_certify(vcfg, plan, name=name)
-        assert len(calls) == 1
-        assert {b.trace[0].params["length"] for b in v.upper_bounds} == {plan.truncation_length}
+        assert len(dofs) == 1
+        # a count of 0 (rounded_corner on this mesh) has no fem-upper step,
+        # so the record of the count is what names its mesh
+        rec = v.extra["fem_count"]
+        assert list(rec) == ["length", "h0", "levels", "dof", "h", "min_angle", "shift", "inertia"]
+        assert (rec["length"], rec["h0"], rec["levels"]) == (plan.truncation_length, plan.fem_h0, plan.fem_levels)
+        assert rec["dof"] == dofs[0]
+        assert rec["shift"] == threshold(vcfg) - certify.BUDGET_FLOOR_REL * threshold(vcfg)
+        assert rec["inertia"] == len(v.upper_bounds) == (name != "rounded_corner")
+        assert {b.trace[0].params["length"] for b in v.upper_bounds} <= {plan.truncation_length}
 
 
-def _count_solves(monkeypatch) -> list:
-    """The DOF of every fem.lowest_eigs call from here on."""
+def _count_solves(monkeypatch, fail_below: int = 0) -> list:
+    """The DOF of every fem.eigs_below call from here on; a call on fewer
+    than fail_below DOF raises SolverFailure."""
     dofs = []
-    lowest_eigs = fem.lowest_eigs
+    eigs_below = fem.eigs_below
 
-    def counting_lowest_eigs(prob, k):
+    def counting_eigs_below(prob, sigma):
         dofs.append(prob.stiffness.shape[0])
-        return lowest_eigs(prob, k)
+        if dofs[-1] < fail_below:
+            raise fem.SolverFailure("no convergence")
+        return eigs_below(prob, sigma)
 
-    monkeypatch.setattr(fem, "lowest_eigs", counting_lowest_eigs)
+    monkeypatch.setattr(fem, "eigs_below", counting_eigs_below)
     return dofs
 
 
@@ -360,46 +381,52 @@ class TestMeshLadder:
                 "of threshold 9.8696, with n = 1: no finer mesh can certify"
             )
             unsolved = [{"length": 3.0, "h0": 0.25, "levels": 2, "reason": reason}]
-            assert v.to_dict() == {**closing.to_dict(), "extra": {"unsolved_rungs": unsolved}}
+            assert v.to_dict() == {**closing.to_dict(), "extra": {**closing.extra, "unsolved_rungs": unsolved}}
 
     @pytest.mark.parametrize(
-        "factor, solves",
-        # l_{n+1} = nu * factor on t_junction (n = 1): only 0 <= l_{n+1} - nu
-        # <= BUDGET_FLOOR_REL * nu ends the climb
-        [(1 + 2 * certify.BUDGET_FLOOR_REL, 2), (1 - 1e-12, 2), (1.0, 1)],
+        "factor, tol, solves, certified",
+        # l_{n+1} = nu * factor, with tolerance tol * BUDGET_FLOOR_REL * nu, on
+        # t_junction (n = 1): only 0 <= l_{n+1} - nu <= BUDGET_FLOOR_REL * nu
+        # ends the climb.  With one FEM bound the budget is the floor, so
+        # nu * (1 + 2 floor) certifies on the coarsest rung; a tolerance of
+        # 3 floors puts that gap inside the budget and above the floor.
+        [(1 + 2 * certify.BUDGET_FLOOR_REL, 0, 1, True), (1 + 2 * certify.BUDGET_FLOOR_REL, 3, 2, False),
+         (1 - 1e-12, 0, 2, False), (1.0, 0, 1, False)],
     )
-    def test_a_lower_bound_at_the_threshold_stops_the_climb(self, monkeypatch, factor, solves):
+    def test_a_lower_bound_at_the_threshold_stops_the_climb(self, monkeypatch, factor, tol, solves, certified):
         box = certify._LOWER_RULES["box"]
 
         def pinned(vcfg, plan, k):
             lowers = box(vcfg, plan, k)
-            return lowers[:1] + [dataclasses.replace(lowers[1], value=threshold(vcfg) * factor)] + lowers[2:]
+            nu = threshold(vcfg)
+            l2 = dataclasses.replace(lowers[1], value=nu * factor, tol=tol * certify.BUDGET_FLOOR_REL * nu)
+            return lowers[:1] + [l2] + lowers[2:]
 
         monkeypatch.setitem(certify._LOWER_RULES, "box", pinned)
         vcfg, plan = preset("t_junction")
         dofs = _count_solves(monkeypatch)
         v = run_certify(vcfg, plan)
         assert len(dofs) == solves
-        assert not v.certified
+        assert v.certified is certified
         assert v.margins["dn_gap"] == threshold(vcfg) * factor - threshold(vcfg)
         rungs = [(r.truncation_length, r.fem_h0, r.fem_levels) for r in certify._rungs(plan)]
         assert _meshes(v) == {rungs[solves - 1]}
         unsolved = [(u["length"], u["h0"], u["levels"]) for u in v.extra.get("unsolved_rungs", [])]
-        assert unsolved == rungs[solves:]
+        assert unsolved == ([] if certified else rungs[solves:])
 
     def test_heuristic_rule_solves_only_the_plan_mesh(self, monkeypatch):
         meshes = []
         fem_upper_bounds = certify._fem_upper_bounds
 
-        def recording(vcfg, length, h0, levels, k):
+        def recording(vcfg, length, h0, levels, nu):
             meshes.append((length, h0, levels))
-            return fem_upper_bounds(vcfg, length, h0, levels, k)
+            return fem_upper_bounds(vcfg, length, h0, levels, nu)
 
         monkeypatch.setattr(certify, "_fem_upper_bounds", recording)
         plan = CertificationPlan("fem", "fem_estimate", truncation_length=3.0, fem_h0=0.5, fem_levels=2)
         v = run_certify(certify.t_junction_config(), plan)
         assert meshes == [(3.0, 0.5, 2)]
-        assert v.rigor == "heuristic" and v.extra == {}
+        assert v.rigor == "heuristic" and list(v.extra) == ["fem_count"]
 
     def test_unbound_rule_costs_one_coarsest_solve(self, monkeypatch):
         dofs = _count_solves(monkeypatch)
@@ -410,14 +437,7 @@ class TestMeshLadder:
         assert dofs == [_dof(vcfg, *certify.MESH_LADDER[0])]
 
     def test_a_coarse_rung_that_fails_is_skipped(self, monkeypatch):
-        lowest_eigs = fem.lowest_eigs
-
-        def failing_coarse(prob, k):
-            if prob.stiffness.shape[0] < 1000:
-                raise fem.SolverFailure("no convergence")
-            return lowest_eigs(prob, k)
-
-        monkeypatch.setattr(fem, "lowest_eigs", failing_coarse)
+        _count_solves(monkeypatch, fail_below=1000)
         vcfg, plan = preset("y_junction")
         v = run_certify(vcfg, plan)
         assert v.certified and v.n_discrete == 1

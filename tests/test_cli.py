@@ -77,7 +77,8 @@ class TestCertifyCommand:
             ("--preset", "t_junction", "--params", '{"truncation_length": "3"}'),
             ("--preset", "y_junction", "--params", '{"truncation_length": true}'),
             ("--preset", "t_junction", "--params", '{"count_stability": true}'),
-            ("--preset", "y_junction", "-k", "-1"),
+            ("--preset", "y_junction", "--params", '{"k_upper": 4}'),
+            ("configs/y_junction.json", "--params", '{"k_upper": 4}'),
             ("--preset", "y_junction", "--levels", "0"),
             ("--preset", "y_junction", "--truncation", "0"),
             ("--preset", "y_junction", "--params", '{"fem_h0": -0.5}'),
@@ -244,6 +245,35 @@ class TestSpectrumCommand:
     def test_bad_shape_arguments(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--shape", "interval", "--bc", "XX")
         assert code == cli.EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--shape", "interval", "--length", "nan"),
+            ("--shape", "interval", "--length", "inf"),
+            ("--shape", "interval", "--length", "1e-320"),  # (pi / length)^2 overflows
+            ("--shape", "box", "--dims", "1", "inf"),
+            ("--shape", "box", "--dims", "1", "nan"),
+            ("--shape", "equilateral", "--bc", "neumann", "--side", "nan"),
+            ("--shape", "equilateral", "--side", "-1"),
+            ("--shape", "sector", "--radius", "inf"),
+        ],
+    )
+    def test_sizes_must_be_finite(self, capsys, argv):
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_equilateral_defaults_to_dirichlet(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--shape", "equilateral", "-k", "1")
+        assert code == 0
+        assert json.loads(out)["values"] == [pytest.approx(16 * 3.141592653589793**2 / 9 * 3, rel=1e-12)]
+        assert json.loads(out)["provenance"] == ["equilateral-D(m=1,n=1)"]
+
+    def test_certify_has_no_k_flag(self, capsys):
+        code, out, _ = run(capsys, "certify", "--preset", "y_junction", "-k", "4")
+        assert code == cli.EXIT_ERROR and out == ""
 
 
 class TestRegionCommand:

@@ -57,6 +57,15 @@ class TestInterval:
         with pytest.raises(ValueError):
             interval_eigs(1.0, "DD", 0)
 
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.inf, math.nan])
+    def test_sizes_must_be_positive_and_finite(self, size):
+        with pytest.raises(ValueError, match="positive and finite"):
+            interval_eigs(size, "DD", 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            box_eigs((1.0, size), ("DD", "NN"), 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            equilateral_eigs(size, "neumann", 1)
+
 
 def brute_force_box(dims, bcs, k, index_cap=30):
     """Oracle: enumerate separable sums directly over a large index window."""
@@ -99,6 +108,15 @@ class TestBox:
         got = box_eigs(tuple(dims), tuple(bcs), k).values
         want = brute_force_box(dims, bcs, k)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("bcs", [("DD", "DD"), ("NN", "DN"), ("DN", "DD", "NN")])
+    @pytest.mark.parametrize("below", [0.0, PI2 / 4, 25.0, 80.0, math.inf])
+    def test_below_keeps_the_prefix_under_it(self, bcs, below):
+        dims = (1.0, 1.3, 0.8)[: len(bcs)]
+        full = box_eigs(dims, bcs, 12)
+        got = box_eigs(dims, bcs, 12, below=below)
+        n = sum(1 for v in full.values if v < below)
+        assert (got.values, got.provenance) == (full.values[:n], full.provenance[:n])
 
     def test_mixed_square_values(self):
         # Dirichlet on one side, Neumann on the other three

@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from starspec import certify, fem, geom
 from starspec.exact import PI2, box_eigs, equilateral_eigs
@@ -320,6 +323,88 @@ class TestSolvers:
         prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.6))
         with pytest.raises(fem.SolverFailure):
             fem.lowest_eigs(prob, 10_000)
+
+
+
+def _truncated_problem(name: str, length: float, h0: float, levels: int):
+    vcfg, _ = certify.preset(name)
+    mesh = fem.triangulate(geom.truncate(vcfg, length), h0)
+    for _ in range(levels - 1):
+        mesh = fem.refine(mesh)
+    return fem.assemble(mesh), PI2 - certify.BUDGET_FLOOR_REL * PI2
+
+
+def _tampered_splu(monkeypatch, perm_shift: int = 0, inertia_shift: int = 0) -> None:
+    """Make scipy's splu report rows pivoted (perm_shift) or an inertia off by
+    inertia_shift, by flipping the sign of U diagonal entries; solves still
+    use the true factorization."""
+    splu = spla.splu
+
+    def tampered(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        d = lu.U.diagonal().copy()
+        flip = np.flatnonzero(d > 0 if inertia_shift > 0 else d < 0)[: abs(inertia_shift)]
+        d[flip] = -d[flip]
+        return SimpleNamespace(
+            perm_r=np.roll(lu.perm_r, perm_shift), perm_c=lu.perm_c, U=sp.diags(d), solve=lu.solve
+        )
+
+    monkeypatch.setattr(spla, "splu", tampered)
+
+
+class TestInertiaCount:
+    # t/y/crossing/rounded_corner truncated guides on three meshes each,
+    # 189 to 20,097 DOF
+    MESHES = [
+        (name, *mesh)
+        for name in ("t_junction", "y_junction", "crossing", "rounded_corner")
+        for mesh in ((2.0, 0.5, 1), (3.0, 0.25, 1), (3.0, 0.25, 2))
+    ]
+
+    @pytest.mark.parametrize("name, length, h0, levels", MESHES)
+    def test_inertia_and_ritz_values_match_the_eigensolver(self, name, length, h0, levels):
+        prob, sigma = _truncated_problem(name, length, h0, levels)
+        got = fem.eigs_below(prob, sigma).values
+        ref = fem.lowest_eigs(prob, len(got) + 1).values
+        assert sum(1 for v in ref if v < sigma) == len(got)
+        assert got == pytest.approx(ref[: len(got)], rel=1e-10, abs=0)
+
+    def test_no_eigenvalue_below_the_shift_solves_nothing(self, monkeypatch):
+        prob, sigma = _truncated_problem("rounded_corner", 2.0, 0.5, 1)
+        monkeypatch.setattr(spla, "eigsh", None)  # any solve would fail
+        assert fem.eigs_below(prob, sigma).values == ()
+
+    def test_row_pivoting_raises(self, monkeypatch):
+        prob, sigma = _truncated_problem("t_junction", 2.0, 0.5, 1)
+        _tampered_splu(monkeypatch, perm_shift=1)
+        with pytest.raises(fem.SolverFailure, match="pivoted rows"):
+            fem.eigs_below(prob, sigma)
+
+    @pytest.mark.parametrize("name", ["t_junction", "crossing", "rounded_corner"])
+    @pytest.mark.parametrize("mesh", [(2.0, 0.5, 1), (3.0, 0.25, 1)])
+    def test_an_overcount_raises(self, monkeypatch, name, mesh):
+        prob, sigma = _truncated_problem(name, *mesh)
+        _tampered_splu(monkeypatch, inertia_shift=1)
+        with pytest.raises(fem.SolverFailure):
+            fem.eigs_below(prob, sigma)
+
+    def test_an_overcount_fails_whatever_vectors_the_solver_returns(self, monkeypatch):
+        # min-max: the k-th Rayleigh-Ritz value of any k vectors is at least
+        # lambda_k, which an overcount puts at or above the shift
+        prob, sigma = _truncated_problem("t_junction", 2.0, 0.5, 1)
+        _tampered_splu(monkeypatch, inertia_shift=1)
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(spla, "eigsh", lambda K, k, **kw: (None, rng.standard_normal((K.shape[0], k))))
+        with pytest.raises(fem.SolverFailure, match="not below the shift"):
+            fem.eigs_below(prob, sigma)
+
+    @pytest.mark.parametrize("name", ["t_junction", "y_junction", "rounded_corner"])
+    def test_an_undercount_never_certifies(self, monkeypatch, name):
+        vcfg, plan = certify.preset(name)
+        assert certify.certify(vcfg, plan).certified
+        _tampered_splu(monkeypatch, inertia_shift=-1)
+        v = certify.certify(vcfg, plan)
+        assert not v.certified and v.n_discrete is None
 
 
 class TestDumps:
