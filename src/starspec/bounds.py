@@ -159,16 +159,26 @@ def _point_in_or_on(poly: Polygon, x: float, y: float, tol: float) -> bool:
     return False
 
 
-def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10, samples: int = 16) -> None:
-    for i in range(inner.n_edges):
-        p, q = inner.edge(i)
-        for s in range(samples + 1):
-            t = s / samples
-            x, y = p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
-            if not _point_in_or_on(outer, x, y, tol):
-                raise ContainmentViolation(
-                    f"point ({x}, {y}) of the inner domain lies outside the enclosure"
-                )
+def _is_convex(poly: Polygon) -> bool:
+    """No self-crossing and no turn against the orientation (a straight angle
+    is allowed)."""
+    v, sign = poly.vertices, math.copysign(1.0, poly.signed_area())
+    for (ax, ay), (bx, by), (cx, cy) in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
+        if sign * ((bx - ax) * (cy - by) - (by - ay) * (cx - bx)) < 0:
+            return False
+    return poly.is_simple()
+
+
+def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> None:
+    """A convex outer contains the polygon inner exactly when it contains
+    inner's vertices, so each vertex must lie in outer or within tol of its
+    boundary.  A non-convex outer is refused: its vertices say nothing about
+    the edges between them."""
+    if not _is_convex(outer):
+        raise ContainmentViolation("the enclosure is not convex")
+    for x, y in inner.vertices:
+        if not _point_in_or_on(outer, x, y, tol):
+            raise ContainmentViolation(f"vertex ({x}, {y}) of the inner domain lies outside the enclosure")
 
 
 def neumann_enclosure_bounds(
@@ -185,7 +195,7 @@ def neumann_enclosure_bounds(
     scale_bound).
 
     center is None (or equal to enclosure) for the pure tag-relaxation case
-    M = C; otherwise geometric containment is checked by edge sampling."""
+    M = C; otherwise M must be convex and contain every vertex of C."""
     if center is not None and enclosure is not None and center is not enclosure:
         check_containment(center, enclosure)
     out = []

@@ -10,6 +10,7 @@ holding by more than the accumulated floating-point budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -149,7 +150,10 @@ def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra:
     lambda_j(waveguide) (min-max, Dirichlet monotonicity), converged or not,
     so n_true >= n; the center lower bound for index n + 1 gives n_true <= n.
     An undercount m only loses the certificate (l_{m+1} <= mu_{m+1} < nu); an
-    overcount puts the m-th value at or above the cut: fem.eigs_below raises."""
+    overcount puts the m-th value at or above the cut: fem.eigs_below raises.
+    Only a 2D config has branches to truncate; a 3D one is Unbound."""
+    if vcfg.is_3d:
+        raise Unbound("fem count needs a 2D config: it meshes the truncated branches of a polygon center")
     ub, extra["fem_count"] = _fem_upper_bounds(vcfg, plan.truncation_length, plan.fem_h0, plan.fem_levels, nu)
     return _n_below(ub, nu), ub
 
@@ -265,6 +269,21 @@ def _family_alpha(vcfg: ValidatedConfig, plan: CertificationPlan, rule: str, pol
     return alpha
 
 
+@functools.cache
+def _pi6_embedding() -> SpectralBound:
+    """Second eigenvalue of the even half at alpha = pi/6, which the Dirichlet
+    equilateral triangle of side 2 sqrt(3) embeds: its second
+    symmetry-admissible mode is the fourth of the full triangle.  No alpha
+    enters, so it is built once and every verdict shares it."""
+    side = 2 * math.sqrt(3)
+    base = bnd.bounds_from_eiglist(
+        "equilateral-embed", exact.equilateral_eigs(side, "dirichlet", 4), Direction.LOWER,
+        "equilateral-eig", {"side": side, "bc": "dirichlet"},
+    )[3]
+    step = TraceStep("symmetry-restriction", {"admissible_rank": 2, "full_rank": 4}, base.value)
+    return replace(base.extended(step, operator="half-even-pi6"), index=2)
+
+
 def _lower_broken_chain(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     """Reflection split of the bent-guide center into a Dirichlet-hypotenuse
     and a Neumann-hypotenuse right triangle, floored analytically."""
@@ -277,25 +296,11 @@ def _lower_broken_chain(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) 
         )
     ]
     # even half: second eigenvalue via the equilateral embedding at pi/6 and
-    # the anisotropic stretch; first eigenvalue only floored by 0
-    base = bnd.bounds_from_eiglist(
-        "equilateral-embed",
-        exact.equilateral_eigs(2 * math.sqrt(3), "dirichlet", 4),
-        Direction.LOWER,
-        "equilateral-eig",
-        {"side": 2 * math.sqrt(3), "bc": "dirichlet"},
-    )
-    # symmetry-restricted modes of the embedding: the second admissible one
-    # is the fourth eigenvalue of the full triangle
-    lam2_pi6 = base[3].extended(
-        TraceStep("symmetry-restriction", {"admissible_rank": 2, "full_rank": 4}, base[3].value),
-        operator="half-even-pi6",
-    )
-    lam2_pi6 = replace(lam2_pi6, index=2)
-    # stretch along the wall leg from the reference triangle to the target;
-    # the capped factor min((tan a / tan(pi/6))^2, 1) covers both directions
+    # the anisotropic stretch along the wall leg from the reference triangle
+    # to the target; the capped factor min((tan a / tan(pi/6))^2, 1) covers
+    # both directions.  The first eigenvalue is only floored by 0.
     c = (1.0 / math.tan(alpha)) / math.sqrt(3)
-    lam2 = bnd.scale_bound([lam2_pi6], (c, 1.0), "half-even", cap_at_one=True)[0]
+    lam2 = bnd.scale_bound([_pi6_embedding()], (c, 1.0), "half-even", cap_at_one=True)[0]
     even = [
         bnd.lower_bound("half-even", 1, 0.0, "trivial-floor", {}),
         lam2,
@@ -567,22 +572,17 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
     ok = True
     for j in (0, 1):
         for k in (0, 1):
-            x_pair = ("DN" if j else "NN")  # tag at x=0, Neumann at the cut line
-            y_pair = ("DN" if k else "NN")
-            sq = exact.box_eigs((0.5, 0.5), (x_pair, y_pair), 2)
+            # each axis pair: the parity tag on the mirror line, Neumann at the cut line
+            sq = exact.box_eigs((0.5, 0.5), ("DN" if j else "NN", "DN" if k else "NN"), 2)
             # half-strip floors: transverse interval of width 1/2 between the
             # symmetry axis (parity tag) and the outer Dirichlet wall
             strip_x = exact.interval_eigs(0.5, "DN" if k == 0 else "DD", 1)[0]
             strip_y = exact.interval_eigs(0.5, "DN" if j == 0 else "DD", 1)[0]
             njk = sum(1 for v in sq.values if v < nu - budget)
-            host = None
-            if sq.values[njk] > nu + budget if njk < len(sq) else False:
-                host = ("square-block", sq.values[njk])
-            if host is None:
-                for label, f in (("strip-x", strip_x), ("strip-y", strip_y)):
-                    if f > nu + budget:
-                        host = (label, f)
-                        break
+            # the first block above the threshold: the square's next value, else a strip
+            hosts = [("square-block", v) for v in sq.values[njk:njk + 1]]
+            hosts += [("strip-x", strip_x), ("strip-y", strip_y)]
+            host = next((h for h in hosts if h[1] > nu + budget), None)
             floors_ok = all(v >= nu - budget for v in (strip_x, strip_y))
             parities[f"{j}{k}"] = {
                 "square_eigs": list(sq.values),
@@ -591,8 +591,7 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
                 "host": host,
             }
             sum_njk += njk
-            if host is None or not floors_ok:
-                ok = False
+            ok = ok and host is not None and floors_ok
     certified = ok and sum_njk == n_total
     reason = (
         "per-parity decomposition accounts for every discrete eigenvalue"
@@ -723,17 +722,10 @@ def _rounded_corner_polygon(alpha: float, arc_segments: int) -> Polygon:
     for i in range(arc_segments + 1):
         th = alpha * i / arc_segments
         verts.append((math.cos(th), math.sin(th)))
-    n = len(verts)
-    tags = []
-    roles = []
-    for i in range(n):
-        if i == 0 or i == n - 1:  # the two straight radii
-            tags.append(BC.NEUMANN)
-            roles.append(EdgeRole.CUT)
-        else:
-            tags.append(BC.DIRICHLET)
-            roles.append(EdgeRole.WALL)
-    return Polygon(tuple(verts), tuple(tags), tuple(roles))
+    radii = (0, len(verts) - 1)  # the two straight edges are cuts
+    tags = tuple(BC.NEUMANN if i in radii else BC.DIRICHLET for i in range(len(verts)))
+    roles = tuple(EdgeRole.CUT if i in radii else EdgeRole.WALL for i in range(len(verts)))
+    return Polygon(tuple(verts), tags, roles)
 
 
 def rounded_corner_config(alpha: float, arc_segments: int = 24) -> ValidatedConfig:

@@ -61,6 +61,10 @@ def _sorted_prefix(pairs: list[tuple[float, str]], k: int) -> EigList:
     return EigList(tuple(v for v, _ in head), tuple(p for _, p in head))
 
 
+# endpoint pair -> (first mode number n, shift): the values are ((n - shift) pi / length)^2
+_INTERVAL_MODES = {"DD": (1, 0), "NN": (0, 0), "DN": (1, 0.5), "ND": (1, 0.5)}
+
+
 def interval_eigs(length: float, bc: str, k: int) -> EigList:
     """First k eigenvalues of -u'' on (0, length) with endpoint conditions bc.
 
@@ -70,18 +74,11 @@ def interval_eigs(length: float, bc: str, k: int) -> EigList:
         raise ValueError(f"length must be positive and finite, not {length}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if bc not in ("DD", "NN", "DN", "ND"):
+    if bc not in _INTERVAL_MODES:
         raise ValueError(f"unknown boundary pair {bc!r}")
-    if bc == "DD":
-        vals = [((n * math.pi / length) ** 2, f"interval-DD(n={n})") for n in range(1, k + 1)]
-    elif bc == "NN":
-        vals = [((n * math.pi / length) ** 2, f"interval-NN(n={n})") for n in range(k)]
-    else:
-        vals = [
-            (((n - 0.5) * math.pi / length) ** 2, f"interval-{bc}(n={n})")
-            for n in range(1, k + 1)
-        ]
-    return EigList(tuple(v for v, _ in vals), tuple(p for _, p in vals))
+    first, shift = _INTERVAL_MODES[bc]
+    ns = range(first, first + k)
+    return EigList(tuple(((n - shift) * math.pi / length) ** 2 for n in ns), tuple(f"interval-{bc}(n={n})" for n in ns))
 
 
 def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int, below: float = math.inf) -> EigList:

@@ -319,10 +319,11 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
                 sigma=-0.1,
                 which="LM",
                 v0=np.full(n, 1.0 / math.sqrt(n)),  # deterministic restarts
+                maxiter=100,  # fail fast: a converging solve takes a few restarts
                 return_eigenvectors=False,
             )
             vals = np.sort(vals)
-    except Exception as exc:  # pragma: no cover - backend failures
+    except Exception as exc:  # ARPACK no convergence, backend failures
         raise SolverFailure(str(exc)) from exc
     vals = np.maximum(vals, 0.0)  # clip solver noise on Neumann kernels
     return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals))

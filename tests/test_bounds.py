@@ -133,6 +133,38 @@ class TestRules:
         outer = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         check_containment(inner, outer)  # shared edge is fine
 
+    # a triangle with its vertex `first` at distance d beyond the right side
+    # of the unit square; rotating the vertex list puts it at each index
+    @staticmethod
+    def _poking_triangle(d, first):
+        verts = [(1.0 + d, 0.5), (0.5, 0.8), (0.5, 0.2)]
+        return simple_polygon(verts[-first:] + verts[:-first])
+
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_every_vertex_is_checked_with_the_same_tolerance(self, first):
+        outer = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        check_containment(self._poking_triangle(0.5e-10, first), outer)  # tol / 2 outside
+        with pytest.raises(ContainmentViolation, match="vertex"):
+            check_containment(self._poking_triangle(2e-10, first), outer)  # 2 tol outside
+
+    @pytest.mark.parametrize(
+        "outer",
+        [
+            # an L: the inner triangle's vertices lie in it, its hypotenuse does not
+            [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+            # a pentagram turns left at every vertex but crosses itself
+            [(math.cos(a), math.sin(a)) for a in (math.pi / 2 + 4 * math.pi * i / 5 for i in range(5))],
+        ],
+    )
+    def test_a_non_convex_enclosure_is_refused(self, outer):
+        inner = simple_polygon([(0.1, 0.1), (1.9, 0.1), (0.1, 1.9)])
+        with pytest.raises(ContainmentViolation, match="not convex"):
+            check_containment(inner, simple_polygon(outer))
+
+    def test_a_straight_angle_keeps_an_enclosure_convex(self):
+        outer = simple_polygon([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
+        check_containment(simple_polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]), outer)
+
     def test_branch_floor_matches_threshold(self):
         for cs in (
             CrossSection.interval(1.0),

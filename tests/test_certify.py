@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from starspec import bounds as bnd
-from starspec import certify, cli, fem, geom
+from starspec import certify, cli, exact, fem, geom
 from starspec.certify import (
     CertificationPlan,
     NoPipeline,
@@ -465,6 +465,14 @@ class TestSweepAnchor:
             cli._sweep_csv(certify.sweep_y_alpha(np.arange(0.60, 1.49 + 1e-12, 0.01))),
         ]
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == self.ROWS
+
+    def test_the_pi6_embedding_is_built_once(self, monkeypatch):
+        built, eigs = [], exact.equilateral_eigs
+        monkeypatch.setattr(exact, "equilateral_eigs", lambda *args: built.append(args) or eigs(*args))
+        certify._pi6_embedding.cache_clear()
+        rows = certify.sweep_broken(np.linspace(0.45, 1.5, 50))
+        assert sum(r.certified for r in rows) == 50
+        assert len(built) <= 1
 
     @pytest.mark.parametrize(
         "sweep, anchor, solves",

@@ -125,6 +125,15 @@ class TestCertifyCommand:
         assert report["verdict"] == "Inconclusive"
         assert report["reason"].startswith(rule)
 
+    @pytest.mark.parametrize("stem", ["cube_square", "cube_disk"])
+    def test_a_3d_config_file_gets_a_verdict(self, capsys, stem):
+        # the default plan counts by FEM, which meshes only 2D configs
+        code, out, err = run(capsys, "certify", f"configs/{stem}.json")
+        assert (code, err) == (cli.EXIT_INCONCLUSIVE, "")
+        report = json.loads(out)
+        assert (report["verdict"], report["n"], report["rigor"]) == ("Inconclusive", None, "none")
+        assert report["reason"].startswith("fem count needs a 2D config")
+
     def test_a_verdict_without_bounds_claims_no_rigor(self, capsys):
         code, out, _ = run(
             capsys, "certify", "configs/broken_1.0.json", "--lower-strategy", "broken_chain",

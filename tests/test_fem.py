@@ -324,6 +324,30 @@ class TestSolvers:
         with pytest.raises(fem.SolverFailure):
             fem.lowest_eigs(prob, 10_000)
 
+    def test_the_sparse_solver_is_capped_at_100_restarts(self, monkeypatch):
+        prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.25))
+        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)  # force the sparse solver
+        seen, eigsh = {}, spla.eigsh
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", spy)
+        fem.lowest_eigs(prob, 3)
+        assert seen["maxiter"] == 100
+
+    def test_no_convergence_is_a_solver_failure(self, monkeypatch):
+        prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.25))
+        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)
+
+        def stalled(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        with pytest.raises(fem.SolverFailure, match="No convergence"):
+            fem.lowest_eigs(prob, 3)
+
 
 
 def _truncated_problem(name: str, length: float, h0: float, levels: int):
