@@ -1,9 +1,8 @@
 """Composable one-sided spectral bounds with replayable derivation traces.
 
-Rules: Neumann-cut bracketing (lower bounds transport from the center
-operator to the waveguide), Dirichlet domain monotonicity (upper bounds
-from subdomains), anisotropic scaling, zero-extension Neumann enclosure,
-direct sums of decompositions, and branch threshold floors.
+Rules: Dirichlet domain monotonicity (upper bounds from subdomains),
+anisotropic scaling, zero-extension Neumann enclosure and direct sums of
+decompositions.
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ from .exact import (
     Direction,
     EigList,
     box_eigs,
-    cross_section_threshold,
     equilateral_eigs,
     interval_eigs,
     right_triangle_dn_lower_bound,
-    y_alpha_threshold,
 )
-from .geom import CrossSection, Polygon
+from .geom import Polygon
 
 
 class DirectionMismatch(ValueError):
@@ -33,10 +30,6 @@ class NonPositiveCoeff(ValueError):
 
 
 class ContainmentViolation(ValueError):
-    pass
-
-
-class MixedDirections(ValueError):
     pass
 
 
@@ -87,19 +80,6 @@ def bounds_from_eiglist(operator: str, eigs: EigList, direction: Direction, rule
 
 
 # -- rules ------------------------------------------------------------------
-
-
-def dn_bracket(center_bounds: list[SpectralBound], waveguide_op: str) -> list[SpectralBound]:
-    """Transport lower bounds on the mixed-condition center operator to the
-    waveguide Laplacian: inserting Neumann cuts can only lower eigenvalues,
-    so each lambda_j of the waveguide dominates lambda_j of the center."""
-    out = []
-    for b in center_bounds:
-        if b.direction is not Direction.LOWER:
-            raise DirectionMismatch("cut bracketing transports lower bounds only")
-        step = TraceStep("dn-bracket", {"from": b.operator, "index": b.index}, b.value)
-        out.append(b.extended(step, operator=waveguide_op))
-    return out
 
 
 def dirichlet_monotone(sub_bounds: list[SpectralBound], waveguide_op: str) -> list[SpectralBound]:
@@ -183,21 +163,18 @@ def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> Non
 
 def neumann_enclosure_bounds(
     dn_op: str,
-    center: Polygon | None,
-    enclosure: Polygon | None,
+    center: Polygon,
+    enclosure: Polygon,
     enclosure_bounds: list[SpectralBound],
     enclosure_name: str = "enclosure",
 ) -> list[SpectralBound]:
-    """Zero-extension lower bounds: test functions of the mixed problem on C
-    extend by zero across Dirichlet edges into the Neumann problem on an
-    enclosing domain M, so lambda_k(C, mixed) >= lambda_k(M, Neumann).  The
-    enclosure spectrum is given through lower bounds (e.g. produced by
-    scale_bound).
-
-    center is None (or equal to enclosure) for the pure tag-relaxation case
-    M = C; otherwise M must be convex and contain every vertex of C."""
-    if center is not None and enclosure is not None and center is not enclosure:
-        check_containment(center, enclosure)
+    """Zero-extension lower bounds: test functions of the mixed problem on
+    the center C extend by zero across its Dirichlet edges into the Neumann
+    problem on an enclosing domain M, so lambda_k(C, mixed) >=
+    lambda_k(M, Neumann).  M must be convex and contain every vertex of C;
+    its spectrum is given through lower bounds (e.g. produced by
+    scale_bound)."""
+    check_containment(center, enclosure)
     out = []
     for b in enclosure_bounds:
         if b.direction is not Direction.LOWER:
@@ -220,11 +197,8 @@ def direct_sum_bounds(
     eigenvalues beyond the listed ones still dominate its last listed bound,
     each part is tail-extended by repeating that last bound before merging.
     """
-    dirs = {b.direction for bs in parts for b in bs}
-    if len(dirs) > 1:
-        raise MixedDirections("direct sum parts must share a single direction")
-    if dirs and next(iter(dirs)) is not Direction.LOWER:
-        raise DirectionMismatch("direct_sum_bounds merges lower bounds")
+    if any(b.direction is not Direction.LOWER for bs in parts for b in bs):
+        raise DirectionMismatch("direct_sum_bounds merges lower bounds only")
     entries: list[tuple[float, SpectralBound]] = []
     for bs in parts:
         if not bs:
@@ -246,20 +220,6 @@ def direct_sum_bounds(
     return out
 
 
-def branch_threshold_floor(branch: CrossSection, operator: str = "branch") -> SpectralBound:
-    """The half-cylinder branch operator with Neumann at the cut is bounded
-    below by the first Dirichlet eigenvalue of its cross-section."""
-    v = cross_section_threshold(branch)
-    return lower_bound(
-        operator,
-        1,
-        v,
-        "branch-floor",
-        {"cross_section": branch.kind, "dims": list(branch.dims)},
-        tol=1e-13 * v,
-    )
-
-
 # -- trace replay and serialization ----------------------------------------
 
 
@@ -274,15 +234,11 @@ def _replay_step(step: TraceStep, prev: float | None) -> float:
         return equilateral_eigs(p["side"], p["bc"], p["index"])[p["index"] - 1]
     if rule == "right-triangle-floor":
         return right_triangle_dn_lower_bound(p["alpha"])
-    if rule == "y-threshold":
-        return y_alpha_threshold(p["alpha"])
-    if rule == "branch-floor":
-        return cross_section_threshold(CrossSection(p["cross_section"], tuple(p["dims"])))
     if rule == "scale":
         return p["factor"] * p["input"]
-    if rule in ("dn-bracket", "dirichlet-monotone", "direct-sum", "neumann-enclosure"):
+    if rule in ("dirichlet-monotone", "direct-sum", "neumann-enclosure"):
         return step.value if prev is None else prev
-    # frozen numerical inputs (fem-upper, assumption, sector-eig, ...) replay
+    # frozen inputs (fem-upper, assumption, sector-bessel-floor, ...) replay
     # as recorded
     return step.value
 

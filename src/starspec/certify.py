@@ -644,6 +644,8 @@ def _y_center_polygon(alpha: float) -> Polygon:
     it (the two upper cuts meet the walls at the apex, since the binding
     disjointness is between the two upper branches) and a concave pentagon
     above it (the upper cuts bind against the bottom cut)."""
+    if not 0 < alpha < math.pi / 2:
+        raise geom.InvalidGeometry(f"alpha = {alpha} is not in (0, pi/2)")
     s, c = math.sin(alpha), math.cos(alpha)
     y0 = (c - 1) / (2 * s)  # bottom cut height
     top = (0.0, 1.0 / (2 * s))
@@ -679,6 +681,8 @@ def y_alpha_config(alpha: float, name: str | None = None) -> ValidatedConfig:
 
 
 def _broken_polygon(alpha: float) -> Polygon:
+    if not 0 < alpha < math.pi / 2:
+        raise geom.InvalidGeometry(f"alpha = {alpha} is not in (0, pi/2)")
     s, c = math.sin(alpha), math.cos(alpha)
     verts = ((-1.0 / s, 0.0), (-s, -c), (0.0, 0.0), (-s, c))
     tags = (BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.DIRICHLET)

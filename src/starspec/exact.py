@@ -7,6 +7,7 @@ lower bounds used by the certification rules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -15,6 +16,8 @@ import numpy as np
 from scipy.special import jv
 
 PI2 = math.pi**2
+# unit steps scanned per sought zero, and brentq's iteration cap
+BESSEL_MAX_ITER = 200
 
 
 class ConvergenceFailure(RuntimeError):
@@ -32,7 +35,6 @@ class OutOfRange(ValueError):
 class Direction(Enum):
     LOWER = "lower"
     UPPER = "upper"
-    ESTIMATE = "estimate"
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,20 @@ def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int, below: float
     return _sorted_prefix(pairs, k)
 
 
+@functools.cache
+def _equilateral_lattice(bc: str, k: int) -> EigList:
+    """The k smallest m^2 + m n + n^2 of the bc index lattice, with labels."""
+    lo = 1 if bc == "dirichlet" else 0
+    # m^2 + mn + n^2 >= 3/4 (m+n)^2 for m,n >= 0; a cap of lo + k + 2 index
+    # values per axis safely covers the k smallest lattice values
+    cap = lo + k + 2
+    pairs: list[tuple[int, str]] = []
+    for m in range(lo, cap + 1):
+        for n in range(m, cap + 1):
+            pairs += [(m * m + m * n + n * n, f"equilateral-{bc[0].upper()}(m={m},n={n})")] * (1 if m == n else 2)
+    return _sorted_prefix(pairs, k)
+
+
 def equilateral_eigs(side: float, bc: str, k: int) -> EigList:
     """Equilateral-triangle Laplacian spectrum for all-Dirichlet or all-Neumann.
 
@@ -124,19 +140,9 @@ def equilateral_eigs(side: float, bc: str, k: int) -> EigList:
         raise ValueError("k must be >= 1")
     if bc not in ("dirichlet", "neumann"):
         raise ValueError("bc must be 'dirichlet' or 'neumann'")
-    lo = 1 if bc == "dirichlet" else 0
     scale = 16 * PI2 / (9 * side**2)
-    # m^2 + mn + n^2 >= 3/4 (m+n)^2 for m,n >= 0; a cap of lo + k + 2 index
-    # values per axis safely covers the k smallest lattice values
-    cap = lo + k + 2
-    pairs: list[tuple[float, str]] = []
-    for m in range(lo, cap + 1):
-        for n in range(m, cap + 1):
-            v = scale * (m * m + m * n + n * n)
-            mult = 1 if m == n else 2
-            for _ in range(mult):
-                pairs.append((v, f"equilateral-{bc[0].upper()}(m={m},n={n})"))
-    return _sorted_prefix(pairs, k)
+    lattice = _equilateral_lattice(bc, k)
+    return EigList(tuple(scale * q for q in lattice.values), lattice.provenance)
 
 
 # -- Bessel machinery -------------------------------------------------------
@@ -166,7 +172,7 @@ def bessel_zero_lower_bound(s: float, k: int) -> float:
     return b
 
 
-def bessel_zero(s: float, k: int, max_iter: int = 200) -> float:
+def bessel_zero(s: float, k: int) -> float:
     """k-th positive zero of J_s via sign-change bracketing and bisection.
 
     Consecutive zeros of J_s (s >= 0) are separated by more than 3 for the
@@ -183,7 +189,7 @@ def bessel_zero(s: float, k: int, max_iter: int = 200) -> float:
     step = 1.0
     f_prev = bessel_j(s, x)
     found = 0
-    for _ in range(max_iter * max(k, 1)):
+    for _ in range(BESSEL_MAX_ITER * k):
         x_next = x + step
         f_next = bessel_j(s, x_next)
         if f_prev == 0.0:
@@ -193,33 +199,26 @@ def bessel_zero(s: float, k: int, max_iter: int = 200) -> float:
         elif f_prev * f_next < 0:
             found += 1
             if found == k:
-                root = brentq(lambda t: bessel_j(s, t), x, x_next, xtol=1e-13, rtol=1e-13, maxiter=max_iter)
+                root = brentq(lambda t: bessel_j(s, t), x, x_next, xtol=1e-13, rtol=1e-13, maxiter=BESSEL_MAX_ITER)
                 return float(root)
         x, f_prev = x_next, f_next
     raise ConvergenceFailure(f"could not locate zero {k} of J_{s}")
 
 
-def sector_dn_eigs(
-    alpha: float,
-    radius: float,
-    k: int,
-    index_caps: tuple[int, int] = (0, 0),
-) -> EigList:
+def sector_dn_eigs(alpha: float, radius: float, k: int) -> EigList:
     """Eigenvalues of the circular-sector operator with Dirichlet on the arc
     and Neumann on the two radii: (j_{pi n / alpha, k'} / radius)^2.
 
     The sorted k-prefix is certified complete by checking that the first
     omitted index in each direction already exceeds the k-th kept value
-    (via the analytic zero lower bound); caps (0, 0) grow automatically.
+    (via the analytic zero lower bound); the index caps grow until it is.
     """
     if not 0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
     if not 0 < radius < math.inf or k < 1:
         raise ValueError("radius must be positive and finite and k >= 1")
-    n_max, k_max = index_caps
-    auto = n_max == 0 or k_max == 0
-    if auto:
-        n_max, k_max = max(2, k), max(2, k)
+    # (n_max + 1) * k_max >= k candidates, so the prefix always has k values
+    n_max = k_max = max(2, k)
     for _ in range(20):
         pairs = []
         for n in range(n_max + 1):
@@ -228,22 +227,12 @@ def sector_dn_eigs(
                 z = bessel_zero(s, kk)
                 pairs.append(((z / radius) ** 2, f"sector(n={n},k={kk})"))
         out = _sorted_prefix(pairs, k)
-        if len(out) < k:
-            if not auto:
-                raise CapsTooSmall("caps give fewer than k candidates")
-            n_max += 2
-            k_max += 2
-            continue
         top = out.values[-1]
         # first omitted candidates: (n_max+1, 1) and (*, k_max+1)
         lb_n = (bessel_zero_lower_bound(math.pi * (n_max + 1) / alpha, 1) / radius) ** 2
         lb_k = (bessel_zero_lower_bound(0.0, k_max + 1) / radius) ** 2
         if lb_n > top and lb_k > top:
             return out
-        if not auto:
-            raise CapsTooSmall(
-                "cannot certify the sorted prefix complete with the given caps"
-            )
         n_max += 2
         k_max += 2
     raise CapsTooSmall("automatic cap growth did not certify completeness")

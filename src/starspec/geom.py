@@ -2,9 +2,8 @@
 
 A star waveguide is a bounded center polygon with half-infinite branches
 attached along designated "cut" edges.  This module owns the polygon /
-cross-section / configuration types, validation, truncation (center plus
-finite branch stubs, used for Dirichlet upper bounds) and mirror-symmetry
-reduction of truncated domains.
+cross-section / configuration types, validation and truncation (center plus
+finite branch stubs, used for Dirichlet upper bounds).
 """
 
 from __future__ import annotations
@@ -374,94 +373,6 @@ def truncate(vcfg: ValidatedConfig, length: float) -> Polygon:
             f"branch stubs of length {length} self-intersect; shorten the stubs"
         )
     return out
-
-
-def symmetry_reduce(
-    poly: Polygon, sym: Optional[SymmetrySpec]
-) -> list[tuple[Polygon, tuple[int, int]]]:
-    """Reduce an all-Dirichlet (or mixed) polygon by its declared mirrors.
-
-    Returns 2^{#axes} reduced domains with parities (j, k); j is the parity
-    across the vertical axis x = 0, k across the horizontal axis y = 0.
-    Axis edges get Neumann for even parity, Dirichlet for odd.  Axes that are
-    not declared keep parity index 0.
-    """
-    if sym is None or not sym.axes:
-        return [(poly, (0, 0))]
-    _check_symmetry(poly, sym)
-    use_v = "vertical" in sym.axes
-    use_h = "horizontal" in sym.axes
-    out = []
-    for j in range(2 if use_v else 1):
-        for k in range(2 if use_h else 1):
-            reduced = poly
-            if use_v:
-                reduced = _clip_halfplane(reduced, "vertical", BC.DIRICHLET if j else BC.NEUMANN)
-            if use_h:
-                reduced = _clip_halfplane(reduced, "horizontal", BC.DIRICHLET if k else BC.NEUMANN)
-            out.append((reduced, (j, k)))
-    return out
-
-
-def _clip_halfplane(poly: Polygon, axis: str, axis_tag: BC) -> Polygon:
-    """Sutherland-Hodgman clip to x >= 0 (vertical axis) or y >= 0 (horizontal).
-
-    New edges lying on the axis line receive axis_tag; surviving edges keep
-    the tag of the polygon edge they came from.
-    """
-    coord = 0 if axis == "vertical" else 1
-
-    def val(p):
-        return p[coord]
-
-    n = poly.n_edges
-    # each emitted vertex carries the id of the polygon edge that follows it
-    out_pts: list[tuple[float, float]] = []
-    out_src: list[Optional[int]] = []  # source edge id of edge starting at pt
-    for i in range(n):
-        p, q = poly.edge(i)
-        vp, vq = val(p), val(q)
-        if vp >= -SYMMETRY_TOL:
-            out_pts.append(p)
-            out_src.append(i)
-            if vq < -SYMMETRY_TOL and vp > SYMMETRY_TOL:
-                t = vp / (vp - vq)
-                out_pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-                out_src.append(None)  # axis edge starts here
-        elif vq >= -SYMMETRY_TOL:
-            if vq > SYMMETRY_TOL:
-                t = vp / (vp - vq)
-                out_pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-                out_src.append(i)
-    if len(out_pts) < 3:
-        raise NotSymmetric(f"clipping across the {axis} axis left no area")
-    # drop duplicate consecutive points
-    pts, src = [], []
-    for p, s in zip(out_pts, out_src):
-        if pts and math.hypot(p[0] - pts[-1][0], p[1] - pts[-1][1]) < 1e-13:
-            if src[-1] is None:
-                src[-1] = s
-            continue
-        pts.append(p)
-        src.append(s)
-    if len(pts) > 1 and math.hypot(pts[0][0] - pts[-1][0], pts[0][1] - pts[-1][1]) < 1e-13:
-        pts.pop()
-        src.pop()
-    tags, roles = [], []
-    for i in range(len(pts)):
-        a, b = pts[i], pts[(i + 1) % len(pts)]
-        if abs(val(a)) <= 1e-12 and abs(val(b)) <= 1e-12:
-            tags.append(axis_tag)
-            roles.append(EdgeRole.WALL)
-        elif src[i] is not None:
-            tags.append(poly.edge_tags[src[i]])
-            roles.append(poly.edge_roles[src[i]])
-        else:
-            # split edge whose start point was produced by clipping
-            prev = src[i - 1] if src[i - 1] is not None else 0
-            tags.append(poly.edge_tags[prev])
-            roles.append(poly.edge_roles[prev])
-    return Polygon(tuple(pts), tuple(tags), tuple(roles))
 
 
 # -- config files -----------------------------------------------------------

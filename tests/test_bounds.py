@@ -14,19 +14,17 @@ from starspec.bounds import (
     SpectralBound,
     TraceStep,
     bounds_from_eiglist,
-    branch_threshold_floor,
     check_containment,
     direct_sum_bounds,
     dirichlet_monotone,
-    dn_bracket,
     lower_bound,
     neumann_enclosure_bounds,
     replay_bound,
     scale_bound,
     trace_to_json,
 )
-from starspec.exact import PI2, box_eigs, cross_section_threshold, equilateral_eigs
-from starspec.geom import CrossSection, simple_polygon
+from starspec.exact import PI2, box_eigs, equilateral_eigs
+from starspec.geom import simple_polygon
 
 REPLAY_REL = 1e-13
 
@@ -40,18 +38,6 @@ def dn_square_lowers(k=3):
 
 
 class TestRules:
-    def test_dn_bracket_transports_lower_bounds(self):
-        out = dn_bracket(dn_square_lowers(), "waveguide")
-        assert [b.operator for b in out] == ["waveguide"] * 3
-        assert out[1].value == pytest.approx(5 * PI2 / 4, rel=1e-12)
-        assert out[1].trace[-1].rule == "dn-bracket"
-
-    def test_dn_bracket_rejects_uppers(self):
-        eigs = box_eigs((1.0, 1.0), ("DD", "DD"), 2)
-        ups = bounds_from_eiglist("sq", eigs, Direction.UPPER, "box-eig", {"dims": [1, 1], "bcs": ["DD", "DD"]})
-        with pytest.raises(DirectionMismatch):
-            dn_bracket(ups, "waveguide")
-
     def test_dirichlet_monotone_rejects_lowers(self):
         with pytest.raises(DirectionMismatch):
             dirichlet_monotone(dn_square_lowers(), "waveguide")
@@ -102,7 +88,8 @@ class TestRules:
             "neumann-square", box_eigs((1.0, 1.0), ("NN", "NN"), 4), Direction.LOWER,
             "box-eig", {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]},
         )
-        lows = neumann_enclosure_bounds("dn-square", None, None, neu)
+        square = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        lows = neumann_enclosure_bounds("dn-square", square, square, neu)
         mixed = box_eigs((1.0, 1.0), ("NN", "DN"), 4).values
         for b, ev in zip(lows, mixed):
             assert b.value <= ev + 1e-12
@@ -165,17 +152,6 @@ class TestRules:
         outer = simple_polygon([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
         check_containment(simple_polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]), outer)
 
-    def test_branch_floor_matches_threshold(self):
-        for cs in (
-            CrossSection.interval(1.0),
-            CrossSection.interval(2.5),
-            CrossSection.rectangle(1.0, 2.0),
-            CrossSection.disk(0.5),
-        ):
-            b = branch_threshold_floor(cs)
-            assert b.value == pytest.approx(cross_section_threshold(cs), rel=1e-12)
-            assert b.direction is Direction.LOWER
-
 
 class TestDirectSum:
     def test_bound_merge_tail_extension_is_sound(self):
@@ -193,7 +169,7 @@ class TestDirectSum:
         lo = [lower_bound("a", 1, 1.0, "interval-eig", {"length": 1, "bc": "DD", "index": 1})]
         step = TraceStep("interval-eig", {"length": 1, "bc": "DD", "index": 1}, 2.0)
         hi = [SpectralBound("b", 1, 2.0, Direction.UPPER, (step,))]
-        with pytest.raises((bnd.MixedDirections, DirectionMismatch)):
+        with pytest.raises(DirectionMismatch):
             direct_sum_bounds([lo, hi], "sum", 2)
 
     @given(
@@ -227,13 +203,11 @@ class TestDirectSum:
 class TestReplay:
     def test_catalog_pipelines_replay_identically(self):
         chains = []
-        chains += dn_bracket(dn_square_lowers(), "waveguide")
         eq = bounds_from_eiglist(
             "tri", equilateral_eigs(2 * math.sqrt(3), "dirichlet", 4),
             Direction.LOWER, "equilateral-eig", {"side": 2 * math.sqrt(3), "bc": "dirichlet"},
         )
         chains += scale_bound(eq, (1.5, 1.0), "stretched")
-        chains += [branch_threshold_floor(CrossSection.disk(0.5))]
         chains += direct_sum_bounds([dn_square_lowers(), dn_square_lowers(2)], "sum", 4)
         for b in chains:
             replayed = replay_bound(b)
@@ -247,10 +221,10 @@ class TestReplay:
         assert replay_bound(b) == 42.0
 
     def test_trace_serialization_round_trip_fields(self):
-        b = dn_bracket(dn_square_lowers(), "wg")[0]
+        b = scale_bound(dn_square_lowers(), (2.0, 1.0), "wg")[0]
         js = trace_to_json(b)
         assert js[0]["rule"] == "box-eig"
-        assert js[-1]["rule"] == "dn-bracket"
+        assert js[-1]["rule"] == "scale"
         d = bnd.bound_to_json(b)
         assert d["direction"] == "lower"
         assert d["index"] == 1

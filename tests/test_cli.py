@@ -369,6 +369,20 @@ class TestSweepCommand:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "broken", "--start", "0", "--stop", "0.01"),
+            ("--family", "y_alpha", "--start", "0", "--stop", "0.01"),
+            ("--family", "broken", "--start", "1.0", "--stop", "1.0", "--anchor", "0"),
+        ],
+    )
+    def test_an_angle_outside_the_family_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert "alpha" in err and "Traceback" not in err
+
     def test_anchor_reaches_both_families(self, capsys, monkeypatch):
         seen = {}
 

@@ -150,6 +150,26 @@ class TestEquilateral:
         assert dir_big.values[0] == pytest.approx(4 * PI2 / 9, rel=REL)
         assert dir_big.values[3] == pytest.approx(16 * PI2 / 9, rel=REL)
 
+    @staticmethod
+    def _per_call_lattice(side, bc, k):
+        # the lattice built and sorted afresh on every call, by floats
+        lo = 1 if bc == "dirichlet" else 0
+        scale = 16 * PI2 / (9 * side**2)
+        pairs = []
+        for m in range(lo, lo + k + 3):
+            for n in range(m, lo + k + 3):
+                v = scale * (m * m + m * n + n * n)
+                pairs += [(v, f"equilateral-{bc[0].upper()}(m={m},n={n})")] * (1 if m == n else 2)
+        pairs.sort(key=lambda p: p[0])
+        return tuple(v for v, _ in pairs[:k]), tuple(p for _, p in pairs[:k])
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("side", [1.0, 2 * math.sqrt(3), 0.37, 1 / 3, math.pi, 250.0])
+    def test_cached_lattice_matches_the_per_call_lattice(self, side, bc):
+        for k in range(1, 41):
+            got = equilateral_eigs(side, bc, k)
+            assert (got.values, got.provenance) == self._per_call_lattice(side, bc, k)
+
 
 KNOWN_BESSEL_ZEROS = {
     # order: first zeros, standard reference values

@@ -1,5 +1,6 @@
-"""Geometry layer: polygons, configuration validation, truncation, symmetry."""
+"""Geometry layer: polygons, configuration validation, truncation, config I/O."""
 
+import dataclasses
 import math
 
 import pytest
@@ -18,7 +19,6 @@ from starspec.geom import (
     StubOverlap,
     SymmetrySpec,
     simple_polygon,
-    symmetry_reduce,
     truncate,
     validate_config,
 )
@@ -117,6 +117,21 @@ class TestValidation:
         with pytest.raises(InvalidGeometry):
             validate_config(cfg)
 
+    def test_declared_mirror_without_partner_rejected(self):
+        # the unit square is not symmetric across y = 0: (0, 1) has no partner
+        sq = Polygon(
+            vertices=tuple(UNIT_SQUARE),
+            edge_tags=(BC.DIRICHLET, BC.NEUMANN, BC.DIRICHLET, BC.DIRICHLET),
+            edge_roles=(EdgeRole.WALL, EdgeRole.CUT, EdgeRole.WALL, EdgeRole.WALL),
+        )
+        cfg = StarWaveguideConfig(
+            name="bad", center=sq, branches=(Branch(1, CrossSection.interval(1.0)),),
+            symmetry=SymmetrySpec(("horizontal",)),
+        )
+        with pytest.raises(geom.NotSymmetric, match="horizontal"):
+            validate_config(cfg)
+        validate_config(dataclasses.replace(cfg, symmetry=None))
+
     def test_all_neumann_needs_flag(self):
         sq = Polygon(
             vertices=tuple(UNIT_SQUARE),
@@ -192,36 +207,6 @@ class TestTruncate:
         assert truncate(vcfg, 0.5).is_simple()
         with pytest.raises(StubOverlap):
             truncate(vcfg, 10.0)
-
-
-class TestSymmetry:
-    def test_broken_center_halves(self):
-        vcfg = certify.broken_config(0.8)
-        poly = vcfg.center
-        pieces = symmetry_reduce(poly, SymmetrySpec(("horizontal",)))
-        assert len(pieces) == 2
-        parities = {p for _, p in pieces}
-        assert parities == {(0, 0), (0, 1)}
-        for half, _ in pieces:
-            assert half.area() == pytest.approx(poly.area() / 2)
-
-    def test_axis_edges_tagged_by_parity(self):
-        sq = simple_polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
-        pieces = symmetry_reduce(sq, SymmetrySpec(("horizontal", "vertical")))
-        assert len(pieces) == 4
-        for quarter, (j, k) in pieces:
-            assert quarter.area() == pytest.approx(1.0)
-            for i in range(quarter.n_edges):
-                (x0, y0), (x1, y1) = quarter.edge(i)
-                if abs(x0) < 1e-12 and abs(x1) < 1e-12:
-                    assert quarter.edge_tags[i] is (BC.DIRICHLET if j else BC.NEUMANN)
-                if abs(y0) < 1e-12 and abs(y1) < 1e-12:
-                    assert quarter.edge_tags[i] is (BC.DIRICHLET if k else BC.NEUMANN)
-
-    def test_asymmetric_polygon_rejected(self):
-        tri = simple_polygon([(0, -1), (2, 0.5), (0, 1)])
-        with pytest.raises(geom.NotSymmetric):
-            symmetry_reduce(tri, SymmetrySpec(("horizontal",)))
 
 
 class TestConfigIO:
