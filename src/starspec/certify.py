@@ -29,10 +29,6 @@ WAVEGUIDE_OP = "waveguide-dirichlet"
 DN_CENTER_OP = "dn-center"
 
 
-class UnstableCount(RuntimeError):
-    pass
-
-
 class NoPipeline(ValueError):
     pass
 
@@ -51,7 +47,12 @@ class CertificationPlan:
     truncation_length: float = 3.0
     fem_h0: float = 0.25
     fem_levels: int = 2
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # only "alpha", the angle the family rules read
+
+    def __post_init__(self):
+        for key, value in self.params.items():
+            if key != "alpha" or isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise NoPipeline(f"params.{key} = {value!r}: params holds only alpha, a finite number")
 
 
 _PLAN_FIELDS = frozenset(f.name for f in fields(CertificationPlan))
@@ -173,18 +174,49 @@ def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float
     return _n_below(ub, nu), ub
 
 
-def _count_family_fact(vcfg, plan: CertificationPlan, nu: float, extra: dict):
-    n = int(plan.params["n"])
-    step = TraceStep(
-        "assumption",
-        {
-            "fact": plan.params.get("justification", ""),
-            "anchor": plan.params.get("anchor", None),
-        },
-        float(n),
-    )
-    witness = SpectralBound(WAVEGUIDE_OP, n, nu, Direction.UPPER, (step,), 0.0)
-    return n, [witness]
+def _is_family(vcfg: ValidatedConfig, plan: CertificationPlan, polygon) -> bool:
+    """Whether the polygon center is exactly polygon(params["alpha"])."""
+    alpha = plan.params.get("alpha")
+    try:
+        return alpha is not None and not vcfg.is_3d and polygon(alpha) == vcfg.center
+    except (ArithmeticError, TypeError, ValueError):  # no family polygon at this alpha
+        return False
+
+
+def _is_config(vcfg: ValidatedConfig, build) -> bool:
+    """Whether the config has the center and branches of build()."""
+    ref = build()
+    return (vcfg.center, vcfg.branches) == (ref.center, ref.branches)
+
+
+# name -> (binding, fact, anchor, citation).  A binding takes (vcfg, plan) and
+# accepts only the geometry the fact is proved for.  A fact shows only that a
+# bound state exists, n_true >= 1; a center lower bound for index 2 then gives
+# n_true = 1.  The fact and anchor texts go into the assumption step.
+_FACTS = {
+    "bent_guide": (lambda vcfg, plan: _is_family(vcfg, plan, _broken_polygon),
+                   "bent guides of constant width always have nonempty discrete spectrum", None,
+                   "Exner-Seba, J. Math. Phys. 30 (1989) 2574; Avishai et al., Phys. Rev. B 44 (1991) 8028"),
+    "y_junction": (lambda vcfg, plan: _is_family(vcfg, plan, _y_center_polygon),
+                   "junction contains a bent guide of complementary angle", "bent_guide",
+                   "Dirichlet monotonicity and the bent_guide fact"),
+    "cube_square": (lambda vcfg, plan: _is_config(vcfg, cube_square_config),
+                    "prism over the right-angle bent strip is a Dirichlet subdomain", "2d-bent-guide-fem",
+                    "Dirichlet monotonicity, separation of variables and the bent_guide fact for its right angle"),
+    "cube_disk": (lambda vcfg, plan: _is_config(vcfg, cube_disk_config),
+                  "sharply bent circular cylinder inside the junction binds a state", None,
+                  "Exner-Kovarik, Quantum Waveguides, Springer 2015, ch. 1: a broken circular tube binds a state"),
+}
+
+
+def _count_family_fact(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
+    """One eigenvalue below nu, witnessed by the first fact of _FACTS whose
+    binding accepts the config; with none it is Unbound."""
+    for binds, fact, anchor, _ in _FACTS.values():
+        if binds(vcfg, plan):
+            step = TraceStep("assumption", {"fact": fact, "anchor": anchor}, 1.0)
+            return 1, [SpectralBound(WAVEGUIDE_OP, 1, nu, Direction.UPPER, (step,), 0.0)]
+    raise Unbound(f"family_fact has no fact proved for this config (facts: {', '.join(_FACTS)})")
 
 
 _COUNT_RULES = {
@@ -199,7 +231,8 @@ def count_discrete(
 ) -> tuple[int, list[SpectralBound]]:
     """Number of certified discrete eigenvalues below the threshold, with the
     upper bounds that witness them.  A FEM count records its mesh, shift and
-    inertia in extra["fem_count"]: a count of 0 has no bound to carry them."""
+    inertia in extra["fem_count"]: a count of 0 has no bound to carry them.
+    A family_fact count is 1, witnessed by the fact of _FACTS that binds."""
     return _lookup(_COUNT_RULES, "count strategy", plan.count_strategy)(vcfg, plan, nu, {} if extra is None else extra)
 
 
@@ -259,14 +292,11 @@ def _lower_neumann_equilateral(vcfg: ValidatedConfig, plan: CertificationPlan, k
 
 def _family_alpha(vcfg: ValidatedConfig, plan: CertificationPlan, rule: str, polygon) -> float:
     """params["alpha"], once the polygon center is exactly polygon(alpha)."""
-    alpha = plan.params["alpha"]
-    try:
-        bound = not vcfg.is_3d and polygon(alpha) == vcfg.center
-    except (ArithmeticError, TypeError, ValueError):  # no family polygon at this alpha
-        bound = False
-    if not bound:
-        raise Unbound(f"{rule} with alpha = {alpha} does not describe this center")
-    return alpha
+    if "alpha" not in plan.params:
+        raise NoPipeline(f"{rule} needs params.alpha")
+    if not _is_family(vcfg, plan, polygon):
+        raise Unbound(f"{rule} with alpha = {plan.params['alpha']} does not describe this center")
+    return plan.params["alpha"]
 
 
 @functools.cache
@@ -638,6 +668,7 @@ def y_junction_config() -> ValidatedConfig:
     return y_alpha_config(math.pi / 3, name="y_junction")
 
 
+@functools.lru_cache(maxsize=1)  # the preset, the fact binding and the chain share one build
 def _y_center_polygon(alpha: float) -> Polygon:
     """Smallest center of the three-ray junction with half-opening alpha
     measured from the vertical: a triangle at pi/3, a convex pentagon below
@@ -680,6 +711,7 @@ def y_alpha_config(alpha: float, name: str | None = None) -> ValidatedConfig:
     )
 
 
+@functools.lru_cache(maxsize=1)  # the preset, the fact binding and the chain share one build
 def _broken_polygon(alpha: float) -> Polygon:
     if not 0 < alpha < math.pi / 2:
         raise geom.InvalidGeometry(f"alpha = {alpha} is not in (0, pi/2)")
@@ -790,16 +822,10 @@ def cube_disk_config() -> ValidatedConfig:
 # -- presets ----------------------------------------------------------------
 
 
-BROKEN_EXISTENCE_NOTE = (
-    "bent guides of constant width always have nonempty discrete spectrum; "
-    "verified constructively by the truncated-domain upper bound at the "
-    "anchor angle and extended over the family"
-)
-
 # name -> (config builder, shape keywords with their defaults, plan fields
 # that differ from the CertificationPlan defaults).  A None default marks a
 # required shape keyword.  Every rule reads the center's shape from the
-# config; the families' rules check their alpha against it.  The builders
+# config; the families' rules and facts check their alpha against it.  The builders
 # call the public config constructors by their module-level names, so a
 # wrapper or monkeypatch on those sees every call.
 _PRESETS = {
@@ -812,14 +838,8 @@ _PRESETS = {
         "count_strategy": "fem", "lower_strategy": "sector", "truncation_length": 4.0}),
     "rect_two_eigs": (lambda a, b: rect_two_eigs_config(a, b), {"a": 2.381, "b": 2.041}, {
         "count_strategy": "exact_box_B", "lower_strategy": "box"}),
-    "cube_square": (lambda: cube_square_config(), {}, {
-        "count_strategy": "family_fact", "lower_strategy": "box",
-        "params": {"n": 1, "anchor": "2d-bent-guide-fem",
-                   "justification": "prism over the right-angle bent strip is a Dirichlet subdomain"}}),
-    "cube_disk": (lambda: cube_disk_config(), {}, {
-        "count_strategy": "family_fact", "lower_strategy": "box",
-        "params": {"n": 1, "anchor": None,
-                   "justification": "sharply bent circular cylinder inside the junction binds a state"}}),
+    "cube_square": (lambda: cube_square_config(), {}, {"count_strategy": "family_fact", "lower_strategy": "box"}),
+    "cube_disk": (lambda: cube_disk_config(), {}, {"count_strategy": "family_fact", "lower_strategy": "box"}),
     "y_alpha": (lambda alpha: y_alpha_config(alpha), {"alpha": None}, {
         "count_strategy": "fem", "lower_strategy": "y_chain"}),
     "broken": (lambda alpha: broken_config(alpha), {"alpha": None}, {
@@ -829,8 +849,8 @@ _PRESETS = {
 
 def preset(name: str, **kw) -> tuple[ValidatedConfig, CertificationPlan]:
     """Config and plan of a catalog example.  Shape keywords go to the config
-    builder and into params; any other keyword sets a CertificationPlan
-    field, except params, which is merged into the preset's params."""
+    builder, and alpha also into params; any other keyword sets a
+    CertificationPlan field, except params, which is merged over that alpha."""
     build, shape_defaults, plan_kw = _lookup(_PRESETS, "preset", name)
     shape = {k: kw.pop(k, v) for k, v in shape_defaults.items()}
     missing = [k for k, v in shape.items() if v is None]
@@ -839,7 +859,7 @@ def preset(name: str, **kw) -> tuple[ValidatedConfig, CertificationPlan]:
     unknown = kw.keys() - _PLAN_FIELDS
     if unknown:
         raise NoPipeline(f"preset {name!r} has no parameter {', '.join(sorted(unknown))}")
-    params = {**shape, **plan_kw.get("params", {}), **kw.get("params", {})}
+    params = {**{k: v for k, v in shape.items() if k == "alpha"}, **kw.get("params", {})}
     return build(**shape), CertificationPlan(**{**plan_kw, **kw, "params": params})
 
 
@@ -859,44 +879,26 @@ class SweepRow:
     reason: str
 
 
-def _sweep(family: str, alphas, anchor_alpha: float, justification: str) -> list[SweepRow]:
-    """Per-angle analytic center bounds; the single-state count is a family
-    fact anchored by a truncated FEM verification of the bent guide at
-    anchor_alpha, on the coarsest rung that finds an eigenvalue."""
-    anchor_vcfg, anchor_plan = preset("broken", alpha=anchor_alpha)
-    for rung in _rungs(anchor_plan):  # any upper bound below nu witnesses one
-        anchor_n, _ = count_discrete(anchor_vcfg, rung, PI2)
-        if anchor_n >= 1:
-            break
-    else:
-        raise UnstableCount("anchor verification found no eigenvalue below threshold")
-    fact = {
-        "n": 1,
-        "justification": justification,
-        "anchor": {"alpha": anchor_alpha, "fem_count": anchor_n},
-    }
+def _sweep(family: str, alphas) -> list[SweepRow]:
+    """Per-angle verdicts from the analytic center bounds and the family_fact
+    count: every angle of both families binds a fact of _FACTS, so a sweep
+    solves no mesh."""
     rows = []
     for a in alphas:
-        vcfg, plan = preset(family, alpha=a, count_strategy="family_fact", params=fact)
+        vcfg, plan = preset(family, alpha=a, count_strategy="family_fact")
         v = certify(vcfg, plan, name=vcfg.name)
-        rows.append(
-            SweepRow(a, v.nu, v.certified, v.n_discrete, v.margins["dn_gap"], v.reason)
-        )
+        rows.append(SweepRow(a, v.nu, v.certified, v.n_discrete, v.margins["dn_gap"], v.reason))
     return rows
 
 
-def sweep_broken(alphas, existence_anchor: float = 1.0) -> list[SweepRow]:
-    """Bent-guide sweep, anchored by the bent guide at existence_anchor."""
-    return _sweep("broken", alphas, existence_anchor, BROKEN_EXISTENCE_NOTE)
+def sweep_broken(alphas) -> list[SweepRow]:
+    """Bent-guide sweep."""
+    return _sweep("broken", alphas)
 
 
-def sweep_y_alpha(alphas, existence_anchor: float = 1.0) -> list[SweepRow]:
-    """Y-junction family sweep; the count anchor reuses the bent-guide
-    comparison (the junction contains a bent guide of complementary angle)."""
-    return _sweep(
-        "y_alpha", alphas, math.pi / 2 - existence_anchor,
-        "junction contains a bent guide of complementary angle",
-    )
+def sweep_y_alpha(alphas) -> list[SweepRow]:
+    """Y-junction family sweep."""
+    return _sweep("y_alpha", alphas)
 
 
 def first_certified(rows: list[SweepRow]) -> Optional[float]:

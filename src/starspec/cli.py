@@ -183,7 +183,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--step must be positive and finite, not {args.step}")
     grid = np.arange(args.start, args.stop + 1e-12, args.step)
     sweep = {"broken": certify.sweep_broken, "y_alpha": certify.sweep_y_alpha}[args.family]
-    rows = sweep(grid, existence_anchor=args.anchor)
+    rows = sweep(grid)
     _write(_sweep_csv(rows), args.output)
     first = certify.first_certified(rows)
     if first is not None:
@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--start", type=float, required=True)
     w.add_argument("--stop", type=float, required=True)
     w.add_argument("--step", type=float, default=0.005)
-    w.add_argument("--anchor", type=float, default=1.0, help="angle for the existence anchor run")
     w.add_argument("-o", "--output", default="-")
     w.set_defaults(func=cmd_sweep)
 
@@ -341,7 +340,6 @@ def run(argv=None) -> int:
         geom.InvalidGeometry,
         geom.StubOverlap,
         certify.NoPipeline,
-        certify.UnstableCount,
         fem.MeshFailure,
         fem.SolverFailure,
     ) as e:

@@ -26,6 +26,19 @@ from starspec.certify import (
 from starspec.exact import PI2, bessel_zero, box_eigs
 
 
+def _stub_count(vcfg, plan, nu, extra):
+    """One eigenvalue, witnessed by an assumption: keeps the FEM count out of
+    checks of everything after it."""
+    step = bnd.TraceStep("assumption", {"fact": "golden", "anchor": None}, 1.0)
+    return 1, [bnd.SpectralBound(certify.WAVEGUIDE_OP, 1, nu, bnd.Direction.UPPER, (step,), 0.0)]
+
+
+@pytest.fixture
+def stub_count(monkeypatch):
+    """Registers _stub_count as the count strategy "stub"."""
+    monkeypatch.setitem(certify._COUNT_RULES, "stub", _stub_count)
+
+
 class TestThreshold:
     def test_examples(self):
         assert threshold(certify.t_junction_config()) == pytest.approx(PI2, rel=1e-12)
@@ -67,13 +80,11 @@ class TestCounting:
         assert all(u.value < PI2 for u in ub)
 
     def test_family_fact_records_assumption(self):
-        plan = CertificationPlan(
-            count_strategy="family_fact", lower_strategy="box",
-            params={"n": 1, "justification": "test"},
-        )
-        n, ub = count_discrete(None, plan, PI2)
-        assert n == 1
-        assert ub[0].trace[0].rule == "assumption"
+        vcfg, plan = preset("broken", alpha=1.0, count_strategy="family_fact")
+        n, ub = count_discrete(vcfg, plan, PI2)
+        assert n == len(ub) == 1
+        _, fact, anchor, _ = certify._FACTS["bent_guide"]
+        assert ub[0].trace == (bnd.TraceStep("assumption", {"fact": fact, "anchor": anchor}, 1.0),)
 
     def test_unknown_strategies_raise(self):
         with pytest.raises(NoPipeline):
@@ -105,11 +116,8 @@ class TestVerdicts:
                 assert v.margins["dn_gap"] == pytest.approx(gap, rel=1e-12)
 
     def test_broken_family_certifies_above_critical_angle(self):
-        fact = {"n": 1, "justification": certify.BROKEN_EXISTENCE_NOTE}
         for alpha, want in ((1.0, True), (0.42, True), (0.3, False)):
-            vcfg, plan = preset(
-                "broken", alpha=alpha, count_strategy="family_fact", params=fact
-            )
+            vcfg, plan = preset("broken", alpha=alpha, count_strategy="family_fact")
             v = run_certify(vcfg, plan, name=vcfg.name)
             assert v.certified is want
             if not want:
@@ -117,19 +125,15 @@ class TestVerdicts:
 
     def test_broken_margin_matches_closed_form(self):
         alpha = 1.0
-        fact = {"n": 1, "justification": certify.BROKEN_EXISTENCE_NOTE}
-        vcfg, plan = preset("broken", alpha=alpha, count_strategy="family_fact", params=fact)
+        vcfg, plan = preset("broken", alpha=alpha, count_strategy="family_fact")
         v = run_certify(vcfg, plan, name="b")
         odd_floor = PI2 * (1 + math.tan(alpha) ** 2 / 4)
         even_bound = 16 * PI2 / 9 * min(3 * math.tan(alpha) ** 2, 1.0)
         assert v.lower_bounds[1].value == pytest.approx(min(odd_floor, even_bound), rel=1e-12)
 
     def test_y_family_certifies_on_interval(self):
-        fact = {"n": 1, "justification": "family"}
         for alpha, want in ((1.0, True), (0.8, False), (1.3, False)):
-            vcfg, plan = preset(
-                "y_alpha", alpha=alpha, count_strategy="family_fact", params=fact
-            )
+            vcfg, plan = preset("y_alpha", alpha=alpha, count_strategy="family_fact")
             v = run_certify(vcfg, plan, name=vcfg.name)
             assert v.certified is want
 
@@ -156,6 +160,7 @@ class TestVerdicts:
             assert bnd.replay_bound(b) == pytest.approx(b.value, rel=1e-13)
 
 
+@pytest.mark.usefixtures("stub_count")
 class TestReports:
     # sha256 of the reports below, without versions; every lower rule except
     # sector and fem_estimate appears in them
@@ -166,17 +171,11 @@ class TestReports:
         for name in ("t_junction", "y_junction", "crossing", "crossing_symmetric", "rect_two_eigs", "cube_square"):
             vcfg, plan = preset(name)
             if plan.count_strategy == "fem":
-                # a family fact keeps the FEM count out of this fast check
-                plan = dataclasses.replace(
-                    plan, count_strategy="family_fact",
-                    params={**plan.params, "n": 1, "justification": "golden"},
-                )
+                # the stub count keeps the FEM count out of this fast check
+                plan = dataclasses.replace(plan, count_strategy="stub")
             texts.append(cli.dumps_report(run_certify(vcfg, plan, name=name).to_dict()))
         for family in ("broken", "y_alpha"):
-            vcfg, plan = preset(
-                family, alpha=1.0, count_strategy="family_fact",
-                params={"n": 1, "justification": "golden"},
-            )
+            vcfg, plan = preset(family, alpha=1.0, count_strategy="stub")
             texts.append(cli.dumps_report(run_certify(vcfg, plan, name=vcfg.name).to_dict()))
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == self.GOLDEN
 
@@ -191,10 +190,24 @@ class TestReports:
 
 class TestPresetOverrides:
     def test_overrides_reach_plan_and_params(self):
-        vcfg, plan = preset("t_junction", fem_levels=1, params={"extra": 2})
+        vcfg, plan = preset("t_junction", fem_levels=1)
         assert plan.fem_levels == 1
         assert plan.truncation_length == 3.0
-        assert plan.params == {"extra": 2}
+        assert plan.params == {}
+        assert preset("broken", alpha=1.0, params={"alpha": 1.5})[1].params == {"alpha": 1.5}
+        assert preset("rect_two_eigs", a=3.0, b=2.5)[1].params == {}
+        with pytest.raises(NoPipeline, match="params.extra"):
+            preset("t_junction", fem_levels=1, params={"extra": 2})
+
+    @pytest.mark.parametrize(
+        "params, key",
+        # the types alpha may not take are checked through the CLI in test_cli.TestAlphaErrors
+        [({"n": 1}, "n"), ({"justification": "x"}, "justification"), ({"anchor": None}, "anchor"),
+         ({"alpha": 1.0, "n": 1}, "n")],
+    )
+    def test_params_hold_only_alpha(self, params, key):
+        with pytest.raises(NoPipeline, match=f"params.{key} = "):
+            CertificationPlan("family_fact", "box", params=params)
 
     def test_shape_keywords_build_the_config(self):
         vcfg, plan = preset("rect_two_eigs", a=3.0, b=2.5)
@@ -209,14 +222,11 @@ class TestPresetOverrides:
 
 
 def _fact_plan(plan):
-    """The plan with a family-fact count, which keeps FEM out of a fast check."""
-    if plan.count_strategy != "fem":
-        return plan
-    return dataclasses.replace(
-        plan, count_strategy="family_fact", params={**plan.params, "n": 1, "justification": "binding"}
-    )
+    """The plan with the stub count, which keeps FEM out of a fast check."""
+    return dataclasses.replace(plan, count_strategy="stub") if plan.count_strategy == "fem" else plan
 
 
+@pytest.mark.usefixtures("stub_count")
 class TestShapeBinding:
     # config file -> the presets whose center it is, with their shape keywords
     CONFIG_PRESETS = {
@@ -455,8 +465,7 @@ class TestMeshLadder:
 
 class TestSweepAnchor:
     # sha256 of the sweep_broken rows on 0.30-1.56 and the sweep_y_alpha rows
-    # on 0.60-1.49 (0.01 grids) as CSV, measured when the anchor solved only
-    # the plan's mesh
+    # on 0.60-1.49 (0.01 grids) as CSV
     ROWS = "97b7aeec36776feddb665b69df22a25843468951b41b843ad3c0cd47dae60bef"
 
     def test_rows_are_unchanged(self):
@@ -474,30 +483,63 @@ class TestSweepAnchor:
         assert sum(r.certified for r in rows) == 50
         assert len(built) <= 1
 
-    @pytest.mark.parametrize(
-        "sweep, anchor, solves",
-        # the bent guide at 1.0 shows no eigenvalue on the coarsest rung
-        [(certify.sweep_broken, 1.0, 2), (certify.sweep_y_alpha, math.pi / 2 - 1.0, 1)],
-    )
-    def test_anchor_stops_at_its_first_rung_with_an_eigenvalue(self, monkeypatch, sweep, anchor, solves):
-        vcfg, plan = preset("broken", alpha=anchor)
-        rungs = certify._rungs(plan)
-        counts = [count_discrete(vcfg, r, PI2)[0] for r in rungs[:solves]]
-        assert counts[-1] >= 1 and not any(counts[:-1])
+    @pytest.mark.parametrize("sweep", [certify.sweep_broken, certify.sweep_y_alpha])
+    def test_a_sweep_solves_no_mesh(self, monkeypatch, sweep):
         dofs = _count_solves(monkeypatch)
         assert sweep([1.0])[0].certified
-        assert dofs == [_dof(vcfg, r.truncation_length, r.fem_h0, r.fem_levels) for r in rungs[:solves]]
+        assert dofs == []
 
 
+class TestFamilyFacts:
+    # (fact, preset, its keywords, config file): each fact binds its preset and
+    # the config file of the same geometry, and no other fact binds them
+    BINDS = [
+        ("bent_guide", "broken", {"alpha": 1.0}, "broken_1.0"),
+        ("y_junction", "y_alpha", {"alpha": 0.95}, "y_alpha_0.95"),
+        ("y_junction", "y_junction", {"params": {"alpha": math.pi / 3}}, "y_junction"),
+        ("cube_square", "cube_square", {}, "cube_square"),
+        ("cube_disk", "cube_disk", {}, "cube_disk"),
+    ]
+
+    @staticmethod
+    def _binding(vcfg, plan) -> list:
+        return [name for name, (binds, *_) in certify._FACTS.items() if binds(vcfg, plan)]
+
+    @pytest.mark.parametrize("fact, name, kw, stem", BINDS)
+    def test_each_fact_binds_its_preset_and_config_file(self, fact, name, kw, stem):
+        vcfg, plan = preset(name, **kw)
+        plan = dataclasses.replace(plan, count_strategy="family_fact")
+        for cfg in (vcfg, geom.load_config(f"configs/{stem}.json")):
+            assert self._binding(cfg, plan) == [fact]
+            n, ub = count_discrete(cfg, plan, threshold(cfg))
+            assert n == len(ub) == 1
+            assert ub[0].trace[0].params["fact"] == certify._FACTS[fact][1]
+
+    def test_every_fact_is_cited_and_bound(self):
+        assert {b[0] for b in self.BINDS} == set(certify._FACTS)
+        assert all(cite for *_, cite in certify._FACTS.values())
+
+    @pytest.mark.parametrize("name", ["t_junction", "crossing", "rounded_corner", "rect_two_eigs", "straight"])
+    def test_no_fact_binds_the_other_geometries(self, straight_json, name):
+        if name == "straight":
+            vcfg = geom.load_config(straight_json)
+            plans = [CertificationPlan("family_fact", "box", params=p) for p in ({}, {"alpha": 1.0})]
+        else:
+            vcfg, plan = preset(name)
+            plans = [dataclasses.replace(plan, count_strategy="family_fact")]
+        for plan in plans:
+            assert self._binding(vcfg, plan) == []
+            v = run_certify(vcfg, plan, name=name)
+            assert not v.certified and v.reason.startswith("family_fact")
+            assert v.upper_bounds == v.lower_bounds == ()
+
+
+@pytest.mark.usefixtures("stub_count")
 class TestCrossingSymmetry:
     def test_parity_decomposition(self):
-        # the waveguide count itself is supplied as a family fact here so the
-        # parity bookkeeping can be checked without the finite-element step
-        plan = CertificationPlan(
-            count_strategy="family_fact",
-            lower_strategy="crossing_symmetry",
-            params={"n": 1, "justification": "anchored separately"},
-        )
+        # the stub supplies the waveguide count so the parity bookkeeping can
+        # be checked without the finite-element step
+        plan = CertificationPlan(count_strategy="stub", lower_strategy="crossing_symmetry")
         v = run_certify(certify.crossing_config(), plan, name="crossing-sym")
         assert v.certified
         assert v.n_discrete == 1

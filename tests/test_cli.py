@@ -98,17 +98,19 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("configs/crossing.json", "--lower-strategy", "box",
-             "--params", '{"params": {"dims": [1.0, 1.0], "bcs": ["NN", "DN"]}}', "--truncation", "2", "--levels", "1"),
-            ("--preset", "crossing", "--params", '{"params": {"bcs": ["NN", "DN"]}}', "--truncation", "2", "--levels", "1"),
-        ],
+        [("configs/crossing.json", "--lower-strategy", "box"), ("--preset", "crossing")],
     )
     def test_box_reads_the_crossing_center(self, capsys, argv):
         # the all-Neumann crossing center has lambda_2 = pi^2 = nu exactly
-        code, out, _ = run(capsys, "certify", *argv)
+        mesh = ("--truncation", "2", "--levels", "1")
+        code, out, _ = run(capsys, "certify", *argv, *mesh)
         assert code == cli.EXIT_INCONCLUSIVE
         assert json.loads(out)["margins"][0] == {"name": "dn_gap", "value": 0.0}
+        # the box reads its dims and conditions from the center, never from params
+        for key, value in (("dims", [1.0, 1.0]), ("bcs", ["NN", "DN"])):
+            code, out, err = run(capsys, "certify", *argv, *mesh, "--params", json.dumps({"params": {key: value}}))
+            assert (code, out) == (cli.EXIT_ERROR, "")
+            assert err.startswith(f"error: params.{key} = ")
 
     @pytest.mark.parametrize(
         "argv, rule",
@@ -147,11 +149,66 @@ class TestCertifyCommand:
         "name, params",
         [("t_junction", {"dims": [0.5, 0.5]}), ("cube_square", {"bcs": ["DD", "DD", "DD"]})],
     )
-    def test_shape_keys_in_params_leave_the_report_unchanged(self, capsys, name, params):
+    def test_shape_keys_in_params_are_refused(self, capsys, name, params):
         mesh = ("--truncation", "2", "--levels", "1")
-        _, want, _ = run(capsys, "certify", "--preset", name, *mesh)
-        _, got, _ = run(capsys, "certify", "--preset", name, *mesh, "--params", json.dumps({"params": params}))
-        assert got == want
+        code, out, err = run(capsys, "certify", "--preset", name, *mesh, "--params", json.dumps({"params": params}))
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err.startswith(f"error: params.{next(iter(params))} = ")
+
+
+class TestFamilyFactCount:
+    """family_fact counts only from a fact proved for the geometry."""
+
+    def test_a_count_from_params_exits_one(self, straight_json, capsys):
+        # a straight strip has no discrete spectrum and a threshold resonance
+        for argv in [
+            (straight_json, "--count-strategy", "family_fact", "--lower-strategy", "box", "--params", '{"params": {"n": 1}}'),
+            ("--preset", "cube_disk", "--params", '{"params": {"n": 5}}'),
+            ("--preset", "t_junction", "--count-strategy", "family_fact", "--params", '{"params": {"n": 3}}'),
+        ]:
+            code, out, err = run(capsys, "certify", *argv)
+            assert (code, out) == (cli.EXIT_ERROR, "")
+            assert err.startswith("error: params.n = ")
+
+    def test_a_geometry_without_a_fact_is_inconclusive(self, straight_json, capsys):
+        for argv in [
+            ("--preset", "t_junction", "--count-strategy", "family_fact"),
+            (straight_json, "--count-strategy", "family_fact", "--lower-strategy", "box"),
+        ]:
+            code, out, _ = run(capsys, "certify", *argv)
+            assert code == cli.EXIT_INCONCLUSIVE
+            report = json.loads(out)
+            assert (report["verdict"], report["n"], report["trace"]) == ("Inconclusive", None, [])
+            assert report["reason"].startswith("family_fact")
+
+    def test_the_bent_guide_file_certifies_from_its_fact(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "configs/broken_1.0.json", "--count-strategy", "family_fact",
+            "--lower-strategy", "broken_chain", "--params", '{"params": {"alpha": 1.0}}',
+        )
+        assert (code, err) == (cli.EXIT_CERTIFIED, "")
+        report = json.loads(out)
+        assert (report["verdict"], report["n"]) == ("CertifiedNoResonance", 1)
+        assert report["trace"][-1]["trace"][0]["rule"] == "assumption"
+
+
+class TestAlphaErrors:
+    FILES = {"broken_chain": "broken_1.0", "y_chain": "y_alpha_0.95", "sector": "rounded_corner"}
+    CHEAP = ("--truncation", "2", "--h0", "0.5", "--levels", "1")
+
+    @pytest.mark.parametrize("rule", list(FILES))
+    def test_a_missing_alpha_exits_one(self, capsys, rule):
+        code, out, err = run(capsys, "certify", f"configs/{self.FILES[rule]}.json", "--lower-strategy", rule, *self.CHEAP)
+        assert (code, out, err) == (cli.EXIT_ERROR, "", f"error: {rule} needs params.alpha\n")
+
+    @pytest.mark.parametrize("alpha", ['"1.0"', "NaN", "Infinity", "true", "null", "[1.0]"])
+    @pytest.mark.parametrize("rule", list(FILES))
+    def test_an_alpha_that_is_not_a_finite_number_exits_one(self, capsys, rule, alpha):
+        params = '{"params": {"alpha": %s}}' % alpha
+        argv = (f"configs/{self.FILES[rule]}.json", "--lower-strategy", rule, "--params", params, *self.CHEAP)
+        code, out, err = run(capsys, "certify", *argv)
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err.startswith("error: params.alpha = ")
 
     def test_config_file_certifies_with_box(self, capsys):
         code, out, _ = run(
@@ -374,7 +431,6 @@ class TestSweepCommand:
         [
             ("--family", "broken", "--start", "0", "--stop", "0.01"),
             ("--family", "y_alpha", "--start", "0", "--stop", "0.01"),
-            ("--family", "broken", "--start", "1.0", "--stop", "1.0", "--anchor", "0"),
         ],
     )
     def test_an_angle_outside_the_family_exits_one(self, capsys, argv):
@@ -383,20 +439,9 @@ class TestSweepCommand:
         assert out == ""
         assert "alpha" in err and "Traceback" not in err
 
-    def test_anchor_reaches_both_families(self, capsys, monkeypatch):
-        seen = {}
-
-        def fake(family):
-            def sweep(alphas, existence_anchor=1.0):
-                seen[family] = existence_anchor
-                return []
-            return sweep
-
-        monkeypatch.setattr(cli.certify, "sweep_broken", fake("broken"))
-        monkeypatch.setattr(cli.certify, "sweep_y_alpha", fake("y_alpha"))
-        for family in ("broken", "y_alpha"):
-            run(capsys, "sweep", "--family", family, "--start", "1.0", "--stop", "1.0", "--anchor", "0.9")
-        assert seen == {"broken": 0.9, "y_alpha": 0.9}
+    def test_there_is_no_anchor_flag(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "broken", "--start", "1.0", "--stop", "1.0", "--anchor", "0.9")
+        assert (code, out) == (cli.EXIT_ERROR, "")
 
 
 class TestReproCommand:
