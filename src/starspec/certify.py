@@ -37,25 +37,45 @@ class Unbound(ValueError):
     """The rule does not describe the center; certify() makes it Inconclusive."""
 
 
+def _is_number(value) -> bool:
+    """Whether value is an int or a float; a bool is never a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CertificationPlan:
     """Replayable strategy: how to count eigenvalues below the threshold and
-    how to bound the center spectrum from below."""
+    how to bound the center spectrum from below.  Construction checks the
+    whole plan and raises NoPipeline naming the first bad field, so a plan
+    that exists can run, and a rejected one solves no mesh."""
 
     count_strategy: str  # a key of _COUNT_RULES
     lower_strategy: str  # a key of _LOWER_RULES, or "crossing_symmetry"
     truncation_length: float = 3.0
     fem_h0: float = 0.25
     fem_levels: int = 2
-    params: dict = field(default_factory=dict)  # only "alpha", the angle the family rules read
+    alpha: Optional[float] = None  # the angle the family rules read; _ALPHA_RULES need it
 
     def __post_init__(self):
-        for key, value in self.params.items():
-            if key != "alpha" or isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise NoPipeline(f"params.{key} = {value!r}: params holds only alpha, a finite number")
+        strategies = {"count_strategy": (*_COUNT_RULES,), "lower_strategy": (*_LOWER_RULES, "crossing_symmetry")}
+        for key, rules in strategies.items():
+            name = getattr(self, key)
+            if not isinstance(name, str) or name not in rules:
+                raise NoPipeline(f"{key} = {name!r} is not one of {', '.join(rules)}")
+        for key in ("truncation_length", "fem_h0"):
+            value = getattr(self, key)
+            if not _is_number(value) or not 0 < value < math.inf:
+                raise NoPipeline(f"{key} = {value!r}: must be a positive finite number")
+        if not isinstance(self.fem_levels, int) or isinstance(self.fem_levels, bool) or self.fem_levels < 1:
+            raise NoPipeline(f"fem_levels = {self.fem_levels!r}: must be an integer >= 1")
+        if self.alpha is None:
+            if self.lower_strategy in _ALPHA_RULES:
+                raise NoPipeline(f"{self.lower_strategy} needs alpha")
+        elif not _is_number(self.alpha) or not math.isfinite(self.alpha):
+            raise NoPipeline(f"alpha = {self.alpha!r}: must be a finite number")
 
 
-_PLAN_FIELDS = frozenset(f.name for f in fields(CertificationPlan))
+PLAN_FIELDS = frozenset(f.name for f in fields(CertificationPlan))
 
 
 @dataclass(frozen=True)
@@ -97,13 +117,6 @@ def threshold(vcfg: ValidatedConfig) -> float:
 
 def _budget(nu: float, used: list[SpectralBound]) -> float:
     return max(sum(b.tol for b in used), BUDGET_FLOOR_REL * nu)
-
-
-def _lookup(table: dict, kind: str, name: str):
-    try:
-        return table[name]
-    except KeyError:
-        raise NoPipeline(f"unknown {kind} {name!r}") from None
 
 
 # -- counting (upper-bound) pipelines --------------------------------------
@@ -175,10 +188,9 @@ def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float
 
 
 def _is_family(vcfg: ValidatedConfig, plan: CertificationPlan, polygon) -> bool:
-    """Whether the polygon center is exactly polygon(params["alpha"])."""
-    alpha = plan.params.get("alpha")
+    """Whether the polygon center is exactly polygon(plan.alpha)."""
     try:
-        return alpha is not None and not vcfg.is_3d and polygon(alpha) == vcfg.center
+        return plan.alpha is not None and not vcfg.is_3d and polygon(plan.alpha) == vcfg.center
     except (ArithmeticError, TypeError, ValueError):  # no family polygon at this alpha
         return False
 
@@ -233,7 +245,7 @@ def count_discrete(
     upper bounds that witness them.  A FEM count records its mesh, shift and
     inertia in extra["fem_count"]: a count of 0 has no bound to carry them.
     A family_fact count is 1, witnessed by the fact of _FACTS that binds."""
-    return _lookup(_COUNT_RULES, "count strategy", plan.count_strategy)(vcfg, plan, nu, {} if extra is None else extra)
+    return _COUNT_RULES[plan.count_strategy](vcfg, plan, nu, {} if extra is None else extra)
 
 
 # -- lower-bound (center) pipelines ----------------------------------------
@@ -291,12 +303,11 @@ def _lower_neumann_equilateral(vcfg: ValidatedConfig, plan: CertificationPlan, k
 
 
 def _family_alpha(vcfg: ValidatedConfig, plan: CertificationPlan, rule: str, polygon) -> float:
-    """params["alpha"], once the polygon center is exactly polygon(alpha)."""
-    if "alpha" not in plan.params:
-        raise NoPipeline(f"{rule} needs params.alpha")
+    """plan.alpha, which the plan has for every rule of _ALPHA_RULES, once
+    the polygon center is exactly polygon(alpha)."""
     if not _is_family(vcfg, plan, polygon):
-        raise Unbound(f"{rule} with alpha = {plan.params['alpha']} does not describe this center")
-    return plan.params["alpha"]
+        raise Unbound(f"{rule} with alpha = {plan.alpha} does not describe this center")
+    return plan.alpha
 
 
 @functools.cache
@@ -409,12 +420,14 @@ _LOWER_RULES = {
     "sector": _lower_sector,
     "fem_estimate": _lower_fem_estimate,
 }
+# the lower rules that read plan.alpha
+_ALPHA_RULES = ("broken_chain", "y_chain", "sector")
 
 
 def dn_lower_bounds(
     vcfg: ValidatedConfig, plan: CertificationPlan, upto: int
 ) -> list[SpectralBound]:
-    return _lookup(_LOWER_RULES, "lower strategy", plan.lower_strategy)(vcfg, plan, upto)
+    return _LOWER_RULES[plan.lower_strategy](vcfg, plan, upto)
 
 
 # -- verdict assembly -------------------------------------------------------
@@ -847,20 +860,34 @@ _PRESETS = {
 }
 
 
-def preset(name: str, **kw) -> tuple[ValidatedConfig, CertificationPlan]:
-    """Config and plan of a catalog example.  Shape keywords go to the config
-    builder, and alpha also into params; any other keyword sets a
-    CertificationPlan field, except params, which is merged over that alpha."""
-    build, shape_defaults, plan_kw = _lookup(_PRESETS, "preset", name)
-    shape = {k: kw.pop(k, v) for k, v in shape_defaults.items()}
-    missing = [k for k, v in shape.items() if v is None]
-    if missing:
-        raise NoPipeline(f"preset {name!r} needs {', '.join(missing)}")
-    unknown = kw.keys() - _PLAN_FIELDS
+# the plan fields of a configuration file that differ from the CertificationPlan defaults
+CONFIG_PLAN = {"count_strategy": "fem", "lower_strategy": "fem_estimate"}
+
+
+def make_plan(kw: dict, defaults=CONFIG_PLAN, shape=frozenset(), where="a configuration file") -> CertificationPlan:
+    """The plan of defaults, a configuration file's unless given, with the
+    plan fields of kw over them; a key of kw that is neither a plan field
+    nor in shape is refused."""
+    unknown = kw.keys() - PLAN_FIELDS - shape
     if unknown:
-        raise NoPipeline(f"preset {name!r} has no parameter {', '.join(sorted(unknown))}")
-    params = {**{k: v for k, v in shape.items() if k == "alpha"}, **kw.get("params", {})}
-    return build(**shape), CertificationPlan(**{**plan_kw, **kw, "params": params})
+        raise NoPipeline(f"{where} takes no parameter {', '.join(sorted(unknown))}")
+    return CertificationPlan(**{**defaults, **{k: v for k, v in kw.items() if k in PLAN_FIELDS}})
+
+
+def preset(name: str, /, **kw) -> tuple[ValidatedConfig, CertificationPlan]:
+    """Config and plan of a catalog example.  A keyword is a
+    CertificationPlan field or one of the preset's shape keywords, which are
+    numbers and go to the config builder; a shape keyword alpha also sets
+    the plan's alpha.  The plan is checked before the config is built."""
+    if name not in _PRESETS:
+        raise NoPipeline(f"unknown preset {name!r}")
+    build, shape_defaults, plan_kw = _PRESETS[name]
+    shape = {k: kw.get(k, v) for k, v in shape_defaults.items()}
+    for k, v in shape.items():
+        if not _is_number(v):
+            raise NoPipeline(f"preset {name!r} needs {k}" if v is None else f"{k} = {v!r}: must be a number")
+    plan = make_plan({**kw, **shape}, plan_kw, shape.keys(), f"preset {name!r}")
+    return build(**shape), plan
 
 
 PRESET_NAMES = tuple(n for n, (_, shape, _) in _PRESETS.items() if None not in shape.values())

@@ -10,7 +10,6 @@ floats printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -73,44 +72,13 @@ def _write(text: str, path: str | None) -> None:
             f.write(text)
 
 
-# certify flags that set a CertificationPlan field; each is None unless given
-_PLAN_FLAGS = ("lower_strategy", "count_strategy", "truncation_length", "fem_h0", "fem_levels")
-
-
-# JSON values accepted for each CertificationPlan field type; a bool is
-# never taken for a number
-_FIELD_TYPES = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "dict": (dict, "a JSON object"),
-}
-_PLAN_TYPES = {f.name: f.type for f in dataclasses.fields(certify.CertificationPlan)}
-# mesh sizes: a count of levels is at least 1, a length or mesh size is a
-# positive finite number
-_POSITIVE = ("truncation_length", "fem_h0", "fem_levels")
-
-
 def _overrides(args) -> dict:
-    """The plan flags the user set, then the keys of the --params object.
-    Each plan field is checked against its type, and the mesh sizes must be
-    positive; with --preset any other key is a shape keyword, and
-    every shape keyword is a number."""
+    """The plan flags the user set, then the keys of the --params object."""
     extra = json.loads(args.params)
     if not isinstance(extra, dict):
         raise ValueError("--params must be a JSON object")
-    flags = {f: getattr(args, f) for f in _PLAN_FLAGS if getattr(args, f) is not None}
-    overrides = {**flags, **extra}
-    for key, value in overrides.items():
-        kind = _PLAN_TYPES.get(key, "float" if args.preset else None)
-        if kind is None:
-            continue
-        want, text = _FIELD_TYPES[kind]
-        if not isinstance(value, want) or isinstance(value, bool):
-            raise ValueError(f"{key} must be {text}, not {json.dumps(value)}")
-        if key in _POSITIVE and not 0 < value < math.inf:
-            raise ValueError(f"{key} must be positive and finite, not {value}")
-    return overrides
+    flags = {k: v for k, v in vars(args).items() if k in certify.PLAN_FIELDS and v is not None}
+    return {**flags, **extra}
 
 
 def cmd_certify(args) -> int:
@@ -121,13 +89,8 @@ def cmd_certify(args) -> int:
         vcfg, plan = certify.preset(args.preset, **overrides)
         name = args.preset
     else:
+        plan = certify.make_plan(overrides)
         vcfg = geom.load_config(args.config)
-        unknown = set(overrides) - set(_PLAN_TYPES)
-        if unknown:
-            raise ValueError(f"unknown plan field(s): {', '.join(sorted(unknown))}")
-        plan = certify.CertificationPlan(
-            **{"count_strategy": "fem", "lower_strategy": "fem_estimate", **overrides}
-        )
         name = vcfg.name
     v = certify.certify(vcfg, plan, name=name)
     _write(dumps_report({**v.to_dict(), "versions": _versions()}), args.output)
@@ -270,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="certify a configuration or preset")
     c.add_argument("config", nargs="?", help="JSON configuration file")
     c.add_argument("--preset", choices=certify.PRESET_NAMES, help="built-in example")
-    c.add_argument("--lower-strategy", dest="lower_strategy", help="lower-bound rule (config default: fem_estimate)")
-    c.add_argument("--count-strategy", dest="count_strategy", help="count rule (config default: fem)")
+    c.add_argument("--lower-strategy", dest="lower_strategy", help=f"lower-bound rule (config default: {certify.CONFIG_PLAN['lower_strategy']})")
+    c.add_argument("--count-strategy", dest="count_strategy", help=f"count rule (config default: {certify.CONFIG_PLAN['count_strategy']})")
     c.add_argument("--truncation", dest="truncation_length", type=float, help="branch truncation length")
     c.add_argument("--h0", dest="fem_h0", type=float, help="target mesh size")
     c.add_argument("--levels", dest="fem_levels", type=int, help="refinement levels")
@@ -335,7 +298,6 @@ def run(argv=None) -> int:
         return args.func(args)
     except (
         ValueError,
-        KeyError,
         OSError,
         geom.InvalidGeometry,
         geom.StubOverlap,

@@ -89,6 +89,9 @@ def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int, below: float
     The k-th smallest sum uses at most the k-th smallest value on each axis,
     so k values per axis make the sorted k-prefix complete; axis values are
     nonnegative and ascending, so a partial sum >= `below` ends its branch.
+    The r^d >= k lattice points of the r lowest values on each axis give k
+    sums no larger than their largest, added in the enumeration's order, so
+    `below` is capped just above that sum.
     """
     d = len(dims)
     if d not in (1, 2, 3) or len(bcs) != d:
@@ -96,6 +99,12 @@ def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int, below: float
     if k < 1:
         raise ValueError("k must be >= 1")
     axes = [interval_eigs(dims[i], bcs[i], k) for i in range(d)]
+    r = round(k ** (1 / d))
+    r += r**d < k  # the least r with r^d >= k
+    corner = 0.0
+    for axis in axes:
+        corner += axis.values[r - 1]
+    below = min(below, math.nextafter(corner, math.inf))
     pairs: list[tuple[float, str]] = []
 
     def rec(axis: int, total: float, label: list[str]):

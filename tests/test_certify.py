@@ -189,25 +189,49 @@ class TestReports:
 
 
 class TestPresetOverrides:
-    def test_overrides_reach_plan_and_params(self):
+    def test_overrides_reach_plan_and_alpha(self):
         vcfg, plan = preset("t_junction", fem_levels=1)
         assert plan.fem_levels == 1
         assert plan.truncation_length == 3.0
-        assert plan.params == {}
-        assert preset("broken", alpha=1.0, params={"alpha": 1.5})[1].params == {"alpha": 1.5}
-        assert preset("rect_two_eigs", a=3.0, b=2.5)[1].params == {}
-        with pytest.raises(NoPipeline, match="params.extra"):
-            preset("t_junction", fem_levels=1, params={"extra": 2})
+        assert plan.alpha is None
+        # a family preset's alpha sets both the shape and the plan
+        assert preset("broken", alpha=1.0)[1].alpha == 1.0
+        assert preset("rounded_corner")[1].alpha == math.pi / 2
+        assert preset("y_junction", alpha=1.0)[1].alpha == 1.0
+        assert preset("rect_two_eigs", a=3.0, b=2.5)[1].alpha is None
+        with pytest.raises(NoPipeline, match="takes no parameter extra"):
+            preset("t_junction", fem_levels=1, extra=2)
+
+    @pytest.mark.parametrize("key", ["n", "justification", "anchor", "params"])
+    def test_a_preset_takes_only_plan_fields_and_shape_keywords(self, key):
+        with pytest.raises(NoPipeline, match=f"takes no parameter {key}$"):
+            preset("cube_disk", **{key: 1})
+        with pytest.raises(NoPipeline, match=f"takes no parameter {key}$"):
+            certify.make_plan({"alpha": 1.0, key: 1})
 
     @pytest.mark.parametrize(
-        "params, key",
-        # the types alpha may not take are checked through the CLI in test_cli.TestAlphaErrors
-        [({"n": 1}, "n"), ({"justification": "x"}, "justification"), ({"anchor": None}, "anchor"),
-         ({"alpha": 1.0, "n": 1}, "n")],
+        "kw, field",
+        [({"fem_levels": 0}, "fem_levels"), ({"fem_levels": 1.5}, "fem_levels"), ({"fem_levels": True}, "fem_levels"),
+         ({"fem_h0": math.nan}, "fem_h0"), ({"fem_h0": True}, "fem_h0"), ({"truncation_length": -1}, "truncation_length"),
+         ({"truncation_length": math.inf}, "truncation_length"),
+         ({"count_strategy": "nope"}, "count_strategy"), ({"count_strategy": None}, "count_strategy"),
+         ({"lower_strategy": "bogus"}, "lower_strategy"), ({"lower_strategy": 3}, "lower_strategy"),
+         ({"lower_strategy": "broken_chain"}, "broken_chain needs alpha"),
+         ({"lower_strategy": "y_chain"}, "y_chain needs alpha"), ({"lower_strategy": "sector"}, "sector needs alpha"),
+         ({"alpha": "1.0"}, "alpha"), ({"alpha": math.nan}, "alpha"), ({"alpha": True}, "alpha"),
+         ({"lower_strategy": "sector", "alpha": math.inf}, "alpha")],
     )
-    def test_params_hold_only_alpha(self, params, key):
-        with pytest.raises(NoPipeline, match=f"params.{key} = "):
-            CertificationPlan("family_fact", "box", params=params)
+    def test_a_bad_plan_fails_when_it_is_built(self, kw, field):
+        with pytest.raises(NoPipeline, match=f"^{field}"):
+            CertificationPlan(**{"count_strategy": "fem", "lower_strategy": "box", **kw})
+        plan = CertificationPlan("fem", "box")
+        with pytest.raises(NoPipeline, match=f"^{field}"):
+            dataclasses.replace(plan, **kw)
+
+    def test_a_preset_shape_keyword_is_a_number(self):
+        for a in ("3", True, None, [3.0]):
+            with pytest.raises(NoPipeline, match="^a = " if a is not None else "needs a$"):
+                preset("rect_two_eigs", a=a)
 
     def test_shape_keywords_build_the_config(self):
         vcfg, plan = preset("rect_two_eigs", a=3.0, b=2.5)
@@ -254,25 +278,23 @@ class TestShapeBinding:
     @pytest.mark.parametrize(
         "name, shape, overrides, rule",
         [
-            ("broken", {"alpha": 1.0}, {"params": {"alpha": 1.5}}, "broken_chain"),
-            ("y_alpha", {"alpha": 1.0}, {"params": {"alpha": 0.9}}, "y_chain"),
-            ("rounded_corner", {}, {"params": {"alpha": 1.0}}, "sector"),
+            ("broken", {"alpha": 1.0}, {"alpha": 1.5}, "broken_chain"),
+            ("y_alpha", {"alpha": 1.0}, {"alpha": 0.9}, "y_chain"),
+            ("rounded_corner", {}, {"alpha": 1.0}, "sector"),
             ("rounded_corner", {}, {"lower_strategy": "broken_chain"}, "broken_chain"),
             ("broken", {"alpha": 1.0}, {"lower_strategy": "sector"}, "sector"),
             ("y_junction", {}, {"lower_strategy": "box"}, "box"),
             ("t_junction", {}, {"lower_strategy": "neumann_equilateral"}, "neumann_equilateral"),
             ("broken", {"alpha": 1.0}, {"lower_strategy": "neumann_equilateral"}, "neumann_equilateral"),
             ("y_alpha", {"alpha": 1.0}, {"count_strategy": "exact_box_B"}, "exact_box_B"),
-            ("cube_disk", {}, {"lower_strategy": "y_chain", "params": {"alpha": 1.0}}, "y_chain"),
+            ("cube_disk", {}, {"lower_strategy": "y_chain", "alpha": 1.0}, "y_chain"),
             ("cube_disk", {}, {"lower_strategy": "fem_estimate"}, "fem_estimate"),
             ("t_junction", {}, {"lower_strategy": "crossing_symmetry"}, "crossing_symmetry"),
         ],
     )
     def test_a_rule_that_does_not_describe_the_center_is_inconclusive(self, name, shape, overrides, rule):
         vcfg, plan = preset(name, **shape)
-        plan = _fact_plan(dataclasses.replace(
-            plan, **{**overrides, "params": {**plan.params, **overrides.get("params", {})}}
-        ))
+        plan = _fact_plan(dataclasses.replace(plan, **overrides))
         v = run_certify(vcfg, plan, name=name)
         assert not v.certified
         assert v.reason.startswith(rule)
@@ -441,7 +463,7 @@ class TestMeshLadder:
     def test_unbound_rule_costs_one_coarsest_solve(self, monkeypatch):
         dofs = _count_solves(monkeypatch)
         vcfg = geom.load_config("configs/broken_1.0.json")
-        v = run_certify(vcfg, CertificationPlan("fem", "broken_chain", params={"alpha": 1.5}))
+        v = run_certify(vcfg, CertificationPlan("fem", "broken_chain", alpha=1.5))
         assert v.reason.startswith("broken_chain")
         assert v.rigor == "none" and v.extra == {}
         assert dofs == [_dof(vcfg, *certify.MESH_LADDER[0])]
@@ -496,7 +518,7 @@ class TestFamilyFacts:
     BINDS = [
         ("bent_guide", "broken", {"alpha": 1.0}, "broken_1.0"),
         ("y_junction", "y_alpha", {"alpha": 0.95}, "y_alpha_0.95"),
-        ("y_junction", "y_junction", {"params": {"alpha": math.pi / 3}}, "y_junction"),
+        ("y_junction", "y_junction", {"alpha": math.pi / 3}, "y_junction"),
         ("cube_square", "cube_square", {}, "cube_square"),
         ("cube_disk", "cube_disk", {}, "cube_disk"),
     ]
@@ -523,7 +545,7 @@ class TestFamilyFacts:
     def test_no_fact_binds_the_other_geometries(self, straight_json, name):
         if name == "straight":
             vcfg = geom.load_config(straight_json)
-            plans = [CertificationPlan("family_fact", "box", params=p) for p in ({}, {"alpha": 1.0})]
+            plans = [CertificationPlan("family_fact", "box", alpha=a) for a in (None, 1.0)]
         else:
             vcfg, plan = preset(name)
             plans = [dataclasses.replace(plan, count_strategy="family_fact")]

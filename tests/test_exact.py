@@ -1,5 +1,6 @@
 """Closed-form spectra: brute-force oracles, Bessel machinery, analytic bounds."""
 
+import itertools
 import math
 
 import pytest
@@ -117,6 +118,28 @@ class TestBox:
         got = box_eigs(dims, bcs, 12, below=below)
         n = sum(1 for v in full.values if v < below)
         assert (got.values, got.provenance) == (full.values[:n], full.provenance[:n])
+
+    @pytest.mark.parametrize(
+        "dims, bcs",
+        [((1.3,), ("NN",)), ((1.0, 1.0), ("DD", "DD")), ((40.0, 40.0), ("NN", "DN")),
+         ((1.0, 1.0, 1.0), ("DN", "DN", "DN")), ((2.0, 1.0, 0.7), ("DD", "NN", "ND"))],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 27, 40])
+    @pytest.mark.parametrize("below", [math.inf, 60.0])
+    def test_the_corner_cap_changes_nothing(self, dims, bcs, k, below):
+        # every k^d lattice sum below `below`, added and ordered as box_eigs
+        # enumerates them; a stable sort keeps that order among equal sums
+        axes = [interval_eigs(d, bc, k) for d, bc in zip(dims, bcs)]
+        pairs = []
+        for point in itertools.product(*(zip(a.values, a.provenance) for a in axes)):
+            total = 0.0
+            for v, _ in point:
+                total += v
+            if total < below:
+                pairs.append((total, "box[" + ",".join(p for _, p in point) + "]"))
+        pairs.sort(key=lambda pair: pair[0])
+        got = box_eigs(dims, bcs, k, below=below)
+        assert list(zip(got.values, got.provenance)) == pairs[:k]
 
     def test_mixed_square_values(self):
         # Dirichlet on one side, Neumann on the other three
