@@ -83,7 +83,7 @@ class Verdict:
     name: str
     certified: bool
     n_discrete: Optional[int]
-    rigor: str  # "analytic" | "numerically_assisted" | "heuristic" | "none" (no bound)
+    rigor: str  # "analytic" | "numerically_assisted" | "assumed" (rests on an assumption step) | "heuristic" | "none" (no bound)
     nu: float
     margins: dict
     reason: str
@@ -129,43 +129,67 @@ def _n_below(ub: list[SpectralBound], nu: float) -> int:
     return sum(1 for b in ub if b.value < nu - _budget(nu, [b]))
 
 
+# decay rate of the exponential tail beyond each branch cap: any kappa > 0 keeps every
+# Rayleigh-Ritz value an upper bound; 0.2 to 0.5 move rounded_corner's lambda_1 < 0.005
+TAIL_KAPPA = 0.3
+
+
+def tail_caps(poly: Polygon) -> dict[int, float]:
+    """Tail decay rate of each cap of a truncated polygon: the cut edges
+    that carry the Dirichlet tag (a center's cuts carry the Neumann tag)."""
+    roles = zip(poly.edge_tags, poly.edge_roles)
+    return {i: TAIL_KAPPA for i, (tag, role) in enumerate(roles) if role is EdgeRole.CUT and tag is BC.DIRICHLET}
+
+
+@functools.lru_cache(maxsize=1)
+def _truncated_mesh(vcfg: ValidatedConfig, length: float, h0: float, levels: int) -> tuple[fem.Mesh, dict]:
+    """The mesh of a rung and its tail caps: a climb through rungs of one
+    (length, h0) triangulates once and refines its previous rung's mesh."""
+    if levels == 1:
+        poly = geom.truncate(vcfg, length)
+        return fem.triangulate(poly, h0), tail_caps(poly)
+    mesh, caps = _truncated_mesh(vcfg, length, h0, levels - 1)
+    return fem.refine(mesh), caps
+
+
 def _fem_upper_bounds(
     vcfg: ValidatedConfig, length: float, h0: float, levels: int, nu: float
 ) -> tuple[list[SpectralBound], dict]:
     """Upper bounds for every eigenvalue below the counting cut, from one
-    factorization on the truncated guide, and the record of that count."""
-    poly = geom.truncate(vcfg, length)
-    mesh = fem.triangulate(poly, h0)
-    for _ in range(levels - 1):
-        mesh = fem.refine(mesh)
-    prob = fem.assemble(mesh)
+    factorization on the truncated guide with tail caps, and the record of
+    that count.  Each P1 function continues beyond each cap as u(s)
+    e^{-kappa t}; truncate has checked that the half-strips beyond the caps
+    are disjoint, so the continued function lies in H^1_0 of the whole
+    waveguide and each Rayleigh-Ritz value bounds a waveguide eigenvalue."""
+    mesh, caps = _truncated_mesh(vcfg, length, h0, levels)
+    prob = fem.assemble(mesh, caps)
     shift = nu - BUDGET_FLOOR_REL * nu  # below nu, the cut that _n_below applies
     eigs = fem.eigs_below(prob, shift)
     # deterministic mesh diagnostics: free nodes, largest edge, smallest angle
     diagnostics = {"dof": int(prob.free_nodes.size), "h": mesh.max_diameter(), "min_angle": mesh.min_angle_deg()}
-    mesh_params = {"length": length, "h0": h0, "levels": levels, **diagnostics}
+    mesh_params = {"length": length, "h0": h0, "levels": levels, "kappa": TAIL_KAPPA, **diagnostics}
     # each tolerance covers rounding in forming the Rayleigh-Ritz pencil
     out = [
         SpectralBound(
-            "truncated-dirichlet", i, v, Direction.UPPER,
-            (TraceStep("fem-upper", {"domain": "truncated", **mesh_params, "index": i}, v),), FEM_UPPER_TOL_REL * v,
+            WAVEGUIDE_OP, i, v, Direction.UPPER,
+            (TraceStep("fem-upper", {"domain": "tail-capped", **mesh_params, "index": i}, v),), FEM_UPPER_TOL_REL * v,
         )
         for i, v in enumerate(eigs.values, start=1)
     ]
-    record = {**mesh_params, "shift": shift, "inertia": len(eigs)}
-    return bnd.dirichlet_monotone(out, WAVEGUIDE_OP), record
+    return out, {**mesh_params, "shift": shift, "inertia": len(eigs)}
 
 
 def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
-    """FEM count on the truncated guide at (truncation_length, fem_h0,
-    fem_levels): inertia says how many P1 eigenvalues lie below the cut and
-    Rayleigh-Ritz values bound them.  For any m-dimensional P1 subspace the
-    j-th Rayleigh-Ritz value is >= lambda_j^h >= lambda_j(truncated) >=
-    lambda_j(waveguide) (min-max, Dirichlet monotonicity), converged or not,
-    so n_true >= n; the center lower bound for index n + 1 gives n_true <= n.
-    An undercount m only loses the certificate (l_{m+1} <= mu_{m+1} < nu); an
-    overcount puts the m-th value at or above the cut: fem.eigs_below raises.
-    Only a 2D config has branches to truncate; a 3D one is Unbound."""
+    """FEM count on the tail-capped truncated guide at (truncation_length,
+    fem_h0, fem_levels): inertia says how many eigenvalues of the P1-and-tail
+    space lie below the cut and Rayleigh-Ritz values bound them.  That space
+    is a subspace of H^1_0 of the waveguide, so for any m-dimensional
+    subspace of it the j-th Rayleigh-Ritz value is >= lambda_j^h >=
+    lambda_j(waveguide) (min-max), converged or not, and n_true >= n; the
+    center lower bound for index n + 1 gives n_true <= n.  An undercount m
+    only loses the certificate (l_{m+1} <= mu_{m+1} < nu); an overcount puts
+    the m-th value at or above the cut: fem.eigs_below raises.  Only a 2D
+    config has branches to truncate; a 3D one is Unbound."""
     if vcfg.is_3d:
         raise Unbound("fem count needs a 2D config: it meshes the truncated branches of a polygon center")
     ub, extra["fem_count"] = _fem_upper_bounds(vcfg, plan.truncation_length, plan.fem_h0, plan.fem_levels, nu)
@@ -439,7 +463,9 @@ def _rigor(all_bounds: list[SpectralBound]) -> str:
     rules = {s.rule for b in all_bounds for s in b.trace}
     if "fem-estimate-lower" in rules:
         return "heuristic"
-    if rules & {"fem-upper", "assumption"}:
+    if "assumption" in rules:
+        return "assumed"
+    if "fem-upper" in rules:
         return "numerically_assisted"
     return "analytic"
 
@@ -454,10 +480,12 @@ def _inconclusive(name: str, nu: float, reason: str, uppers=(), lowers=()) -> Ve
 
 
 # (truncation_length, fem_h0, fem_levels) of the meshes a FEM count tries
-# before the plan's own, coarsest first.  Conforming P1 values on a truncated
-# Dirichlet guide are upper bounds on every mesh, so any rung whose count
-# closes the verdict gives a sound certificate.
-MESH_LADDER = ((2.0, 0.5, 1), (3.0, 0.25, 2))
+# before the plan's own, coarsest first.  Rayleigh-Ritz values of the
+# tail-capped P1 space are upper bounds for the whole waveguide on every mesh,
+# so any rung whose count closes the verdict gives a sound certificate.  With
+# tails a longer stub buys no accuracy the refinement does not, so the rungs
+# share one length and refine.
+MESH_LADDER = ((2.0, 0.5, 1), (2.0, 0.5, 2))
 
 
 def _rungs(plan: CertificationPlan) -> list[CertificationPlan]:

@@ -181,7 +181,7 @@ def cmd_mesh(args) -> int:
     else:
         _write(fem.mesh_text_dump(mesh), args.output)
     sys.stderr.write(
-        f"nodes={mesh.nodes.shape[0]} dof={fem.assemble(mesh).free_nodes.size} triangles={mesh.triangles.shape[0]} "
+        f"nodes={mesh.nodes.shape[0]} dof={fem.assemble(mesh, certify.tail_caps(poly)).free_nodes.size} triangles={mesh.triangles.shape[0]} "
         f"max_diameter={mesh.max_diameter():.6g} min_angle={mesh.min_angle_deg():.4g}\n"
     )
     return EXIT_CERTIFIED

@@ -80,7 +80,7 @@ class DiscreteProblem:
     stiffness: sp.csr_matrix  # on free nodes
     mass: sp.csr_matrix
     free_nodes: np.ndarray  # indices of free nodes in the mesh
-    total_mass: float  # sum of the unrestricted mass matrix (= mesh area)
+    total_mass: float  # mesh area: the sum of the unrestricted mass matrix without tails
 
 
 @dataclass
@@ -145,15 +145,12 @@ def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) 
     def in_circumcircle(a, b, c, d) -> bool:
         # sign normalized by triangle orientation so the test is order-free
         orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        mat = np.array(
-            [
-                [a[0] - d[0], a[1] - d[1], (a[0] - d[0]) ** 2 + (a[1] - d[1]) ** 2],
-                [b[0] - d[0], b[1] - d[1], (b[0] - d[0]) ** 2 + (b[1] - d[1]) ** 2],
-                [c[0] - d[0], c[1] - d[1], (c[0] - d[0]) ** 2 + (c[1] - d[1]) ** 2],
-            ]
-        )
-        return math.copysign(1.0, orient) * np.linalg.det(mat) > 1e-12
+        ax, ay, bx, by, cx, cy = a[0] - d[0], a[1] - d[1], b[0] - d[0], b[1] - d[1], c[0] - d[0], c[1] - d[1]
+        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        det = ax * (by * c2 - b2 * cy) - ay * (bx * c2 - b2 * cx) + a2 * (bx * cy - by * cx)
+        return math.copysign(1.0, orient) * det > 1e-12
 
+    pts = nodes.tolist()  # float arithmetic on Python floats: the same bits, without NumPy scalar overhead
     for _ in range(50):
         edge_map: dict[tuple[int, int], list[int]] = {}
         for t, tri in enumerate(tris):
@@ -168,15 +165,15 @@ def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) 
             a, b = e
             c = next(v for v in tris[t1] if v not in e)
             d = next(v for v in tris[t2] if v not in e)
-            if not in_circumcircle(nodes[tris[t1][0]], nodes[tris[t1][1]], nodes[tris[t1][2]], nodes[d]):
+            if not in_circumcircle(pts[tris[t1][0]], pts[tris[t1][1]], pts[tris[t1][2]], pts[d]):
                 continue
             # flip only if the quad a-c-b-d is strictly convex
             def orient(p, q, r):
                 return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
             if (
-                orient(nodes[c], nodes[a], nodes[d]) <= 1e-14
-                or orient(nodes[d], nodes[b], nodes[c]) <= 1e-14
+                orient(pts[c], pts[a], pts[d]) <= 1e-14
+                or orient(pts[d], pts[b], pts[c]) <= 1e-14
             ):
                 continue
             tris[t1] = [c, a, d]
@@ -265,10 +262,17 @@ def refine(mesh: Mesh) -> Mesh:
 # -- assembly and solve -----------------------------------------------------
 
 
-def assemble(mesh: Mesh) -> DiscreteProblem:
+def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProblem:
     """P1 stiffness and consistent mass over free nodes; Dirichlet nodes
     (anything on a Dirichlet boundary edge) are eliminated, Neumann edges
-    contribute nothing (natural condition)."""
+    contribute nothing (natural condition).
+
+    tails maps a polygon edge id to a decay rate kappa > 0 and makes that
+    edge a tail cap: each function continues beyond it as u(s) e^{-kappa t}
+    (t: distance from the cap), which adds (K1 + kappa^2 M1) / 2 kappa to K
+    and M1 / 2 kappa to M, K1 and M1 the 1D P1 matrices on the cap edges, as
+    e^{-2 kappa t} integrates to 1 / 2 kappa.  Cap nodes are free."""
+    tails = tails or {}
     nn = len(mesh.nodes)
     p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
     x, y = p[..., 0], p[..., 1]
@@ -284,15 +288,24 @@ def assemble(mesh: Mesh) -> DiscreteProblem:
     me = area[:, None, None] * me_ref[None]
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    is_dirichlet = np.array([tag is BC.DIRICHLET for tag in mesh.boundary_tags], dtype=bool)
+    ke, me = ke.ravel(), me.ravel()
+    cap = np.array([src in tails for src in mesh.boundary_src], dtype=bool)
+    if cap.any():
+        e = mesh.boundary_edges[cap]
+        k = np.array([tails[src] for src in np.asarray(mesh.boundary_src)[cap]])[:, None, None]
+        h = np.hypot(*(mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]).T)[:, None, None]
+        k1, m1 = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h, np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+        ke, me = np.concatenate([ke, ((k1 + k * k * m1) / (2 * k)).ravel()]), np.concatenate([me, (m1 / (2 * k)).ravel()])
+        rows, cols = np.concatenate([rows, np.repeat(e, 2, axis=1).ravel()]), np.concatenate([cols, np.tile(e, (1, 2)).ravel()])
+    K = sp.coo_matrix((ke, (rows, cols)), shape=(nn, nn)).tocsr()
+    M = sp.coo_matrix((me, (rows, cols)), shape=(nn, nn)).tocsr()
+    is_dirichlet = np.array([tag is BC.DIRICHLET for tag in mesh.boundary_tags], dtype=bool) & ~cap
     free = np.setdiff1d(np.arange(nn), mesh.boundary_edges[is_dirichlet])
     return DiscreteProblem(
         stiffness=K[np.ix_(free, free)].tocsr(),
         mass=M[np.ix_(free, free)].tocsr(),
         free_nodes=free,
-        total_mass=float(M.sum()),
+        total_mass=float(area.sum()),
     )
 
 

@@ -3,7 +3,8 @@
 A star waveguide is a bounded center polygon with half-infinite branches
 attached along designated "cut" edges.  This module owns the polygon /
 cross-section / configuration types, validation and truncation (center plus
-finite branch stubs, used for Dirichlet upper bounds).
+finite branch stubs whose caps carry the exponential tails of the upper
+bounds).
 """
 
 from __future__ import annotations
@@ -348,9 +349,12 @@ def _check_symmetry(poly: Polygon, sym: SymmetrySpec) -> None:
 def truncate(vcfg: ValidatedConfig, length: float) -> Polygon:
     """Center plus a straight branch stub of the given length on every cut.
 
-    All edges of the result are Dirichlet walls, so the truncated domain is a
-    Dirichlet subdomain of the full waveguide and its eigenvalues are upper
-    bounds for the waveguide ones.
+    All edges of the result carry the Dirichlet tag, so the truncated domain
+    is a Dirichlet subdomain of the full waveguide and its eigenvalues are
+    upper bounds for the waveguide ones.  The far end of each stub, its cap,
+    has the cut role: beyond it the branch goes on as a half-strip, and the
+    half-strips must meet neither each other nor the truncated polygon, or
+    StubOverlap is raised.
     """
     cfg = vcfg.cfg
     if cfg.is_3d:
@@ -360,19 +364,54 @@ def truncate(vcfg: ValidatedConfig, length: float) -> Polygon:
     poly: Polygon = cfg.center  # type: ignore[assignment]
     cut_edges = {br.edge for br in cfg.branches}
     verts: list[tuple[float, float]] = []
+    roles: list[EdgeRole] = []
     for i in range(poly.n_edges):
         p, q = poly.edge(i)
         verts.append(p)
+        roles.append(EdgeRole.WALL)
         if i in cut_edges:
             nx, ny = poly.outward_normal(i)
-            verts.append((p[0] + nx * length, p[1] + ny * length))
-            verts.append((q[0] + nx * length, q[1] + ny * length))
-    out = simple_polygon(verts)
+            verts += [(p[0] + nx * length, p[1] + ny * length), (q[0] + nx * length, q[1] + ny * length)]
+            roles += [EdgeRole.CUT, EdgeRole.WALL]
+    out = simple_polygon(verts, edge_roles=roles)
     if not out.is_simple():
         raise StubOverlap(
             f"branch stubs of length {length} self-intersect; shorten the stubs"
         )
+    caps = [i for i, r in enumerate(out.edge_roles) if r is EdgeRole.CUT]
+    # every edge as a segment (start, direction, 1), then the side rays (start, direction, inf) of every half-strip
+    pieces = [(p, (q[0] - p[0], q[1] - p[1]), 1.0) for p, q in map(out.edge, range(out.n_edges))]
+    pieces += [(v, out.outward_normal(i), math.inf) for i in caps for v in out.edge(i)]
+    if any(_meets_half_strip(out, i, pieces) for i in caps):
+        raise StubOverlap(f"the branch half-strips beyond the caps at length {length} overlap")
     return out
+
+
+def _meets_half_strip(poly: Polygon, cap: int, pieces) -> bool:
+    """Whether a piece a + u d, 0 <= u <= u_max, of pieces enters the open
+    half-strip beyond the cap edge of poly.  Touching its sides within
+    CUT_WIDTH_RTOL of the width does not count, and a direction within 1e-12
+    of parallel to a side is parallel."""
+    (px, py), (qx, qy) = poly.edge(cap)
+    width = poly.edge_length(cap)
+    ex, ey = (qx - px) / width, (qy - py) / width
+    nx, ny = ey, -ex  # the outward normal of a positively oriented polygon
+    tol = CUT_WIDTH_RTOL * max(1.0, width)
+    for a, d, u_max in pieces:
+        s0, t0 = (a[0] - px) * ex + (a[1] - py) * ey, (a[0] - px) * nx + (a[1] - py) * ny
+        ds, dt = d[0] * ex + d[1] * ey, d[0] * nx + d[1] * ny
+        lo, hi = 0.0, u_max
+        # Liang-Barsky clip to c + k u > 0 for s > tol, s < width - tol and t > tol
+        for c, k in ((s0 - tol, ds), (width - tol - s0, -ds), (t0 - tol, dt)):
+            if abs(k) <= 1e-12:
+                hi = hi if c > 0 else -math.inf
+            elif k > 0:
+                lo = max(lo, -c / k)
+            else:
+                hi = min(hi, -c / k)
+        if lo < hi:
+            return True
+    return False
 
 
 # -- config files -----------------------------------------------------------

@@ -111,7 +111,7 @@ class TestVerdicts:
             v = run_certify(vcfg, plan, name=name)
             assert v.certified
             assert v.n_discrete == 1
-            assert v.rigor == "numerically_assisted"  # counting is a family fact
+            assert v.rigor == "assumed"  # counting is a family fact
             if gap is not None:
                 assert v.margins["dn_gap"] == pytest.approx(gap, rel=1e-12)
 
@@ -163,8 +163,9 @@ class TestVerdicts:
 @pytest.mark.usefixtures("stub_count")
 class TestReports:
     # sha256 of the reports below, without versions; every lower rule except
-    # sector and fem_estimate appears in them
-    GOLDEN = "cb5adf26cadb064af5a807c11a3eefcd5c9aac5fd5a6808462c02332a322d014"
+    # sector and fem_estimate appears in them, and every count is an
+    # assumption, so every rigor is "assumed"
+    GOLDEN = "d28fba5daf654e377bea5394fb3ff4a49b877a4983e28b2889da754d24d9e063"
 
     def test_report_bytes_are_pinned(self):
         texts = []
@@ -266,7 +267,8 @@ class TestShapeBinding:
     }
 
     def test_every_config_file_certifies_like_its_preset(self):
-        assert sorted(p.stem for p in Path("configs").glob("*.json")) == sorted(self.CONFIG_PRESETS)
+        # the straight strip is the one shipped config with no preset
+        assert sorted(p.stem for p in Path("configs").glob("*.json")) == sorted([*self.CONFIG_PRESETS, "straight_strip"])
         for stem, presets in self.CONFIG_PRESETS.items():
             from_file = geom.load_config(f"configs/{stem}.json")
             for name, shape in presets:
@@ -322,7 +324,8 @@ class TestSingleSolveCount:
         # a count of 0 (rounded_corner on this mesh) has no fem-upper step,
         # so the record of the count is what names its mesh
         rec = v.extra["fem_count"]
-        assert list(rec) == ["length", "h0", "levels", "dof", "h", "min_angle", "shift", "inertia"]
+        assert list(rec) == ["length", "h0", "levels", "kappa", "dof", "h", "min_angle", "shift", "inertia"]
+        assert rec["kappa"] == certify.TAIL_KAPPA
         assert (rec["length"], rec["h0"], rec["levels"]) == (plan.truncation_length, plan.fem_h0, plan.fem_levels)
         assert rec["dof"] == dofs[0]
         assert rec["shift"] == threshold(vcfg) - certify.BUDGET_FLOOR_REL * threshold(vcfg)
@@ -352,10 +355,11 @@ def _meshes(v: Verdict) -> set:
 
 
 def _dof(vcfg, length, h0, levels) -> int:
-    mesh = fem.triangulate(geom.truncate(vcfg, length), h0)
+    poly = geom.truncate(vcfg, length)
+    mesh = fem.triangulate(poly, h0)
     for _ in range(levels - 1):
         mesh = fem.refine(mesh)
-    return fem.assemble(mesh).free_nodes.size
+    return fem.assemble(mesh, certify.tail_caps(poly)).free_nodes.size
 
 
 class TestMeshLadder:
@@ -366,7 +370,7 @@ class TestMeshLadder:
         "t_junction": ((2.0, 0.5, 1), 1),
         "y_junction": ((2.0, 0.5, 1), 1),
         "crossing_symmetric": ((2.0, 0.5, 1), 1),
-        "rounded_corner": ((3.0, 0.25, 2), 2),
+        "rounded_corner": ((2.0, 0.5, 2), 2),
         "crossing": ((2.0, 0.5, 1), 1),
     }
 
@@ -374,11 +378,12 @@ class TestMeshLadder:
         "mesh, coarser",
         [
             ((2.0, 0.5, 1), []),
-            ((3.0, 0.25, 2), [(2.0, 0.5, 1)]),
-            ((4.0, 0.25, 2), [(2.0, 0.5, 1), (3.0, 0.25, 2)]),
+            ((2.0, 0.5, 2), [(2.0, 0.5, 1)]),
+            ((3.0, 0.25, 2), [(2.0, 0.5, 1), (2.0, 0.5, 2)]),
+            ((4.0, 0.25, 2), [(2.0, 0.5, 1), (2.0, 0.5, 2)]),
             ((4.0, 0.25, 1), [(2.0, 0.5, 1)]),
-            ((3.0, 0.125, 3), [(2.0, 0.5, 1), (3.0, 0.25, 2)]),
-            ((2.0, 0.25, 2), [(2.0, 0.5, 1)]),
+            ((3.0, 0.125, 3), [(2.0, 0.5, 1), (2.0, 0.5, 2)]),
+            ((2.0, 0.25, 2), [(2.0, 0.5, 1), (2.0, 0.5, 2)]),
             ((3.0, 1.0, 2), []),
             ((1.0, 1.0, 1), []),
         ],
@@ -412,7 +417,8 @@ class TestMeshLadder:
                 "center lower bound 9.8696 for eigenvalue 2 is within the budget floor 9.8696e-08 "
                 "of threshold 9.8696, with n = 1: no finer mesh can certify"
             )
-            unsolved = [{"length": 3.0, "h0": 0.25, "levels": 2, "reason": reason}]
+            unsolved = [{"length": 2.0, "h0": 0.5, "levels": 2, "reason": reason},
+                        {"length": 3.0, "h0": 0.25, "levels": 2, "reason": reason}]
             assert v.to_dict() == {**closing.to_dict(), "extra": {**closing.extra, "unsolved_rungs": unsolved}}
 
     @pytest.mark.parametrize(
@@ -422,8 +428,8 @@ class TestMeshLadder:
         # ends the climb.  With one FEM bound the budget is the floor, so
         # nu * (1 + 2 floor) certifies on the coarsest rung; a tolerance of
         # 3 floors puts that gap inside the budget and above the floor.
-        [(1 + 2 * certify.BUDGET_FLOOR_REL, 0, 1, True), (1 + 2 * certify.BUDGET_FLOOR_REL, 3, 2, False),
-         (1 - 1e-12, 0, 2, False), (1.0, 0, 1, False)],
+        [(1 + 2 * certify.BUDGET_FLOOR_REL, 0, 1, True), (1 + 2 * certify.BUDGET_FLOOR_REL, 3, 3, False),
+         (1 - 1e-12, 0, 3, False), (1.0, 0, 1, False)],
     )
     def test_a_lower_bound_at_the_threshold_stops_the_climb(self, monkeypatch, factor, tol, solves, certified):
         box = certify._LOWER_RULES["box"]
@@ -469,12 +475,14 @@ class TestMeshLadder:
         assert dofs == [_dof(vcfg, *certify.MESH_LADDER[0])]
 
     def test_a_coarse_rung_that_fails_is_skipped(self, monkeypatch):
-        _count_solves(monkeypatch, fail_below=1000)
+        _count_solves(monkeypatch, fail_below=1000)  # both coarse rungs: 210 and 870 DOF
         vcfg, plan = preset("y_junction")
         v = run_certify(vcfg, plan)
         assert v.certified and v.n_discrete == 1
         assert _meshes(v) == {(3.0, 0.25, 2)}
-        assert v.extra["skipped_rungs"] == [{"length": 2.0, "h0": 0.5, "levels": 1, "reason": "no convergence"}]
+        assert v.extra["skipped_rungs"] == [
+            {"length": 2.0, "h0": 0.5, "levels": levels, "reason": "no convergence"} for levels in (1, 2)
+        ]
 
     def test_fem_upper_steps_carry_mesh_diagnostics(self):
         vcfg, plan = preset("t_junction")
@@ -483,6 +491,60 @@ class TestMeshLadder:
         want = {"dof": _dof(vcfg, 2.0, 0.5, 1), "h": mesh.max_diameter(), "min_angle": mesh.min_angle_deg()}
         for b in v.upper_bounds:
             assert {k: b.trace[0].params[k] for k in want} == want
+
+
+class TestTailCaps:
+    MESHES = [(name, *mesh) for name in ("t_junction", "y_junction", "crossing", "rounded_corner")
+              for mesh in certify.MESH_LADDER]
+
+    @pytest.mark.parametrize("name, length, h0, levels", MESHES)
+    def test_a_tail_value_is_at_most_the_dirichlet_cap_value(self, name, length, h0, levels):
+        # the Dirichlet-cap space is the tail space with the cap nodes at 0,
+        # so min-max puts every tail value at or below its Dirichlet-cap value
+        mesh, caps = certify._truncated_mesh(preset(name)[0], length, h0, levels)
+        tail = fem.lowest_eigs(fem.assemble(mesh, caps), 3).values
+        dirichlet = fem.lowest_eigs(fem.assemble(mesh), 3).values
+        assert all(t <= d for t, d in zip(tail, dirichlet))
+        assert tail[0] < dirichlet[0]
+
+    def test_the_caps_are_the_branch_ends(self):
+        vcfg = certify.t_junction_config()
+        poly = geom.truncate(vcfg, 2.0)
+        caps = certify.tail_caps(poly)
+        assert caps == {2: certify.TAIL_KAPPA, 5: certify.TAIL_KAPPA, 8: certify.TAIL_KAPPA}
+        assert [poly.edge(i) for i in caps] == [((3.0, 0.0), (3.0, 1.0)), ((1.0, 3.0), (0.0, 3.0)), ((-2.0, 1.0), (-2.0, 0.0))]
+        assert certify.tail_caps(vcfg.center) == {}  # a center's cuts carry the Neumann tag
+
+    @pytest.mark.parametrize("mesh", [*certify.MESH_LADDER, (3.0, 0.25, 2)])
+    def test_the_straight_strip_counts_nothing_on_every_rung(self, straight_json, mesh):
+        # the spectrum of the straight strip is [nu, inf), which bounds every
+        # tail value from below: the count is 0 at the shift nu (1 - 1e-8)
+        vcfg = geom.load_config(straight_json)
+        ub, rec = certify._fem_upper_bounds(vcfg, *mesh, PI2)
+        assert (ub, rec["inertia"], rec["shift"]) == ([], 0, PI2 - certify.BUDGET_FLOOR_REL * PI2)
+        assert fem.lowest_eigs(fem.assemble(*certify._truncated_mesh(vcfg, *mesh)), 1).values[0] >= PI2
+
+    def test_the_crossing_counts_one_and_stays_inconclusive(self):
+        vcfg, plan = preset("crossing")
+        v = run_certify(vcfg, plan, name="crossing")
+        assert v.extra["fem_count"]["inertia"] == 1 and len(v.upper_bounds) == 1
+        assert not v.certified and v.margins["dn_gap"] == 0.0
+
+    def test_rounded_corner_certifies_on_a_small_rung_with_margin(self):
+        vcfg, plan = preset("rounded_corner")
+        v = run_certify(vcfg, plan, name="rounded_corner")
+        assert v.certified and v.n_discrete == 1
+        assert v.extra["fem_count"]["dof"] <= 3375 and v.margins["count_gap"] >= 0.05
+        step = v.upper_bounds[0].trace
+        assert len(step) == 1 and step[0].rule == "fem-upper" and step[0].params["kappa"] == certify.TAIL_KAPPA
+
+    def test_the_climb_triangulates_each_truncation_once(self, monkeypatch):
+        triangulated, triangulate = [], fem.triangulate
+        monkeypatch.setattr(fem, "triangulate", lambda poly, h0: triangulated.append(h0) or triangulate(poly, h0))
+        certify._truncated_mesh.cache_clear()
+        vcfg, plan = preset("rounded_corner")
+        assert run_certify(vcfg, plan).certified
+        assert triangulated == [0.5]  # (2.0, 0.5, 2) refines the (2.0, 0.5, 1) mesh
 
 
 class TestSweepAnchor:

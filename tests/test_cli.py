@@ -159,6 +159,34 @@ class TestCertifyCommand:
         assert (report["verdict"], report["n"], report["rigor"]) == ("Inconclusive", None, "none")
         assert report["reason"].startswith("fem count needs a 2D config")
 
+    def test_the_straight_strip_counts_nothing(self, capsys, straight_json):
+        # no discrete spectrum and a threshold resonance: the box bound of the
+        # center's first eigenvalue is nu itself, so no rung can certify
+        code, out, _ = run(capsys, "certify", straight_json, "--lower-strategy", "box")
+        assert code == cli.EXIT_INCONCLUSIVE
+        report = json.loads(out)
+        assert (report["verdict"], report["n"], report["extra"]["fem_count"]["inertia"]) == ("Inconclusive", None, 0)
+
+    def test_half_strips_that_meet_beyond_the_caps_exit_one(self, capsys, tmp_path):
+        # U-shaped center whose two cuts face each other across the notch: the
+        # 2.0 stubs meet each other, the 1.0 stubs do not, but the half-strips
+        # beyond their caps do
+        u = {
+            "name": "u",
+            "center": {
+                "vertices": [[0, 0], [5, 0], [5, 3], [4, 3], [4, 2], [4, 1], [1, 1], [1, 2], [1, 3], [0, 3]],
+                "edge_tags": ["D", "D", "D", "N", "D", "D", "D", "N", "D", "D"],
+                "edge_roles": ["wall", "wall", "wall", "cut", "wall", "wall", "wall", "cut", "wall", "wall"],
+            },
+            "branches": [{"edge": e, "cross_section": {"type": "interval", "dims": [1.0]}} for e in (3, 7)],
+        }
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(u))
+        for length, message in (("1", "half-strips beyond the caps at length 1.0 overlap"), ("2", "self-intersect")):
+            code, out, err = run(capsys, "certify", str(path), "--lower-strategy", "box", "--truncation", length)
+            assert (code, out) == (cli.EXIT_ERROR, "")
+            assert err.startswith("error: ") and message in err
+
     def test_a_verdict_without_bounds_claims_no_rigor(self, capsys):
         code, out, _ = run(
             capsys, "certify", "configs/broken_1.0.json", "--lower-strategy", "broken_chain",

@@ -431,6 +431,51 @@ class TestInertiaCount:
         assert not v.certified and v.n_discrete is None
 
 
+class TestTriangulateGolden:
+    # sha256 of the text dumps of these meshes, measured before the Delaunay
+    # in-circle test computed its determinant in closed form
+    GOLDEN = "9571c1cea95f576a7a3e8e773b76ae81ed0bf257ae72f26183a0035031fc2cf9"
+
+    def test_meshes_are_unchanged(self):
+        configs = [(certify.preset(name)[0], length)
+                   for name in ("t_junction", "y_junction", "crossing", "rounded_corner", "rect_two_eigs")
+                   for length in (1.0, 2.0, 3.0, 4.0)]
+        configs += [(certify.broken_config(float(a)), 2.0) for a in np.linspace(0.3, 1.5, 12)]
+        configs += [(certify.y_alpha_config(float(a)), 2.0) for a in np.linspace(0.55, 1.45, 12)]
+        digest = hashlib.sha256()
+        for vcfg, length in configs:
+            digest.update(fem.mesh_text_dump(fem.triangulate(geom.truncate(vcfg, length), 0.5)).encode())
+        assert digest.hexdigest() == self.GOLDEN
+
+
+class TestTailCaps:
+    @pytest.mark.parametrize("kappa", [0.1, 0.3, 3.0])
+    def test_the_tail_adds_the_energy_of_the_exponential_continuation(self, kappa):
+        # u = a + b y on the cap x = 1 of an all-Neumann unit square continues
+        # as u e^{-kappa t}: energy (b^2 + kappa^2 |u|^2) / 2 kappa and mass
+        # |u|^2 / 2 kappa, with |u|^2 = a^2 + a b + b^2 / 3; P1 holds u exactly
+        square = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], [BC.NEUMANN] * 4)
+        mesh = fem.refine(fem.triangulate(square, 0.5))
+        plain, tailed = fem.assemble(mesh), fem.assemble(mesh, {1: kappa})
+        assert np.array_equal(plain.free_nodes, tailed.free_nodes)
+        a, b = 0.7, -1.3
+        u = a + b * mesh.nodes[plain.free_nodes, 1]
+        norm2 = a * a + a * b + b * b / 3
+        assert u @ (tailed.stiffness - plain.stiffness) @ u == pytest.approx((b * b + kappa**2 * norm2) / (2 * kappa), rel=1e-12)
+        assert u @ (tailed.mass - plain.mass) @ u == pytest.approx(norm2 / (2 * kappa), rel=1e-12)
+        assert tailed.total_mass == plain.total_mass
+
+    def test_cap_nodes_are_free_and_wall_corners_stay_dirichlet(self):
+        poly = geom.truncate(certify.t_junction_config(), 2.0)
+        mesh = fem.triangulate(poly, 0.5)
+        caps = certify.tail_caps(poly)
+        plain, tailed = fem.assemble(mesh), fem.assemble(mesh, caps)
+        on_cap = {int(n) for (i, j), src in zip(mesh.boundary_edges, mesh.boundary_src) if src in caps for n in (i, j)}
+        corners = {j for i in caps for j in (i, (i + 1) % poly.n_edges)}  # polygon vertices are the first nodes
+        assert set(tailed.free_nodes) - set(plain.free_nodes) == on_cap - corners
+        assert len(corners) == 2 * len(caps) and not corners & set(tailed.free_nodes)
+
+
 class TestDumps:
     def test_text_dump_contains_counts(self):
         mesh = fem.triangulate(DN_SQUARE, 0.5)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -183,9 +184,26 @@ class TestTruncate:
         with pytest.raises(InvalidGeometry):
             truncate(t_config(), length)
 
+    @pytest.mark.parametrize("length", [1.0, 2.0, 3.0, 4.0])
+    def test_every_preset_and_config_has_disjoint_half_strips(self, length):
+        configs = [certify.preset(n)[0] for n in certify.PRESET_NAMES]
+        configs += [certify.broken_config(a) for a in (0.1, 0.5, 1.0, 1.5)]
+        configs += [certify.y_alpha_config(a) for a in (0.3, 0.9, 1.3, 1.55)]
+        configs += [geom.load_config(str(p)) for p in sorted(Path("configs").glob("*.json"))]
+        for vcfg in configs:
+            if vcfg.is_3d:
+                continue
+            poly = truncate(vcfg, length)  # raises StubOverlap if the half-strips meet
+            caps = [i for i, r in enumerate(poly.edge_roles) if r is EdgeRole.CUT]
+            assert len(caps) == len(vcfg.branches)
+            assert all(poly.edge_tags[i] is BC.DIRICHLET for i in caps)
+            widths = sorted(b.cross_section.dims[0] for b in vcfg.branches)
+            assert sorted(poly.edge_length(i) for i in caps) == pytest.approx(widths, rel=1e-12)
+
     def test_facing_cuts_overlap_raises(self):
-        # U-shaped center with facing cuts on the inner prong walls:
-        # long stubs collide across the notch
+        # U-shaped center with facing cuts on the inner prong walls: long
+        # stubs collide across the notch, and the half-strips beyond the caps
+        # of short stubs still do
         D, N = BC.DIRICHLET, BC.NEUMANN
         W, C = EdgeRole.WALL, EdgeRole.CUT
         u = Polygon(
@@ -204,8 +222,9 @@ class TestTruncate:
                 branches=(Branch(4, CrossSection.interval(1.0)), Branch(8, CrossSection.interval(1.0))),
             )
         )
-        assert truncate(vcfg, 0.5).is_simple()
-        with pytest.raises(StubOverlap):
+        with pytest.raises(StubOverlap, match="half-strips beyond the caps at length 0.5 overlap"):
+            truncate(vcfg, 0.5)
+        with pytest.raises(StubOverlap, match="self-intersect"):
             truncate(vcfg, 10.0)
 
 
