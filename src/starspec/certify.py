@@ -24,6 +24,7 @@ from .geom import BC, Branch, CrossSection, EdgeRole, Polygon, StarWaveguideConf
 BUDGET_FLOOR_REL = 1e-8
 FEM_UPPER_TOL_REL = 1e-8
 EQUILATERAL_RTOL = 1e-12  # side spread that moves an eigenvalue far less than the budget floor
+FEM_H0 = 0.5  # mesh size of the one triangulation whose refinement levels a FEM count climbs
 
 WAVEGUIDE_OP = "waveguide-dirichlet"
 DN_CENTER_OP = "dn-center"
@@ -51,9 +52,8 @@ class CertificationPlan:
 
     count_strategy: str  # a key of _COUNT_RULES
     lower_strategy: str  # a key of _LOWER_RULES, or "crossing_symmetry"
-    truncation_length: float = 3.0
-    fem_h0: float = 0.25
-    fem_levels: int = 2
+    truncation_length: float = 2.0
+    fem_levels: int = 3  # the finest refinement level a FEM count solves
     alpha: Optional[float] = None  # the angle the family rules read; _ALPHA_RULES need it
 
     def __post_init__(self):
@@ -62,10 +62,8 @@ class CertificationPlan:
             name = getattr(self, key)
             if not isinstance(name, str) or name not in rules:
                 raise NoPipeline(f"{key} = {name!r} is not one of {', '.join(rules)}")
-        for key in ("truncation_length", "fem_h0"):
-            value = getattr(self, key)
-            if not _is_number(value) or not 0 < value < math.inf:
-                raise NoPipeline(f"{key} = {value!r}: must be a positive finite number")
+        if not _is_number(self.truncation_length) or not 0 < self.truncation_length < math.inf:
+            raise NoPipeline(f"truncation_length = {self.truncation_length!r}: must be a positive finite number")
         if not isinstance(self.fem_levels, int) or isinstance(self.fem_levels, bool) or self.fem_levels < 1:
             raise NoPipeline(f"fem_levels = {self.fem_levels!r}: must be an integer >= 1")
         if self.alpha is None:
@@ -142,32 +140,32 @@ def tail_caps(poly: Polygon) -> dict[int, float]:
 
 
 @functools.lru_cache(maxsize=1)
-def _truncated_mesh(vcfg: ValidatedConfig, length: float, h0: float, levels: int) -> tuple[fem.Mesh, dict]:
-    """The mesh of a rung and its tail caps: a climb through rungs of one
-    (length, h0) triangulates once and refines its previous rung's mesh."""
+def _truncated_mesh(vcfg: ValidatedConfig, length: float, levels: int) -> tuple[fem.Mesh, dict]:
+    """The mesh of a refinement level of the truncated guide and its tail
+    caps: level 1 triangulates at FEM_H0, and each finer level refines the
+    previous one's mesh, so a climb through the levels triangulates once."""
     if levels == 1:
         poly = geom.truncate(vcfg, length)
-        return fem.triangulate(poly, h0), tail_caps(poly)
-    mesh, caps = _truncated_mesh(vcfg, length, h0, levels - 1)
+        return fem.triangulate(poly, FEM_H0), tail_caps(poly)
+    mesh, caps = _truncated_mesh(vcfg, length, levels - 1)
     return fem.refine(mesh), caps
 
 
-def _fem_upper_bounds(
-    vcfg: ValidatedConfig, length: float, h0: float, levels: int, nu: float
-) -> tuple[list[SpectralBound], dict]:
+def _fem_upper_bounds(vcfg: ValidatedConfig, length: float, levels: int, nu: float) -> tuple[list[SpectralBound], dict]:
     """Upper bounds for every eigenvalue below the counting cut, from one
-    factorization on the truncated guide with tail caps, and the record of
-    that count.  Each P1 function continues beyond each cap as u(s)
-    e^{-kappa t}; truncate has checked that the half-strips beyond the caps
-    are disjoint, so the continued function lies in H^1_0 of the whole
-    waveguide and each Rayleigh-Ritz value bounds a waveguide eigenvalue."""
-    mesh, caps = _truncated_mesh(vcfg, length, h0, levels)
+    factorization on a refinement level of the truncated guide with tail
+    caps, and the record of that count.  Each P1 function continues beyond
+    each cap as u(s) e^{-kappa t}; truncate has checked that the half-strips
+    beyond the caps are disjoint, so the continued function lies in H^1_0 of
+    the whole waveguide and each Rayleigh-Ritz value bounds a waveguide
+    eigenvalue, on every level."""
+    mesh, caps = _truncated_mesh(vcfg, length, levels)
     prob = fem.assemble(mesh, caps)
     shift = nu - BUDGET_FLOOR_REL * nu  # below nu, the cut that _n_below applies
     eigs = fem.eigs_below(prob, shift)
     # deterministic mesh diagnostics: free nodes, largest edge, smallest angle
     diagnostics = {"dof": int(prob.free_nodes.size), "h": mesh.max_diameter(), "min_angle": mesh.min_angle_deg()}
-    mesh_params = {"length": length, "h0": h0, "levels": levels, "kappa": TAIL_KAPPA, **diagnostics}
+    mesh_params = {"length": length, "h0": FEM_H0, "levels": levels, "kappa": TAIL_KAPPA, **diagnostics}
     # each tolerance covers rounding in forming the Rayleigh-Ritz pencil
     out = [
         SpectralBound(
@@ -180,19 +178,19 @@ def _fem_upper_bounds(
 
 
 def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
-    """FEM count on the tail-capped truncated guide at (truncation_length,
-    fem_h0, fem_levels): inertia says how many eigenvalues of the P1-and-tail
-    space lie below the cut and Rayleigh-Ritz values bound them.  That space
-    is a subspace of H^1_0 of the waveguide, so for any m-dimensional
-    subspace of it the j-th Rayleigh-Ritz value is >= lambda_j^h >=
-    lambda_j(waveguide) (min-max), converged or not, and n_true >= n; the
-    center lower bound for index n + 1 gives n_true <= n.  An undercount m
-    only loses the certificate (l_{m+1} <= mu_{m+1} < nu); an overcount puts
-    the m-th value at or above the cut: fem.eigs_below raises.  Only a 2D
-    config has branches to truncate; a 3D one is Unbound."""
+    """FEM count on refinement level fem_levels of the tail-capped guide
+    truncated at truncation_length: inertia says how many eigenvalues of the
+    P1-and-tail space lie below the cut and Rayleigh-Ritz values bound them.
+    That space is a subspace of H^1_0 of the waveguide, so for any
+    m-dimensional subspace of it the j-th Rayleigh-Ritz value is >=
+    lambda_j^h >= lambda_j(waveguide) (min-max), converged or not, and
+    n_true >= n; the center lower bound for index n + 1 gives n_true <= n.
+    An undercount m only loses the certificate (l_{m+1} <= mu_{m+1} < nu);
+    an overcount puts the m-th value at or above the cut: fem.eigs_below
+    raises.  Only a 2D config has branches to truncate; a 3D one is Unbound."""
     if vcfg.is_3d:
         raise Unbound("fem count needs a 2D config: it meshes the truncated branches of a polygon center")
-    ub, extra["fem_count"] = _fem_upper_bounds(vcfg, plan.truncation_length, plan.fem_h0, plan.fem_levels, nu)
+    ub, extra["fem_count"] = _fem_upper_bounds(vcfg, plan.truncation_length, plan.fem_levels, nu)
     return _n_below(ub, nu), ub
 
 
@@ -427,7 +425,7 @@ def _lower_sector(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> lis
 def _lower_fem_estimate(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     if vcfg.is_3d:
         raise Unbound("fem_estimate needs a polygon center")
-    spec = fem.dn_spectrum(vcfg.center, k, max(plan.fem_levels, 2), plan.fem_h0)
+    spec = fem.dn_spectrum(vcfg.center, k, max(plan.fem_levels, 2), FEM_H0)
     out = []
     for i in range(k):
         v = float(spec.extrapolated[i])
@@ -479,32 +477,12 @@ def _inconclusive(name: str, nu: float, reason: str, uppers=(), lowers=()) -> Ve
     )
 
 
-# (truncation_length, fem_h0, fem_levels) of the meshes a FEM count tries
-# before the plan's own, coarsest first.  Rayleigh-Ritz values of the
-# tail-capped P1 space are upper bounds for the whole waveguide on every mesh,
-# so any rung whose count closes the verdict gives a sound certificate.  With
-# tails a longer stub buys no accuracy the refinement does not, so the rungs
-# share one length and refine.
-MESH_LADDER = ((2.0, 0.5, 1), (2.0, 0.5, 2))
-
-
-def _rungs(plan: CertificationPlan) -> list[CertificationPlan]:
-    """The plan on each ladder mesh that is no finer than its own, coarsest
-    first, then the plan itself: its mesh is the finest one ever solved."""
-    top = (plan.truncation_length, plan.fem_h0, plan.fem_levels)
-    return [
-        replace(plan, truncation_length=length, fem_h0=h0, fem_levels=levels)
-        for length, h0, levels in MESH_LADDER
-        if (length, h0, levels) != top and length <= top[0] and h0 >= top[1] and levels <= top[2]
-    ] + [plan]
-
-
 def _no_finer_rung(v: Verdict, nu: float) -> Optional[str]:
-    """Why no finer rung can certify when v does not, or None if one might.
+    """Why no finer level can certify when v does not, or None if one might.
 
     The center lower bound does not depend on the mesh.  If it puts
     l_{n+1} >= nu, then mu_{n+1} >= nu, Dirichlet-Neumann bracketing gives
-    n_true <= n, and the count gives n <= n_true, so n_true = n.  A finer rung
+    n_true <= n, and the count gives n <= n_true, so n_true = n.  A finer level
     counts some n' <= n_true: with n' < n_true it needs l_{n'+1} > nu, but
     l_{n'+1} <= mu_{n'+1} < nu; with n' = n it needs l_{n+1} - nu > budget,
     and every budget is at least BUDGET_FLOOR_REL * nu.  So once
@@ -520,41 +498,43 @@ def _no_finer_rung(v: Verdict, nu: float) -> Optional[str]:
     )
 
 
-def _rung_record(rung: CertificationPlan, reason: str) -> dict:
-    return {"length": rung.truncation_length, "h0": rung.fem_h0, "levels": rung.fem_levels, "reason": reason}
+def _rung_record(plan: CertificationPlan, levels: int, reason: str) -> dict:
+    return {"length": plan.truncation_length, "h0": FEM_H0, "levels": levels, "reason": reason}
 
 
 def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> Verdict:
-    """The verdict on the first rung of the mesh ladder that certifies, or
-    else on the plan's mesh, with the skipped rungs and their reasons in
-    extra.  A rung whose center lower bound rules out every finer rung (see
-    _no_finer_rung) ends the climb with its own verdict, and the rungs left
-    unsolved go into extra with that reason.  Only a FEM count under a
-    rigorous lower rule climbs: the other counts solve no mesh, and a
-    heuristic rule never certifies.  A rule that does not describe the
-    center is Inconclusive on the first rung."""
+    """The verdict on the first refinement level 1, ..., plan.fem_levels of
+    the FEM count that certifies, or else on the finest, with the skipped
+    levels and their reasons in extra.  The upper bounds hold on every level
+    and the center lower bound does not depend on the mesh, so any level
+    that closes gives a sound certificate.  A level whose center lower bound
+    rules out every finer one (see _no_finer_rung) ends the climb with its
+    own verdict, and the levels left unsolved go into extra with that
+    reason.  Only a FEM count under a rigorous lower rule climbs: the other
+    counts solve no mesh, and a heuristic rule never certifies, so it solves
+    only the finest level.  A rule that does not describe the center is
+    Inconclusive on level 1."""
     nu = threshold(vcfg)
     try:
         if plan.count_strategy != "fem" or plan.lower_strategy == "fem_estimate":
             return _verdict(vcfg, plan, name, nu)
-        *coarser, top = _rungs(plan)
         skipped, unsolved = [], []
-        for i, rung in enumerate(coarser):
+        for levels in range(1, plan.fem_levels):
             try:
-                v = _verdict(vcfg, rung, name, nu)
-            except fem.SolverFailure as e:  # the plan's mesh may still work
+                v = _verdict(vcfg, replace(plan, fem_levels=levels), name, nu)
+            except fem.SolverFailure as e:  # a finer level may still work
                 reason = str(e)
             else:
                 if v.certified:
                     break
                 stop = _no_finer_rung(v, nu)
                 if stop:
-                    unsolved = [_rung_record(r, stop) for r in coarser[i + 1:] + [top]]
+                    unsolved = [_rung_record(plan, finer, stop) for finer in range(levels + 1, plan.fem_levels + 1)]
                     break
                 reason = v.reason
-            skipped.append(_rung_record(rung, reason))
+            skipped.append(_rung_record(plan, levels, reason))
         else:
-            v = _verdict(vcfg, top, name, nu)
+            v = _verdict(vcfg, plan, name, nu)
     except Unbound as e:
         return _inconclusive(name, nu, str(e))
     rungs = {"skipped_rungs": skipped, "unsolved_rungs": unsolved}
@@ -630,10 +610,10 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
     to the waveguide count and each parity to keep a block strictly above
     the threshold.
 
-    The bookkeeping describes crossing_config() only, so a config with a
-    different center, branches or symmetry is Inconclusive."""
-    ref = crossing_config()
-    if (vcfg.center, vcfg.branches, vcfg.symmetry) != (ref.center, ref.branches, ref.symmetry):
+    The bookkeeping describes crossing_config() only, whose center and
+    branches are mirror-symmetric by construction, so a config with a
+    different center or branches is Inconclusive."""
+    if not _is_config(vcfg, crossing_config):
         raise Unbound("crossing_symmetry applies only to the crossing of two unit strips")
     extra: dict = {}
     n_total, uppers = count_discrete(vcfg, plan, nu, extra)
@@ -747,7 +727,6 @@ def y_alpha_config(alpha: float, name: str | None = None) -> ValidatedConfig:
             name=name or f"y_alpha_{alpha:.6g}",
             center=poly,
             branches=tuple(Branch(i, CrossSection.interval(1.0)) for i in cut_idx),
-            allow_no_dirichlet=True,
         )
     )
 
@@ -769,7 +748,6 @@ def broken_config(alpha: float) -> ValidatedConfig:
             name=f"broken_{alpha:.6g}",
             center=_broken_polygon(alpha),
             branches=(Branch(1, CrossSection.interval(1.0)), Branch(2, CrossSection.interval(1.0))),
-            symmetry=geom.SymmetrySpec(("horizontal",)),
         )
     )
 
@@ -785,8 +763,6 @@ def crossing_config() -> ValidatedConfig:
             name="crossing",
             center=sq,
             branches=tuple(Branch(e, CrossSection.interval(1.0)) for e in range(4)),
-            symmetry=geom.SymmetrySpec(("horizontal", "vertical")),
-            allow_no_dirichlet=True,
         )
     )
 
@@ -876,7 +852,7 @@ _PRESETS = {
     "crossing_symmetric": (lambda: crossing_config(), {}, {
         "count_strategy": "fem", "lower_strategy": "crossing_symmetry"}),
     "rounded_corner": (lambda alpha: rounded_corner_config(alpha), {"alpha": math.pi / 2}, {
-        "count_strategy": "fem", "lower_strategy": "sector", "truncation_length": 4.0}),
+        "count_strategy": "fem", "lower_strategy": "sector", "fem_levels": 4}),
     "rect_two_eigs": (lambda a, b: rect_two_eigs_config(a, b), {"a": 2.381, "b": 2.041}, {
         "count_strategy": "exact_box_B", "lower_strategy": "box"}),
     "cube_square": (lambda: cube_square_config(), {}, {"count_strategy": "family_fact", "lower_strategy": "box"}),

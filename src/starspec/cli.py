@@ -236,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--lower-strategy", dest="lower_strategy", help=f"lower-bound rule (config default: {certify.CONFIG_PLAN['lower_strategy']})")
     c.add_argument("--count-strategy", dest="count_strategy", help=f"count rule (config default: {certify.CONFIG_PLAN['count_strategy']})")
     c.add_argument("--truncation", dest="truncation_length", type=float, help="branch truncation length")
-    c.add_argument("--h0", dest="fem_h0", type=float, help="target mesh size")
-    c.add_argument("--levels", dest="fem_levels", type=int, help="refinement levels")
+    c.add_argument("--levels", dest="fem_levels", type=int, help="finest refinement level the FEM count solves")
     c.add_argument("--params", default="{}", help="plan overrides and preset shape keywords (JSON object)")
     c.add_argument("-o", "--output", default="-")
     c.set_defaults(func=cmd_certify)
@@ -271,10 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("mesh", help="triangulate a configuration and dump the mesh")
     m.add_argument("config")
-    m.add_argument("--h0", type=float, default=0.25)
+    # the defaults are the FEM count's: --truncate --levels N dumps level N of a default-plan count
+    m.add_argument("--h0", type=float, default=certify.FEM_H0)
     m.add_argument("--levels", type=int, default=1)
     m.add_argument("--truncate", action="store_true", help="mesh the truncated waveguide")
-    m.add_argument("--truncation", type=float, default=3.0)
+    m.add_argument("--truncation", type=float, default=certify.CertificationPlan.truncation_length)
     m.add_argument("--format", choices=["text", "svg"], default="text")
     m.add_argument("-o", "--output", default="-")
     m.set_defaults(func=cmd_mesh)

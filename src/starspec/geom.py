@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-SYMMETRY_TOL = 1e-12
 CUT_WIDTH_RTOL = 1e-9
 
 
@@ -24,10 +23,6 @@ class InvalidGeometry(ValueError):
 
 
 class StubOverlap(InvalidGeometry):
-    pass
-
-
-class NotSymmetric(InvalidGeometry):
     pass
 
 
@@ -195,25 +190,6 @@ def _segments_intersect(p, q, r, s) -> bool:
 
 
 @dataclass(frozen=True)
-class SymmetrySpec:
-    """Mirror symmetries of a (truncated) domain.
-
-    axes is a subset of {"horizontal", "vertical"}: "horizontal" is the
-    reflection (x, y) -> (x, -y) across the horizontal axis y = 0,
-    "vertical" is (x, y) -> (-x, y) across x = 0.
-    """
-
-    axes: tuple[str, ...]
-
-    def __post_init__(self):
-        for a in self.axes:
-            if a not in ("horizontal", "vertical"):
-                raise InvalidGeometry(f"unknown symmetry axis {a!r}")
-        if len(set(self.axes)) != len(self.axes):
-            raise InvalidGeometry("duplicate symmetry axis")
-
-
-@dataclass(frozen=True)
 class Box3:
     """Axis-aligned 3D box center for the separable mode.
 
@@ -234,10 +210,6 @@ class StarWaveguideConfig:
     name: str
     center: Polygon | Box3
     branches: tuple[Branch, ...]
-    symmetry: Optional[SymmetrySpec] = None
-    # pure-spectrum mode: allow centers with no Dirichlet wall (e.g. the
-    # Y-junction triangle, whose mixed operator degenerates to pure Neumann)
-    allow_no_dirichlet: bool = False
 
     @property
     def is_3d(self) -> bool:
@@ -274,11 +246,6 @@ def _validate_2d(cfg: StarWaveguideConfig) -> None:
     for i in cut_edges:
         if poly.edge_tags[i] is not BC.NEUMANN:
             raise InvalidGeometry(f"cut edge {i} must carry the Neumann tag")
-    if not cfg.allow_no_dirichlet and BC.DIRICHLET not in poly.edge_tags:
-        raise InvalidGeometry(
-            "center has no Dirichlet edge; certification needs one "
-            "(pass allow_no_dirichlet for pure-spectrum use)"
-        )
     seen = set()
     for br in cfg.branches:
         if br.edge in seen:
@@ -297,8 +264,6 @@ def _validate_2d(cfg: StarWaveguideConfig) -> None:
     uncovered = [i for i in cut_edges if i not in seen]
     if uncovered:
         raise InvalidGeometry(f"cut edges {uncovered} have no branch attached")
-    if cfg.symmetry is not None:
-        _check_symmetry(poly, cfg.symmetry)
 
 
 def _validate_3d(cfg: StarWaveguideConfig) -> None:
@@ -326,24 +291,6 @@ def _validate_3d(cfg: StarWaveguideConfig) -> None:
                 raise InvalidGeometry("disk branch does not fit inside the cut face")
         else:
             raise InvalidGeometry("3D branches must be rectangles or disks")
-
-
-def _reflect(axis: str, p: tuple[float, float]) -> tuple[float, float]:
-    return (p[0], -p[1]) if axis == "horizontal" else (-p[0], p[1])
-
-
-def _check_symmetry(poly: Polygon, sym: SymmetrySpec) -> None:
-    verts = set()
-    for v in poly.vertices:
-        verts.add((round(v[0] / SYMMETRY_TOL), round(v[1] / SYMMETRY_TOL)))
-    for axis in sym.axes:
-        for v in poly.vertices:
-            r = _reflect(axis, v)
-            key = (round(r[0] / SYMMETRY_TOL), round(r[1] / SYMMETRY_TOL))
-            if key not in verts:
-                raise NotSymmetric(
-                    f"vertex {v} has no mirror partner across the {axis} axis"
-                )
 
 
 def truncate(vcfg: ValidatedConfig, length: float) -> Polygon:
@@ -440,7 +387,6 @@ def _kind(kinds: tuple, text: str):
 _object = _kind((dict,), "an object")
 _string = _kind((str,), "a string")
 _integer = _kind((int,), "an integer")
-_boolean = _kind((bool,), "true or false")
 _numeric = _kind((int, float), "a number")
 
 
@@ -472,11 +418,25 @@ def _enum(kind: type[Enum]):
 _MISSING = object()
 
 
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _fields(value, path: str, *keys: str) -> dict:
+    """value as an object whose every key is one of keys; an unknown key is
+    malformed under its key path."""
+    obj = _object(value, path or "top level")
+    unknown = next((k for k in obj if k not in keys), None)
+    if unknown is not None:
+        raise _malformed(_at(path, unknown), "unknown key")
+    return obj
+
+
 def _key(obj: dict, path: str, key: str, parse, default=_MISSING):
     """obj[key] parsed under the key path; a missing key without a default is
     malformed."""
     if key in obj:
-        return parse(obj[key], f"{path}.{key}" if path else key)
+        return parse(obj[key], _at(path, key))
     if default is _MISSING:
         raise InvalidGeometry(f"malformed configuration: {key!r} missing from {path or 'the top level'}")
     return default
@@ -491,11 +451,12 @@ def _build(path: str, cls, *args):
 
 
 def _center(value, path: str) -> Polygon | Box3:
-    c = _object(value, path)
-    if "dims" in c:
+    if "dims" in _object(value, path):
+        c = _fields(value, path, "dims", "axis_bcs")
         return _build(
             path, Box3, _key(c, path, "dims", _list(_number)), _key(c, path, "axis_bcs", _list(_list(_enum(BC), 2)))
         )
+    c = _fields(value, path, "vertices", "edge_tags", "edge_roles")
     return _build(
         path, Polygon,
         _key(c, path, "vertices", _list(_list(_number, 2))),
@@ -505,29 +466,23 @@ def _center(value, path: str) -> Polygon | Box3:
 
 
 def _branch(value, path: str) -> Branch:
-    b = _object(value, path)
+    b = _fields(value, path, "edge", "cross_section")
     where = f"{path}.cross_section"
-    cs = _key(b, path, "cross_section", _object)
+    cs = _key(b, path, "cross_section", lambda v, p: _fields(v, p, "type", "dims"))
     section = _build(where, CrossSection, _key(cs, where, "type", _string), _key(cs, where, "dims", _list(_number)))
     return Branch(edge=_key(b, path, "edge", _integer), cross_section=section)
-
-
-def _symmetry(value, path: str) -> SymmetrySpec:
-    return _build(path, SymmetrySpec, _key(_object(value, path), path, "axes", _list(_string)))
 
 
 def config_from_dict(raw: dict) -> StarWaveguideConfig:
     """The configuration a JSON object describes.  Each field is parsed under
     its key path (center.vertices, branches[1].cross_section.dims, ...), and a
-    missing key or a value of the wrong kind raises InvalidGeometry naming
-    that path."""
-    raw = _object(raw, "top level")
+    missing key, an unknown key or a value of the wrong kind raises
+    InvalidGeometry naming that path."""
+    raw = _fields(raw, "", "name", "center", "branches")
     return StarWaveguideConfig(
         name=_key(raw, "", "name", _string),
         center=_key(raw, "", "center", _center),
         branches=_key(raw, "", "branches", _list(_branch), default=()),
-        symmetry=_key(raw, "", "symmetry", _symmetry, default=None),
-        allow_no_dirichlet=_key(raw, "", "allow_no_dirichlet", _boolean, default=False),
     )
 
 
@@ -545,7 +500,7 @@ def config_to_dict(cfg: StarWaveguideConfig) -> dict:
             "edge_tags": [t.value for t in poly.edge_tags],
             "edge_roles": [r.value for r in poly.edge_roles],
         }
-    out = {
+    return {
         "name": cfg.name,
         "center": center,
         "branches": [
@@ -559,8 +514,3 @@ def config_to_dict(cfg: StarWaveguideConfig) -> dict:
             for b in cfg.branches
         ],
     }
-    if cfg.symmetry is not None:
-        out["symmetry"] = {"axes": list(cfg.symmetry.axes)}
-    if cfg.allow_no_dirichlet:
-        out["allow_no_dirichlet"] = True
-    return out

@@ -73,7 +73,7 @@ class TestCounting:
 
     def test_the_fem_count_is_not_capped(self):
         # the former eigensolve asked for k_upper = 4 values and so counted 4 here
-        vcfg, plan = preset("broken", alpha=0.06, truncation_length=4.0, fem_h0=0.5, fem_levels=1)
+        vcfg, plan = preset("broken", alpha=0.06, truncation_length=4.0, fem_levels=1)
         extra = {}
         n, ub = count_discrete(vcfg, plan, PI2, extra)
         assert n == len(ub) == extra["fem_count"]["inertia"] == 6
@@ -193,7 +193,7 @@ class TestPresetOverrides:
     def test_overrides_reach_plan_and_alpha(self):
         vcfg, plan = preset("t_junction", fem_levels=1)
         assert plan.fem_levels == 1
-        assert plan.truncation_length == 3.0
+        assert plan.truncation_length == 2.0
         assert plan.alpha is None
         # a family preset's alpha sets both the shape and the plan
         assert preset("broken", alpha=1.0)[1].alpha == 1.0
@@ -213,7 +213,7 @@ class TestPresetOverrides:
     @pytest.mark.parametrize(
         "kw, field",
         [({"fem_levels": 0}, "fem_levels"), ({"fem_levels": 1.5}, "fem_levels"), ({"fem_levels": True}, "fem_levels"),
-         ({"fem_h0": math.nan}, "fem_h0"), ({"fem_h0": True}, "fem_h0"), ({"truncation_length": -1}, "truncation_length"),
+         ({"truncation_length": -1}, "truncation_length"),
          ({"truncation_length": math.inf}, "truncation_length"),
          ({"count_strategy": "nope"}, "count_strategy"), ({"count_strategy": None}, "count_strategy"),
          ({"lower_strategy": "bogus"}, "lower_strategy"), ({"lower_strategy": 3}, "lower_strategy"),
@@ -312,7 +312,7 @@ class TestShapeBinding:
 
 class TestSingleSolveCount:
     # coarse meshes keep each solve in milliseconds; the count rule is the same
-    CHEAP = {"fem_h0": 0.5, "fem_levels": 1, "truncation_length": 2.0}
+    CHEAP = {"fem_levels": 1, "truncation_length": 2.0}
 
     @pytest.mark.parametrize("name", ["t_junction", "y_junction", "crossing", "crossing_symmetric", "rounded_corner"])
     def test_one_solve_per_certify(self, monkeypatch, name):
@@ -326,7 +326,7 @@ class TestSingleSolveCount:
         rec = v.extra["fem_count"]
         assert list(rec) == ["length", "h0", "levels", "kappa", "dof", "h", "min_angle", "shift", "inertia"]
         assert rec["kappa"] == certify.TAIL_KAPPA
-        assert (rec["length"], rec["h0"], rec["levels"]) == (plan.truncation_length, plan.fem_h0, plan.fem_levels)
+        assert (rec["length"], rec["h0"], rec["levels"]) == (plan.truncation_length, certify.FEM_H0, plan.fem_levels)
         assert rec["dof"] == dofs[0]
         assert rec["shift"] == threshold(vcfg) - certify.BUDGET_FLOOR_REL * threshold(vcfg)
         assert rec["inertia"] == len(v.upper_bounds) == (name != "rounded_corner")
@@ -354,6 +354,12 @@ def _meshes(v: Verdict) -> set:
     return {tuple(b.trace[0].params[k] for k in ("length", "h0", "levels")) for b in v.upper_bounds}
 
 
+def _levels(plan, levels) -> list:
+    """The (length, h0, levels) of the given refinement levels of the plan's
+    FEM count."""
+    return [(plan.truncation_length, certify.FEM_H0, level) for level in levels]
+
+
 def _dof(vcfg, length, h0, levels) -> int:
     poly = geom.truncate(vcfg, length)
     mesh = fem.triangulate(poly, h0)
@@ -362,10 +368,10 @@ def _dof(vcfg, length, h0, levels) -> int:
     return fem.assemble(mesh, certify.tail_caps(poly)).free_nodes.size
 
 
-class TestMeshLadder:
-    # preset -> the rung its verdict comes from, and the rungs it solves; the
-    # crossing certifies on none, and its coarsest rung's lower bound
-    # (lambda_2 = pi^2 = nu) rules out every finer rung
+class TestLevelClimb:
+    # preset -> the level its verdict comes from, and the levels it solves;
+    # the crossing certifies on none, and its level-1 lower bound
+    # (lambda_2 = pi^2 = nu) rules out every finer level
     CLOSING = {
         "t_junction": ((2.0, 0.5, 1), 1),
         "y_junction": ((2.0, 0.5, 1), 1),
@@ -373,26 +379,6 @@ class TestMeshLadder:
         "rounded_corner": ((2.0, 0.5, 2), 2),
         "crossing": ((2.0, 0.5, 1), 1),
     }
-
-    @pytest.mark.parametrize(
-        "mesh, coarser",
-        [
-            ((2.0, 0.5, 1), []),
-            ((2.0, 0.5, 2), [(2.0, 0.5, 1)]),
-            ((3.0, 0.25, 2), [(2.0, 0.5, 1), (2.0, 0.5, 2)]),
-            ((4.0, 0.25, 2), [(2.0, 0.5, 1), (2.0, 0.5, 2)]),
-            ((4.0, 0.25, 1), [(2.0, 0.5, 1)]),
-            ((3.0, 0.125, 3), [(2.0, 0.5, 1), (2.0, 0.5, 2)]),
-            ((2.0, 0.25, 2), [(2.0, 0.5, 1), (2.0, 0.5, 2)]),
-            ((3.0, 1.0, 2), []),
-            ((1.0, 1.0, 1), []),
-        ],
-    )
-    def test_rungs_are_capped_by_the_plan_mesh(self, mesh, coarser):
-        plan = CertificationPlan("fem", "box", *mesh)
-        rungs = certify._rungs(plan)
-        assert rungs[-1] is plan
-        assert [(r.truncation_length, r.fem_h0, r.fem_levels) for r in rungs[:-1]] == coarser
 
     @pytest.mark.parametrize("name", list(CLOSING))
     def test_preset_closes_on_its_rung(self, monkeypatch, name):
@@ -403,22 +389,20 @@ class TestMeshLadder:
         assert len(dofs) == solves
         assert _meshes(v) == {rung}
         skipped = v.extra.get("skipped_rungs", [])
-        assert [(s["length"], s["h0"], s["levels"]) for s in skipped] == [
-            (r.truncation_length, r.fem_h0, r.fem_levels) for r in certify._rungs(plan)[:solves - 1]
-        ]
+        assert [(s["length"], s["h0"], s["levels"]) for s in skipped] == _levels(plan, range(1, solves))
         top = certify._verdict(vcfg, plan, name, threshold(vcfg))
         assert (v.certified, v.n_discrete) == (top.certified, top.n_discrete)
         assert v.certified is (name != "crossing")
         assert ("unsolved_rungs" in v.extra) is (name == "crossing")
         if name == "crossing":
             assert v.margins["dn_gap"] == 0.0
-            closing = certify._verdict(vcfg, certify._rungs(plan)[0], name, threshold(vcfg))
+            closing = certify._verdict(vcfg, dataclasses.replace(plan, fem_levels=1), name, threshold(vcfg))
             reason = (
                 "center lower bound 9.8696 for eigenvalue 2 is within the budget floor 9.8696e-08 "
                 "of threshold 9.8696, with n = 1: no finer mesh can certify"
             )
             unsolved = [{"length": 2.0, "h0": 0.5, "levels": 2, "reason": reason},
-                        {"length": 3.0, "h0": 0.25, "levels": 2, "reason": reason}]
+                        {"length": 2.0, "h0": 0.5, "levels": 3, "reason": reason}]
             assert v.to_dict() == {**closing.to_dict(), "extra": {**closing.extra, "unsolved_rungs": unsolved}}
 
     @pytest.mark.parametrize(
@@ -426,8 +410,8 @@ class TestMeshLadder:
         # l_{n+1} = nu * factor, with tolerance tol * BUDGET_FLOOR_REL * nu, on
         # t_junction (n = 1): only 0 <= l_{n+1} - nu <= BUDGET_FLOOR_REL * nu
         # ends the climb.  With one FEM bound the budget is the floor, so
-        # nu * (1 + 2 floor) certifies on the coarsest rung; a tolerance of
-        # 3 floors puts that gap inside the budget and above the floor.
+        # nu * (1 + 2 floor) certifies on level 1; a tolerance of 3 floors
+        # puts that gap inside the budget and above the floor.
         [(1 + 2 * certify.BUDGET_FLOOR_REL, 0, 1, True), (1 + 2 * certify.BUDGET_FLOOR_REL, 3, 3, False),
          (1 - 1e-12, 0, 3, False), (1.0, 0, 1, False)],
     )
@@ -447,7 +431,7 @@ class TestMeshLadder:
         assert len(dofs) == solves
         assert v.certified is certified
         assert v.margins["dn_gap"] == threshold(vcfg) * factor - threshold(vcfg)
-        rungs = [(r.truncation_length, r.fem_h0, r.fem_levels) for r in certify._rungs(plan)]
+        rungs = _levels(plan, range(1, plan.fem_levels + 1))
         assert _meshes(v) == {rungs[solves - 1]}
         unsolved = [(u["length"], u["h0"], u["levels"]) for u in v.extra.get("unsolved_rungs", [])]
         assert unsolved == ([] if certified else rungs[solves:])
@@ -456,14 +440,14 @@ class TestMeshLadder:
         meshes = []
         fem_upper_bounds = certify._fem_upper_bounds
 
-        def recording(vcfg, length, h0, levels, nu):
-            meshes.append((length, h0, levels))
-            return fem_upper_bounds(vcfg, length, h0, levels, nu)
+        def recording(vcfg, length, levels, nu):
+            meshes.append((length, levels))
+            return fem_upper_bounds(vcfg, length, levels, nu)
 
         monkeypatch.setattr(certify, "_fem_upper_bounds", recording)
-        plan = CertificationPlan("fem", "fem_estimate", truncation_length=3.0, fem_h0=0.5, fem_levels=2)
+        plan = CertificationPlan("fem", "fem_estimate", truncation_length=3.0, fem_levels=2)
         v = run_certify(certify.t_junction_config(), plan)
-        assert meshes == [(3.0, 0.5, 2)]
+        assert meshes == [(3.0, 2)]
         assert v.rigor == "heuristic" and list(v.extra) == ["fem_count"]
 
     def test_unbound_rule_costs_one_coarsest_solve(self, monkeypatch):
@@ -472,14 +456,14 @@ class TestMeshLadder:
         v = run_certify(vcfg, CertificationPlan("fem", "broken_chain", alpha=1.5))
         assert v.reason.startswith("broken_chain")
         assert v.rigor == "none" and v.extra == {}
-        assert dofs == [_dof(vcfg, *certify.MESH_LADDER[0])]
+        assert dofs == [_dof(vcfg, 2.0, 0.5, 1)]
 
     def test_a_coarse_rung_that_fails_is_skipped(self, monkeypatch):
-        _count_solves(monkeypatch, fail_below=1000)  # both coarse rungs: 210 and 870 DOF
+        _count_solves(monkeypatch, fail_below=1000)  # levels 1 and 2: 210 and 870 DOF
         vcfg, plan = preset("y_junction")
         v = run_certify(vcfg, plan)
         assert v.certified and v.n_discrete == 1
-        assert _meshes(v) == {(3.0, 0.25, 2)}
+        assert _meshes(v) == {(2.0, 0.5, 3)}
         assert v.extra["skipped_rungs"] == [
             {"length": 2.0, "h0": 0.5, "levels": levels, "reason": "no convergence"} for levels in (1, 2)
         ]
@@ -492,16 +476,26 @@ class TestMeshLadder:
         for b in v.upper_bounds:
             assert {k: b.trace[0].params[k] for k in want} == want
 
+    def test_the_bent_guide_keeps_its_verdict_at_the_weak_binding_edge(self):
+        # the bound state nears the threshold as alpha nears pi/2: at 1.30 only
+        # the top level (4.0, 0.5, 3) certifies, and at 1.22 level 2 closes
+        v = run_certify(*preset("broken", alpha=1.30))
+        assert (v.certified, v.n_discrete) == (True, 1)
+        assert (v.extra["fem_count"]["levels"], v.extra["fem_count"]["dof"]) == (3, 12159)
+        v = run_certify(*preset("broken", alpha=1.22))
+        assert (v.certified, v.n_discrete) == (True, 1)
+        assert v.extra["fem_count"]["dof"] <= 3007
+
 
 class TestTailCaps:
-    MESHES = [(name, *mesh) for name in ("t_junction", "y_junction", "crossing", "rounded_corner")
-              for mesh in certify.MESH_LADDER]
+    MESHES = [(name, 2.0, levels) for name in ("t_junction", "y_junction", "crossing", "rounded_corner")
+              for levels in (1, 2)]
 
-    @pytest.mark.parametrize("name, length, h0, levels", MESHES)
-    def test_a_tail_value_is_at_most_the_dirichlet_cap_value(self, name, length, h0, levels):
+    @pytest.mark.parametrize("name, length, levels", MESHES)
+    def test_a_tail_value_is_at_most_the_dirichlet_cap_value(self, name, length, levels):
         # the Dirichlet-cap space is the tail space with the cap nodes at 0,
         # so min-max puts every tail value at or below its Dirichlet-cap value
-        mesh, caps = certify._truncated_mesh(preset(name)[0], length, h0, levels)
+        mesh, caps = certify._truncated_mesh(preset(name)[0], length, levels)
         tail = fem.lowest_eigs(fem.assemble(mesh, caps), 3).values
         dirichlet = fem.lowest_eigs(fem.assemble(mesh), 3).values
         assert all(t <= d for t, d in zip(tail, dirichlet))
@@ -515,7 +509,7 @@ class TestTailCaps:
         assert [poly.edge(i) for i in caps] == [((3.0, 0.0), (3.0, 1.0)), ((1.0, 3.0), (0.0, 3.0)), ((-2.0, 1.0), (-2.0, 0.0))]
         assert certify.tail_caps(vcfg.center) == {}  # a center's cuts carry the Neumann tag
 
-    @pytest.mark.parametrize("mesh", [*certify.MESH_LADDER, (3.0, 0.25, 2)])
+    @pytest.mark.parametrize("mesh", [(2.0, 1), (2.0, 2), (2.0, 3), (3.0, 2)])
     def test_the_straight_strip_counts_nothing_on_every_rung(self, straight_json, mesh):
         # the spectrum of the straight strip is [nu, inf), which bounds every
         # tail value from below: the count is 0 at the shift nu (1 - 1e-8)

@@ -144,7 +144,7 @@ class TestCertifyCommand:
         ],
     )
     def test_a_chain_that_does_not_describe_the_center_exits_two(self, capsys, argv, rule):
-        code, out, _ = run(capsys, "certify", *argv, "--truncation", "2", "--h0", "0.5", "--levels", "1")
+        code, out, _ = run(capsys, "certify", *argv, "--truncation", "2", "--levels", "1")
         assert code == cli.EXIT_INCONCLUSIVE
         report = json.loads(out)
         assert report["verdict"] == "Inconclusive"
@@ -256,7 +256,7 @@ class TestFamilyFactCount:
 
 class TestAlphaErrors:
     FILES = {"broken_chain": "broken_1.0", "y_chain": "y_alpha_0.95", "sector": "rounded_corner"}
-    CHEAP = ("--truncation", "2", "--h0", "0.5", "--levels", "1")
+    CHEAP = ("--truncation", "2", "--levels", "1")
 
     @pytest.mark.parametrize("params", [(), ("--params", '{"alpha": null}')])
     @pytest.mark.parametrize("rule", list(FILES))
@@ -313,6 +313,27 @@ class TestAlphaErrors:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "stem, edit, path",
+        [
+            ("t_junction", lambda c: c.update(branchez=[]), "branchez"),
+            ("t_junction", lambda c: c["center"].update(edge_rolez=[]), "center.edge_rolez"),
+            ("cube_square", lambda c: c["center"].update(vertices=[]), "center.vertices"),
+            ("t_junction", lambda c: c["branches"][2].update(width=1.0), "branches[2].width"),
+            ("t_junction", lambda c: c["branches"][0]["cross_section"].update(typo=1), "branches[0].cross_section.typo"),
+            ("crossing", lambda c: c.update(symmetry={"axes": ["horizontal"]}), "symmetry"),
+            ("y_junction", lambda c: c.update(allow_no_dirichlet=True), "allow_no_dirichlet"),
+        ],
+    )
+    @pytest.mark.usefixtures("no_solve")
+    def test_an_unknown_key_exits_one(self, tmp_path, capsys, stem, edit, path):
+        cfg = json.loads(Path(f"configs/{stem}.json").read_text())
+        edit(cfg)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "certify", str(bad))
+        assert (code, out, err) == (cli.EXIT_ERROR, "", f"error: malformed configuration: {path}: unknown key\n")
 
     def test_non_object_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -403,8 +424,10 @@ class TestSpectrumCommand:
         assert json.loads(out)["values"] == [pytest.approx(16 * 3.141592653589793**2 / 9 * 3, rel=1e-12)]
         assert json.loads(out)["provenance"] == ["equilateral-D(m=1,n=1)"]
 
-    def test_certify_has_no_k_flag(self, capsys):
-        code, out, _ = run(capsys, "certify", "--preset", "y_junction", "-k", "4")
+    # --h0: the FEM count climbs the levels of one triangulation at certify.FEM_H0
+    @pytest.mark.parametrize("flag", [("-k", "4"), ("--h0", "0.5")])
+    def test_certify_has_no_such_flag(self, capsys, flag):
+        code, out, _ = run(capsys, "certify", "--preset", "y_junction", *flag)
         assert code == cli.EXIT_ERROR and out == ""
 
 
@@ -436,6 +459,14 @@ class TestMeshCommand:
         code, _, err = run(capsys, "mesh", "configs/t_junction.json", "--truncate", *mesh)
         assert code == 0
         assert f" dof={params['dof']} " in err
+
+    @pytest.mark.parametrize("name, levels, dof", [("t_junction", 1, 238), ("rounded_corner", 2, 3375)])
+    def test_the_defaults_dump_a_level_of_the_default_count(self, capsys, name, levels, dof):
+        _, out, _ = run(capsys, "certify", "--preset", name)
+        assert json.loads(out)["extra"]["fem_count"]["dof"] == dof
+        code, _, err = run(capsys, "mesh", f"configs/{name}.json", "--truncate", "--levels", str(levels))
+        assert code == 0
+        assert f" dof={dof} " in err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,6 +1,5 @@
 """Geometry layer: polygons, configuration validation, truncation, config I/O."""
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -18,7 +17,6 @@ from starspec.geom import (
     Polygon,
     StarWaveguideConfig,
     StubOverlap,
-    SymmetrySpec,
     simple_polygon,
     truncate,
     validate_config,
@@ -118,36 +116,15 @@ class TestValidation:
         with pytest.raises(InvalidGeometry):
             validate_config(cfg)
 
-    def test_declared_mirror_without_partner_rejected(self):
-        # the unit square is not symmetric across y = 0: (0, 1) has no partner
-        sq = Polygon(
-            vertices=tuple(UNIT_SQUARE),
-            edge_tags=(BC.DIRICHLET, BC.NEUMANN, BC.DIRICHLET, BC.DIRICHLET),
-            edge_roles=(EdgeRole.WALL, EdgeRole.CUT, EdgeRole.WALL, EdgeRole.WALL),
-        )
-        cfg = StarWaveguideConfig(
-            name="bad", center=sq, branches=(Branch(1, CrossSection.interval(1.0)),),
-            symmetry=SymmetrySpec(("horizontal",)),
-        )
-        with pytest.raises(geom.NotSymmetric, match="horizontal"):
-            validate_config(cfg)
-        validate_config(dataclasses.replace(cfg, symmetry=None))
-
-    def test_all_neumann_needs_flag(self):
+    def test_an_all_neumann_center_validates(self):
+        # the crossing's center: every edge is a cut with a branch
         sq = Polygon(
             vertices=tuple(UNIT_SQUARE),
             edge_tags=(BC.NEUMANN,) * 4,
             edge_roles=(EdgeRole.CUT,) * 4,
         )
         branches = tuple(Branch(i, CrossSection.interval(1.0)) for i in range(4))
-        with pytest.raises(InvalidGeometry):
-            validate_config(StarWaveguideConfig(name="x", center=sq, branches=branches))
-        ok = validate_config(
-            StarWaveguideConfig(
-                name="x", center=sq, branches=branches, allow_no_dirichlet=True
-            )
-        )
-        assert ok.name == "x"
+        assert validate_config(StarWaveguideConfig(name="x", center=sq, branches=branches)).name == "x"
 
     def test_3d_box_valid(self):
         vcfg = certify.cube_square_config()
