@@ -402,7 +402,14 @@ def _lower_y_chain(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> li
 def _lower_sector(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
     """Analytic lower bounds for the circular-sector center spectrum from the
     Bessel-zero inequalities; k = 2 is what certification needs.  They bound
-    every polygon inscribed in the sector with Dirichlet on its arc side."""
+    every polygon inscribed in the sector with Dirichlet on its arc side.
+
+    The sector's eigenvalues are j_{s,k'}^2 with order s = pi n / alpha,
+    n >= 0 and k' >= 1; the fundamental is (n, k') = (0, 1), and every other
+    mode has n >= 1 or k' >= 2.  bessel_zero_lower_bound(s, k') grows with s
+    and with k' (both of its branches do, and the second only joins the max
+    as s passes 1/2), so each such zero exceeds the floor of (n=1, k'=1) or
+    of (n=0, k'=2), and the smaller of those two squares bounds lambda_2."""
     alpha = _family_alpha(vcfg, plan, "sector", lambda a: _rounded_corner_polygon(a, vcfg.center.n_edges - 2))
     out = [bnd.lower_bound(DN_CENTER_OP, 1, 0.0, "trivial-floor", {})]
     if k >= 2:
@@ -670,19 +677,19 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
 # -- geometry builders for the catalog examples ----------------------------
 
 
+def _unit_star(name: str, poly: Polygon) -> ValidatedConfig:
+    """The validated config of poly with a unit-width branch on every cut
+    edge, in edge order."""
+    cuts = (i for i, role in enumerate(poly.edge_roles) if role is EdgeRole.CUT)
+    return geom.validate_config(StarWaveguideConfig(name, poly, tuple(Branch(i, CrossSection.interval(1.0)) for i in cuts)))
+
+
 def t_junction_config() -> ValidatedConfig:
-    sq = Polygon(
+    return _unit_star("t_junction", Polygon(
         vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
         edge_tags=(BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.NEUMANN),
         edge_roles=(EdgeRole.WALL, EdgeRole.CUT, EdgeRole.CUT, EdgeRole.CUT),
-    )
-    return geom.validate_config(
-        StarWaveguideConfig(
-            name="t_junction",
-            center=sq,
-            branches=tuple(Branch(e, CrossSection.interval(1.0)) for e in (1, 2, 3)),
-        )
-    )
+    ))
 
 
 def y_junction_config() -> ValidatedConfig:
@@ -720,15 +727,7 @@ def _y_center_polygon(alpha: float) -> Polygon:
 
 
 def y_alpha_config(alpha: float, name: str | None = None) -> ValidatedConfig:
-    poly = _y_center_polygon(alpha)
-    cut_idx = [i for i, r in enumerate(poly.edge_roles) if r is EdgeRole.CUT]
-    return geom.validate_config(
-        StarWaveguideConfig(
-            name=name or f"y_alpha_{alpha:.6g}",
-            center=poly,
-            branches=tuple(Branch(i, CrossSection.interval(1.0)) for i in cut_idx),
-        )
-    )
+    return _unit_star(name or f"y_alpha_{alpha:.6g}", _y_center_polygon(alpha))
 
 
 @functools.lru_cache(maxsize=1)  # the preset, the fact binding and the chain share one build
@@ -743,28 +742,15 @@ def _broken_polygon(alpha: float) -> Polygon:
 
 
 def broken_config(alpha: float) -> ValidatedConfig:
-    return geom.validate_config(
-        StarWaveguideConfig(
-            name=f"broken_{alpha:.6g}",
-            center=_broken_polygon(alpha),
-            branches=(Branch(1, CrossSection.interval(1.0)), Branch(2, CrossSection.interval(1.0))),
-        )
-    )
+    return _unit_star(f"broken_{alpha:.6g}", _broken_polygon(alpha))
 
 
 def crossing_config() -> ValidatedConfig:
-    sq = Polygon(
+    return _unit_star("crossing", Polygon(
         vertices=((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)),
         edge_tags=(BC.NEUMANN,) * 4,
         edge_roles=(EdgeRole.CUT,) * 4,
-    )
-    return geom.validate_config(
-        StarWaveguideConfig(
-            name="crossing",
-            center=sq,
-            branches=tuple(Branch(e, CrossSection.interval(1.0)) for e in range(4)),
-        )
-    )
+    ))
 
 
 def _rounded_corner_polygon(alpha: float, arc_segments: int) -> Polygon:
@@ -782,14 +768,7 @@ def _rounded_corner_polygon(alpha: float, arc_segments: int) -> Polygon:
 
 
 def rounded_corner_config(alpha: float, arc_segments: int = 24) -> ValidatedConfig:
-    poly = _rounded_corner_polygon(alpha, arc_segments)
-    return geom.validate_config(
-        StarWaveguideConfig(
-            name=f"rounded_corner_{alpha:.6g}",
-            center=poly,
-            branches=(Branch(0, CrossSection.interval(1.0)), Branch(poly.n_edges - 1, CrossSection.interval(1.0))),
-        )
-    )
+    return _unit_star(f"rounded_corner_{alpha:.6g}", _rounded_corner_polygon(alpha, arc_segments))
 
 
 def rect_two_eigs_config(a: float, b: float) -> ValidatedConfig:
@@ -807,14 +786,7 @@ def rect_two_eigs_config(a: float, b: float) -> ValidatedConfig:
     ]
     tags = [BC.DIRICHLET, BC.DIRICHLET, BC.NEUMANN, BC.DIRICHLET, BC.NEUMANN, BC.DIRICHLET, BC.DIRICHLET, BC.DIRICHLET]
     roles = [EdgeRole.WALL, EdgeRole.WALL, EdgeRole.CUT, EdgeRole.WALL, EdgeRole.CUT, EdgeRole.WALL, EdgeRole.WALL, EdgeRole.WALL]
-    poly = Polygon(tuple(verts), tuple(tags), tuple(roles))
-    return geom.validate_config(
-        StarWaveguideConfig(
-            name=f"rect_{a:.6g}x{b:.6g}",
-            center=poly,
-            branches=(Branch(2, CrossSection.interval(1.0)), Branch(4, CrossSection.interval(1.0))),
-        )
-    )
+    return _unit_star(f"rect_{a:.6g}x{b:.6g}", Polygon(tuple(verts), tuple(tags), tuple(roles)))
 
 
 def _cube_config(name: str, duct: CrossSection) -> ValidatedConfig:

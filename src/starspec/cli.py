@@ -296,15 +296,7 @@ def run(argv=None) -> int:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        geom.InvalidGeometry,
-        geom.StubOverlap,
-        certify.NoPipeline,
-        fem.MeshFailure,
-        fem.SolverFailure,
-    ) as e:
+    except (ValueError, OSError, exact.ConvergenceFailure, fem.MeshFailure, fem.SolverFailure) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_ERROR
 

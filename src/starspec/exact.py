@@ -247,42 +247,6 @@ def sector_dn_eigs(alpha: float, radius: float, k: int) -> EigList:
     raise CapsTooSmall("automatic cap growth did not certify completeness")
 
 
-def sector_gap_certificate(alpha: float, nu: float, n_scan: int = 8, k_scan: int = 8) -> dict:
-    """Certify that every sector mode except the fundamental exceeds nu.
-
-    Scans the analytic zero lower bound over a finite index window and closes
-    the tails by monotonicity: the bound grows in the order s (so large n is
-    dominated by the last scanned n) and in the zero index k (likewise).
-    Returns the scan evidence; "certified" is True when every non-fundamental
-    candidate bound squared exceeds nu.
-    """
-    if not 0 < alpha < math.pi:
-        raise ValueError("alpha must lie in (0, pi)")
-    scanned = []
-    ok = True
-    for n in range(n_scan + 1):
-        s = math.pi * n / alpha
-        for kk in range(1, k_scan + 1):
-            if n == 0 and kk == 1:
-                continue
-            v = bessel_zero_lower_bound(s, kk) ** 2
-            scanned.append({"n": n, "k": kk, "floor": v})
-            ok = ok and v > nu
-    # tails: n > n_scan has s larger than every scanned order with k = 1;
-    # k > k_scan dominates the scanned k = k_scan row
-    tail_n = bessel_zero_lower_bound(math.pi * (n_scan + 1) / alpha, 1) ** 2
-    tail_k = bessel_zero_lower_bound(0.0, k_scan + 1) ** 2
-    ok = ok and tail_n > nu and tail_k > nu
-    fundamental = bessel_zero(0.0, 1) ** 2
-    return {
-        "certified": bool(ok),
-        "scanned": scanned,
-        "tail_floors": {"order": tail_n, "zero_index": tail_k},
-        "fundamental": fundamental,
-        "fundamental_below": fundamental < nu,
-    }
-
-
 # -- special-purpose analytic bounds ---------------------------------------
 
 

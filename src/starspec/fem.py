@@ -25,6 +25,9 @@ from .geom import BC, Polygon
 
 # dense eigh beats shift-invert eigsh (k = 2) at 189 DOF and loses from 272 up
 DENSE_DOF_LIMIT = 250
+# the most triangles refine makes: the T-junction's level-6 count mesh, which
+# peaks at 1.1 GB RSS; level 7 (2,097,152 triangles) peaks at 5.5 GB
+MAX_TRIANGLES = 524_288
 
 
 class MeshFailure(RuntimeError):
@@ -67,20 +70,12 @@ class Mesh:
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
         return float(np.min(angles))
 
-    def areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
-
 
 @dataclass
 class DiscreteProblem:
     stiffness: sp.csr_matrix  # on free nodes
     mass: sp.csr_matrix
     free_nodes: np.ndarray  # indices of free nodes in the mesh
-    total_mass: float  # mesh area: the sum of the unrestricted mass matrix without tails
 
 
 @dataclass
@@ -140,7 +135,10 @@ def _any_point_in_triangle(vertices, candidates, a, b, c) -> bool:
 
 
 def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) -> None:
-    """Local edge flips toward the Delaunay criterion; fixed edges stay."""
+    """Local edge flips, one per scan, until no edge flips; fixed edges stay.
+    A flipped-out edge never returns (it lies above its replacement on the
+    lifting paraboloid), so the flips number at most the n (n - 1) / 2 node
+    pairs; more scans than that raise MeshFailure."""
 
     def in_circumcircle(a, b, c, d) -> bool:
         # sign normalized by triangle orientation so the test is order-free
@@ -151,7 +149,7 @@ def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) 
         return math.copysign(1.0, orient) * det > 1e-12
 
     pts = nodes.tolist()  # float arithmetic on Python floats: the same bits, without NumPy scalar overhead
-    for _ in range(50):
+    for _ in range(len(pts) * (len(pts) - 1) // 2 + 1):
         edge_map: dict[tuple[int, int], list[int]] = {}
         for t, tri in enumerate(tris):
             for i in range(3):
@@ -182,6 +180,7 @@ def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) 
             break
         if not flipped:
             return
+    raise MeshFailure("Delaunay flips did not settle")
 
 
 def triangulate(poly: Polygon, h_target: float) -> Mesh:
@@ -227,9 +226,12 @@ def refine(mesh: Mesh) -> Mesh:
     Numbering: the old nodes keep their indices, then each new edge midpoint
     follows in order of first appearance, scanning the triangle edges
     (a,b), (b,c), (c,a) in triangle order and then the boundary edges.
-    Each midpoint is 0.5 * (x_i + x_j) of the edge's first-seen pair."""
+    Each midpoint is 0.5 * (x_i + x_j) of the edge's first-seen pair.
+    A refinement past MAX_TRIANGLES raises MeshFailure before allocating."""
     nn = len(mesh.nodes)
     tris = mesh.triangles
+    if 4 * len(tris) > MAX_TRIANGLES:
+        raise MeshFailure(f"refining to {4 * len(tris)} triangles exceeds the cap of {MAX_TRIANGLES} triangles")
     bedges = mesh.boundary_edges
     pairs = np.concatenate(
         [np.stack([tris, tris[:, [1, 2, 0]]], axis=2).reshape(-1, 2), bedges]
@@ -305,7 +307,6 @@ def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProbl
         stiffness=K[np.ix_(free, free)].tocsr(),
         mass=M[np.ix_(free, free)].tocsr(),
         free_nodes=free,
-        total_mass=float(area.sum()),
     )
 
 

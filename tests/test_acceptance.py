@@ -17,7 +17,7 @@ from starspec.exact import (
     box_eigs,
     cross_section_threshold,
     equilateral_eigs,
-    sector_gap_certificate,
+    sector_dn_eigs,
 )
 from starspec.geom import BC, CrossSection, EdgeRole, Polygon
 
@@ -160,9 +160,10 @@ def test_criterion_6_two_eigenvalue_region():
 
 def test_criterion_7_rounded_corner_sector_gaps():
     for alpha in (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 3 * math.pi / 4):
-        cert = sector_gap_certificate(alpha, PI2)
-        assert cert["certified"]
-        assert cert["fundamental_below"]
+        floor = certify.dn_lower_bounds(*preset("rounded_corner", alpha=alpha), 2)[1].value
+        exact_eigs = sector_dn_eigs(alpha, 1.0, 2)
+        assert PI2 < floor <= exact_eigs[1]  # the sector rule's lambda_2 floor, against the Bessel zeros
+        assert exact_eigs[0] < PI2
     assert bessel_zero(0.0, 1) < math.pi  # the fundamental always sits below nu
     _passline(7, "sector gap certificates hold across the opening-angle range")
 

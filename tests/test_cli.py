@@ -410,6 +410,7 @@ class TestSpectrumCommand:
             ("--shape", "equilateral", "--bc", "neumann", "--side", "nan"),
             ("--shape", "equilateral", "--side", "-1"),
             ("--shape", "sector", "--radius", "inf"),
+            ("--shape", "sector", "--alpha", "1e-6", "-k", "2"),  # order 3.1e6: exact.ConvergenceFailure
         ],
     )
     def test_sizes_must_be_finite(self, capsys, argv):
@@ -482,6 +483,21 @@ class TestMeshCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "configs/t_junction.json", "--levels", "40"),
+            ("mesh", "configs/t_junction.json", "--truncate", "--levels", "40"),
+            ("mesh", "configs/t_junction.json", "--h0", "1e-9"),
+        ],
+    )
+    def test_refinement_past_the_triangle_cap_exits_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(fem, "MAX_TRIANGLES", 4096)  # the t_junction's level 3 has 8192
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:") and "cap of 4096 triangles" in err
 
     def test_svg_output(self, capsys):
         code, out, _ = run(

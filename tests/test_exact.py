@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starspec import exact
+from starspec import certify, exact
 from starspec.exact import (
     PI2,
     OutOfRange,
@@ -20,7 +20,6 @@ from starspec.exact import (
     interval_eigs,
     right_triangle_dn_lower_bound,
     sector_dn_eigs,
-    sector_gap_certificate,
     y_alpha_enclosure_triangle,
     y_alpha_threshold,
 )
@@ -254,11 +253,13 @@ class TestSector:
             assert y == pytest.approx(x / 4, rel=1e-12)
 
     def test_gap_certificate(self):
+        # the sector rule's lambda_2 floor lies between the threshold and the exact lambda_2
         for alpha in (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 3 * math.pi / 4):
-            cert = sector_gap_certificate(alpha, PI2)
-            assert cert["certified"]
-            assert cert["fundamental_below"]
-            assert cert["fundamental"] == pytest.approx(bessel_zero(0.0, 1) ** 2, rel=1e-12)
+            floor = certify.dn_lower_bounds(*certify.preset("rounded_corner", alpha=alpha), 2)[1].value
+            eigs = sector_dn_eigs(alpha, 1.0, 2)
+            assert PI2 < floor <= eigs[1]
+            assert eigs[0] == pytest.approx(bessel_zero(0.0, 1) ** 2, rel=1e-12)
+            assert eigs[0] < PI2
 
 
 class TestSpecialBounds:

@@ -26,6 +26,13 @@ NEUMANN_TRIANGLE = Polygon(
 )
 
 
+def _area(mesh):
+    """Total area of the mesh triangles, from mesh.nodes and mesh.triangles."""
+    p = mesh.nodes[mesh.triangles]
+    return 0.5 * float(np.sum((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                              - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])))
+
+
 class TestMeshing:
     def test_triangulate_respects_target(self):
         mesh = fem.triangulate(DN_SQUARE, 0.25)
@@ -35,13 +42,13 @@ class TestMeshing:
     def test_triangle_areas_sum_to_polygon_area(self):
         for poly in (DN_SQUARE, NEUMANN_TRIANGLE):
             mesh = fem.triangulate(poly, 0.3)
-            assert mesh.areas().sum() == pytest.approx(poly.area(), rel=1e-12)
+            assert _area(mesh) == pytest.approx(poly.area(), rel=1e-12)
 
     def test_refine_quarters_triangles(self):
         mesh = fem.triangulate(DN_SQUARE, 0.5)
         fine = fem.refine(mesh)
         assert fine.triangles.shape[0] == 4 * mesh.triangles.shape[0]
-        assert fine.areas().sum() == pytest.approx(mesh.areas().sum(), rel=1e-12)
+        assert _area(fine) == pytest.approx(_area(mesh), rel=1e-12)
         assert fine.max_diameter() == pytest.approx(mesh.max_diameter() / 2, rel=1e-12)
 
     def test_boundary_tags_survive_refinement(self):
@@ -61,12 +68,61 @@ class TestMeshing:
     def test_nonconvex_polygon_meshes(self):
         ell = simple_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
         mesh = fem.triangulate(ell, 0.25)
-        assert mesh.areas().sum() == pytest.approx(3.0, rel=1e-12)
+        assert _area(mesh) == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("h0", [0.0, -0.5, math.nan, math.inf])
     def test_mesh_size_must_be_positive_and_finite(self, h0):
         with pytest.raises(fem.MeshFailure):
             fem.triangulate(DN_SQUARE, h0)
+
+
+def _delaunay_excess(mesh):
+    """Largest amount by which the two angles facing an interior edge sum
+    past pi: positive exactly when flipping that edge would make the mesh
+    more Delaunay (a pair summing past pi spans a strictly convex quad)."""
+    owners = {}
+    for tri in mesh.triangles.tolist():
+        for i in range(3):
+            owners.setdefault(frozenset((tri[i], tri[i - 1])), []).append(tri[i - 2])
+    worst = -math.pi
+    for edge, facing in owners.items():
+        if len(facing) == 2:
+            a, b = (mesh.nodes[v] for v in edge)
+            total = 0.0
+            for v in facing:
+                u, w = a - mesh.nodes[v], b - mesh.nodes[v]
+                total += math.acos(np.clip(u @ w / (np.linalg.norm(u) * np.linalg.norm(w)), -1, 1))
+            worst = max(worst, total - math.pi)
+    return worst
+
+
+class TestDelaunayFlips:
+    def test_the_flips_run_until_no_edge_flips(self):
+        # the 64-segment arc needs 63 flips; the last arc triangle's angle is 90 / 64 degrees
+        poly = geom.truncate(certify.rounded_corner_config(math.pi / 2, 64), 2.0)
+        mesh = fem.triangulate(poly, 1e3)  # no refinement
+        assert _delaunay_excess(mesh) <= 1e-9
+        assert mesh.min_angle_deg() == pytest.approx(90 / 64, rel=1e-9)
+
+
+class TestRefinementCap:
+    def test_refine_stops_past_the_cap(self, monkeypatch):
+        mesh = fem.triangulate(DN_SQUARE, 0.5)
+        monkeypatch.setattr(fem, "MAX_TRIANGLES", 4 * len(mesh.triangles))
+        fine = fem.refine(mesh)  # exactly at the cap
+        with pytest.raises(fem.MeshFailure, match=f"cap of {4 * len(mesh.triangles)} triangles"):
+            fem.refine(fine)
+
+    def test_every_refinement_loop_meets_the_cap(self, monkeypatch):
+        monkeypatch.setattr(fem, "MAX_TRIANGLES", 1000)
+        with pytest.raises(fem.MeshFailure, match="cap of 1000 triangles"):
+            fem.triangulate(DN_SQUARE, 1e-6)
+        with pytest.raises(fem.MeshFailure, match="cap of 1000 triangles"):
+            fem.dn_spectrum(DN_SQUARE, 2, 40, 0.5)
+
+    def test_the_cap_admits_the_largest_mesh_the_benchmark_refines(self):
+        # the refinement workload's deepest spectrum mesh: 163,840 triangles, 82,689 nodes
+        assert fem.MAX_TRIANGLES >= 163_840
 
 
 def _norm_max_diameter(mesh):
@@ -110,9 +166,10 @@ class TestMeshDiagnostics:
 
 class TestAssembly:
     def test_mass_sums_to_area(self):
-        for poly in (DN_SQUARE, NEUMANN_TRIANGLE):
+        # all-Neumann polygons keep every node, so the mass matrix integrates 1 * 1
+        for poly in (simple_polygon(DN_SQUARE.vertices, [BC.NEUMANN] * 4), NEUMANN_TRIANGLE):
             prob = fem.assemble(fem.triangulate(poly, 0.25))
-            assert prob.total_mass == pytest.approx(poly.area(), rel=1e-12)
+            assert prob.mass.sum() == pytest.approx(poly.area(), rel=1e-12)
 
     def test_stiffness_kernel_is_constants_without_dirichlet(self):
         prob = fem.assemble(fem.triangulate(NEUMANN_TRIANGLE, 0.3))
@@ -463,7 +520,6 @@ class TestTailCaps:
         norm2 = a * a + a * b + b * b / 3
         assert u @ (tailed.stiffness - plain.stiffness) @ u == pytest.approx((b * b + kappa**2 * norm2) / (2 * kappa), rel=1e-12)
         assert u @ (tailed.mass - plain.mass) @ u == pytest.approx(norm2 / (2 * kappa), rel=1e-12)
-        assert tailed.total_mass == plain.total_mass
 
     def test_cap_nodes_are_free_and_wall_corners_stay_dirichlet(self):
         poly = geom.truncate(certify.t_junction_config(), 2.0)
