@@ -6,6 +6,9 @@ Refinement is nested and deterministic: the old nodes keep their indices and
 each new edge midpoint is numbered in order of first appearance (triangle
 edges in triangle order, then boundary edges).
 
+Every sparse solve factors through _factor, one minimum-degree L D L^T, and
+each finer level of dn_spectrum is an inertia-checked count below a shift.
+
 FEM eigenvalues from a conforming space are variational upper bounds; they
 are never used as lower bounds anywhere in the package.
 """
@@ -28,6 +31,10 @@ DENSE_DOF_LIMIT = 250
 # the most triangles refine makes: the T-junction's level-6 count mesh, which
 # peaks at 1.1 GB RSS; level 7 (2,097,152 triangles) peaks at 5.5 GB
 MAX_TRIANGLES = 524_288
+# delta in dn_spectrum's shift (1 + delta) lambda_k + delta above the coarser
+# level (nested: lambda_k(fine) <= lambda_k(coarse)): the relative part covers
+# rounding of the coarse value, the absolute part a Neumann kernel's 0
+NESTED_SHIFT = 1e-3
 
 
 class MeshFailure(RuntimeError):
@@ -310,8 +317,22 @@ def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProbl
     )
 
 
+def _factor(A: sp.spmatrix):
+    """Every sparse FEM factorization: symmetric-mode SuperLU without row
+    pivoting (checked), an L D L^T with D = diag(U), on a minimum-degree
+    ordering; relax=1: supernode relaxation pads and slows the factor."""
+    try:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly singular pivot: the shift is an eigenvalue
+        raise SolverFailure(str(exc)) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverFailure("the factorization pivoted rows")
+    return lu
+
+
 def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
-    """k smallest eigenvalues of the generalized problem (K, M)."""
+    """k smallest eigenvalues of (K, M): dense eigh up to DENSE_DOF_LIMIT DOF,
+    else shift-invert Lanczos at sigma = -0.1 on the _factor of K + 0.1 M."""
     n = prob.stiffness.shape[0]
     if k == 0:
         return EigList((), ())
@@ -320,23 +341,16 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
     try:
         if n <= DENSE_DOF_LIMIT:
             vals = scipy.linalg.eigh(
-                prob.stiffness.toarray(),
-                prob.mass.toarray(),
-                eigvals_only=True,
-                subset_by_index=(0, k - 1),
+                prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True, subset_by_index=(0, k - 1)
             )
         else:
-            vals = spla.eigsh(
-                prob.stiffness,
-                k=k,
-                M=prob.mass,
-                sigma=-0.1,
-                which="LM",
+            lu = _factor(prob.stiffness + 0.1 * prob.mass)
+            vals = np.sort(spla.eigsh(
+                prob.stiffness, k=k, M=prob.mass, sigma=-0.1, which="LM", return_eigenvectors=False,
+                OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
                 v0=np.full(n, 1.0 / math.sqrt(n)),  # deterministic restarts
                 maxiter=100,  # fail fast: a converging solve takes a few restarts
-                return_eigenvectors=False,
-            )
-            vals = np.sort(vals)
+            ))
     except Exception as exc:  # ARPACK no convergence, backend failures
         raise SolverFailure(str(exc)) from exc
     vals = np.maximum(vals, 0.0)  # clip solver noise on Neumann kernels
@@ -345,18 +359,13 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
 
 def eigs_below(prob: DiscreteProblem, sigma: float) -> EigList:
     """Rayleigh-Ritz values for the eigenvalues of (K, M) below sigma: their
-    number m is the inertia of K - sigma M = P^T L D L^T P (symmetric-mode
-    SuperLU, no row pivoting, D = diag(U)), and shift-invert Lanczos on that
-    factorization finds their m vectors ("SA": the negative 1 / (lambda -
-    sigma)).  Row pivoting, no convergence or an m-th value >= sigma raise."""
+    number m is the inertia of K - sigma M = P^T L D L^T P (the _factor),
+    and shift-invert Lanczos on that factorization finds their m vectors
+    ("SA": the negative 1 / (lambda - sigma)).  Row pivoting, no
+    convergence or an m-th value >= sigma raise."""
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
-    try:
-        lu = spla.splu((K - sigma * M).tocsc(), diag_pivot_thresh=0, options={"SymmetricMode": True})
-    except RuntimeError as exc:  # an exactly singular pivot: sigma is an eigenvalue
-        raise SolverFailure(str(exc)) from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverFailure("the inertia factorization pivoted rows")
+    lu = _factor(K - sigma * M)
     m = int(np.count_nonzero(lu.U.diagonal() < 0))
     if m == 0:
         return EigList((), ())
@@ -375,15 +384,21 @@ def eigs_below(prob: DiscreteProblem, sigma: float) -> EigList:
 
 
 def dn_spectrum(poly: Polygon, k: int, levels: int, h0: float = 0.25) -> FemSpectrum:
-    """Eigenvalues on `levels` nested refinements starting from mesh size h0,
-    with Richardson extrapolation using the empirically observed order."""
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
+    """k eigenvalues on `levels` nested refinements from mesh size h0, with
+    Richardson extrapolation using the empirically observed order.  Level 0
+    is lowest_eigs, each finer one an eigs_below just above the coarser
+    lambda_k whose inertia must be >= k (nested spaces), keeping the lowest k."""
+    if k < 1 or levels < 2:
+        raise ValueError(f"dn_spectrum needs k >= 1 and levels >= 2, not k = {k}, levels = {levels}")
     mesh = triangulate(poly, h0)
     level_values = [np.array(lowest_eigs(assemble(mesh), k).values)]
     for _ in range(levels - 1):
         mesh = refine(mesh)
-        level_values.append(np.array(lowest_eigs(assemble(mesh), k).values))
+        sigma = (1.0 + NESTED_SHIFT) * level_values[-1][-1] + NESTED_SHIFT
+        vals = eigs_below(assemble(mesh), sigma).values
+        if len(vals) < k:
+            raise SolverFailure(f"inertia {len(vals)} below {k} at the shift {sigma:.17g} of a coarser level")
+        level_values.append(np.maximum(vals[:k], 0.0))
     return _extrapolate(level_values)
 
 

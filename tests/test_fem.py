@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -359,6 +363,63 @@ class TestConvergence:
         b = fem.dn_spectrum(DN_SQUARE, 2, 3, 0.25)
         assert a.extrapolated[1] == b.extrapolated[1]
 
+    def test_byte_stable_between_processes(self):
+        # fresh single-threaded interpreters: nothing but the input may move a bit
+        code = (
+            "import hashlib; from starspec import certify, fem, geom; "
+            "spec = fem.dn_spectrum(geom.truncate(certify.preset('y_junction')[0], 3.0), 2, 3, 0.5); "
+            "print(hashlib.sha256(repr(spec.level_values).encode()).hexdigest())"
+        )
+        src = str(Path(fem.__file__).resolve().parents[1])
+        env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        digests = [
+            subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+            for _ in range(2)
+        ]
+        assert digests[0].strip() and digests[0] == digests[1]
+
+
+def _spy(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call of module.name."""
+    calls, f = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestShiftedLevels:
+    @pytest.mark.parametrize("levels", [2, 4])
+    def test_each_finer_level_is_one_factorization_and_one_count(self, monkeypatch, levels):
+        lowest, below = _spy(monkeypatch, fem, "lowest_eigs"), _spy(monkeypatch, fem, "eigs_below")
+        factors = _spy(monkeypatch, spla, "splu")
+        fem.dn_spectrum(DN_SQUARE, 2, levels, 0.25)  # level 0 is dense: 72 DOF
+        assert (len(lowest), len(below), len(factors)) == (1, levels - 1, levels - 1)
+
+    @pytest.mark.parametrize("poly, k", [(DN_SQUARE, 3), (NEUMANN_TRIANGLE, 2), ("y_junction", 2), ("crossing", 3)])
+    def test_no_level_value_rises(self, poly, k):
+        if isinstance(poly, str):
+            poly = geom.truncate(certify.preset(poly)[0], 3.0)
+        spec = fem.dn_spectrum(poly, k, 3, 0.5)
+        # exactly, but for the rounding (1e-14) of the Neumann kernel's zero
+        assert np.all(np.diff(np.array(spec.level_values), axis=0) <= 1e-13)
+
+    def test_an_inertia_below_k_raises(self, monkeypatch):
+        # one DN-square eigenvalue lies below each shift but the k = 2 it needs
+        _tampered_splu(monkeypatch, inertia_shift=-1)
+        with pytest.raises(fem.SolverFailure, match="inertia 1 below 2"):
+            fem.dn_spectrum(DN_SQUARE, 2, 2, 0.25)
+
+    def test_a_neumann_kernel_keeps_the_shift_positive(self, monkeypatch):
+        # lambda_1 = 0 on every level: a zero shift would make K - sigma M singular
+        below = _spy(monkeypatch, fem, "eigs_below")
+        spec = fem.dn_spectrum(NEUMANN_TRIANGLE, 1, 3, 0.25)
+        assert np.array(spec.level_values).shape == (3, 1) and np.max(spec.level_values) < 1e-10
+        assert len(below) == 2 and all(args[1] > 0 for args, _ in below)
+
 
 class TestSolvers:
     def test_sparse_path_matches_dense(self, monkeypatch):
@@ -393,6 +454,17 @@ class TestSolvers:
         monkeypatch.setattr(spla, "eigsh", spy)
         fem.lowest_eigs(prob, 3)
         assert seen["maxiter"] == 100
+
+    def test_every_factorization_is_minimum_degree_ldlt_without_relaxation(self, monkeypatch):
+        # COLAMD makes the crossing's 81k-DOF factor larger and slower, and the
+        # default supernode relaxation makes factoring it take 22 s, not 0.5 s
+        prob, sigma = _truncated_problem("t_junction", 2.0, 0.5, 1)
+        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)  # force the sparse solver
+        calls = _spy(monkeypatch, spla, "splu")
+        fem.lowest_eigs(prob, 2)
+        fem.eigs_below(prob, sigma)
+        want = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
+        assert [kwargs for _, kwargs in calls] == [want, want]
 
     def test_no_convergence_is_a_solver_failure(self, monkeypatch):
         prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.25))
