@@ -25,6 +25,9 @@ EXIT_CERTIFIED = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
+# the bytes of json.dumps(s) for a str s, without its per-call dispatch
+_quote = json.encoder.encode_basestring_ascii
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -42,11 +45,11 @@ def _fmt(x) -> str:
     if x is None:
         return "null"
     if isinstance(x, str):
-        return json.dumps(x)
+        return _quote(x)
     if isinstance(x, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in x) + "]"
     if isinstance(x, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}" for k, v in x.items()) + "}"
+        return "{" + ", ".join(f"{_quote(str(k))}: {_fmt(v)}" for k, v in x.items()) + "}"
     raise TypeError(f"cannot serialize {type(x)}")
 
 

@@ -8,6 +8,8 @@ edges in triangle order, then boundary edges).
 
 Every sparse solve factors through _factor, one minimum-degree L D L^T, and
 each finer level of dn_spectrum is an inertia-checked count below a shift.
+Lanczos stops at LANCZOS_TOL residuals, which leave the Ritz values at
+rounding.
 
 FEM eigenvalues from a conforming space are variational upper bounds; they
 are never used as lower bounds anywhere in the package.
@@ -35,6 +37,11 @@ MAX_TRIANGLES = 524_288
 # level (nested: lambda_k(fine) <= lambda_k(coarse)): the relative part covers
 # rounding of the coarse value, the absolute part a Neumann kernel's 0
 NESTED_SHIFT = 1e-3
+# ARPACK's residual tolerance for every Lanczos solve: a Ritz value's error is
+# the square of its vector's residual (||r||^2 / gap), so sqrt(eps) residuals
+# leave the values at rounding; any tolerance keeps them Rayleigh-Ritz upper
+# bounds, so soundness never depends on it
+LANCZOS_TOL = math.sqrt(np.finfo(float).eps)
 
 
 class MeshFailure(RuntimeError):
@@ -332,7 +339,8 @@ def _factor(A: sp.spmatrix):
 
 def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
     """k smallest eigenvalues of (K, M): dense eigh up to DENSE_DOF_LIMIT DOF,
-    else shift-invert Lanczos at sigma = -0.1 on the _factor of K + 0.1 M."""
+    else shift-invert Lanczos at sigma = -0.1 on the _factor of K + 0.1 M,
+    to LANCZOS_TOL residuals."""
     n = prob.stiffness.shape[0]
     if k == 0:
         return EigList((), ())
@@ -350,6 +358,7 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
                 OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
                 v0=np.full(n, 1.0 / math.sqrt(n)),  # deterministic restarts
                 maxiter=100,  # fail fast: a converging solve takes a few restarts
+                tol=LANCZOS_TOL,
             ))
     except Exception as exc:  # ARPACK no convergence, backend failures
         raise SolverFailure(str(exc)) from exc
@@ -361,8 +370,10 @@ def eigs_below(prob: DiscreteProblem, sigma: float) -> EigList:
     """Rayleigh-Ritz values for the eigenvalues of (K, M) below sigma: their
     number m is the inertia of K - sigma M = P^T L D L^T P (the _factor),
     and shift-invert Lanczos on that factorization finds their m vectors
-    ("SA": the negative 1 / (lambda - sigma)).  Row pivoting, no
-    convergence or an m-th value >= sigma raise."""
+    ("SA": the negative 1 / (lambda - sigma)) to LANCZOS_TOL residuals; the
+    Ritz values of any m vectors are upper bounds, so the tolerance sets
+    only the work.  Row pivoting, no convergence or an m-th value >= sigma
+    raise."""
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
     lu = _factor(K - sigma * M)
@@ -371,7 +382,7 @@ def eigs_below(prob: DiscreteProblem, sigma: float) -> EigList:
         return EigList((), ())
     try:
         _, X = spla.eigsh(
-            K, k=m, M=M, sigma=sigma, which="SA", ncv=min(n, 2 * m + 8), maxiter=100,
+            K, k=m, M=M, sigma=sigma, which="SA", ncv=min(n, 2 * m + 8), maxiter=100, tol=LANCZOS_TOL,
             OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
             v0=np.full(n, 1.0 / math.sqrt(n)),  # deterministic restarts
         )

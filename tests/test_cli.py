@@ -373,6 +373,11 @@ class TestReportFormat:
     def test_nan_is_valid_json(self):
         assert json.loads(cli.dumps_report({"x": float("nan")})) == {"x": "NaN"}
 
+    @pytest.mark.parametrize("s", ['say "hi"', "a\\b", "tab\tnew\nline\x00\x1f\x7f", "λ₁ ≤ π² – ✓", "\U0001d11e", ""])
+    def test_strings_and_keys_are_quoted_as_json_dumps_quotes_them(self, s):
+        q = json.dumps(s)  # with its defaults: ASCII output, \u escapes
+        assert cli.dumps_report({s: [s, {s: s}]}) == "{%s: [%s, {%s: %s}]}\n" % (q, q, q, q)
+
 
 class TestSpectrumCommand:
     def test_equilateral_values(self, capsys):

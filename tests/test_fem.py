@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -426,8 +427,6 @@ class TestSolvers:
         mesh = fem.triangulate(DN_SQUARE, 0.25)
         prob = fem.assemble(mesh)
         monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)  # force the sparse solver
-        import scipy.linalg
-
         dense = scipy.linalg.eigh(
             prob.stiffness.toarray(),
             prob.mass.toarray(),
@@ -503,6 +502,59 @@ def _tampered_splu(monkeypatch, perm_shift: int = 0, inertia_shift: int = 0) -> 
         )
 
     monkeypatch.setattr(spla, "splu", tampered)
+
+
+def _count_problem(name: str):
+    """A preset's level-1 count problem: the tail-capped guide truncated at
+    the plan's length, meshed at FEM_H0, and the counting cut below nu."""
+    vcfg, plan = certify.preset(name)
+    poly = geom.truncate(vcfg, plan.truncation_length)
+    nu = certify.threshold(vcfg)
+    return fem.assemble(fem.triangulate(poly, certify.FEM_H0), certify.tail_caps(poly)), nu - certify.BUDGET_FLOOR_REL * nu
+
+
+def _count_solves(monkeypatch) -> list:
+    """Count the shift-invert solves of every eigsh call from here on."""
+    solves, eigsh = [], spla.eigsh
+
+    def counting(*args, OPinv, **kwargs):
+        def solve(x):
+            solves.append(1)
+            return OPinv.matvec(x)
+
+        return eigsh(*args, OPinv=spla.LinearOperator(OPinv.shape, matvec=solve, dtype=float), **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting)
+    return solves
+
+
+class TestLanczosTolerance:
+    # a Ritz value's error is the square of its residual: sqrt(eps) residuals
+    # leave the values at rounding, at fewer solves than ARPACK's default of eps
+    def test_both_solvers_stop_at_sqrt_eps_residuals(self, monkeypatch):
+        assert fem.LANCZOS_TOL == math.sqrt(np.finfo(float).eps)
+        calls = _spy(monkeypatch, spla, "eigsh")
+        prob, sigma = _count_problem("t_junction")
+        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)  # force the sparse solver
+        fem.lowest_eigs(prob, 2)
+        fem.eigs_below(prob, sigma)
+        assert [kwargs["tol"] for _, kwargs in calls] == [fem.LANCZOS_TOL, fem.LANCZOS_TOL]
+
+    # at ARPACK's default tolerance (machine precision) these took 21 and 36
+    @pytest.mark.parametrize("name, eps_solves", [("t_junction", 21), ("crossing", 36)])
+    def test_the_count_takes_fewer_solves(self, monkeypatch, name, eps_solves):
+        prob, sigma = _count_problem(name)
+        solves = _count_solves(monkeypatch)
+        assert len(fem.eigs_below(prob, sigma)) == 1
+        assert 0 < len(solves) < eps_solves
+
+    @pytest.mark.parametrize("name", ["t_junction", "crossing"])
+    def test_count_values_match_dense(self, name):
+        prob, sigma = _count_problem(name)
+        got = fem.eigs_below(prob, sigma).values
+        dense = scipy.linalg.eigh(prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True)
+        assert len(got) == np.count_nonzero(dense < sigma) == 1
+        assert got == pytest.approx(dense[: len(got)], rel=1e-11, abs=0)
 
 
 class TestInertiaCount:
