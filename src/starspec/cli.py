@@ -10,6 +10,7 @@ floats printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -225,7 +226,10 @@ def cmd_repro(args) -> int:
     return EXIT_CERTIFIED if failures == 0 else EXIT_INCONCLUSIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: run shares it between
+    calls, so every default it holds is immutable."""
     p = argparse.ArgumentParser(
         prog="starspec",
         description="Certify discrete-spectrum counts and absence of threshold "
@@ -249,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bc", help="interval pair (DD/NN/DN/ND, default DD) or, for equilateral, dirichlet/neumann (default dirichlet)")
     s.add_argument("--length", type=float, default=1.0)
     s.add_argument("--side", type=float, default=1.0)
-    s.add_argument("--dims", type=float, nargs="+", default=[1.0, 1.0])
-    s.add_argument("--bcs", nargs="+", default=["DD", "DD"])
+    s.add_argument("--dims", type=float, nargs="+", default=(1.0, 1.0))
+    s.add_argument("--bcs", nargs="+", default=("DD", "DD"))
     s.add_argument("--alpha", type=float, default=math.pi / 2)
     s.add_argument("--radius", type=float, default=1.0)
     s.add_argument("-k", type=int, default=3)
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("repro", help="run every preset against its expected count")
     rp.add_argument("--all", action="store_true")
-    rp.add_argument("names", nargs="*", default=[])
+    rp.add_argument("names", nargs="*", default=())
     rp.add_argument("-o", "--output", default="-")
     rp.set_defaults(func=cmd_repro)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import jv
 
 PI2 = math.pi**2
 # unit steps scanned per sought zero, and brentq's iteration cap
@@ -161,6 +160,8 @@ def bessel_j(s: float, x: float) -> float:
     """Bessel function J_s(x) for order s >= 0, x >= 0."""
     if s < 0 or x < 0:
         raise ValueError("bessel_j needs s >= 0 and x >= 0")
+    from scipy.special import jv
+
     return float(jv(s, x))
 
 

@@ -17,16 +17,18 @@ are never used as lower bounds anywhere in the package.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .exact import EigList
 from .geom import BC, Polygon
+
+if TYPE_CHECKING:  # SciPy itself loads on the first assembly or solve
+    import scipy.sparse as sp
 
 # dense eigh beats shift-invert eigsh (k = 2) at 189 DOF and loses from 272 up
 DENSE_DOF_LIMIT = 250
@@ -149,10 +151,13 @@ def _any_point_in_triangle(vertices, candidates, a, b, c) -> bool:
 
 
 def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) -> None:
-    """Local edge flips, one per scan, until no edge flips; fixed edges stay.
-    A flipped-out edge never returns (it lies above its replacement on the
-    lifting paraboloid), so the flips number at most the n (n - 1) / 2 node
-    pairs; more scans than that raise MeshFailure."""
+    """Local edge flips until no edge flips; fixed edges stay.  Each flip
+    takes the flippable edge that appears first in the triangle list (slot
+    3 t + i: triangle t, local edge i), so the flip sequence is that of a
+    full rescan after every flip, but only the edges of the two rewritten
+    triangles are tested again.  A flipped-out edge never returns (it lies
+    above its replacement on the lifting paraboloid), so the flips number at
+    most the n (n - 1) / 2 node pairs; one more raises MeshFailure."""
 
     def in_circumcircle(a, b, c, d) -> bool:
         # sign normalized by triangle orientation so the test is order-free
@@ -162,39 +167,67 @@ def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) 
         det = ax * (by * c2 - b2 * cy) - ay * (bx * c2 - b2 * cx) + a2 * (bx * cy - by * cx)
         return math.copysign(1.0, orient) * det > 1e-12
 
-    pts = nodes.tolist()  # float arithmetic on Python floats: the same bits, without NumPy scalar overhead
-    for _ in range(len(pts) * (len(pts) - 1) // 2 + 1):
-        edge_map: dict[tuple[int, int], list[int]] = {}
-        for t, tri in enumerate(tris):
-            for i in range(3):
-                e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-                edge_map.setdefault(e, []).append(t)
-        flipped = False
-        for e, owners in edge_map.items():
-            if len(owners) != 2 or e in fixed_edges:
-                continue
-            t1, t2 = owners
-            a, b = e
-            c = next(v for v in tris[t1] if v not in e)
-            d = next(v for v in tris[t2] if v not in e)
-            if not in_circumcircle(pts[tris[t1][0]], pts[tris[t1][1]], pts[tris[t1][2]], pts[d]):
-                continue
-            # flip only if the quad a-c-b-d is strictly convex
-            def orient(p, q, r):
-                return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
-            if (
-                orient(pts[c], pts[a], pts[d]) <= 1e-14
-                or orient(pts[d], pts[b], pts[c]) <= 1e-14
-            ):
-                continue
-            tris[t1] = [c, a, d]
-            tris[t2] = [d, b, c]
-            flipped = True
-            break
-        if not flipped:
+    pts = nodes.tolist()  # float arithmetic on Python floats: the same bits, without NumPy scalar overhead
+    slots: dict[tuple[int, int], list[tuple[int, int]]] = {}  # edge -> the (t, i) that hold it
+    flippable: dict[tuple[int, int], int] = {}  # edge -> its first slot 3 t + i
+    heap: list[tuple[int, tuple[int, int]]] = []  # may hold stale entries: flippable decides
+
+    def edge(t, i):
+        u, v = tris[t][i], tris[t][(i + 1) % 3]
+        return (u, v) if u < v else (v, u)
+
+    def place(t):
+        for i in range(3):
+            slots.setdefault(edge(t, i), []).append((t, i))
+
+    def quad(e):
+        """(t1, i1, t2, c, d): the two triangles on e, t1 first, and their
+        vertices off e."""
+        (t1, i1), (t2, _) = sorted(slots[e])
+        c = next(v for v in tris[t1] if v not in e)
+        d = next(v for v in tris[t2] if v not in e)
+        return t1, i1, t2, c, d
+
+    def test(e):
+        flippable.pop(e, None)
+        if len(slots.get(e, ())) != 2 or e in fixed_edges:
             return
-    raise MeshFailure("Delaunay flips did not settle")
+        t1, i1, _, c, d = quad(e)
+        a, b = e
+        if not in_circumcircle(pts[tris[t1][0]], pts[tris[t1][1]], pts[tris[t1][2]], pts[d]):
+            return
+        # flip only if the quad a-c-b-d is strictly convex
+        if orient(pts[c], pts[a], pts[d]) <= 1e-14 or orient(pts[d], pts[b], pts[c]) <= 1e-14:
+            return
+        flippable[e] = key = 3 * t1 + i1
+        heapq.heappush(heap, (key, e))
+
+    for t in range(len(tris)):
+        place(t)
+    for e in list(slots):
+        test(e)
+    budget = len(pts) * (len(pts) - 1) // 2 + 1
+    while heap:
+        key, e = heapq.heappop(heap)
+        if flippable.get(e) != key:
+            continue
+        t1, _, t2, c, d = quad(e)
+        a, b = e
+        for t in (t1, t2):
+            for i in range(3):
+                slots[edge(t, i)].remove((t, i))
+        tris[t1] = [c, a, d]
+        tris[t2] = [d, b, c]
+        place(t1)
+        place(t2)
+        budget -= 1
+        if budget == 0:
+            raise MeshFailure("Delaunay flips did not settle")
+        for f in {e, *(edge(t, i) for t in (t1, t2) for i in range(3))}:  # e now has no slot
+            test(f)
 
 
 def triangulate(poly: Polygon, h_target: float) -> Mesh:
@@ -288,6 +321,8 @@ def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProbl
     (t: distance from the cap), which adds (K1 + kappa^2 M1) / 2 kappa to K
     and M1 / 2 kappa to M, K1 and M1 the 1D P1 matrices on the cap edges, as
     e^{-2 kappa t} integrates to 1 / 2 kappa.  Cap nodes are free."""
+    import scipy.sparse as sp
+
     tails = tails or {}
     nn = len(mesh.nodes)
     p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
@@ -328,6 +363,8 @@ def _factor(A: sp.spmatrix):
     """Every sparse FEM factorization: symmetric-mode SuperLU without row
     pivoting (checked), an L D L^T with D = diag(U), on a minimum-degree
     ordering; relax=1: supernode relaxation pads and slows the factor."""
+    import scipy.sparse.linalg as spla
+
     try:
         lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError as exc:  # an exactly singular pivot: the shift is an eigenvalue
@@ -341,6 +378,9 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
     """k smallest eigenvalues of (K, M): dense eigh up to DENSE_DOF_LIMIT DOF,
     else shift-invert Lanczos at sigma = -0.1 on the _factor of K + 0.1 M,
     to LANCZOS_TOL residuals."""
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+
     n = prob.stiffness.shape[0]
     if k == 0:
         return EigList((), ())
@@ -374,6 +414,9 @@ def eigs_below(prob: DiscreteProblem, sigma: float) -> EigList:
     Ritz values of any m vectors are upper bounds, so the tolerance sets
     only the work.  Row pivoting, no convergence or an m-th value >= sigma
     raise."""
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
     lu = _factor(K - sigma * M)

@@ -1,11 +1,23 @@
 """Command-line interface: exit codes, deterministic reports, CSV outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 from starspec import certify, cli, fem
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def fresh(*argv) -> subprocess.CompletedProcess:
+    """starspec run in a fresh interpreter on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-m", "starspec.cli", *argv], env=env, capture_output=True, text=True)
 
 
 def run(capsys, *argv):
@@ -575,3 +587,54 @@ class TestReproCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err == "error: repro needs --all or preset names\n"
+
+
+class TestParserReuse:
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_list_flag_leaves_no_default_behind(self, capsys):
+        code, _, _ = run(capsys, "spectrum", "--shape", "box", "--dims", "2", "3", "--bcs", "DD", "NN")
+        assert code == 0
+        code, out, _ = run(capsys, "spectrum", "--shape", "box")
+        expected = fresh("spectrum", "--shape", "box")
+        assert code == expected.returncode == 0
+        assert out == expected.stdout
+
+    def test_a_parse_error_leaves_the_parser_usable(self, capsys):
+        code, out, _ = run(capsys, "certify", "--preset", "nope")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        code, out, _ = run(capsys, "certify", "--preset", "t_junction")
+        expected = fresh("certify", "--preset", "t_junction")
+        assert code == expected.returncode == cli.EXIT_CERTIFIED
+        assert out == expected.stdout
+
+
+class TestLazyImports:
+    HEAVY = ("scipy.special", "scipy.sparse.linalg", "scipy.linalg")
+
+    def _certify_fresh(self, tmp_path, preset: str) -> tuple[int, list[str], str]:
+        """Exit code, heavy SciPy modules loaded and report of one certify
+        call in a fresh interpreter."""
+        report = tmp_path / "report.json"
+        code = (
+            "import sys; from starspec import cli; "
+            f"code = cli.run(['certify', '--preset', {preset!r}, '-o', {str(report)!r}]); "
+            f"print(code, *[m for m in {self.HEAVY!r} if m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        code, *loaded = out.split()
+        return int(code), loaded, report.read_text()
+
+    def test_an_analytic_verdict_loads_no_solver_and_no_bessel_function(self, tmp_path):
+        code, loaded, _ = self._certify_fresh(tmp_path, "rect_two_eigs")
+        assert (code, loaded) == (cli.EXIT_CERTIFIED, [])
+
+    def test_the_bessel_function_loads_on_first_use(self, tmp_path, capsys):
+        fresh_code, loaded, report = self._certify_fresh(tmp_path, "cube_disk")
+        assert "scipy.special" in loaded
+        code, out, _ = run(capsys, "certify", "--preset", "cube_disk")
+        assert fresh_code == code == cli.EXIT_CERTIFIED
+        assert report == out
+        assert json.loads(out)["versions"]["scipy"] == scipy.__version__

@@ -101,7 +101,75 @@ def _delaunay_excess(mesh):
     return worst
 
 
+def _rescan_flips(nodes, tris, fixed_edges):
+    """Reference for fem._delaunay_flips: after every flip, rebuild the edge
+    map and flip the first flippable edge in order of first appearance."""
+
+    def in_circumcircle(a, b, c, d):
+        orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        ax, ay, bx, by, cx, cy = a[0] - d[0], a[1] - d[1], b[0] - d[0], b[1] - d[1], c[0] - d[0], c[1] - d[1]
+        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        det = ax * (by * c2 - b2 * cy) - ay * (bx * c2 - b2 * cx) + a2 * (bx * cy - by * cx)
+        return math.copysign(1.0, orient) * det > 1e-12
+
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    pts = nodes.tolist()
+    for _ in range(len(pts) * (len(pts) - 1) // 2 + 1):
+        edge_map = {}
+        for t, tri in enumerate(tris):
+            for i in range(3):
+                edge_map.setdefault(tuple(sorted((tri[i], tri[(i + 1) % 3]))), []).append(t)
+        for e, owners in edge_map.items():
+            if len(owners) != 2 or e in fixed_edges:
+                continue
+            t1, t2 = owners
+            a, b = e
+            c = next(v for v in tris[t1] if v not in e)
+            d = next(v for v in tris[t2] if v not in e)
+            if not in_circumcircle(pts[tris[t1][0]], pts[tris[t1][1]], pts[tris[t1][2]], pts[d]):
+                continue
+            if orient(pts[c], pts[a], pts[d]) <= 1e-14 or orient(pts[d], pts[b], pts[c]) <= 1e-14:
+                continue
+            tris[t1] = [c, a, d]
+            tris[t2] = [d, b, c]
+            break
+        else:
+            return
+    raise fem.MeshFailure("Delaunay flips did not settle")
+
+
+def _flip_inputs():
+    """The distinct vertex arrays of every 2D preset and shipped config
+    center, each also truncated at L 2, 3 and 4, of 24 family angles and of
+    40 random star polygons with 8 to 80 vertices."""
+    vcfgs = [certify.preset(name)[0] for name in certify.PRESET_NAMES]
+    vcfgs += [geom.load_config(str(path)) for path in sorted(Path("configs").glob("*.json"))]
+    vcfgs = [v for v in vcfgs if isinstance(v.center, Polygon)]
+    polys = [v.center for v in vcfgs] + [geom.truncate(v, length) for v in vcfgs for length in (2.0, 3.0, 4.0)]
+    polys += [geom.truncate(certify.broken_config(float(a)), 2.0) for a in np.linspace(0.3, 1.5, 12)]
+    polys += [geom.truncate(certify.y_alpha_config(float(a)), 2.0) for a in np.linspace(0.55, 1.45, 12)]
+    vertices = [np.array(p.vertices, dtype=float) for p in polys]
+    rng = np.random.default_rng(19)
+    for n in rng.integers(8, 81, size=40):
+        theta = np.sort(rng.uniform(0, 2 * math.pi, n))
+        radius = rng.uniform(0.3, 1.0, n)
+        vertices.append(np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1))
+    return list({v.tobytes(): v for v in vertices}.values())  # the config files repeat preset centers
+
+
 class TestDelaunayFlips:
+    def test_the_flip_sequence_is_the_rescan_sequence(self):
+        for verts in _flip_inputs():
+            n = len(verts)
+            fixed = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+            tris = [list(t) for t in fem._ear_clip(verts)]
+            reference = [list(t) for t in tris]
+            _rescan_flips(verts, reference, fixed)
+            fem._delaunay_flips(verts, tris, fixed)
+            assert tris == reference
+
     def test_the_flips_run_until_no_edge_flips(self):
         # the 64-segment arc needs 63 flips; the last arc triangle's angle is 90 / 64 degrees
         poly = geom.truncate(certify.rounded_corner_config(math.pi / 2, 64), 2.0)
