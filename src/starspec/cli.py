@@ -176,6 +176,8 @@ def cmd_mesh(args) -> int:
     if args.levels < 1:
         raise ValueError(f"--levels must be at least 1, not {args.levels}")
     vcfg = geom.load_config(args.config)
+    if vcfg.is_3d:
+        raise ValueError("mesh needs a 2D config: it triangulates a polygon center")
     poly = geom.truncate(vcfg, args.truncation) if args.truncate else vcfg.center
     mesh = fem.triangulate(poly, args.h0)
     for _ in range(args.levels - 1):

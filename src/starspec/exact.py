@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -42,6 +42,7 @@ class EigList:
 
     values: tuple[float, ...]
     provenance: tuple[str, ...]
+    vectors: np.ndarray | None = field(default=None, compare=False, repr=False)  # fem.eigs_below's (n, m) Ritz vectors
 
     def __post_init__(self):
         if any(b < a for a, b in zip(self.values, self.values[1:])):

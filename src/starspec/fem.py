@@ -6,10 +6,10 @@ Refinement is nested and deterministic: the old nodes keep their indices and
 each new edge midpoint is numbered in order of first appearance (triangle
 edges in triangle order, then boundary edges).
 
-Every sparse solve factors through _factor, one minimum-degree L D L^T, and
-each finer level of dn_spectrum is an inertia-checked count below a shift.
-Lanczos stops at LANCZOS_TOL residuals, which leave the Ritz values at
-rounding.
+Every sparse solve factors K - sigma M on the one pattern K and M share
+through _factor, a minimum-degree L D L^T, and each finer level of
+dn_spectrum is an inertia-checked count below a shift, warm-started from the
+coarser level.  Lanczos stops at LANCZOS_TOL residuals: Ritz values at rounding.
 
 FEM eigenvalues from a conforming space are variational upper bounds; they
 are never used as lower bounds anywhere in the package.
@@ -61,18 +61,19 @@ class Mesh:
     boundary_edges: np.ndarray  # (B, 2) int node pairs
     boundary_tags: list[BC]
     boundary_src: list[int]  # polygon edge id each boundary edge came from
+    parents: np.ndarray | None = None  # (midpoints, 2) old-node pair of each node refine added
 
     def _corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, 3) x and y coordinates of the triangle corners; the diagnostics
-        work on these columns, since NumPy's axis=1 reductions over (T, 2)
-        arrays cost several times the arithmetic."""
-        return self.nodes[:, 0][self.triangles], self.nodes[:, 1][self.triangles]
+        """(3, T) x and y coordinates of the triangle corners, corner i in row
+        i; the diagnostics and assemble work on these rows, since NumPy's
+        axis=1 reductions over (T, 2) arrays cost several times the arithmetic."""
+        return self.nodes[:, 0][self.triangles.T], self.nodes[:, 1][self.triangles.T]
 
     def max_diameter(self) -> float:
         x, y = self._corners()
         d = []
         for i, j in ((0, 1), (1, 2), (2, 0)):
-            dx, dy = x[:, i] - x[:, j], y[:, i] - y[:, j]
+            dx, dy = x[i] - x[j], y[i] - y[j]
             d.append(np.sqrt(dx * dx + dy * dy))
         return float(np.max(d))
 
@@ -80,11 +81,15 @@ class Mesh:
         x, y = self._corners()
         angles = []
         for i in range(3):
-            ax, ay = x[:, (i + 1) % 3] - x[:, i], y[:, (i + 1) % 3] - y[:, i]
-            bx, by = x[:, (i + 2) % 3] - x[:, i], y[:, (i + 2) % 3] - y[:, i]
+            ax, ay = x[(i + 1) % 3] - x[i], y[(i + 1) % 3] - y[i]
+            bx, by = x[(i + 2) % 3] - x[i], y[(i + 2) % 3] - y[i]
             cosang = (ax * bx + ay * by) / (np.sqrt(ax * ax + ay * ay) * np.sqrt(bx * bx + by * by))
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
         return float(np.min(angles))
+
+    def prolong(self, u: np.ndarray) -> np.ndarray:
+        """P1 interpolation of u, given on the nodes of the mesh refine made this one from."""
+        return np.concatenate([u, u[self.parents].mean(axis=1)])
 
 
 @dataclass
@@ -273,7 +278,7 @@ def refine(mesh: Mesh) -> Mesh:
     Numbering: the old nodes keep their indices, then each new edge midpoint
     follows in order of first appearance, scanning the triangle edges
     (a,b), (b,c), (c,a) in triangle order and then the boundary edges.
-    Each midpoint is 0.5 * (x_i + x_j) of the edge's first-seen pair.
+    Each midpoint is 0.5 * (x_i + x_j) of its parents, the edge's first-seen pair.
     A refinement past MAX_TRIANGLES raises MeshFailure before allocating."""
     nn = len(mesh.nodes)
     tris = mesh.triangles
@@ -305,6 +310,7 @@ def refine(mesh: Mesh) -> Mesh:
         boundary_edges=new_bedges,
         boundary_tags=[tag for tag in mesh.boundary_tags for _ in range(2)],
         boundary_src=[src for src in mesh.boundary_src for _ in range(2)],
+        parents=parents,
     )
 
 
@@ -314,7 +320,9 @@ def refine(mesh: Mesh) -> Mesh:
 def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProblem:
     """P1 stiffness and consistent mass over free nodes; Dirichlet nodes
     (anything on a Dirichlet boundary edge) are eliminated, Neumann edges
-    contribute nothing (natural condition).
+    contribute nothing (natural condition).  K and M share one CSR pattern:
+    the diagonal and each edge between free nodes, summed once and mirrored,
+    so each is bitwise its own CSC.
 
     tails maps a polygon edge id to a decay rate kappa > 0 and makes that
     edge a tail cap: each function continues beyond it as u(s) e^{-kappa t}
@@ -325,48 +333,56 @@ def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProbl
 
     tails = tails or {}
     nn = len(mesh.nodes)
-    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
+    x, y = mesh._corners()
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    b, c = y[nxt] - y[prv], x[prv] - x[nxt]
+    area = 0.5 * (x[0] * b[0] + x[1] * b[1] + x[2] * b[2])
     if np.any(area <= 0):
         raise MeshFailure("mesh contains non-positively-oriented triangles")
-    ke = (
-        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    ) / (4.0 * area[:, None, None])
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = area[:, None, None] * me_ref[None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    ke, me = ke.ravel(), me.ravel()
     cap = np.array([src in tails for src in mesh.boundary_src], dtype=bool)
+    is_dirichlet = np.array([tag is BC.DIRICHLET for tag in mesh.boundary_tags], dtype=bool) & ~cap
+    dirichlet = np.bincount(mesh.boundary_edges[is_dirichlet].ravel(), minlength=nn) > 0
+    free = np.flatnonzero(~dirichlet)
+    nf = len(free)
+    index = np.where(dirichlet, nn, np.cumsum(~dirichlet) - 1)  # the free nodes first
+    # each triangle's edges (corner i, corner i + 1): ends, K and M; then its diagonal: node, K and M
+    i = index[mesh.triangles.T].ravel()
+    terms = [i, np.roll(i, -len(area)), ((b * b[nxt] + c * c[nxt]) / (4.0 * area)).ravel(), np.tile(area / 12.0, 3),
+             i, ((b * b + c * c) / (4.0 * area)).ravel(), np.tile(area / 6.0, 3)]
     if cap.any():
         e = mesh.boundary_edges[cap]
-        k = np.array([tails[src] for src in np.asarray(mesh.boundary_src)[cap]])[:, None, None]
-        h = np.hypot(*(mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]).T)[:, None, None]
-        k1, m1 = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h, np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
-        ke, me = np.concatenate([ke, ((k1 + k * k * m1) / (2 * k)).ravel()]), np.concatenate([me, (m1 / (2 * k)).ravel()])
-        rows, cols = np.concatenate([rows, np.repeat(e, 2, axis=1).ravel()]), np.concatenate([cols, np.tile(e, (1, 2)).ravel()])
-    K = sp.coo_matrix((ke, (rows, cols)), shape=(nn, nn)).tocsr()
-    M = sp.coo_matrix((me, (rows, cols)), shape=(nn, nn)).tocsr()
-    is_dirichlet = np.array([tag is BC.DIRICHLET for tag in mesh.boundary_tags], dtype=bool) & ~cap
-    free = np.setdiff1d(np.arange(nn), mesh.boundary_edges[is_dirichlet])
-    return DiscreteProblem(
-        stiffness=K[np.ix_(free, free)].tocsr(),
-        mass=M[np.ix_(free, free)].tocsr(),
-        free_nodes=free,
-    )
+        k = np.array([tails[src] for src in np.asarray(mesh.boundary_src)[cap]])
+        h = np.hypot(*(mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]).T)
+        e = index[e.T]  # K1 = [1 -1; -1 1] / h and M1 = [2 1; 1 2] h / 6
+        cap_terms = [e[0], e[1], (-1.0 / h + k * k * (h / 6.0)) / (2 * k), h / 6.0 / (2 * k),
+                     e.ravel(), np.tile((1.0 / h + k * k * (h / 3.0)) / (2 * k), 2), np.tile(h / 3.0 / (2 * k), 2)]
+        terms = [np.concatenate(pair) for pair in zip(terms, cap_terms)]
+    i, j, k_edge, m_edge, corner, k_diag, m_diag = terms
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    inner = hi < nf  # both ends free
+    keys, slot = np.unique(lo[inner] * nf + hi[inner], return_inverse=True)
+    lo, hi, n = keys // nf, keys % nf, np.arange(nf)
+    # the pattern's data: where each entry of [lower; diagonal; upper] lands in CSR order
+    pattern = sp.csr_matrix((np.arange(2 * len(keys) + nf), (np.concatenate([hi, n, lo]), np.concatenate([lo, n, hi]))), shape=(nf, nf))
+
+    def matrix(edge, diag):
+        off, on = np.bincount(slot, edge[inner]), np.bincount(corner, diag, minlength=nn)[:nf]
+        return sp.csr_matrix((np.concatenate([off, on, off])[pattern.data], pattern.indices, pattern.indptr), shape=(nf, nf))
+
+    return DiscreteProblem(stiffness=matrix(k_edge, k_diag), mass=matrix(m_edge, m_diag), free_nodes=free)
 
 
-def _factor(A: sp.spmatrix):
-    """Every sparse FEM factorization: symmetric-mode SuperLU without row
-    pivoting (checked), an L D L^T with D = diag(U), on a minimum-degree
-    ordering; relax=1: supernode relaxation pads and slows the factor."""
+def _factor(prob: DiscreteProblem, sigma: float):
+    """Every sparse FEM factorization, of K - sigma M as CSC (K and M share a
+    symmetric pattern): symmetric-mode SuperLU without row pivoting (checked),
+    an L D L^T with D = diag(U), on minimum degree; relax=1: relaxation pads it."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
+    K, M = prob.stiffness, prob.mass
+    A = sp.csc_matrix((K.data - sigma * M.data, K.indices, K.indptr), shape=K.shape)
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0, options={"SymmetricMode": True})
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError as exc:  # an exactly singular pivot: the shift is an eigenvalue
         raise SolverFailure(str(exc)) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -392,7 +408,7 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
                 prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True, subset_by_index=(0, k - 1)
             )
         else:
-            lu = _factor(prob.stiffness + 0.1 * prob.mass)
+            lu = _factor(prob, -0.1)
             vals = np.sort(spla.eigsh(
                 prob.stiffness, k=k, M=prob.mass, sigma=-0.1, which="LM", return_eigenvectors=False,
                 OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
@@ -406,20 +422,20 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
     return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals))
 
 
-def eigs_below(prob: DiscreteProblem, sigma: float) -> EigList:
+def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None) -> EigList:
     """Rayleigh-Ritz values for the eigenvalues of (K, M) below sigma: their
     number m is the inertia of K - sigma M = P^T L D L^T P (the _factor),
-    and shift-invert Lanczos on that factorization finds their m vectors
-    ("SA": the negative 1 / (lambda - sigma)) to LANCZOS_TOL residuals; the
-    Ritz values of any m vectors are upper bounds, so the tolerance sets
-    only the work.  Row pivoting, no convergence or an m-th value >= sigma
-    raise."""
+    and shift-invert Lanczos from v0 (default: constant) on that factorization
+    finds their m Ritz pairs ("SA": the negative 1 / (lambda - sigma)) to
+    LANCZOS_TOL residuals; the Ritz values of any m vectors are upper bounds,
+    so the tolerance sets only the work.  Row pivoting, no convergence or an
+    m-th value >= sigma raise."""
     import scipy.linalg
     import scipy.sparse.linalg as spla
 
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
-    lu = _factor(K - sigma * M)
+    lu = _factor(prob, sigma)
     m = int(np.count_nonzero(lu.U.diagonal() < 0))
     if m == 0:
         return EigList((), ())
@@ -427,32 +443,38 @@ def eigs_below(prob: DiscreteProblem, sigma: float) -> EigList:
         _, X = spla.eigsh(
             K, k=m, M=M, sigma=sigma, which="SA", ncv=min(n, 2 * m + 8), maxiter=100, tol=LANCZOS_TOL,
             OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
-            v0=np.full(n, 1.0 / math.sqrt(n)),  # deterministic restarts
+            v0=np.full(n, 1.0 / math.sqrt(n)) if v0 is None else v0,  # deterministic restarts
         )
-        vals = scipy.linalg.eigh(X.T @ (K @ X), X.T @ (M @ X), eigvals_only=True)
+        vals, Y = scipy.linalg.eigh(X.T @ (K @ X), X.T @ (M @ X))
     except (spla.ArpackError, np.linalg.LinAlgError, ValueError) as exc:  # no convergence, m >= n
         raise SolverFailure(str(exc)) from exc
     if vals[-1] >= sigma:
         raise SolverFailure(f"Rayleigh-Ritz value {vals[-1]:.17g} is not below the shift {sigma:.17g}")
-    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals))
+    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), X @ Y)
 
 
 def dn_spectrum(poly: Polygon, k: int, levels: int, h0: float = 0.25) -> FemSpectrum:
     """k eigenvalues on `levels` nested refinements from mesh size h0, with
     Richardson extrapolation using the empirically observed order.  Level 0
     is lowest_eigs, each finer one an eigs_below just above the coarser
-    lambda_k whose inertia must be >= k (nested spaces), keeping the lowest k."""
+    lambda_k (inertia >= k: nested spaces) keeping the lowest k, from level 2
+    on started from the coarser lowest-k Ritz vectors, summed and prolonged."""
     if k < 1 or levels < 2:
         raise ValueError(f"dn_spectrum needs k >= 1 and levels >= 2, not k = {k}, levels = {levels}")
     mesh = triangulate(poly, h0)
     level_values = [np.array(lowest_eigs(assemble(mesh), k).values)]
+    u = None  # the coarser level's lowest-k Ritz vectors summed, on all its nodes
     for _ in range(levels - 1):
         mesh = refine(mesh)
+        prob = assemble(mesh)
         sigma = (1.0 + NESTED_SHIFT) * level_values[-1][-1] + NESTED_SHIFT
-        vals = eigs_below(assemble(mesh), sigma).values
-        if len(vals) < k:
-            raise SolverFailure(f"inertia {len(vals)} below {k} at the shift {sigma:.17g} of a coarser level")
-        level_values.append(np.maximum(vals[:k], 0.0))
+        ritz = eigs_below(prob, sigma, None if u is None else mesh.prolong(u)[prob.free_nodes])
+        if len(ritz) < k:
+            raise SolverFailure(f"inertia {len(ritz)} below {k} at the shift {sigma:.17g} of a coarser level")
+        level_values.append(np.maximum(ritz.values[:k], 0.0))
+        u = np.zeros(len(mesh.nodes))
+        u[prob.free_nodes] = ritz.vectors[:, :k].sum(axis=1)
+        del prob, ritz  # before the finer level factors
     return _extrapolate(level_values)
 
 

@@ -501,6 +501,14 @@ class TestMeshCommand:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("name", ["cube_disk", "cube_square"])
+    @pytest.mark.parametrize("argv", [(), ("--truncate",)])
+    def test_a_3d_config_is_refused_with_an_error_line(self, capsys, name, argv):
+        code, out, err = run(capsys, "mesh", f"configs/{name}.json", *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and "2D config" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -237,7 +237,65 @@ class TestMeshDiagnostics:
         assert mesh.min_angle_deg() == _norm_min_angle_deg(mesh)
 
 
+def _coo_assemble(mesh, tails=None):
+    """Reference for fem.assemble: the element and cap matrices summed by a
+    COO -> CSR conversion on all nodes, then the free block cut out with
+    np.ix_.  Returns (free nodes, K, M)."""
+    tails = tails or {}
+    nn = len(mesh.nodes)
+    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
+    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area[:, None, None])
+    me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None]
+    rows, cols = np.repeat(mesh.triangles, 3, axis=1).ravel(), np.tile(mesh.triangles, (1, 3)).ravel()
+    ke, me = ke.ravel(), me.ravel()
+    cap = np.array([src in tails for src in mesh.boundary_src], dtype=bool)
+    if cap.any():
+        e = mesh.boundary_edges[cap]
+        k = np.array([tails[src] for src in np.asarray(mesh.boundary_src)[cap]])[:, None, None]
+        h = np.hypot(*(mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]).T)[:, None, None]
+        k1, m1 = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h, np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+        ke, me = np.concatenate([ke, ((k1 + k * k * m1) / (2 * k)).ravel()]), np.concatenate([me, (m1 / (2 * k)).ravel()])
+        rows, cols = np.concatenate([rows, np.repeat(e, 2, axis=1).ravel()]), np.concatenate([cols, np.tile(e, (1, 2)).ravel()])
+    K = sp.coo_matrix((ke, (rows, cols)), shape=(nn, nn)).tocsr()
+    M = sp.coo_matrix((me, (rows, cols)), shape=(nn, nn)).tocsr()
+    is_dirichlet = np.array([tag is BC.DIRICHLET for tag in mesh.boundary_tags], dtype=bool) & ~cap
+    free = np.setdiff1d(np.arange(nn), mesh.boundary_edges[is_dirichlet])
+    return free, K[np.ix_(free, free)].tocsr(), M[np.ix_(free, free)].tocsr()
+
+
+def _assembly_inputs():
+    """(mesh, tails) pairs: the center of every 2D preset and shipped config,
+    and its guide truncated at L 2 with and without tail caps, each meshed
+    at FEM_H0 and refined once."""
+    vcfgs = [certify.preset(name)[0] for name in certify.PRESET_NAMES]
+    vcfgs += [geom.load_config(str(path)) for path in sorted(Path("configs").glob("*.json"))]
+    out = []
+    for vcfg in (v for v in vcfgs if isinstance(v.center, Polygon)):
+        guide = geom.truncate(vcfg, 2.0)
+        for poly, tails in ((vcfg.center, None), (guide, None), (guide, certify.tail_caps(guide))):
+            out.append((fem.refine(fem.triangulate(poly, certify.FEM_H0)), tails))
+    return out
+
+
 class TestAssembly:
+    def test_the_shared_pattern_matches_the_coo_reference(self):
+        for mesh, tails in _assembly_inputs():
+            prob = fem.assemble(mesh, tails)
+            free, *reference = _coo_assemble(mesh, tails)
+            assert np.array_equal(prob.free_nodes, free)
+            for got, want in zip((prob.stiffness, prob.mass), reference):
+                want.sort_indices()
+                assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+                scale = abs(want).max(axis=1).toarray().ravel()
+                assert np.all(abs(got - want).max(axis=1).toarray().ravel() <= 1e-14 * scale)
+                assert (got != got.T).nnz == 0  # bitwise symmetric
+            assert np.array_equal(prob.stiffness.indices, prob.mass.indices)
+            assert np.array_equal(prob.stiffness.indptr, prob.mass.indptr)
+
     def test_mass_sums_to_area(self):
         # all-Neumann polygons keep every node, so the mass matrix integrates 1 * 1
         for poly in (simple_polygon(DN_SQUARE.vertices, [BC.NEUMANN] * 4), NEUMANN_TRIANGLE):
@@ -380,6 +438,30 @@ class TestRefineNumbering:
         owners = dict(zip(map(tuple, keys), counts))
         for e in np.sort(fine.boundary_edges, axis=1):
             assert owners.get(tuple(e)) == 1
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("poly", [DN_SQUARE, NEUMANN_TRIANGLE, geom.truncate(certify.preset("crossing")[0], 2.0)])
+    def test_every_midpoint_is_the_mean_of_its_parents(self, poly):
+        mesh = fem.triangulate(poly, 0.5)
+        for _ in range(2):
+            fine = fem.refine(mesh)
+            n = len(mesh.nodes)
+            assert fine.parents.shape == (len(fine.nodes) - n, 2) and fine.parents.max() < n
+            assert np.all(fine.nodes[n:] == 0.5 * (fine.nodes[fine.parents[:, 0]] + fine.nodes[fine.parents[:, 1]]))
+            edges = {tuple(sorted(e)) for t in mesh.triangles.tolist() for e in zip(t, t[1:] + t[:1])}
+            assert {tuple(sorted(e)) for e in fine.parents.tolist()} == edges
+            mesh = fine
+
+    @pytest.mark.parametrize("poly", [DN_SQUARE, simple_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])])
+    def test_a_linear_function_is_reproduced_exactly(self, poly):
+        # dyadic nodes keep every value exact
+        f = lambda p: 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 1]
+        mesh = fem.triangulate(poly, 0.5)
+        for _ in range(2):
+            fine = fem.refine(mesh)
+            assert np.array_equal(fine.prolong(f(mesh.nodes)), f(fine.nodes))
+            mesh = fine
 
 
 class TestConvergence:
@@ -594,6 +676,60 @@ def _count_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(spla, "eigsh", counting)
     return solves
+
+
+def _solves_per_call(monkeypatch) -> list:
+    """The shift-invert solves of each eigsh call from here on, one count
+    per call."""
+    counts, eigsh = [], spla.eigsh
+
+    def counting(*args, OPinv, **kwargs):
+        counts.append(0)
+
+        def solve(x):
+            counts[-1] += 1
+            return OPinv.matvec(x)
+
+        return eigsh(*args, OPinv=spla.LinearOperator(OPinv.shape, matvec=solve, dtype=float), **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting)
+    return counts
+
+
+class TestWarmStart:
+    def test_the_prolonged_start_saves_solves_and_keeps_the_values(self, monkeypatch):
+        # level 0 is lowest_eigs, level 1 starts from the constant vector
+        poly = geom.truncate(certify.preset("crossing")[0], 3.0)
+        counts = _solves_per_call(monkeypatch)
+        warm = fem.dn_spectrum(poly, 2, 3, 0.5)
+        warm_counts = list(counts)
+        counts.clear()
+        below = fem.eigs_below
+        monkeypatch.setattr(fem, "eigs_below", lambda prob, sigma, v0=None: below(prob, sigma))
+        cold = fem.dn_spectrum(poly, 2, 3, 0.5)
+        assert (len(warm_counts), counts[2]) == (3, 24)
+        assert warm_counts[:2] == counts[:2] and warm_counts[2] <= 16
+        assert np.array(warm.level_values) == pytest.approx(np.array(cold.level_values), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["crossing", "neumann_k1"])
+    def test_the_bits_do_not_depend_on_earlier_spectra(self, case):
+        # the Neumann triangle's k = 1 Ritz vector is the constant: its
+        # prolongation is an exact eigenvector of the finer level
+        code = (
+            "import hashlib, math, sys; from starspec import certify, fem, geom; "
+            "tri = geom.simple_polygon([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], [geom.BC.NEUMANN] * 3); "
+            "cases = {'crossing': (geom.truncate(certify.preset('crossing')[0], 3.0), 2, 3, 0.5), "
+            "'neumann_k1': (tri, 1, 3, 0.25), 'y_junction': (geom.truncate(certify.preset('y_junction')[0], 3.0), 2, 3, 0.5)}; "
+            "bits = lambda spec: hashlib.sha256(b''.join(v.tobytes() for v in spec.level_values)).hexdigest(); "
+            "first = bits(fem.dn_spectrum(*cases[sys.argv[1]])); "
+            "[fem.dn_spectrum(*args) for args in cases.values()]; "
+            "print(first, bits(fem.dn_spectrum(*cases[sys.argv[1]])))"
+        )
+        src = str(Path(fem.__file__).resolve().parents[1])
+        env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code, case], env=env, capture_output=True, text=True, check=True).stdout
+        first, later = out.split()
+        assert first == later
 
 
 class TestLanczosTolerance:
