@@ -209,10 +209,13 @@ def cmd_repro(args) -> int:
     if not args.all and not args.names:
         raise ValueError("repro needs --all or preset names")
     names = list(REPRO_TARGETS) if args.all else args.names
+    unknown = [name for name in names if name not in REPRO_TARGETS]
+    if unknown:  # before any verdict runs: a bad name is malformed input, not a FAIL row
+        raise ValueError(f"unknown preset {', '.join(map(repr, unknown))}; repro runs {', '.join(REPRO_TARGETS)}")
     failures = 0
     lines = []
     for name in names:
-        target = REPRO_TARGETS.get(name)
+        target = REPRO_TARGETS[name]
         try:
             vcfg, plan = certify.preset(name)
             v = certify.certify(vcfg, plan, name=name)

@@ -42,7 +42,7 @@ class EigList:
 
     values: tuple[float, ...]
     provenance: tuple[str, ...]
-    vectors: np.ndarray | None = field(default=None, compare=False, repr=False)  # fem.eigs_below's (n, m) Ritz vectors
+    vectors: np.ndarray | None = field(default=None, compare=False, repr=False)  # fem's (n, m) M-orthonormal Ritz vectors
 
     def __post_init__(self):
         if any(b < a for a, b in zip(self.values, self.values[1:])):

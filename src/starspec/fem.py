@@ -6,10 +6,11 @@ Refinement is nested and deterministic: the old nodes keep their indices and
 each new edge midpoint is numbered in order of first appearance (triangle
 edges in triangle order, then boundary edges).
 
-Every sparse solve factors K - sigma M on the one pattern K and M share
-through _factor, a minimum-degree L D L^T, and each finer level of
-dn_spectrum is an inertia-checked count below a shift, warm-started from the
-coarser level.  Lanczos stops at LANCZOS_TOL residuals: Ritz values at rounding.
+Every eigensolve takes one path, _ritz_pairs: _factor, a minimum-degree
+L D L^T of K - sigma M on the one pattern K and M share, shift-invert Lanczos
+to LANCZOS_TOL residuals (Ritz values at rounding) and one Rayleigh-Ritz
+projection.  dn_spectrum's level 0 is lowest_eigs, each finer level an
+inertia-checked count below a shift, warm-started from the coarser level.
 
 FEM eigenvalues from a conforming space are variational upper bounds; they
 are never used as lower bounds anywhere in the package.
@@ -30,8 +31,6 @@ from .geom import BC, Polygon
 if TYPE_CHECKING:  # SciPy itself loads on the first assembly or solve
     import scipy.sparse as sp
 
-# dense eigh beats shift-invert eigsh (k = 2) at 189 DOF and loses from 272 up
-DENSE_DOF_LIMIT = 250
 # the most triangles refine makes: the T-junction's level-6 count mesh, which
 # peaks at 1.1 GB RSS; level 7 (2,097,152 triangles) peaks at 5.5 GB
 MAX_TRIANGLES = 524_288
@@ -390,91 +389,86 @@ def _factor(prob: DiscreteProblem, sigma: float):
     return lu
 
 
-def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
-    """k smallest eigenvalues of (K, M): dense eigh up to DENSE_DOF_LIMIT DOF,
-    else shift-invert Lanczos at sigma = -0.1 on the _factor of K + 0.1 M,
-    to LANCZOS_TOL residuals."""
-    import scipy.linalg
-    import scipy.sparse.linalg as spla
-
-    n = prob.stiffness.shape[0]
-    if k == 0:
-        return EigList((), ())
-    if k > n:
-        raise SolverFailure(f"requested {k} eigenvalues from {n} DOF")
-    try:
-        if n <= DENSE_DOF_LIMIT:
-            vals = scipy.linalg.eigh(
-                prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True, subset_by_index=(0, k - 1)
-            )
-        else:
-            lu = _factor(prob, -0.1)
-            vals = np.sort(spla.eigsh(
-                prob.stiffness, k=k, M=prob.mass, sigma=-0.1, which="LM", return_eigenvectors=False,
-                OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
-                v0=np.full(n, 1.0 / math.sqrt(n)),  # deterministic restarts
-                maxiter=100,  # fail fast: a converging solve takes a few restarts
-                tol=LANCZOS_TOL,
-            ))
-    except Exception as exc:  # ARPACK no convergence, backend failures
-        raise SolverFailure(str(exc)) from exc
-    vals = np.maximum(vals, 0.0)  # clip solver noise on Neumann kernels
-    return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals))
-
-
-def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None) -> EigList:
-    """Rayleigh-Ritz values for the eigenvalues of (K, M) below sigma: their
-    number m is the inertia of K - sigma M = P^T L D L^T P (the _factor),
-    and shift-invert Lanczos from v0 (default: constant) on that factorization
-    finds their m Ritz pairs ("SA": the negative 1 / (lambda - sigma)) to
-    LANCZOS_TOL residuals; the Ritz values of any m vectors are upper bounds,
-    so the tolerance sets only the work.  Row pivoting, no convergence or an
-    m-th value >= sigma raise."""
+def _ritz_pairs(
+    prob: DiscreteProblem, lu, k: int, sigma: float, which: str, v0: np.ndarray | None, ncv: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """k Ritz pairs of (K, M): shift-invert Lanczos with ncv basis vectors on
+    lu, the _factor of K - sigma M, started from v0 (default: constant) and
+    stopped at LANCZOS_TOL residuals, then one Rayleigh-Ritz projection onto
+    the span of its vectors, which makes the values upper bounds whatever the
+    residuals and the vectors M-orthonormal.  k >= n or no convergence raise."""
     import scipy.linalg
     import scipy.sparse.linalg as spla
 
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
-    lu = _factor(prob, sigma)
-    m = int(np.count_nonzero(lu.U.diagonal() < 0))
-    if m == 0:
-        return EigList((), ())
+    if k >= n:
+        raise SolverFailure(f"requested {k} eigenvalues from {n} DOF")
     try:
         _, X = spla.eigsh(
-            K, k=m, M=M, sigma=sigma, which="SA", ncv=min(n, 2 * m + 8), maxiter=100, tol=LANCZOS_TOL,
+            K, k=k, M=M, sigma=sigma, which=which, ncv=min(n, ncv), tol=LANCZOS_TOL,
+            maxiter=100,  # fail fast: a converging solve takes a few restarts
             OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
             v0=np.full(n, 1.0 / math.sqrt(n)) if v0 is None else v0,  # deterministic restarts
         )
         vals, Y = scipy.linalg.eigh(X.T @ (K @ X), X.T @ (M @ X))
-    except (spla.ArpackError, np.linalg.LinAlgError, ValueError) as exc:  # no convergence, m >= n
+    except (spla.ArpackError, np.linalg.LinAlgError, ValueError) as exc:  # no convergence
         raise SolverFailure(str(exc)) from exc
+    return vals, X @ Y
+
+
+def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
+    """The k smallest Ritz pairs of (K, M): shift-invert Lanczos ("LM") at
+    sigma = -0.1 on the _factor of K + 0.1 M, values clipped at 0."""
+    if k == 0:
+        return EigList((), ())
+    # ARPACK's default basis: a constant start has no component along a mode
+    # that a symmetry makes odd, and only the wider basis lets rounding bring
+    # one in (the Y junction's 189-DOF lambda_2 is missed with 2 k + 8)
+    vals, X = _ritz_pairs(prob, _factor(prob, -0.1), k, -0.1, "LM", None, max(2 * k + 1, 20))
+    vals = np.maximum(vals, 0.0)  # clip solver noise on Neumann kernels
+    return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals), X)
+
+
+def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None) -> EigList:
+    """Rayleigh-Ritz values for the eigenvalues of (K, M) below sigma: their
+    number m is the inertia of K - sigma M = P^T L D L^T P (the _factor),
+    and _ritz_pairs from v0 finds their m Ritz pairs ("SA": the negative
+    1 / (lambda - sigma)); the Ritz values of any m vectors are upper bounds,
+    so the tolerance sets only the work.  An m-th value >= sigma raises."""
+    lu = _factor(prob, sigma)
+    m = int(np.count_nonzero(lu.U.diagonal() < 0))
+    if m == 0:
+        return EigList((), ())
+    vals, X = _ritz_pairs(prob, lu, m, sigma, "SA", v0, 2 * m + 8)
     if vals[-1] >= sigma:
         raise SolverFailure(f"Rayleigh-Ritz value {vals[-1]:.17g} is not below the shift {sigma:.17g}")
-    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), X @ Y)
+    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), X)
 
 
 def dn_spectrum(poly: Polygon, k: int, levels: int, h0: float = 0.25) -> FemSpectrum:
     """k eigenvalues on `levels` nested refinements from mesh size h0, with
     Richardson extrapolation using the empirically observed order.  Level 0
     is lowest_eigs, each finer one an eigs_below just above the coarser
-    lambda_k (inertia >= k: nested spaces) keeping the lowest k, from level 2
-    on started from the coarser lowest-k Ritz vectors, summed and prolonged."""
+    lambda_k (inertia >= k: nested spaces) keeping the lowest k, started from
+    the coarser lowest-k Ritz vectors, summed and prolonged."""
     if k < 1 or levels < 2:
         raise ValueError(f"dn_spectrum needs k >= 1 and levels >= 2, not k = {k}, levels = {levels}")
     mesh = triangulate(poly, h0)
-    level_values = [np.array(lowest_eigs(assemble(mesh), k).values)]
-    u = None  # the coarser level's lowest-k Ritz vectors summed, on all its nodes
+    prob = assemble(mesh)
+    ritz = lowest_eigs(prob, k)
+    level_values = [np.array(ritz.values)]
     for _ in range(levels - 1):
+        u = np.zeros(len(mesh.nodes))  # the coarser lowest-k Ritz vectors summed, on all its nodes
+        u[prob.free_nodes] = ritz.vectors[:, :k].sum(axis=1)
+        del prob, ritz  # before the finer level refines and factors
         mesh = refine(mesh)
         prob = assemble(mesh)
         sigma = (1.0 + NESTED_SHIFT) * level_values[-1][-1] + NESTED_SHIFT
-        ritz = eigs_below(prob, sigma, None if u is None else mesh.prolong(u)[prob.free_nodes])
+        ritz = eigs_below(prob, sigma, mesh.prolong(u)[prob.free_nodes])
         if len(ritz) < k:
             raise SolverFailure(f"inertia {len(ritz)} below {k} at the shift {sigma:.17g} of a coarser level")
         level_values.append(np.maximum(ritz.values[:k], 0.0))
-        u = np.zeros(len(mesh.nodes))
-        u[prob.free_nodes] = ritz.vectors[:, :k].sum(axis=1)
-        del prob, ritz  # before the finer level factors
     return _extrapolate(level_values)
 
 

@@ -596,6 +596,11 @@ class TestReproCommand:
         assert out == ""
         assert err == "error: repro needs --all or preset names\n"
 
+    def test_an_unknown_preset_exits_one_before_any_verdict(self, capsys):
+        code, out, err = run(capsys, "repro", "t_junction", "nosuch")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err.startswith("error: unknown preset 'nosuch'; repro runs t_junction, ") and err.count("\n") == 1
+
 
 class TestParserReuse:
     def test_the_parser_is_built_once(self):

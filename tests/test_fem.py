@@ -547,8 +547,8 @@ class TestShiftedLevels:
     def test_each_finer_level_is_one_factorization_and_one_count(self, monkeypatch, levels):
         lowest, below = _spy(monkeypatch, fem, "lowest_eigs"), _spy(monkeypatch, fem, "eigs_below")
         factors = _spy(monkeypatch, spla, "splu")
-        fem.dn_spectrum(DN_SQUARE, 2, levels, 0.25)  # level 0 is dense: 72 DOF
-        assert (len(lowest), len(below), len(factors)) == (1, levels - 1, levels - 1)
+        fem.dn_spectrum(DN_SQUARE, 2, levels, 0.25)  # level 0 factors too
+        assert (len(lowest), len(below), len(factors)) == (1, levels - 1, levels)
 
     @pytest.mark.parametrize("poly, k", [(DN_SQUARE, 3), (NEUMANN_TRIANGLE, 2), ("y_junction", 2), ("crossing", 3)])
     def test_no_level_value_rises(self, poly, k):
@@ -573,27 +573,36 @@ class TestShiftedLevels:
 
 
 class TestSolvers:
-    def test_sparse_path_matches_dense(self, monkeypatch):
-        mesh = fem.triangulate(DN_SQUARE, 0.25)
-        prob = fem.assemble(mesh)
-        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)  # force the sparse solver
+    @pytest.mark.parametrize("poly", [DN_SQUARE, NEUMANN_TRIANGLE], ids=["dn_square", "neumann_triangle"])
+    def test_lowest_ritz_pairs_match_dense_eigh(self, poly):
+        prob = fem.assemble(fem.triangulate(poly, 0.25))
         dense = scipy.linalg.eigh(
             prob.stiffness.toarray(),
             prob.mass.toarray(),
             eigvals_only=True,
             subset_by_index=(0, 2),
         )
-        got = np.array(fem.lowest_eigs(prob, 3).values)
-        assert got == pytest.approx(dense, rel=1e-8)
+        ritz = fem.lowest_eigs(prob, 3)
+        got, X = np.array(ritz.values), ritz.vectors
+        # upper bounds of the discrete eigenvalues, but for rounding
+        assert got == pytest.approx(dense, rel=1e-8, abs=1e-12)
+        assert np.all(got >= dense - 1e-12 * dense[-1])
+        assert X.shape == (prob.stiffness.shape[0], 3)
+        assert np.abs(X.T @ (prob.mass @ X) - np.eye(3)).max() < 1e-10
+        if poly is NEUMANN_TRIANGLE:  # the kernel's 0, clipped: never negative
+            assert dense[0] < 1e-12 and 0.0 <= got[0] < 1e-12
 
     def test_too_many_eigs_raises(self):
         prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.6))
         with pytest.raises(fem.SolverFailure):
             fem.lowest_eigs(prob, 10_000)
+        # a shift above every eigenvalue: an inertia of n, which Lanczos cannot reach
+        n = prob.stiffness.shape[0]
+        with pytest.raises(fem.SolverFailure, match=f"requested {n} eigenvalues from {n} DOF"):
+            fem.eigs_below(prob, 1e9)
 
     def test_the_sparse_solver_is_capped_at_100_restarts(self, monkeypatch):
         prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.25))
-        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)  # force the sparse solver
         seen, eigsh = {}, spla.eigsh
 
         def spy(*args, **kwargs):
@@ -608,7 +617,6 @@ class TestSolvers:
         # COLAMD makes the crossing's 81k-DOF factor larger and slower, and the
         # default supernode relaxation makes factoring it take 22 s, not 0.5 s
         prob, sigma = _truncated_problem("t_junction", 2.0, 0.5, 1)
-        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)  # force the sparse solver
         calls = _spy(monkeypatch, spla, "splu")
         fem.lowest_eigs(prob, 2)
         fem.eigs_below(prob, sigma)
@@ -617,7 +625,6 @@ class TestSolvers:
 
     def test_no_convergence_is_a_solver_failure(self, monkeypatch):
         prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.25))
-        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)
 
         def stalled(A, k, **kwargs):
             raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
@@ -698,7 +705,8 @@ def _solves_per_call(monkeypatch) -> list:
 
 class TestWarmStart:
     def test_the_prolonged_start_saves_solves_and_keeps_the_values(self, monkeypatch):
-        # level 0 is lowest_eigs, level 1 starts from the constant vector
+        # level 0 is lowest_eigs, every finer level starts from the coarser
+        # Ritz vectors; a cold level 1 starts from the constant vector
         poly = geom.truncate(certify.preset("crossing")[0], 3.0)
         counts = _solves_per_call(monkeypatch)
         warm = fem.dn_spectrum(poly, 2, 3, 0.5)
@@ -707,8 +715,8 @@ class TestWarmStart:
         below = fem.eigs_below
         monkeypatch.setattr(fem, "eigs_below", lambda prob, sigma, v0=None: below(prob, sigma))
         cold = fem.dn_spectrum(poly, 2, 3, 0.5)
-        assert (len(warm_counts), counts[2]) == (3, 24)
-        assert warm_counts[:2] == counts[:2] and warm_counts[2] <= 16
+        assert (len(warm_counts), counts[1]) == (3, 24)
+        assert warm_counts[0] == counts[0] and max(warm_counts[1:]) <= 16
         assert np.array(warm.level_values) == pytest.approx(np.array(cold.level_values), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("case", ["crossing", "neumann_k1"])
@@ -739,7 +747,6 @@ class TestLanczosTolerance:
         assert fem.LANCZOS_TOL == math.sqrt(np.finfo(float).eps)
         calls = _spy(monkeypatch, spla, "eigsh")
         prob, sigma = _count_problem("t_junction")
-        monkeypatch.setattr(fem, "DENSE_DOF_LIMIT", 1)  # force the sparse solver
         fem.lowest_eigs(prob, 2)
         fem.eigs_below(prob, sigma)
         assert [kwargs["tol"] for _, kwargs in calls] == [fem.LANCZOS_TOL, fem.LANCZOS_TOL]
