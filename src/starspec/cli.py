@@ -101,23 +101,20 @@ def cmd_certify(args) -> int:
     return EXIT_CERTIFIED if v.certified else EXIT_INCONCLUSIVE
 
 
+# each catalog shape's closed-form spectrum, from the parsed arguments and the boundary condition
+SPECTRA = {
+    "interval": lambda args, bc: exact.interval_eigs(args.length, bc.upper(), args.k),
+    "box": lambda args, bc: exact.box_eigs(tuple(args.dims), tuple(b.upper() for b in args.bcs), args.k),
+    "equilateral": lambda args, bc: exact.equilateral_eigs(args.side, bc.lower(), args.k),
+    "sector": lambda args, bc: exact.sector_dn_eigs(args.alpha, args.radius, args.k),
+}
+
+
 def cmd_spectrum(args) -> int:
     shape = args.shape
     if not all(map(math.isfinite, [args.length, args.side, args.alpha, args.radius, *args.dims])):
         raise ValueError("--length, --side, --alpha, --radius and --dims must be finite")
-    bc = args.bc or ("dirichlet" if shape == "equilateral" else "DD")
-    if shape == "interval":
-        eigs = exact.interval_eigs(args.length, bc.upper(), args.k)
-    elif shape == "box":
-        dims = tuple(args.dims)
-        bcs = tuple(b.upper() for b in args.bcs)
-        eigs = exact.box_eigs(dims, bcs, args.k)
-    elif shape == "equilateral":
-        eigs = exact.equilateral_eigs(args.side, bc.lower(), args.k)
-    elif shape == "sector":
-        eigs = exact.sector_dn_eigs(args.alpha, args.radius, args.k)
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
+    eigs = SPECTRA[shape](args, args.bc or ("dirichlet" if shape == "equilateral" else "DD"))
     if not all(map(math.isfinite, eigs.values)):
         raise ValueError("an eigenvalue overflows: the size is too small")
     report = {
@@ -254,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_certify)
 
     s = sub.add_parser("spectrum", help="closed-form spectra of catalog shapes")
-    s.add_argument("--shape", required=True, choices=["interval", "box", "equilateral", "sector"])
+    s.add_argument("--shape", required=True, choices=list(SPECTRA))
     s.add_argument("--bc", help="interval pair (DD/NN/DN/ND, default DD) or, for equilateral, dirichlet/neumann (default dirichlet)")
     s.add_argument("--length", type=float, default=1.0)
     s.add_argument("--side", type=float, default=1.0)

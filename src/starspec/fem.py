@@ -6,11 +6,12 @@ Refinement is nested and deterministic: the old nodes keep their indices and
 each new edge midpoint is numbered in order of first appearance (triangle
 edges in triangle order, then boundary edges).
 
-Every eigensolve takes one path, _ritz_pairs: _factor, a minimum-degree
-L D L^T of K - sigma M on the one pattern K and M share, shift-invert Lanczos
-to LANCZOS_TOL residuals (Ritz values at rounding) and one Rayleigh-Ritz
-projection.  dn_spectrum's level 0 is lowest_eigs, each finer level an
-inertia-checked count below a shift, warm-started from the coarser level.
+Every eigensolve is eigs_below: _factor, a minimum-degree L D L^T of
+K - sigma M on the one pattern K and M share, whose inertia fixes how many
+eigenvalues lie below sigma, then shift-invert Lanczos for that many and one
+Rayleigh-Ritz projection.  lowest_eigs climbs a ladder of shifts to k values;
+dn_spectrum's level 0 is lowest_eigs, each finer level one eigs_below just
+above the coarser lambda_k, warm-started from the coarser level.
 
 FEM eigenvalues from a conforming space are variational upper bounds; they
 are never used as lower bounds anywhere in the package.
@@ -36,7 +37,8 @@ if TYPE_CHECKING:  # SciPy itself loads on the first assembly or solve
 MAX_TRIANGLES = 524_288
 # delta in dn_spectrum's shift (1 + delta) lambda_k + delta above the coarser
 # level (nested: lambda_k(fine) <= lambda_k(coarse)): the relative part covers
-# rounding of the coarse value, the absolute part a Neumann kernel's 0
+# rounding of the coarse value, the absolute part a Neumann kernel's 0; and
+# the offset of lowest_eigs's shift ladder (1 + delta) 4^j from the powers of 4
 NESTED_SHIFT = 1e-3
 # ARPACK's residual tolerance for every Lanczos solve: a Ritz value's error is
 # the square of its vector's residual (||r||^2 / gap), so sqrt(eps) residuals
@@ -389,24 +391,28 @@ def _factor(prob: DiscreteProblem, sigma: float):
     return lu
 
 
-def _ritz_pairs(
-    prob: DiscreteProblem, lu, k: int, sigma: float, which: str, v0: np.ndarray | None, ncv: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """k Ritz pairs of (K, M): shift-invert Lanczos with ncv basis vectors on
-    lu, the _factor of K - sigma M, started from v0 (default: constant) and
-    stopped at LANCZOS_TOL residuals, then one Rayleigh-Ritz projection onto
-    the span of its vectors, which makes the values upper bounds whatever the
-    residuals and the vectors M-orthonormal.  k >= n or no convergence raise."""
+def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None) -> EigList:
+    """Every FEM eigensolve: the Rayleigh-Ritz pairs of (K, M) below sigma.
+    Their number m is the inertia of K - sigma M = P^T L D L^T P (the
+    _factor); shift-invert Lanczos ("SA": the negative 1 / (lambda - sigma))
+    from v0 (default: constant) finds m pairs to LANCZOS_TOL residuals, and
+    one Rayleigh-Ritz projection onto its vectors makes them M-orthonormal
+    and the values upper bounds whatever the residuals, so the tolerance sets
+    only the work.  m >= n, no convergence or an m-th value >= sigma raise."""
     import scipy.linalg
     import scipy.sparse.linalg as spla
 
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
-    if k >= n:
-        raise SolverFailure(f"requested {k} eigenvalues from {n} DOF")
+    lu = _factor(prob, sigma)
+    m = int(np.count_nonzero(lu.U.diagonal() < 0))
+    if m == 0:
+        return EigList((), (), np.empty((n, 0)))
+    if m >= n:
+        raise SolverFailure(f"requested {m} eigenvalues from {n} DOF")
     try:
         _, X = spla.eigsh(
-            K, k=k, M=M, sigma=sigma, which=which, ncv=min(n, ncv), tol=LANCZOS_TOL,
+            K, k=m, M=M, sigma=sigma, which="SA", ncv=min(n, 2 * m + 8), tol=LANCZOS_TOL,
             maxiter=100,  # fail fast: a converging solve takes a few restarts
             OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
             v0=np.full(n, 1.0 / math.sqrt(n)) if v0 is None else v0,  # deterministic restarts
@@ -414,36 +420,25 @@ def _ritz_pairs(
         vals, Y = scipy.linalg.eigh(X.T @ (K @ X), X.T @ (M @ X))
     except (spla.ArpackError, np.linalg.LinAlgError, ValueError) as exc:  # no convergence
         raise SolverFailure(str(exc)) from exc
-    return vals, X @ Y
+    if vals[-1] >= sigma:
+        raise SolverFailure(f"Rayleigh-Ritz value {vals[-1]:.17g} is not below the shift {sigma:.17g}")
+    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), X @ Y)
 
 
 def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
-    """The k smallest Ritz pairs of (K, M): shift-invert Lanczos ("LM") at
-    sigma = -0.1 on the _factor of K + 0.1 M, values clipped at 0."""
-    if k == 0:
-        return EigList((), ())
-    # ARPACK's default basis: a constant start has no component along a mode
-    # that a symmetry makes odd, and only the wider basis lets rounding bring
-    # one in (the Y junction's 189-DOF lambda_2 is missed with 2 k + 8)
-    vals, X = _ritz_pairs(prob, _factor(prob, -0.1), k, -0.1, "LM", None, max(2 * k + 1, 20))
-    vals = np.maximum(vals, 0.0)  # clip solver noise on Neumann kernels
-    return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals), X)
-
-
-def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None) -> EigList:
-    """Rayleigh-Ritz values for the eigenvalues of (K, M) below sigma: their
-    number m is the inertia of K - sigma M = P^T L D L^T P (the _factor),
-    and _ritz_pairs from v0 finds their m Ritz pairs ("SA": the negative
-    1 / (lambda - sigma)); the Ritz values of any m vectors are upper bounds,
-    so the tolerance sets only the work.  An m-th value >= sigma raises."""
-    lu = _factor(prob, sigma)
-    m = int(np.count_nonzero(lu.U.diagonal() < 0))
-    if m == 0:
-        return EigList((), ())
-    vals, X = _ritz_pairs(prob, lu, m, sigma, "SA", v0, 2 * m + 8)
-    if vals[-1] >= sigma:
-        raise SolverFailure(f"Rayleigh-Ritz value {vals[-1]:.17g} is not below the shift {sigma:.17g}")
-    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), X)
+    """The k smallest Ritz pairs of (K, M), values clipped at 0: eigs_below at
+    (1 + NESTED_SHIFT) 4^j, j = 0, 1, ..., up to the first inertia >= k.  In 2D
+    the count grows linearly in lambda (Weyl), so that rung holds about 4 k
+    values at most.  The offset keeps the rungs off exact eigenvalues such as
+    the 64 of the 6-DOF Neumann triangle."""
+    n = prob.stiffness.shape[0]
+    if k >= n:
+        raise SolverFailure(f"requested {k} eigenvalues from {n} DOF")
+    sigma = 1.0 + NESTED_SHIFT
+    while len(ritz := eigs_below(prob, sigma)) < k:
+        sigma *= 4.0
+    vals = np.maximum(ritz.values[:k], 0.0)  # clip solver noise on Neumann kernels
+    return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals), ritz.vectors[:, :k])
 
 
 def dn_spectrum(poly: Polygon, k: int, levels: int, h0: float = 0.25) -> FemSpectrum:
@@ -487,6 +482,7 @@ def _extrapolate(level_values: list[np.ndarray]) -> FemSpectrum:
                 ratio = min(d1 / d2, 8.0)
         orders[i] = math.log2(ratio)
         extr[i] = last[i] + (last[i] - prev[i]) / (ratio - 1.0)
+    extr = np.maximum(extr, 0.0)  # no eigenvalue lies below 0: a Neumann kernel's rounding
     err = np.abs(last - prev) + np.abs(extr - last)
     return FemSpectrum(
         level_values=level_values,
