@@ -18,7 +18,7 @@ from .exact import (
     interval_eigs,
     right_triangle_dn_lower_bound,
 )
-from .geom import Polygon
+from .geom import Polygon, orient
 
 
 class DirectionMismatch(ValueError):
@@ -125,11 +125,9 @@ def scale_bound(
     return out
 
 
-def _point_in_or_on(poly: Polygon, x: float, y: float, tol: float) -> bool:
-    if poly.contains_point(x, y):
-        return True
-    for i in range(poly.n_edges):
-        (x0, y0), (x1, y1) = poly.edge(i)
+def _near_boundary(edges, x: float, y: float, tol: float) -> bool:
+    """Whether (x, y) lies within tol of one of the segments edges."""
+    for (x0, y0), (x1, y1) in edges:
         dx, dy = x1 - x0, y1 - y0
         L2 = dx * dx + dy * dy
         t = max(0.0, min(1.0, ((x - x0) * dx + (y - y0) * dy) / L2))
@@ -143,22 +141,22 @@ def _is_convex(poly: Polygon) -> bool:
     """No self-crossing and no turn against the orientation (a straight angle
     is allowed)."""
     v, sign = poly.vertices, math.copysign(1.0, poly.signed_area())
-    for (ax, ay), (bx, by), (cx, cy) in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
-        if sign * ((bx - ax) * (cy - by) - (by - ay) * (cx - bx)) < 0:
-            return False
-    return poly.is_simple()
+    return not any(sign * orient(a, b, c) < 0 for a, b, c in zip(v, v[1:] + v[:1], v[2:] + v[:2])) and poly.is_simple()
 
 
 def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> None:
     """A convex outer contains the polygon inner exactly when it contains
-    inner's vertices, so each vertex must lie in outer or within tol of its
+    inner's vertices, so each vertex must lie strictly on the inner side of
+    every edge of outer (the orientation signs) or within tol of its
     boundary.  A non-convex outer is refused: its vertices say nothing about
     the edges between them."""
     if not _is_convex(outer):
         raise ContainmentViolation("the enclosure is not convex")
-    for x, y in inner.vertices:
-        if not _point_in_or_on(outer, x, y, tol):
-            raise ContainmentViolation(f"vertex ({x}, {y}) of the inner domain lies outside the enclosure")
+    sign = math.copysign(1.0, outer.signed_area())
+    edges = [outer.edge(i) for i in range(outer.n_edges)]
+    for v in inner.vertices:
+        if not (all(sign * orient(p, q, v) > 0 for p, q in edges) or _near_boundary(edges, *v, tol)):
+            raise ContainmentViolation(f"vertex ({v[0]}, {v[1]}) of the inner domain lies outside the enclosure")
 
 
 def neumann_enclosure_bounds(

@@ -9,7 +9,8 @@ edges in triangle order, then boundary edges).
 Every eigensolve is eigs_below: _factor, a minimum-degree L D L^T of
 K - sigma M on the one pattern K and M share, whose inertia fixes how many
 eigenvalues lie below sigma, then shift-invert Lanczos for that many and one
-Rayleigh-Ritz projection.  lowest_eigs climbs a ladder of shifts to k values;
+Rayleigh-Ritz projection.  lowest_eigs counts a ladder of shifts by _factor
+alone and solves the first rung that holds k values;
 dn_spectrum's level 0 is lowest_eigs, each finer level one eigs_below just
 above the coarser lambda_k, warm-started from the coarser level.
 
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exact import EigList
-from .geom import BC, Polygon
+from .geom import BC, Polygon, orient
 
 if TYPE_CHECKING:  # SciPy itself loads on the first assembly or solve
     import scipy.sparse as sp
@@ -113,7 +114,8 @@ class FemSpectrum:
 
 def _ear_clip(vertices: np.ndarray) -> list[tuple[int, int, int]]:
     """Triangulate a simple CCW polygon (collinear vertices allowed)."""
-    n = len(vertices)
+    pts = vertices.tolist()  # float arithmetic on Python floats: the same bits, without NumPy scalar overhead
+    n = len(pts)
     idx = list(range(n))
     tris = []
     guard = 0
@@ -125,12 +127,12 @@ def _ear_clip(vertices: np.ndarray) -> list[tuple[int, int, int]]:
         m = len(idx)
         for pos in range(m):
             i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % m]
-            a, b, c = vertices[i0], vertices[i1], vertices[i2]
-            area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if area2 <= 1e-14:
+            a, b, c = pts[i0], pts[i1], pts[i2]
+            if orient(a, b, c) <= 1e-14:
                 continue  # reflex or flat corner
-            if _any_point_in_triangle(vertices, [j for j in idx if j not in (i0, i1, i2)], a, b, c):
-                continue
+            if any(orient(a, b, pts[j]) > -1e-12 and orient(b, c, pts[j]) > -1e-12 and orient(c, a, pts[j]) > -1e-12
+                   for j in idx if j not in (i0, i1, i2)):
+                continue  # another vertex lies in or on the ear
             tris.append((i0, i1, i2))
             idx.pop(pos)
             clipped = True
@@ -138,22 +140,10 @@ def _ear_clip(vertices: np.ndarray) -> list[tuple[int, int, int]]:
         if not clipped:
             raise MeshFailure("no clippable ear found; polygon may be degenerate")
     i0, i1, i2 = idx
-    a, b, c = vertices[i0], vertices[i1], vertices[i2]
-    if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) <= 1e-14:
+    if orient(pts[i0], pts[i1], pts[i2]) <= 1e-14:
         raise MeshFailure("degenerate final triangle")
     tris.append((i0, i1, i2))
     return tris
-
-
-def _any_point_in_triangle(vertices, candidates, a, b, c) -> bool:
-    for j in candidates:
-        p = vertices[j]
-        d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-        d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-        if d1 > -1e-12 and d2 > -1e-12 and d3 > -1e-12:
-            return True
-    return False
 
 
 def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) -> None:
@@ -167,14 +157,10 @@ def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) 
 
     def in_circumcircle(a, b, c, d) -> bool:
         # sign normalized by triangle orientation so the test is order-free
-        orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         ax, ay, bx, by, cx, cy = a[0] - d[0], a[1] - d[1], b[0] - d[0], b[1] - d[1], c[0] - d[0], c[1] - d[1]
         a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
         det = ax * (by * c2 - b2 * cy) - ay * (bx * c2 - b2 * cx) + a2 * (bx * cy - by * cx)
-        return math.copysign(1.0, orient) * det > 1e-12
-
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        return math.copysign(1.0, orient(a, b, c)) * det > 1e-12
 
     pts = nodes.tolist()  # float arithmetic on Python floats: the same bits, without NumPy scalar overhead
     slots: dict[tuple[int, int], list[tuple[int, int]]] = {}  # edge -> the (t, i) that hold it
@@ -263,12 +249,8 @@ def triangulate(poly: Polygon, h_target: float) -> Mesh:
 
 
 def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    p = nodes[tris]
-    det = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
     out = tris.copy()
-    flip = det < 0
+    flip = orient(*nodes[tris].transpose(1, 2, 0)) < 0
     out[flip, 1], out[flip, 2] = tris[flip, 2], tris[flip, 1]
     return out
 
@@ -376,7 +358,9 @@ def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProbl
 def _factor(prob: DiscreteProblem, sigma: float):
     """Every sparse FEM factorization, of K - sigma M as CSC (K and M share a
     symmetric pattern): symmetric-mode SuperLU without row pivoting (checked),
-    an L D L^T with D = diag(U), on minimum degree; relax=1: relaxation pads it."""
+    an L D L^T with D = diag(U), on minimum degree; relax=1: relaxation pads it.
+    Returns the factor and its inertia m, the number of negative entries of D:
+    by Sylvester, the number of eigenvalues of (K, M) below sigma."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -388,7 +372,7 @@ def _factor(prob: DiscreteProblem, sigma: float):
         raise SolverFailure(str(exc)) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverFailure("the factorization pivoted rows")
-    return lu
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None) -> EigList:
@@ -404,8 +388,7 @@ def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None
 
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
-    lu = _factor(prob, sigma)
-    m = int(np.count_nonzero(lu.U.diagonal() < 0))
+    lu, m = _factor(prob, sigma)
     if m == 0:
         return EigList((), (), np.empty((n, 0)))
     if m >= n:
@@ -426,17 +409,19 @@ def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None
 
 
 def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
-    """The k smallest Ritz pairs of (K, M), values clipped at 0: eigs_below at
-    (1 + NESTED_SHIFT) 4^j, j = 0, 1, ..., up to the first inertia >= k.  In 2D
-    the count grows linearly in lambda (Weyl), so that rung holds about 4 k
-    values at most.  The offset keeps the rungs off exact eigenvalues such as
-    the 64 of the 6-DOF Neumann triangle."""
+    """The k smallest Ritz pairs of (K, M), values clipped at 0: the inertia
+    of _factor at (1 + NESTED_SHIFT) 4^j, j = 0, 1, ..., counts each rung, and
+    eigs_below solves only the first with an inertia >= k.  In 2D the count
+    grows linearly in lambda (Weyl), so that rung holds about 4 k values at
+    most.  The offset keeps the rungs off exact eigenvalues such as the 64 of
+    the 6-DOF Neumann triangle."""
     n = prob.stiffness.shape[0]
     if k >= n:
         raise SolverFailure(f"requested {k} eigenvalues from {n} DOF")
     sigma = 1.0 + NESTED_SHIFT
-    while len(ritz := eigs_below(prob, sigma)) < k:
+    while _factor(prob, sigma)[1] < k:
         sigma *= 4.0
+    ritz = eigs_below(prob, sigma)
     vals = np.maximum(ritz.values[:k], 0.0)  # clip solver noise on Neumann kernels
     return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals), ritz.vectors[:, :k])
 

@@ -120,17 +120,6 @@ class Polygon:
                     return False
         return True
 
-    def contains_point(self, x: float, y: float) -> bool:
-        """Even-odd rule; points on the boundary are not guaranteed either way."""
-        inside = False
-        for i in range(self.n_edges):
-            (x0, y0), (x1, y1) = self.edge(i)
-            if (y0 > y) != (y1 > y):
-                xi = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
-                if x < xi:
-                    inside = not inside
-        return inside
-
     def outward_normal(self, i: int) -> tuple[float, float]:
         (x0, y0), (x1, y1) = self.edge(i)
         dx, dy = x1 - x0, y1 - y0
@@ -159,16 +148,16 @@ def simple_polygon(
     return poly
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+def orient(a, b, c):
+    """Twice the signed area of the triangle a b c: positive when it turns
+    counterclockwise.  Every orientation decision of the package is a sign
+    of this determinant, on float pairs or, componentwise, on arrays."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def _segments_intersect(p, q, r, s) -> bool:
     """Proper or touching intersection of closed segments pq and rs."""
-    d1 = _orient(*r, *s, *p)
-    d2 = _orient(*r, *s, *q)
-    d3 = _orient(*p, *q, *r)
-    d4 = _orient(*p, *q, *s)
+    d1, d2, d3, d4 = orient(r, s, p), orient(r, s, q), orient(p, q, r), orient(p, q, s)
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0:
         return True
 

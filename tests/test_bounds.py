@@ -24,9 +24,19 @@ from starspec.bounds import (
     trace_to_json,
 )
 from starspec.exact import PI2, box_eigs, equilateral_eigs
-from starspec.geom import simple_polygon
+from starspec.geom import Polygon, simple_polygon
 
 REPLAY_REL = 1e-13
+
+# every containment outcome holds for the enclosure in either orientation
+EITHER_ORIENTATION = pytest.mark.parametrize("clockwise", [False, True], ids=["ccw", "cw"])
+
+
+def _enclosure(vertices, clockwise):
+    """simple_polygon(vertices), or with clockwise its vertices reversed as a
+    raw Polygon: simple_polygon would orient them counterclockwise again."""
+    outer = simple_polygon(vertices)
+    return Polygon(outer.vertices[::-1], outer.edge_tags, outer.edge_roles) if clockwise else outer
 
 
 def dn_square_lowers(k=3):
@@ -94,9 +104,10 @@ class TestRules:
         for b, ev in zip(lows, mixed):
             assert b.value <= ev + 1e-12
 
-    def test_neumann_enclosure_containment_violation(self):
+    @EITHER_ORIENTATION
+    def test_neumann_enclosure_containment_violation(self, clockwise):
         inner = simple_polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
-        outer = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        outer = _enclosure([(0, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         lows = bounds_from_eiglist(
             "outer", box_eigs((1.0, 1.0), ("NN", "NN"), 2), Direction.LOWER,
             "box-eig", {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]},
@@ -104,9 +115,10 @@ class TestRules:
         with pytest.raises(ContainmentViolation):
             neumann_enclosure_bounds("x", inner, outer, lows)
 
-    def test_neumann_enclosure_bounds_transport(self):
+    @EITHER_ORIENTATION
+    def test_neumann_enclosure_bounds_transport(self, clockwise):
         inner = simple_polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)])
-        outer = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        outer = _enclosure([(0, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         lows = bounds_from_eiglist(
             "outer", box_eigs((1.0, 1.0), ("NN", "NN"), 2), Direction.LOWER,
             "box-eig", {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]},
@@ -115,9 +127,10 @@ class TestRules:
         assert out[1].value == pytest.approx(PI2, rel=1e-12)
         assert out[1].trace[-1].rule == "neumann-enclosure"
 
-    def test_containment_accepts_touching_boundary(self):
+    @EITHER_ORIENTATION
+    def test_containment_accepts_touching_boundary(self, clockwise):
         inner = simple_polygon([(0, 0), (1, 0), (0.5, 0.5)])
-        outer = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        outer = _enclosure([(0, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         check_containment(inner, outer)  # shared edge is fine
 
     # a triangle with its vertex `first` at distance d beyond the right side
@@ -127,9 +140,10 @@ class TestRules:
         verts = [(1.0 + d, 0.5), (0.5, 0.8), (0.5, 0.2)]
         return simple_polygon(verts[-first:] + verts[:-first])
 
+    @EITHER_ORIENTATION
     @pytest.mark.parametrize("first", [0, 1, 2])
-    def test_every_vertex_is_checked_with_the_same_tolerance(self, first):
-        outer = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    def test_every_vertex_is_checked_with_the_same_tolerance(self, first, clockwise):
+        outer = _enclosure([(0, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         check_containment(self._poking_triangle(0.5e-10, first), outer)  # tol / 2 outside
         with pytest.raises(ContainmentViolation, match="vertex"):
             check_containment(self._poking_triangle(2e-10, first), outer)  # 2 tol outside
@@ -143,13 +157,15 @@ class TestRules:
             [(math.cos(a), math.sin(a)) for a in (math.pi / 2 + 4 * math.pi * i / 5 for i in range(5))],
         ],
     )
-    def test_a_non_convex_enclosure_is_refused(self, outer):
+    @EITHER_ORIENTATION
+    def test_a_non_convex_enclosure_is_refused(self, outer, clockwise):
         inner = simple_polygon([(0.1, 0.1), (1.9, 0.1), (0.1, 1.9)])
         with pytest.raises(ContainmentViolation, match="not convex"):
-            check_containment(inner, simple_polygon(outer))
+            check_containment(inner, _enclosure(outer, clockwise))
 
-    def test_a_straight_angle_keeps_an_enclosure_convex(self):
-        outer = simple_polygon([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
+    @EITHER_ORIENTATION
+    def test_a_straight_angle_keeps_an_enclosure_convex(self, clockwise):
+        outer = _enclosure([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         check_containment(simple_polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]), outer)
 
 

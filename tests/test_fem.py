@@ -551,12 +551,13 @@ class TestShiftedLevels:
     @pytest.mark.parametrize("levels", [2, 4])
     def test_each_finer_level_is_one_factorization_and_one_count(self, monkeypatch, levels):
         lowest, below = _spy(monkeypatch, fem, "lowest_eigs"), _spy(monkeypatch, fem, "eigs_below")
-        factors = _spy(monkeypatch, spla, "splu")
+        rungs, factors = _spy(monkeypatch, fem, "_factor"), _spy(monkeypatch, spla, "splu")
         fem.dn_spectrum(DN_SQUARE, 2, levels, 0.25)
-        # level 0 climbs lowest_eigs's ladder to the first rung above lambda_2
-        # = 5 pi^2 / 4: three eigs_below, each one factorization
-        assert [args[1] for args, _ in below[:3]] == pytest.approx([1.001, 4.004, 16.016], rel=1e-15)
-        assert (len(lowest), len(below), len(factors)) == (1, 3 + levels - 1, 3 + levels - 1)
+        # level 0 counts lowest_eigs's ladder by one factorization a rung up to
+        # the first rung above lambda_2 = 5 pi^2 / 4, then solves that rung alone
+        assert [args[1] for args, _ in rungs[:3]] == pytest.approx([1.001, 4.004, 16.016], rel=1e-15)
+        assert below[0][0][1] == rungs[2][0][1]
+        assert (len(lowest), len(below), len(factors)) == (1, levels, 4 + levels - 1)
 
     @pytest.mark.parametrize("poly, k", [(DN_SQUARE, 3), (NEUMANN_TRIANGLE, 2), ("y_junction", 2), ("crossing", 3)])
     def test_no_level_value_rises(self, poly, k):
@@ -568,8 +569,8 @@ class TestShiftedLevels:
 
     def test_an_inertia_below_k_raises(self, monkeypatch):
         # one DN-square eigenvalue lies below each finer shift but the k = 2
-        # it needs; level 0's three rungs count truly
-        _tampered_splu(monkeypatch, inertia_shift=-1, untouched=3)
+        # it needs; level 0's three rungs and its solve of the last count truly
+        _tampered_splu(monkeypatch, inertia_shift=-1, untouched=4)
         with pytest.raises(fem.SolverFailure, match="inertia 1 below 2"):
             fem.dn_spectrum(DN_SQUARE, 2, 2, 0.25)
 
@@ -855,6 +856,23 @@ class TestTriangulateGolden:
         for vcfg, length in configs:
             digest.update(fem.mesh_text_dump(fem.triangulate(geom.truncate(vcfg, length), 0.5)).encode())
         assert digest.hexdigest() == self.GOLDEN
+
+    # sha256 of the ear clip and then the flipped triangles of every
+    # _flip_inputs() array (the centers and random stars no mesh above
+    # covers), measured before the mesher's orientation tests went through
+    # geom.orient
+    EAR_CLIP_GOLDEN = "333f5586c727dbe3e189f486db66087914f0c359ab28ffe76267c2a83192e8ec"
+
+    def test_ear_clips_and_flips_are_unchanged(self):
+        digest = hashlib.sha256()
+        for verts in _flip_inputs():
+            n = len(verts)
+            ear = [list(t) for t in fem._ear_clip(verts)]
+            tris = [list(t) for t in ear]
+            fem._delaunay_flips(verts, tris, {tuple(sorted((i, (i + 1) % n))) for i in range(n)})
+            digest.update(repr(ear).encode())
+            digest.update(repr(tris).encode())
+        assert digest.hexdigest() == self.EAR_CLIP_GOLDEN
 
 
 class TestTailCaps:
