@@ -96,31 +96,19 @@ def dirichlet_monotone(sub_bounds: list[SpectralBound], waveguide_op: str) -> li
     return out
 
 
-def scale_bound(
-    src: list[SpectralBound],
-    coeffs: tuple[float, float],
-    target_op: str,
-    cap_at_one: bool = False,
-) -> list[SpectralBound]:
+def scale_bound(src: list[SpectralBound], coeffs: tuple[float, float], target_op: str) -> list[SpectralBound]:
     """Lower bounds under the diagonal map diag(c1, c2) of the domain:
-    lambda_k(image) >= min(c_i^-2) * lambda_k(source).  With cap_at_one the
-    factor is additionally capped at 1 (a weaker but simpler one-sided form)."""
+    lambda_k(image) >= min(c_i^-2) * lambda_k(source)."""
     c1, c2 = coeffs
     if c1 <= 0 or c2 <= 0:
         raise NonPositiveCoeff("scaling coefficients must be positive")
     factor = min(c1**-2, c2**-2)
-    if cap_at_one:
-        factor = min(factor, 1.0)
     out = []
     for b in src:
         if b.direction is not Direction.LOWER:
             raise DirectionMismatch("scale_bound transports lower bounds only")
         v = factor * b.value
-        step = TraceStep(
-            "scale",
-            {"coeffs": [c1, c2], "factor": factor, "input": b.value, "cap_at_one": cap_at_one},
-            v,
-        )
+        step = TraceStep("scale", {"coeffs": [c1, c2], "factor": factor, "input": b.value}, v)
         out.append(b.extended(step, operator=target_op, value=v, tol_add=1e-13 * abs(v)))
     return out
 

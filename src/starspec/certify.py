@@ -51,13 +51,12 @@ class CertificationPlan:
     that exists can run, and a rejected one solves no mesh."""
 
     count_strategy: str  # a key of _COUNT_RULES
-    lower_strategy: str  # a key of _LOWER_RULES, or "crossing_symmetry"
+    lower_strategy: str  # a key of _LOWER_RULES, "auto" (the first of them that binds) or "crossing_symmetry"
     truncation_length: float = 2.0
     fem_levels: int = 3  # the finest refinement level a FEM count solves
-    alpha: Optional[float] = None  # the angle the family rules read; _ALPHA_RULES need it
 
     def __post_init__(self):
-        strategies = {"count_strategy": (*_COUNT_RULES,), "lower_strategy": (*_LOWER_RULES, "crossing_symmetry")}
+        strategies = {"count_strategy": (*_COUNT_RULES,), "lower_strategy": (*_LOWER_RULES, "auto", "crossing_symmetry")}
         for key, rules in strategies.items():
             name = getattr(self, key)
             if not isinstance(name, str) or name not in rules:
@@ -66,11 +65,6 @@ class CertificationPlan:
             raise NoPipeline(f"truncation_length = {self.truncation_length!r}: must be a positive finite number")
         if not isinstance(self.fem_levels, int) or isinstance(self.fem_levels, bool) or self.fem_levels < 1:
             raise NoPipeline(f"fem_levels = {self.fem_levels!r}: must be an integer >= 1")
-        if self.alpha is None:
-            if self.lower_strategy in _ALPHA_RULES:
-                raise NoPipeline(f"{self.lower_strategy} needs alpha")
-        elif not _is_number(self.alpha) or not math.isfinite(self.alpha):
-            raise NoPipeline(f"alpha = {self.alpha!r}: must be a finite number")
 
 
 PLAN_FIELDS = frozenset(f.name for f in fields(CertificationPlan))
@@ -81,7 +75,7 @@ class Verdict:
     name: str
     certified: bool
     n_discrete: Optional[int]
-    rigor: str  # "analytic" | "numerically_assisted" | "assumed" (rests on an assumption step) | "heuristic" | "none" (no bound)
+    rigor: str  # "analytic" | "numerically_assisted" | "assumed" (rests on an assumption step) | "none" (no bound)
     nu: float
     margins: dict
     reason: str
@@ -209,12 +203,52 @@ def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float
     return _n_below(ub, nu), ub
 
 
-def _is_family(vcfg: ValidatedConfig, plan: CertificationPlan, polygon) -> bool:
-    """Whether the polygon center is exactly polygon(plan.alpha)."""
-    try:
-        return plan.alpha is not None and not vcfg.is_3d and polygon(plan.alpha) == vcfg.center
-    except (ArithmeticError, TypeError, ValueError):  # no family polygon at this alpha
-        return False
+def _y_alpha(c: Polygon) -> float:
+    """atan2(sin, cos) of a Y center, whose apex stands at 1/(2 sin): cos is
+    1 + y0 / apex for the triangle, whose bottom cut stands at
+    y0 = (cos - 1) / (2 sin), and vertex 2 of a pentagon, (cos, .) below
+    pi/3, where edge 1 is a wall, or (0.5 - cos, .) above it."""
+    top = c.vertices[2 if c.n_edges == 3 else 3][1]
+    if c.n_edges == 3:
+        cos = 1 + c.vertices[0][1] / top
+    else:
+        cos = c.vertices[2][0] if c.edge_tags[1] is BC.DIRICHLET else 0.5 - c.vertices[2][0]
+    return math.atan2(1 / (2 * top), cos)
+
+
+# family -> (its polygon at alpha, for a center c of the family; the vertex
+# counts it builds, None for any; the alpha read back from a center)
+_FAMILIES = {
+    "bent-guide": (lambda a, c: _broken_polygon(a), (4,), lambda c: math.atan2(-c.vertices[1][0], -c.vertices[1][1])),
+    "Y-junction": (lambda a, c: _y_center_polygon(a), (3, 5), _y_alpha),
+    "sector": (lambda a, c: _rounded_corner_polygon(a, c.n_edges - 2), None,
+               lambda c: math.atan2(c.vertices[-1][1], c.vertices[-1][0])),
+}
+ALPHA_ULPS = 2  # reading alpha back loses up to two roundings; 30,000 seeded angles per family needed no more
+
+
+def _family_alpha(vcfg: ValidatedConfig, family: str, rule: str = "") -> Optional[float]:
+    """The alpha whose family polygon is exactly the center: the alpha read
+    back from the center, or else the nearest float within ALPHA_ULPS of it
+    that rebuilds the center.  The test stays float equality, so no binding
+    widens, and a vertex count the family never builds is refused before any
+    polygon is built.  With none, Unbound names the rule, or without a rule
+    the result is None."""
+    polygon, counts, read = _FAMILIES[family]
+    c = vcfg.center
+    if not vcfg.is_3d and (counts is None or c.n_edges in counts):
+        try:
+            below = above = read(c)
+            for _ in range(ALPHA_ULPS + 1):
+                for alpha in (below, above):
+                    if polygon(alpha, c) == c:
+                        return alpha
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        except (ArithmeticError, ValueError):  # no family polygon at this alpha
+            pass
+    if rule:
+        raise Unbound(f"{rule} needs a {family} center: this one is the family's polygon at no alpha")
+    return None
 
 
 def _is_config(vcfg: ValidatedConfig, build) -> bool:
@@ -223,21 +257,21 @@ def _is_config(vcfg: ValidatedConfig, build) -> bool:
     return (vcfg.center, vcfg.branches) == (ref.center, ref.branches)
 
 
-# name -> (binding, fact, anchor, citation).  A binding takes (vcfg, plan) and
+# name -> (binding, fact, anchor, citation).  A binding takes the config and
 # accepts only the geometry the fact is proved for.  A fact shows only that a
 # bound state exists, n_true >= 1; a center lower bound for index 2 then gives
 # n_true = 1.  The fact and anchor texts go into the assumption step.
 _FACTS = {
-    "bent_guide": (lambda vcfg, plan: _is_family(vcfg, plan, _broken_polygon),
+    "bent_guide": (lambda vcfg: _family_alpha(vcfg, "bent-guide") is not None,
                    "bent guides of constant width always have nonempty discrete spectrum", None,
                    "Exner-Seba, J. Math. Phys. 30 (1989) 2574; Avishai et al., Phys. Rev. B 44 (1991) 8028"),
-    "y_junction": (lambda vcfg, plan: _is_family(vcfg, plan, _y_center_polygon),
+    "y_junction": (lambda vcfg: _family_alpha(vcfg, "Y-junction") is not None,
                    "junction contains a bent guide of complementary angle", "bent_guide",
                    "Dirichlet monotonicity and the bent_guide fact"),
-    "cube_square": (lambda vcfg, plan: _is_config(vcfg, cube_square_config),
+    "cube_square": (lambda vcfg: _is_config(vcfg, cube_square_config),
                     "prism over the right-angle bent strip is a Dirichlet subdomain", "2d-bent-guide-fem",
                     "Dirichlet monotonicity, separation of variables and the bent_guide fact for its right angle"),
-    "cube_disk": (lambda vcfg, plan: _is_config(vcfg, cube_disk_config),
+    "cube_disk": (lambda vcfg: _is_config(vcfg, cube_disk_config),
                   "sharply bent circular cylinder inside the junction binds a state", None,
                   "Exner-Kovarik, Quantum Waveguides, Springer 2015, ch. 1: a broken circular tube binds a state"),
 }
@@ -247,7 +281,7 @@ def _count_family_fact(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float
     """One eigenvalue below nu, witnessed by the first fact of _FACTS whose
     binding accepts the config; with none it is Unbound."""
     for binds, fact, anchor, _ in _FACTS.values():
-        if binds(vcfg, plan):
+        if binds(vcfg):
             step = TraceStep("assumption", {"fact": fact, "anchor": anchor}, 1.0)
             return 1, [SpectralBound(WAVEGUIDE_OP, 1, nu, Direction.UPPER, (step,), 0.0)]
     raise Unbound(f"family_fact has no fact proved for this config (facts: {', '.join(_FACTS)})")
@@ -272,8 +306,9 @@ def count_discrete(
 
 # -- lower-bound (center) pipelines ----------------------------------------
 #
-# Each lower rule takes (vcfg, plan, k) and returns lower bounds for the k
-# lowest eigenvalues of the mixed-condition center operator.
+# Each lower rule takes (vcfg, k) and returns lower bounds for the k lowest
+# eigenvalues of the mixed-condition center operator, or raises Unbound when
+# it does not describe the center.
 
 
 def _box(vcfg: ValidatedConfig, rule: str) -> tuple[list, list, Optional[str]]:
@@ -296,7 +331,7 @@ def _box(vcfg: ValidatedConfig, rule: str) -> tuple[list, list, Optional[str]]:
     return [hi - lo for lo, hi in bbox], bcs, "branch side relaxed to full Neumann" if mixed else None
 
 
-def _lower_box(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _lower_box(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     """Separable box with the center's dims and interval condition pairs."""
     dims, bcs, relaxed = _box(vcfg, "box")
     out = bnd.bounds_from_eiglist(
@@ -311,7 +346,7 @@ def _lower_box(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[S
     return out
 
 
-def _lower_neumann_equilateral(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _lower_neumann_equilateral(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     c = vcfg.center
     sides = [] if vcfg.is_3d else [c.edge_length(i) for i in range(c.n_edges)]
     side = max(sides, default=0.0)
@@ -322,14 +357,6 @@ def _lower_neumann_equilateral(vcfg: ValidatedConfig, plan: CertificationPlan, k
         DN_CENTER_OP, eigs, Direction.LOWER, "equilateral-eig",
         {"side": side, "bc": "neumann"},
     )
-
-
-def _family_alpha(vcfg: ValidatedConfig, plan: CertificationPlan, rule: str, polygon) -> float:
-    """plan.alpha, which the plan has for every rule of _ALPHA_RULES, once
-    the polygon center is exactly polygon(alpha)."""
-    if not _is_family(vcfg, plan, polygon):
-        raise Unbound(f"{rule} with alpha = {plan.alpha} does not describe this center")
-    return plan.alpha
 
 
 @functools.cache
@@ -347,34 +374,29 @@ def _pi6_embedding() -> SpectralBound:
     return replace(base.extended(step, operator="half-even-pi6"), index=2)
 
 
-def _lower_broken_chain(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _lower_broken_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     """Reflection split of the bent-guide center into a Dirichlet-hypotenuse
     and a Neumann-hypotenuse right triangle, floored analytically."""
-    alpha = _family_alpha(vcfg, plan, "broken_chain", _broken_polygon)
+    alpha = _family_alpha(vcfg, "bent-guide", "broken_chain")
     f_d = exact.right_triangle_dn_lower_bound(alpha)
-    odd = [
-        bnd.lower_bound(
-            "half-odd", 1, f_d, "right-triangle-floor", {"alpha": alpha},
-            tol=1e-13 * f_d,
-        )
-    ]
+    odd = [bnd.lower_bound("half-odd", 1, f_d, "right-triangle-floor", {"alpha": alpha}, tol=1e-13 * f_d)]
     # even half: second eigenvalue via the equilateral embedding at pi/6 and
     # the anisotropic stretch along the wall leg from the reference triangle
-    # to the target; the capped factor min((tan a / tan(pi/6))^2, 1) covers
-    # both directions.  The first eigenvalue is only floored by 0.
+    # to the target; the factor min((tan a / tan(pi/6))^2, 1) of the
+    # coefficients (c, 1) covers both directions.  The first eigenvalue is
+    # only floored by 0.
     c = (1.0 / math.tan(alpha)) / math.sqrt(3)
-    lam2 = bnd.scale_bound([_pi6_embedding()], (c, 1.0), "half-even", cap_at_one=True)[0]
     even = [
         bnd.lower_bound("half-even", 1, 0.0, "trivial-floor", {}),
-        lam2,
+        bnd.scale_bound([_pi6_embedding()], (c, 1.0), "half-even")[0],
     ]
     return bnd.direct_sum_bounds([odd, even], DN_CENTER_OP, k)
 
 
-def _lower_y_chain(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _lower_y_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     """Neumann triangle enclosure of the Y-junction center plus contraction
     to an equilateral triangle."""
-    alpha = _family_alpha(vcfg, plan, "y_chain", _y_center_polygon)
+    alpha = _family_alpha(vcfg, "Y-junction", "y_chain")
     if alpha <= math.pi / 3:
         l, h = exact.y_alpha_enclosure_triangle(alpha) if alpha < math.pi / 3 else (1.0, math.sqrt(3) / 2)
         side_eq = 2 * h / math.sqrt(3)
@@ -399,7 +421,7 @@ def _lower_y_chain(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> li
     return bnd.neumann_enclosure_bounds(DN_CENTER_OP, vcfg.center, enclosure, on_m, enclosure_name=name)
 
 
-def _lower_sector(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
+def _lower_sector(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     """Analytic lower bounds for the circular-sector center spectrum from the
     Bessel-zero inequalities; k = 2 is what certification needs.  They bound
     every polygon inscribed in the sector with Dirichlet on its arc side.
@@ -410,7 +432,7 @@ def _lower_sector(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> lis
     and with k' (both of its branches do, and the second only joins the max
     as s passes 1/2), so each such zero exceeds the floor of (n=1, k'=1) or
     of (n=0, k'=2), and the smaller of those two squares bounds lambda_2."""
-    alpha = _family_alpha(vcfg, plan, "sector", lambda a: _rounded_corner_polygon(a, vcfg.center.n_edges - 2))
+    alpha = _family_alpha(vcfg, "sector", "sector")
     out = [bnd.lower_bound(DN_CENTER_OP, 1, 0.0, "trivial-floor", {})]
     if k >= 2:
         cand = [
@@ -429,34 +451,28 @@ def _lower_sector(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> lis
     return out[:k]
 
 
-def _lower_fem_estimate(vcfg: ValidatedConfig, plan: CertificationPlan, k: int) -> list[SpectralBound]:
-    if vcfg.is_3d:
-        raise Unbound("fem_estimate needs a polygon center")
-    spec = fem.dn_spectrum(vcfg.center, k, max(plan.fem_levels, 2), FEM_H0)
-    out = []
-    for i in range(k):
-        v = float(spec.extrapolated[i])
-        step = TraceStep("fem-estimate-lower", {"index": i + 1, "error_estimate": float(spec.error_estimate[i])}, v)
-        out.append(SpectralBound(DN_CENTER_OP, i + 1, v, Direction.LOWER, (step,), float(spec.error_estimate[i])))
-    return out
-
-
 _LOWER_RULES = {
     "box": _lower_box,
     "neumann_equilateral": _lower_neumann_equilateral,
     "broken_chain": _lower_broken_chain,
     "y_chain": _lower_y_chain,
     "sector": _lower_sector,
-    "fem_estimate": _lower_fem_estimate,
 }
-# the lower rules that read plan.alpha
-_ALPHA_RULES = ("broken_chain", "y_chain", "sector")
 
 
-def dn_lower_bounds(
-    vcfg: ValidatedConfig, plan: CertificationPlan, upto: int
-) -> list[SpectralBound]:
-    return _LOWER_RULES[plan.lower_strategy](vcfg, plan, upto)
+def dn_lower_bounds(vcfg: ValidatedConfig, plan: CertificationPlan, upto: int) -> list[SpectralBound]:
+    return _LOWER_RULES[plan.lower_strategy](vcfg, upto)
+
+
+def _first_binding_rule(vcfg: ValidatedConfig) -> str:
+    """The first rule of _LOWER_RULES that describes the center."""
+    for name, rule in _LOWER_RULES.items():
+        try:
+            rule(vcfg, 1)
+        except Unbound:
+            continue
+        return name
+    raise Unbound(f"auto: no lower rule describes this center (tried {', '.join(_LOWER_RULES)})")
 
 
 # -- verdict assembly -------------------------------------------------------
@@ -466,8 +482,6 @@ def _rigor(all_bounds: list[SpectralBound]) -> str:
     if not all_bounds:
         return "none"
     rules = {s.rule for b in all_bounds for s in b.trace}
-    if "fem-estimate-lower" in rules:
-        return "heuristic"
     if "assumption" in rules:
         return "assumed"
     if "fem-upper" in rules:
@@ -517,13 +531,19 @@ def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> V
     that closes gives a sound certificate.  A level whose center lower bound
     rules out every finer one (see _no_finer_rung) ends the climb with its
     own verdict, and the levels left unsolved go into extra with that
-    reason.  Only a FEM count under a rigorous lower rule climbs: the other
-    counts solve no mesh, and a heuristic rule never certifies, so it solves
-    only the finest level.  A rule that does not describe the center is
-    Inconclusive on level 1."""
+    reason.  Only a FEM count climbs: the other counts solve no mesh.  A rule
+    that does not describe the center is Inconclusive on level 1.
+
+    The lower strategy "auto" is resolved once, before the climb, to the
+    first rule of _LOWER_RULES that describes the center.  Each rule binds
+    only a center for which its lower bounds are proved, so any rule that
+    binds is a proof, and taking the first is a cost policy, like the level
+    climb.  A center no rule describes is Inconclusive and solves no mesh."""
     nu = threshold(vcfg)
     try:
-        if plan.count_strategy != "fem" or plan.lower_strategy == "fem_estimate":
+        if plan.lower_strategy == "auto":
+            plan = replace(plan, lower_strategy=_first_binding_rule(vcfg))
+        if plan.count_strategy != "fem":
             return _verdict(vcfg, plan, name, nu)
         skipped, unsolved = [], []
         for levels in range(1, plan.fem_levels):
@@ -576,16 +596,9 @@ def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: floa
         lowers[j].value <= real_uppers[j].value + budget
         for j in range(min(n, len(real_uppers), len(lowers)))
     )
-    certified = (
-        rigor != "heuristic"
-        and dn_margin > budget
-        and (count_margin is None or count_margin > budget)
-        and consistent
-    )
+    certified = dn_margin > budget and (count_margin is None or count_margin > budget) and consistent
     if certified:
         reason = f"{n} eigenvalue(s) below threshold; center lower bound exceeds threshold by {dn_margin:.6g}"
-    elif rigor == "heuristic":
-        reason = "lower bounds are numerical estimates; cannot certify"
     elif not consistent:
         reason = "lower/upper bracketing inconsistent"
     elif dn_margin <= budget:
@@ -813,10 +826,10 @@ def cube_disk_config() -> ValidatedConfig:
 
 # name -> (config builder, shape keywords with their defaults, plan fields
 # that differ from the CertificationPlan defaults).  A None default marks a
-# required shape keyword.  Every rule reads the center's shape from the
-# config; the families' rules and facts check their alpha against it.  The builders
-# call the public config constructors by their module-level names, so a
-# wrapper or monkeypatch on those sees every call.
+# required shape keyword.  Every rule reads the center's shape, alpha
+# included, from the config.  The builders call the public config
+# constructors by their module-level names, so a wrapper or monkeypatch on
+# those sees every call.
 _PRESETS = {
     "t_junction": (lambda: t_junction_config(), {}, {"count_strategy": "fem", "lower_strategy": "box"}),
     "y_junction": (lambda: y_junction_config(), {}, {"count_strategy": "fem", "lower_strategy": "neumann_equilateral"}),
@@ -837,7 +850,7 @@ _PRESETS = {
 
 
 # the plan fields of a configuration file that differ from the CertificationPlan defaults
-CONFIG_PLAN = {"count_strategy": "fem", "lower_strategy": "fem_estimate"}
+CONFIG_PLAN = {"count_strategy": "fem", "lower_strategy": "auto"}
 
 
 def make_plan(kw: dict, defaults=CONFIG_PLAN, shape=frozenset(), where="a configuration file") -> CertificationPlan:
@@ -853,8 +866,8 @@ def make_plan(kw: dict, defaults=CONFIG_PLAN, shape=frozenset(), where="a config
 def preset(name: str, /, **kw) -> tuple[ValidatedConfig, CertificationPlan]:
     """Config and plan of a catalog example.  A keyword is a
     CertificationPlan field or one of the preset's shape keywords, which are
-    numbers and go to the config builder; a shape keyword alpha also sets
-    the plan's alpha.  The plan is checked before the config is built."""
+    numbers and go to the config builder.  The plan is checked before the
+    config is built."""
     if name not in _PRESETS:
         raise NoPipeline(f"unknown preset {name!r}")
     build, shape_defaults, plan_kw = _PRESETS[name]

@@ -10,7 +10,7 @@ Every eigensolve is eigs_below: _factor, a minimum-degree L D L^T of
 K - sigma M on the one pattern K and M share, whose inertia fixes how many
 eigenvalues lie below sigma, then shift-invert Lanczos for that many and one
 Rayleigh-Ritz projection.  lowest_eigs counts a ladder of shifts by _factor
-alone and solves the first rung that holds k values;
+alone and solves the first rung that holds k values on that rung's factor;
 dn_spectrum's level 0 is lowest_eigs, each finer level one eigs_below just
 above the coarser lambda_k, warm-started from the coarser level.
 
@@ -105,7 +105,6 @@ class DiscreteProblem:
 class FemSpectrum:
     level_values: list[np.ndarray]  # eigenvalues per refinement level
     extrapolated: np.ndarray
-    error_estimate: np.ndarray
     observed_order: np.ndarray
 
 
@@ -375,20 +374,21 @@ def _factor(prob: DiscreteProblem, sigma: float):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None) -> EigList:
+def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None, factor: tuple | None = None) -> EigList:
     """Every FEM eigensolve: the Rayleigh-Ritz pairs of (K, M) below sigma.
     Their number m is the inertia of K - sigma M = P^T L D L^T P (the
-    _factor); shift-invert Lanczos ("SA": the negative 1 / (lambda - sigma))
-    from v0 (default: constant) finds m pairs to LANCZOS_TOL residuals, and
-    one Rayleigh-Ritz projection onto its vectors makes them M-orthonormal
-    and the values upper bounds whatever the residuals, so the tolerance sets
-    only the work.  m >= n, no convergence or an m-th value >= sigma raise."""
+    _factor, or the factor given, which is that _factor); shift-invert
+    Lanczos ("SA": the negative 1 / (lambda - sigma)) from v0 (default:
+    constant) finds m pairs to LANCZOS_TOL residuals, and one Rayleigh-Ritz
+    projection onto its vectors makes them M-orthonormal and the values upper
+    bounds whatever the residuals, so the tolerance sets only the work.
+    m >= n, no convergence or an m-th value >= sigma raise."""
     import scipy.linalg
     import scipy.sparse.linalg as spla
 
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
-    lu, m = _factor(prob, sigma)
+    lu, m = factor or _factor(prob, sigma)
     if m == 0:
         return EigList((), (), np.empty((n, 0)))
     if m >= n:
@@ -411,17 +411,20 @@ def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None
 def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
     """The k smallest Ritz pairs of (K, M), values clipped at 0: the inertia
     of _factor at (1 + NESTED_SHIFT) 4^j, j = 0, 1, ..., counts each rung, and
-    eigs_below solves only the first with an inertia >= k.  In 2D the count
-    grows linearly in lambda (Weyl), so that rung holds about 4 k values at
-    most.  The offset keeps the rungs off exact eigenvalues such as the 64 of
-    the 6-DOF Neumann triangle."""
+    the first with an inertia >= k is solved on its own factor.  In 2D the
+    count grows linearly in lambda (Weyl), so that rung holds about 4 k values
+    at most.  The offset keeps the rungs off exact eigenvalues such as the 64
+    of the 6-DOF Neumann triangle."""
     n = prob.stiffness.shape[0]
     if k >= n:
         raise SolverFailure(f"requested {k} eigenvalues from {n} DOF")
     sigma = 1.0 + NESTED_SHIFT
-    while _factor(prob, sigma)[1] < k:
+    lu, m = _factor(prob, sigma)
+    while m < k:
         sigma *= 4.0
-    ritz = eigs_below(prob, sigma)
+        del lu  # before the next rung factors
+        lu, m = _factor(prob, sigma)
+    ritz = eigs_below(prob, sigma, factor=(lu, m))
     vals = np.maximum(ritz.values[:k], 0.0)  # clip solver noise on Neumann kernels
     return EigList(tuple(float(v) for v in vals), tuple("fem" for _ in vals), ritz.vectors[:, :k])
 
@@ -468,13 +471,7 @@ def _extrapolate(level_values: list[np.ndarray]) -> FemSpectrum:
         orders[i] = math.log2(ratio)
         extr[i] = last[i] + (last[i] - prev[i]) / (ratio - 1.0)
     extr = np.maximum(extr, 0.0)  # no eigenvalue lies below 0: a Neumann kernel's rounding
-    err = np.abs(last - prev) + np.abs(extr - last)
-    return FemSpectrum(
-        level_values=level_values,
-        extrapolated=extr,
-        error_estimate=err,
-        observed_order=orders,
-    )
+    return FemSpectrum(level_values=level_values, extrapolated=extr, observed_order=orders)
 
 
 # -- debug output -----------------------------------------------------------

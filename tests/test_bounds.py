@@ -80,13 +80,6 @@ class TestRules:
         for b, ev in zip(scaled, exact_vals):
             assert b.value == pytest.approx(ev, rel=1e-12)
 
-    def test_scale_bound_cap_at_one_caps_factor(self):
-        src = [lower_bound("x", 1, 10.0, "interval-eig", {"length": 1.0, "bc": "DD", "index": 1})]
-        capped = scale_bound(src, (0.5, 1.0), "y", cap_at_one=True)[0]
-        assert capped.value == pytest.approx(10.0)
-        sharp = scale_bound(src, (0.5, 1.0), "y")[0]
-        assert sharp.value == pytest.approx(10.0)  # min(4, 1) capped by axis 2
-
     def test_scale_bound_rejects_nonpositive(self):
         with pytest.raises(bnd.NonPositiveCoeff):
             scale_bound(dn_square_lowers(), (0.0, 1.0), "y")

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,21 @@ def _stub_count(vcfg, plan, nu, extra):
 def stub_count(monkeypatch):
     """Registers _stub_count as the count strategy "stub"."""
     monkeypatch.setitem(certify._COUNT_RULES, "stub", _stub_count)
+
+
+def _spy_calls(monkeypatch, module, name: str) -> list:
+    """The arguments of every call of module.name from here on."""
+    calls, f = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or f(*args))
+    return calls
+
+
+def _moved(vcfg, i: int, j: int):
+    """vcfg with coordinate j of center vertex i moved up by one ulp."""
+    verts = [list(v) for v in vcfg.center.vertices]
+    verts[i][j] = math.nextafter(verts[i][j], math.inf)
+    center = dataclasses.replace(vcfg.center, vertices=tuple(map(tuple, verts)))
+    return geom.validate_config(dataclasses.replace(vcfg.cfg, center=center))
 
 
 class TestThreshold:
@@ -163,9 +179,9 @@ class TestVerdicts:
 @pytest.mark.usefixtures("stub_count")
 class TestReports:
     # sha256 of the reports below, without versions; every lower rule except
-    # sector and fem_estimate appears in them, and every count is an
-    # assumption, so every rigor is "assumed"
-    GOLDEN = "d28fba5daf654e377bea5394fb3ff4a49b877a4983e28b2889da754d24d9e063"
+    # sector appears in them, and every count is an assumption, so every
+    # rigor is "assumed"
+    GOLDEN = "d208ca043ce20131d74ea6e288e989dbe83650f5d5bce2af48470303357af1b8"
 
     def test_report_bytes_are_pinned(self):
         texts = []
@@ -190,16 +206,18 @@ class TestReports:
 
 
 class TestPresetOverrides:
-    def test_overrides_reach_plan_and_alpha(self):
+    def test_overrides_reach_the_plan_and_alpha_only_the_shape(self):
         vcfg, plan = preset("t_junction", fem_levels=1)
         assert plan.fem_levels == 1
         assert plan.truncation_length == 2.0
-        assert plan.alpha is None
-        # a family preset's alpha sets both the shape and the plan
-        assert preset("broken", alpha=1.0)[1].alpha == 1.0
-        assert preset("rounded_corner")[1].alpha == math.pi / 2
-        assert preset("y_junction", alpha=1.0)[1].alpha == 1.0
-        assert preset("rect_two_eigs", a=3.0, b=2.5)[1].alpha is None
+        # alpha is a shape keyword of the family presets, never a plan field
+        assert "alpha" not in certify.PLAN_FIELDS
+        assert preset("broken", alpha=1.0)[0].center == certify._broken_polygon(1.0)
+        assert preset("rounded_corner")[0].center == certify._rounded_corner_polygon(math.pi / 2, 24)
+        with pytest.raises(NoPipeline, match="^preset 'y_junction' takes no parameter alpha$"):
+            preset("y_junction", alpha=1.0)
+        with pytest.raises(NoPipeline, match="^a configuration file takes no parameter alpha$"):
+            certify.make_plan({"alpha": 1.0})
         with pytest.raises(NoPipeline, match="takes no parameter extra"):
             preset("t_junction", fem_levels=1, extra=2)
 
@@ -208,7 +226,7 @@ class TestPresetOverrides:
         with pytest.raises(NoPipeline, match=f"takes no parameter {key}$"):
             preset("cube_disk", **{key: 1})
         with pytest.raises(NoPipeline, match=f"takes no parameter {key}$"):
-            certify.make_plan({"alpha": 1.0, key: 1})
+            certify.make_plan({key: 1})
 
     @pytest.mark.parametrize(
         "kw, field",
@@ -217,10 +235,7 @@ class TestPresetOverrides:
          ({"truncation_length": math.inf}, "truncation_length"),
          ({"count_strategy": "nope"}, "count_strategy"), ({"count_strategy": None}, "count_strategy"),
          ({"lower_strategy": "bogus"}, "lower_strategy"), ({"lower_strategy": 3}, "lower_strategy"),
-         ({"lower_strategy": "broken_chain"}, "broken_chain needs alpha"),
-         ({"lower_strategy": "y_chain"}, "y_chain needs alpha"), ({"lower_strategy": "sector"}, "sector needs alpha"),
-         ({"alpha": "1.0"}, "alpha"), ({"alpha": math.nan}, "alpha"), ({"alpha": True}, "alpha"),
-         ({"lower_strategy": "sector", "alpha": math.inf}, "alpha")],
+         ({"lower_strategy": "fem_estimate"}, "lower_strategy")],
     )
     def test_a_bad_plan_fails_when_it_is_built(self, kw, field):
         with pytest.raises(NoPipeline, match=f"^{field}"):
@@ -280,17 +295,16 @@ class TestShapeBinding:
     @pytest.mark.parametrize(
         "name, shape, overrides, rule",
         [
-            ("broken", {"alpha": 1.0}, {"alpha": 1.5}, "broken_chain"),
-            ("y_alpha", {"alpha": 1.0}, {"alpha": 0.9}, "y_chain"),
-            ("rounded_corner", {}, {"alpha": 1.0}, "sector"),
+            ("broken", {"alpha": 1.0}, {"lower_strategy": "y_chain"}, "y_chain"),
+            ("y_alpha", {"alpha": 1.0}, {"lower_strategy": "broken_chain"}, "broken_chain"),
+            ("y_junction", {}, {"lower_strategy": "sector"}, "sector"),
             ("rounded_corner", {}, {"lower_strategy": "broken_chain"}, "broken_chain"),
             ("broken", {"alpha": 1.0}, {"lower_strategy": "sector"}, "sector"),
             ("y_junction", {}, {"lower_strategy": "box"}, "box"),
             ("t_junction", {}, {"lower_strategy": "neumann_equilateral"}, "neumann_equilateral"),
             ("broken", {"alpha": 1.0}, {"lower_strategy": "neumann_equilateral"}, "neumann_equilateral"),
             ("y_alpha", {"alpha": 1.0}, {"count_strategy": "exact_box_B"}, "exact_box_B"),
-            ("cube_disk", {}, {"lower_strategy": "y_chain", "alpha": 1.0}, "y_chain"),
-            ("cube_disk", {}, {"lower_strategy": "fem_estimate"}, "fem_estimate"),
+            ("cube_disk", {}, {"lower_strategy": "y_chain"}, "y_chain"),
             ("t_junction", {}, {"lower_strategy": "crossing_symmetry"}, "crossing_symmetry"),
         ],
     )
@@ -418,8 +432,8 @@ class TestLevelClimb:
     def test_a_lower_bound_at_the_threshold_stops_the_climb(self, monkeypatch, factor, tol, solves, certified):
         box = certify._LOWER_RULES["box"]
 
-        def pinned(vcfg, plan, k):
-            lowers = box(vcfg, plan, k)
+        def pinned(vcfg, k):
+            lowers = box(vcfg, k)
             nu = threshold(vcfg)
             l2 = dataclasses.replace(lowers[1], value=nu * factor, tol=tol * certify.BUDGET_FLOOR_REL * nu)
             return lowers[:1] + [l2] + lowers[2:]
@@ -436,25 +450,26 @@ class TestLevelClimb:
         unsolved = [(u["length"], u["h0"], u["levels"]) for u in v.extra.get("unsolved_rungs", [])]
         assert unsolved == ([] if certified else rungs[solves:])
 
-    def test_heuristic_rule_solves_only_the_plan_mesh(self, monkeypatch):
-        meshes = []
-        fem_upper_bounds = certify._fem_upper_bounds
+    def test_auto_picks_its_rule_once_before_the_climb(self, monkeypatch):
+        picks = _spy_calls(monkeypatch, certify, "_first_binding_rule")
+        dofs = _count_solves(monkeypatch)
+        vcfg, plan = preset("rounded_corner")
+        v = run_certify(vcfg, dataclasses.replace(plan, lower_strategy="auto"))
+        assert len(picks) == 1 and len(dofs) == 2  # sector binds; levels 1 and 2 solve
+        assert v.to_dict() == run_certify(vcfg, plan).to_dict()
 
-        def recording(vcfg, length, levels, nu):
-            meshes.append((length, levels))
-            return fem_upper_bounds(vcfg, length, levels, nu)
-
-        monkeypatch.setattr(certify, "_fem_upper_bounds", recording)
-        plan = CertificationPlan("fem", "fem_estimate", truncation_length=3.0, fem_levels=2)
-        v = run_certify(certify.t_junction_config(), plan)
-        assert meshes == [(3.0, 2)]
-        assert v.rigor == "heuristic" and list(v.extra) == ["fem_count"]
+    def test_auto_without_a_binding_rule_solves_no_mesh(self, monkeypatch):
+        dofs = _count_solves(monkeypatch)
+        vcfg = _moved(preset("broken", alpha=1.0)[0], 1, 0)
+        v = run_certify(vcfg, CertificationPlan("fem", "auto"))
+        assert v.reason == "auto: no lower rule describes this center (tried " + ", ".join(certify._LOWER_RULES) + ")"
+        assert (v.certified, v.rigor, v.extra, dofs) == (False, "none", {}, [])
 
     def test_unbound_rule_costs_one_coarsest_solve(self, monkeypatch):
         dofs = _count_solves(monkeypatch)
         vcfg = geom.load_config("configs/broken_1.0.json")
-        v = run_certify(vcfg, CertificationPlan("fem", "broken_chain", alpha=1.5))
-        assert v.reason.startswith("broken_chain")
+        v = run_certify(vcfg, CertificationPlan("fem", "sector"))
+        assert v.reason.startswith("sector")
         assert v.rigor == "none" and v.extra == {}
         assert dofs == [_dof(vcfg, 2.0, 0.5, 1)]
 
@@ -543,8 +558,9 @@ class TestTailCaps:
 
 class TestSweepAnchor:
     # sha256 of the sweep_broken rows on 0.30-1.56 and the sweep_y_alpha rows
-    # on 0.60-1.49 (0.01 grids) as CSV
-    ROWS = "97b7aeec36776feddb665b69df22a25843468951b41b843ad3c0cd47dae60bef"
+    # on 0.60-1.49 (0.01 grids) as CSV; at 0.41 and 0.84 the bent guide's
+    # alpha reads back as its one-ulp neighbour, which builds the same center
+    ROWS = "4360c59ff6172dce74956d853a3c560707c7cb817db6bc4738e73c96c587db37"
 
     def test_rows_are_unchanged(self):
         texts = [
@@ -574,21 +590,21 @@ class TestFamilyFacts:
     BINDS = [
         ("bent_guide", "broken", {"alpha": 1.0}, "broken_1.0"),
         ("y_junction", "y_alpha", {"alpha": 0.95}, "y_alpha_0.95"),
-        ("y_junction", "y_junction", {"alpha": math.pi / 3}, "y_junction"),
+        ("y_junction", "y_junction", {}, "y_junction"),
         ("cube_square", "cube_square", {}, "cube_square"),
         ("cube_disk", "cube_disk", {}, "cube_disk"),
     ]
 
     @staticmethod
-    def _binding(vcfg, plan) -> list:
-        return [name for name, (binds, *_) in certify._FACTS.items() if binds(vcfg, plan)]
+    def _binding(vcfg) -> list:
+        return [name for name, (binds, *_) in certify._FACTS.items() if binds(vcfg)]
 
     @pytest.mark.parametrize("fact, name, kw, stem", BINDS)
     def test_each_fact_binds_its_preset_and_config_file(self, fact, name, kw, stem):
         vcfg, plan = preset(name, **kw)
         plan = dataclasses.replace(plan, count_strategy="family_fact")
         for cfg in (vcfg, geom.load_config(f"configs/{stem}.json")):
-            assert self._binding(cfg, plan) == [fact]
+            assert self._binding(cfg) == [fact]
             n, ub = count_discrete(cfg, plan, threshold(cfg))
             assert n == len(ub) == 1
             assert ub[0].trace[0].params["fact"] == certify._FACTS[fact][1]
@@ -600,16 +616,156 @@ class TestFamilyFacts:
     @pytest.mark.parametrize("name", ["t_junction", "crossing", "rounded_corner", "rect_two_eigs", "straight"])
     def test_no_fact_binds_the_other_geometries(self, straight_json, name):
         if name == "straight":
-            vcfg = geom.load_config(straight_json)
-            plans = [CertificationPlan("family_fact", "box", alpha=a) for a in (None, 1.0)]
+            vcfg, plan = geom.load_config(straight_json), CertificationPlan("family_fact", "box")
         else:
             vcfg, plan = preset(name)
-            plans = [dataclasses.replace(plan, count_strategy="family_fact")]
-        for plan in plans:
-            assert self._binding(vcfg, plan) == []
-            v = run_certify(vcfg, plan, name=name)
-            assert not v.certified and v.reason.startswith("family_fact")
-            assert v.upper_bounds == v.lower_bounds == ()
+            plan = dataclasses.replace(plan, count_strategy="family_fact")
+        assert self._binding(vcfg) == []
+        v = run_certify(vcfg, plan, name=name)
+        assert not v.certified and v.reason.startswith("family_fact")
+        assert v.upper_bounds == v.lower_bounds == ()
+
+
+class TestAlphaRecovery:
+    # family -> (its config builder, the lower rule and the fact that bind it,
+    # the angles drawn)
+    FAMILIES = {
+        "bent-guide": (certify.broken_config, "broken_chain", "bent_guide", (0.35, 1.56)),
+        "Y-junction": (certify.y_alpha_config, "y_chain", "y_junction", (0.35, 1.56)),
+        "sector": (certify.rounded_corner_config, "sector", None, (0.35, 3.0)),
+    }
+
+    # the Y builder makes a triangle for every alpha within 1e-12 of pi/3
+    @pytest.mark.parametrize("family, lo, hi", [(family, *rng[-1]) for family, rng in FAMILIES.items()]
+                             + [("Y-junction", math.pi / 3 - 1e-12, math.pi / 3 + 1e-12)])
+    def test_alpha_reads_back_from_the_center(self, family, lo, hi):
+        build = self.FAMILIES[family][0]
+        polygon = certify._FAMILIES[family][0]
+        rng = random.Random(26)
+        neighbours = 0
+        for _ in range(2000):
+            a = rng.uniform(lo, hi)
+            vcfg = build(a)
+            got = certify._family_alpha(vcfg, family)
+            if got != a:  # only a one-ulp neighbour that builds the same center
+                assert got in (math.nextafter(a, 0.0), math.nextafter(a, 4.0)), (a, got)
+                assert polygon(got, vcfg.center) == vcfg.center
+                neighbours += 1
+        assert neighbours < 200
+
+    @pytest.mark.parametrize("family, alpha", [("bent-guide", 1.0), ("Y-junction", 0.95), ("Y-junction", 1.2),
+                                               ("Y-junction", math.pi / 3), ("sector", math.pi / 2)])
+    def test_a_center_one_ulp_off_is_bound_by_neither_rule_nor_fact(self, family, alpha):
+        build, rule, fact, _ = self.FAMILIES[family]
+        vcfg = build(alpha)
+        assert certify._family_alpha(vcfg, family) == alpha
+        if fact:
+            assert certify._FACTS[fact][0](vcfg)
+        for i in range(vcfg.center.n_edges):
+            for j in (0, 1):
+                moved = _moved(vcfg, i, j)
+                assert certify._family_alpha(moved, family) is None
+                with pytest.raises(certify.Unbound, match=f"^{rule} needs a {family} center"):
+                    certify._LOWER_RULES[rule](moved, 2)
+                assert not any(binds(moved) for binds, *_ in certify._FACTS.values())
+
+    def test_a_triangle_off_pi_3_reads_back_its_own_alpha(self):
+        # the triangle at pi/3 + 1e-13 differs from the one at pi/3 in its last bits
+        alpha = math.pi / 3 + 1e-13
+        assert certify._family_alpha(certify.y_alpha_config(alpha), "Y-junction") == alpha
+        row = certify.sweep_y_alpha([alpha])[0]
+        assert (row.certified, row.n) == (True, 1)
+
+    def test_the_shipped_family_files_read_back_their_alpha(self):
+        for stem, family, alpha in [("broken_1.0", "bent-guide", 1.0), ("y_alpha_0.95", "Y-junction", 0.95),
+                                    ("y_junction", "Y-junction", math.pi / 3), ("rounded_corner", "sector", math.pi / 2)]:
+            assert certify._family_alpha(geom.load_config(f"configs/{stem}.json"), family) == alpha
+
+    def test_a_vertex_count_the_family_never_builds_builds_no_polygon(self, monkeypatch):
+        built = _spy_calls(monkeypatch, certify, "_broken_polygon")
+        assert certify._family_alpha(certify.y_alpha_config(0.95), "bent-guide") is None
+        assert built == []
+
+
+class TestAutoLowerRule:
+    # config file -> the rule auto picks, and the exit code of the default plan
+    PICKS = {
+        "t_junction": ("box", 0), "rect_two_eigs": ("box", 0), "y_junction": ("neumann_equilateral", 0),
+        "broken_1.0": ("broken_chain", 0), "y_alpha_0.95": ("y_chain", 0), "rounded_corner": ("sector", 0),
+        "crossing": ("box", 2), "straight_strip": ("box", 2), "cube_square": ("box", 2), "cube_disk": ("box", 2),
+    }
+
+    def test_auto_is_the_config_default(self):
+        assert certify.make_plan({}) == CertificationPlan("fem", "auto")
+
+    def test_each_config_file_gets_the_first_rule_that_binds(self):
+        assert sorted(p.stem for p in Path("configs").glob("*.json")) == sorted(self.PICKS)
+        for stem, (rule, code) in self.PICKS.items():
+            vcfg = geom.load_config(f"configs/{stem}.json")
+            assert certify._first_binding_rule(vcfg) == rule, stem
+            earlier = list(certify._LOWER_RULES)[: list(certify._LOWER_RULES).index(rule)]
+            for name in earlier:
+                with pytest.raises(certify.Unbound):
+                    certify._LOWER_RULES[name](vcfg, 1)
+
+    def test_the_default_plan_certifies_six_config_files_as_their_rule_does(self):
+        for stem, (rule, code) in self.PICKS.items():
+            vcfg = geom.load_config(f"configs/{stem}.json")
+            v = run_certify(vcfg, certify.make_plan({}), name=stem)
+            assert v.certified is (code == 0), stem
+            explicit = run_certify(vcfg, certify.make_plan({"lower_strategy": rule}), name=stem)
+            assert cli.dumps_report(v.to_dict()) == cli.dumps_report(explicit.to_dict())
+
+
+def _pinned_upper(value: float) -> bnd.SpectralBound:
+    """A waveguide upper bound of the given value from a recorded FEM step."""
+    step = bnd.TraceStep("fem-upper", {"index": 1}, value)
+    return bnd.SpectralBound(certify.WAVEGUIDE_OP, 1, value, bnd.Direction.UPPER, (step,), 0.0)
+
+
+class TestVerdictInequalities:
+    """Each strict inequality of _verdict and _n_below decides a verdict on its
+    own: a count and a lower rule pinned next to one inequality's edge, on
+    the t_junction (nu = pi^2, budget floor BUDGET_FLOOR_REL nu)."""
+
+    @staticmethod
+    def _certify(monkeypatch, uppers, lowers):
+        def count(vcfg, plan, nu, extra):
+            return certify._n_below(uppers, nu), list(uppers)
+
+        monkeypatch.setitem(certify._COUNT_RULES, "pinned", count)
+        monkeypatch.setitem(certify._LOWER_RULES, "pinned", lambda vcfg, k: list(lowers))
+        return run_certify(certify.t_junction_config(), CertificationPlan("pinned", "pinned"))
+
+    @staticmethod
+    def _lower(index: int, value: float, tol: float = 0.0) -> bnd.SpectralBound:
+        return bnd.lower_bound(certify.DN_CENTER_OP, index, value, "pinned", {}, tol=tol)
+
+    def test_an_upper_bound_within_the_total_budget_is_inconclusive(self, monkeypatch):
+        # u_1 clears its own budget (the floor), so it counts, but a lower
+        # bound's tolerance of 4 floors puts nu - u_1 = 2 floors inside the total
+        floor = certify.BUDGET_FLOOR_REL * PI2
+        u1 = PI2 - 2 * floor
+        v = self._certify(monkeypatch, [_pinned_upper(u1)], [self._lower(1, 0.0, 4 * floor), self._lower(2, 2 * PI2)])
+        assert certify._n_below([_pinned_upper(u1)], PI2) == 1
+        assert (v.certified, v.margins["count_gap"]) == (False, PI2 - u1)
+        assert v.budget == 4 * floor and v.margins["dn_gap"] > v.budget
+        assert v.reason == f"count margin {PI2 - u1:.6g} within tolerance budget {v.budget:.6g}"
+
+    @pytest.mark.parametrize("below", [1.0, 0.5, 0.0])
+    def test_a_value_within_the_budget_below_nu_is_not_counted(self, monkeypatch, below):
+        floor = certify.BUDGET_FLOOR_REL * PI2
+        u1 = PI2 - below * floor
+        assert certify._n_below([_pinned_upper(u1)], PI2) == 0
+        v = self._certify(monkeypatch, [_pinned_upper(u1)], [self._lower(1, PI2 / 2), self._lower(2, 2 * PI2)])
+        assert v.margins == {"dn_gap": PI2 / 2 - PI2}  # n = 0: no count_gap, and l_1 is the next bound
+        assert not v.certified and v.reason.startswith("center lower bound margin")
+
+    def test_a_lower_bound_above_its_upper_bound_is_inconsistent(self, monkeypatch):
+        u1 = PI2 / 2
+        v = self._certify(monkeypatch, [_pinned_upper(u1)], [self._lower(1, u1 + 1.0), self._lower(2, 2 * PI2)])
+        assert v.margins["dn_gap"] > v.budget and v.margins["count_gap"] > v.budget
+        assert (v.certified, v.reason) == (False, "lower/upper bracketing inconsistent")
 
 
 @pytest.mark.usefixtures("stub_count")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, deterministic reports, CSV outputs."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -57,17 +58,12 @@ class TestCertifyCommand:
         _, out2, _ = run(capsys, "certify", "--preset", "rect_two_eigs")
         assert out1 == out2
 
-    def test_heuristic_lower_bounds_are_inconclusive(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "certify", "configs/t_junction.json",
-            "--lower-strategy", "fem_estimate",
-            "--truncation", "2.0", "--levels", "1",
-        )
-        assert code == cli.EXIT_INCONCLUSIVE
-        report = json.loads(out)
-        assert report["verdict"] == "Inconclusive"
-        assert report["rigor"] == "heuristic"
+    @pytest.mark.usefixtures("no_solve")
+    def test_the_heuristic_lower_rule_is_refused(self, capsys):
+        code, out, err = run(capsys, "certify", "configs/t_junction.json", "--lower-strategy", "fem_estimate")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        rules = ", ".join([*certify._LOWER_RULES, "auto", "crossing_symmetry"])
+        assert err == f"error: lower_strategy = 'fem_estimate' is not one of {rules}\n"
 
     def test_crossing_symmetry_needs_the_crossing(self, capsys):
         args = ("--lower-strategy", "crossing_symmetry", "--truncation", "2", "--levels", "1")
@@ -82,11 +78,11 @@ class TestCertifyCommand:
         code, out, _ = run(
             capsys,
             "certify", "--preset", "t_junction",
-            "--lower-strategy", "fem_estimate",
+            "--lower-strategy", "neumann_equilateral",
             "--truncation", "2.0", "--levels", "1",
         )
         assert code == cli.EXIT_INCONCLUSIVE
-        assert json.loads(out)["rigor"] == "heuristic"
+        assert json.loads(out)["reason"].startswith("neumann_equilateral")
 
     def test_preset_takes_shape_keywords(self, capsys):
         _, out, _ = run(capsys, "certify", "--preset", "rect_two_eigs", "--params", '{"a": 3.0, "b": 2.5}')
@@ -119,8 +115,10 @@ class TestCertifyCommand:
             ("--preset", "rect_two_eigs", "--params", '{"a": true}'),
             ("--preset", "t_junction", "--params", '{"name": "x"}'),
             ("--preset", "t_junction", "--params", '{"alpha": 1.0, "params": {"alpha": 1.0}}'),
-            ("configs/broken_1.0.json", "--lower-strategy", "broken_chain"),
-            ("configs/rounded_corner.json", "--lower-strategy", "sector"),
+            ("configs/broken_1.0.json", "--params", '{"alpha": 1.0}'),
+            ("configs/rounded_corner.json", "--lower-strategy", "sector", "--params", '{"alpha": 1.5707963267948966}'),
+            ("--preset", "y_junction", "--params", '{"alpha": 1.0}'),
+            ("configs/t_junction.json", "--lower-strategy", "fem_estimate"),
             ("--preset", "rounded_corner", "--lower-strategy", "bogus"),
         ],
     )
@@ -150,9 +148,9 @@ class TestCertifyCommand:
     @pytest.mark.parametrize(
         "argv, rule",
         [
-            (("configs/broken_1.0.json", "--lower-strategy", "broken_chain", "--params", '{"alpha": 1.5}'), "broken_chain"),
+            (("configs/broken_1.0.json", "--lower-strategy", "y_chain"), "y_chain"),
             (("--preset", "rounded_corner", "--lower-strategy", "broken_chain"), "broken_chain"),
-            (("configs/rounded_corner.json", "--lower-strategy", "sector", "--params", '{"alpha": 1.0}'), "sector"),
+            (("configs/y_alpha_0.95.json", "--lower-strategy", "sector"), "sector"),
         ],
     )
     def test_a_chain_that_does_not_describe_the_center_exits_two(self, capsys, argv, rule):
@@ -200,10 +198,7 @@ class TestCertifyCommand:
             assert err.startswith("error: ") and message in err
 
     def test_a_verdict_without_bounds_claims_no_rigor(self, capsys):
-        code, out, _ = run(
-            capsys, "certify", "configs/broken_1.0.json", "--lower-strategy", "broken_chain",
-            "--params", '{"alpha": 1.5}',
-        )
+        code, out, _ = run(capsys, "certify", "configs/broken_1.0.json", "--lower-strategy", "sector")
         assert code == cli.EXIT_INCONCLUSIVE
         report = json.loads(out)
         assert (report["rigor"], report["trace"], report["margins"]) == ("none", [], [])
@@ -256,10 +251,7 @@ class TestFamilyFactCount:
             assert report["reason"].startswith("family_fact")
 
     def test_the_bent_guide_file_certifies_from_its_fact(self, capsys):
-        code, out, err = run(
-            capsys, "certify", "configs/broken_1.0.json", "--count-strategy", "family_fact",
-            "--lower-strategy", "broken_chain", "--params", '{"alpha": 1.0}',
-        )
+        code, out, err = run(capsys, "certify", "configs/broken_1.0.json", "--count-strategy", "family_fact")
         assert (code, err) == (cli.EXIT_CERTIFIED, "")
         report = json.loads(out)
         assert (report["verdict"], report["n"]) == ("CertifiedNoResonance", 1)
@@ -270,23 +262,20 @@ class TestAlphaErrors:
     FILES = {"broken_chain": "broken_1.0", "y_chain": "y_alpha_0.95", "sector": "rounded_corner"}
     CHEAP = ("--truncation", "2", "--levels", "1")
 
-    @pytest.mark.parametrize("params", [(), ("--params", '{"alpha": null}')])
     @pytest.mark.parametrize("rule", list(FILES))
-    @pytest.mark.usefixtures("no_solve")
-    def test_a_missing_alpha_exits_one(self, capsys, rule, params):
-        argv = (f"configs/{self.FILES[rule]}.json", "--lower-strategy", rule, *params, *self.CHEAP)
-        code, out, err = run(capsys, "certify", *argv)
-        assert (code, out, err) == (cli.EXIT_ERROR, "", f"error: {rule} needs alpha\n")
+    def test_a_family_rule_reads_alpha_from_the_file(self, capsys, rule):
+        code, out, _ = run(capsys, "certify", f"configs/{self.FILES[rule]}.json", "--lower-strategy", rule)
+        assert code == cli.EXIT_CERTIFIED
+        assert json.loads(out)["n"] == 1
 
-    @pytest.mark.parametrize("alpha", ['"1.0"', "NaN", "Infinity", "true", "[1.0]"])
+    @pytest.mark.parametrize("alpha", ["1.0", "null", '"1.0"', "NaN", "Infinity", "true", "[1.0]"])
     @pytest.mark.parametrize("rule", list(FILES))
     @pytest.mark.usefixtures("no_solve")
-    def test_an_alpha_that_is_not_a_finite_number_exits_one(self, capsys, rule, alpha):
+    def test_alpha_is_no_parameter_of_a_config_file(self, capsys, rule, alpha):
         params = '{"alpha": %s}' % alpha
         argv = (f"configs/{self.FILES[rule]}.json", "--lower-strategy", rule, "--params", params, *self.CHEAP)
         code, out, err = run(capsys, "certify", *argv)
-        assert (code, out) == (cli.EXIT_ERROR, "")
-        assert err.startswith("error: alpha = ")
+        assert (code, out, err) == (cli.EXIT_ERROR, "", "error: a configuration file takes no parameter alpha\n")
 
     def test_config_file_certifies_with_box(self, capsys):
         code, out, _ = run(
@@ -519,6 +508,13 @@ class TestMeshCommand:
     )
     def test_refinement_past_the_triangle_cap_exits_one(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(fem, "MAX_TRIANGLES", 4096)  # the t_junction's level 3 has 8192
+        # the count climbs past level 1 only while no level certifies: l_2 below nu keeps it going
+        box = certify._LOWER_RULES["box"]
+
+        def halved(vcfg, k):
+            return [dataclasses.replace(b, value=b.value / 2) for b in box(vcfg, k)]
+
+        monkeypatch.setitem(certify._LOWER_RULES, "box", halved)
         code, out, err = run(capsys, *argv)
         assert code == cli.EXIT_ERROR
         assert out == ""

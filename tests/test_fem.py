@@ -555,9 +555,10 @@ class TestShiftedLevels:
         fem.dn_spectrum(DN_SQUARE, 2, levels, 0.25)
         # level 0 counts lowest_eigs's ladder by one factorization a rung up to
         # the first rung above lambda_2 = 5 pi^2 / 4, then solves that rung alone
+        # on the rung's own factorization
         assert [args[1] for args, _ in rungs[:3]] == pytest.approx([1.001, 4.004, 16.016], rel=1e-15)
         assert below[0][0][1] == rungs[2][0][1]
-        assert (len(lowest), len(below), len(factors)) == (1, levels, 4 + levels - 1)
+        assert (len(lowest), len(below), len(factors)) == (1, levels, 3 + levels - 1)
 
     @pytest.mark.parametrize("poly, k", [(DN_SQUARE, 3), (NEUMANN_TRIANGLE, 2), ("y_junction", 2), ("crossing", 3)])
     def test_no_level_value_rises(self, poly, k):
@@ -569,8 +570,8 @@ class TestShiftedLevels:
 
     def test_an_inertia_below_k_raises(self, monkeypatch):
         # one DN-square eigenvalue lies below each finer shift but the k = 2
-        # it needs; level 0's three rungs and its solve of the last count truly
-        _tampered_splu(monkeypatch, inertia_shift=-1, untouched=4)
+        # it needs; level 0's three rungs, the last of which it solves, count truly
+        _tampered_splu(monkeypatch, inertia_shift=-1, untouched=3)
         with pytest.raises(fem.SolverFailure, match="inertia 1 below 2"):
             fem.dn_spectrum(DN_SQUARE, 2, 2, 0.25)
 
@@ -731,7 +732,7 @@ class TestWarmStart:
         warm_counts = list(counts)
         counts.clear()
         below = fem.eigs_below
-        monkeypatch.setattr(fem, "eigs_below", lambda prob, sigma, v0=None: below(prob, sigma))
+        monkeypatch.setattr(fem, "eigs_below", lambda prob, sigma, v0=None, factor=None: below(prob, sigma, factor=factor))
         cold = fem.dn_spectrum(poly, 2, 3, 0.5)
         assert (len(warm_counts), counts[1]) == (3, 24)
         assert warm_counts[0] == counts[0] and max(warm_counts[1:]) <= 16

@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "starspec"
 
 RESERVED = {
-    "replay_bound": "the report checker (ROADMAP item 4) replays every bound of a report with it",
-    "config_to_dict": "the report checker (ROADMAP item 4) embeds the configuration in the report with it",
+    "replay_bound": "the report checker (ROADMAP item 9) replays every bound of a report with it",
+    "config_to_dict": "the report checker (ROADMAP item 9) embeds the configuration in the report with it",
 }
 
 
