@@ -50,8 +50,8 @@ class CertificationPlan:
     whole plan and raises NoPipeline naming the first bad field, so a plan
     that exists can run, and a rejected one solves no mesh."""
 
-    count_strategy: str  # a key of _COUNT_RULES
-    lower_strategy: str  # a key of _LOWER_RULES, "auto" (the first of them that binds) or "crossing_symmetry"
+    count_strategy: str = "fem"  # a key of _COUNT_RULES
+    lower_strategy: str = "auto"  # a key of _LOWER_RULES, "auto" (the first of them that binds) or "crossing_symmetry"
     truncation_length: float = 2.0
     fem_levels: int = 3  # the finest refinement level a FEM count solves
 
@@ -461,7 +461,8 @@ _LOWER_RULES = {
 
 
 def dn_lower_bounds(vcfg: ValidatedConfig, plan: CertificationPlan, upto: int) -> list[SpectralBound]:
-    return _LOWER_RULES[plan.lower_strategy](vcfg, upto)
+    rule = _first_binding_rule(vcfg) if plan.lower_strategy == "auto" else plan.lower_strategy
+    return _LOWER_RULES[rule](vcfg, upto)
 
 
 def _first_binding_rule(vcfg: ValidatedConfig) -> str:
@@ -826,41 +827,36 @@ def cube_disk_config() -> ValidatedConfig:
 
 # name -> (config builder, shape keywords with their defaults, plan fields
 # that differ from the CertificationPlan defaults).  A None default marks a
-# required shape keyword.  Every rule reads the center's shape, alpha
+# required shape keyword.  rect_two_eigs, y_alpha and broken name their
+# lower rule: the region and the sweeps run them by the thousand, and auto
+# would probe the rules before theirs on every verdict.  Every rule reads the center's shape, alpha
 # included, from the config.  The builders call the public config
 # constructors by their module-level names, so a wrapper or monkeypatch on
 # those sees every call.
 _PRESETS = {
-    "t_junction": (lambda: t_junction_config(), {}, {"count_strategy": "fem", "lower_strategy": "box"}),
-    "y_junction": (lambda: y_junction_config(), {}, {"count_strategy": "fem", "lower_strategy": "neumann_equilateral"}),
-    "crossing": (lambda: crossing_config(), {}, {"count_strategy": "fem", "lower_strategy": "box"}),
-    "crossing_symmetric": (lambda: crossing_config(), {}, {
-        "count_strategy": "fem", "lower_strategy": "crossing_symmetry"}),
-    "rounded_corner": (lambda alpha: rounded_corner_config(alpha), {"alpha": math.pi / 2}, {
-        "count_strategy": "fem", "lower_strategy": "sector", "fem_levels": 4}),
+    "t_junction": (lambda: t_junction_config(), {}, {}),
+    "y_junction": (lambda: y_junction_config(), {}, {}),
+    "crossing": (lambda: crossing_config(), {}, {}),
+    "crossing_symmetric": (lambda: crossing_config(), {}, {"lower_strategy": "crossing_symmetry"}),
+    "rounded_corner": (lambda alpha: rounded_corner_config(alpha), {"alpha": math.pi / 2}, {}),
     "rect_two_eigs": (lambda a, b: rect_two_eigs_config(a, b), {"a": 2.381, "b": 2.041}, {
         "count_strategy": "exact_box_B", "lower_strategy": "box"}),
-    "cube_square": (lambda: cube_square_config(), {}, {"count_strategy": "family_fact", "lower_strategy": "box"}),
-    "cube_disk": (lambda: cube_disk_config(), {}, {"count_strategy": "family_fact", "lower_strategy": "box"}),
-    "y_alpha": (lambda alpha: y_alpha_config(alpha), {"alpha": None}, {
-        "count_strategy": "fem", "lower_strategy": "y_chain"}),
+    "cube_square": (lambda: cube_square_config(), {}, {"count_strategy": "family_fact"}),
+    "cube_disk": (lambda: cube_disk_config(), {}, {"count_strategy": "family_fact"}),
+    "y_alpha": (lambda alpha: y_alpha_config(alpha), {"alpha": None}, {"lower_strategy": "y_chain"}),
     "broken": (lambda alpha: broken_config(alpha), {"alpha": None}, {
-        "count_strategy": "fem", "lower_strategy": "broken_chain", "truncation_length": 4.0}),
+        "lower_strategy": "broken_chain", "truncation_length": 4.0}),
 }
 
 
-# the plan fields of a configuration file that differ from the CertificationPlan defaults
-CONFIG_PLAN = {"count_strategy": "fem", "lower_strategy": "auto"}
-
-
-def make_plan(kw: dict, defaults=CONFIG_PLAN, shape=frozenset(), where="a configuration file") -> CertificationPlan:
-    """The plan of defaults, a configuration file's unless given, with the
-    plan fields of kw over them; a key of kw that is neither a plan field
-    nor in shape is refused."""
+def make_plan(kw: dict, base=None, shape=frozenset(), where="a configuration file") -> CertificationPlan:
+    """The CertificationPlan defaults (a configuration file's plan), the
+    fields of base over them and the plan fields of kw over those; a key of
+    kw that is neither a plan field nor in shape is refused."""
     unknown = kw.keys() - PLAN_FIELDS - shape
     if unknown:
         raise NoPipeline(f"{where} takes no parameter {', '.join(sorted(unknown))}")
-    return CertificationPlan(**{**defaults, **{k: v for k, v in kw.items() if k in PLAN_FIELDS}})
+    return CertificationPlan(**{**(base or {}), **{k: v for k, v in kw.items() if k in PLAN_FIELDS}})
 
 
 def preset(name: str, /, **kw) -> tuple[ValidatedConfig, CertificationPlan]:

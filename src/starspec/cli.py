@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="certify a configuration or preset")
     c.add_argument("config", nargs="?", help="JSON configuration file")
     c.add_argument("--preset", choices=certify.PRESET_NAMES, help="built-in example")
-    c.add_argument("--lower-strategy", dest="lower_strategy", help=f"lower-bound rule (config default: {certify.CONFIG_PLAN['lower_strategy']})")
-    c.add_argument("--count-strategy", dest="count_strategy", help=f"count rule (config default: {certify.CONFIG_PLAN['count_strategy']})")
+    c.add_argument("--lower-strategy", dest="lower_strategy", help=f"lower-bound rule (default: {certify.CertificationPlan.lower_strategy})")
+    c.add_argument("--count-strategy", dest="count_strategy", help=f"count rule (default: {certify.CertificationPlan.count_strategy})")
     c.add_argument("--truncation", dest="truncation_length", type=float, help="branch truncation length")
     c.add_argument("--levels", dest="fem_levels", type=int, help="finest refinement level the FEM count solves")
     c.add_argument("--params", default="{}", help="plan overrides and preset shape keywords (JSON object)")

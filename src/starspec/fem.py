@@ -8,11 +8,11 @@ edges in triangle order, then boundary edges).
 
 Every eigensolve is eigs_below: _factor, a minimum-degree L D L^T of
 K - sigma M on the one pattern K and M share, whose inertia fixes how many
-eigenvalues lie below sigma, then shift-invert Lanczos for that many and one
-Rayleigh-Ritz projection.  lowest_eigs counts a ladder of shifts by _factor
-alone and solves the first rung that holds k values on that rung's factor;
-dn_spectrum's level 0 is lowest_eigs, each finer level one eigs_below just
-above the coarser lambda_k, warm-started from the coarser level.
+eigenvalues lie below sigma, then shift-invert Lanczos in NumPy for that many
+and one Rayleigh-Ritz projection.  lowest_eigs counts a ladder of shifts by
+_factor alone and solves the first rung that holds k values on that rung's
+factor; dn_spectrum's level 0 is lowest_eigs, each finer level one eigs_below
+just above the coarser lambda_k, warm-started from the coarser level.
 
 FEM eigenvalues from a conforming space are variational upper bounds; they
 are never used as lower bounds anywhere in the package.
@@ -41,10 +41,10 @@ MAX_TRIANGLES = 524_288
 # rounding of the coarse value, the absolute part a Neumann kernel's 0; and
 # the offset of lowest_eigs's shift ladder (1 + delta) 4^j from the powers of 4
 NESTED_SHIFT = 1e-3
-# ARPACK's residual tolerance for every Lanczos solve: a Ritz value's error is
-# the square of its vector's residual (||r||^2 / gap), so sqrt(eps) residuals
-# leave the values at rounding; any tolerance keeps them Rayleigh-Ritz upper
-# bounds, so soundness never depends on it
+# the residual tolerance of every Lanczos stop, in ARPACK's test |beta s_last|
+# <= tol |theta|: a Ritz value's error is the square of its vector's residual
+# (||r||^2 / gap), so sqrt(eps) residuals leave the values at rounding; any
+# tolerance keeps them Rayleigh-Ritz upper bounds, so soundness never depends on it
 LANCZOS_TOL = math.sqrt(np.finfo(float).eps)
 
 
@@ -377,35 +377,45 @@ def _factor(prob: DiscreteProblem, sigma: float):
 def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None, factor: tuple | None = None) -> EigList:
     """Every FEM eigensolve: the Rayleigh-Ritz pairs of (K, M) below sigma.
     Their number m is the inertia of K - sigma M = P^T L D L^T P (the
-    _factor, or the factor given, which is that _factor); shift-invert
-    Lanczos ("SA": the negative 1 / (lambda - sigma)) from v0 (default:
-    constant) finds m pairs to LANCZOS_TOL residuals, and one Rayleigh-Ritz
-    projection onto its vectors makes them M-orthonormal and the values upper
-    bounds whatever the residuals, so the tolerance sets only the work.
-    m >= n, no convergence or an m-th value >= sigma raise."""
+    _factor, or the factor given, which is that _factor).  Lanczos on
+    (K - sigma M)^-1 M in the M inner product from v0 (default: constant),
+    its basis stored once as rows, each new vector orthogonalized against all
+    of them by classical Gram-Schmidt twice, stops without a restart when T
+    has exactly m negative Ritz values 1 / (lambda - sigma), each to a
+    LANCZOS_TOL residual.  One Rayleigh-Ritz projection onto their vectors
+    makes them M-orthonormal and the values upper bounds whatever the
+    residuals.  Every dense reduction is np.einsum, never @ (BLAS splits sums
+    over its threads), so no bit depends on the thread count.  No stop in
+    min(n, max(4 m + 40, 60)) steps or an m-th value >= sigma raise."""
     import scipy.linalg
-    import scipy.sparse.linalg as spla
 
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
     lu, m = factor or _factor(prob, sigma)
     if m == 0:
         return EigList((), (), np.empty((n, 0)))
-    if m >= n:
-        raise SolverFailure(f"requested {m} eigenvalues from {n} DOF")
-    try:
-        _, X = spla.eigsh(
-            K, k=m, M=M, sigma=sigma, which="SA", ncv=min(n, 2 * m + 8), tol=LANCZOS_TOL,
-            maxiter=100,  # fail fast: a converging solve takes a few restarts
-            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
-            v0=np.full(n, 1.0 / math.sqrt(n)) if v0 is None else v0,  # deterministic restarts
-        )
-        vals, Y = scipy.linalg.eigh(X.T @ (K @ X), X.T @ (M @ X))
-    except (spla.ArpackError, np.linalg.LinAlgError, ValueError) as exc:  # no convergence
-        raise SolverFailure(str(exc)) from exc
+    Q = np.empty((min(n, max(4 * m + 40, 60)), n))  # the basis, a row per step: untouched rows take no memory
+    w = np.ones(n) if v0 is None else v0
+    b, alpha, beta = math.sqrt(np.einsum("i,i", w, M @ w)), [], []
+    for j in range(len(Q)):
+        Q[j] = w / b
+        w, alpha = lu.solve(M @ Q[j]), alpha + [0.0]
+        for _ in range(2):
+            h = np.einsum("ki,i->k", Q[: j + 1], M @ w)
+            w -= np.einsum("ki,k->i", Q[: j + 1], h)
+            alpha[-1] += h[j]
+        b = math.sqrt(np.einsum("i,i", w, M @ w))
+        theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta)  # ascending: the negative ones first
+        if np.count_nonzero(theta < 0) == m and np.all(np.abs(b * S[-1, :m]) <= LANCZOS_TOL * np.abs(theta[:m])):
+            break
+        beta.append(b)
+    else:
+        raise SolverFailure(f"Lanczos found no {m} Ritz values below the shift {sigma:.17g} in {len(Q)} steps")
+    X = np.einsum("ki,ka->ia", Q[: j + 1], S[:, :m])
+    vals, Y = scipy.linalg.eigh(np.einsum("ia,ib->ab", X, K @ X), np.einsum("ia,ib->ab", X, M @ X))
     if vals[-1] >= sigma:
         raise SolverFailure(f"Rayleigh-Ritz value {vals[-1]:.17g} is not below the shift {sigma:.17g}")
-    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), X @ Y)
+    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), np.einsum("ia,ab->ib", X, Y))
 
 
 def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
@@ -416,7 +426,7 @@ def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:
     at most.  The offset keeps the rungs off exact eigenvalues such as the 64
     of the 6-DOF Neumann triangle."""
     n = prob.stiffness.shape[0]
-    if k >= n:
+    if k > n:  # the ladder would never stop
         raise SolverFailure(f"requested {k} eigenvalues from {n} DOF")
     sigma = 1.0 + NESTED_SHIFT
     lu, m = _factor(prob, sigma)

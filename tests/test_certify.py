@@ -202,7 +202,7 @@ class TestReports:
             shape = {"alpha": 1.0} if name in ("broken", "y_alpha") else {}
             plan = preset(name, **shape)[1]
             assert plan.count_strategy in certify._COUNT_RULES
-            assert plan.lower_strategy in {*certify._LOWER_RULES, "crossing_symmetry"}
+            assert plan.lower_strategy in {*certify._LOWER_RULES, "auto", "crossing_symmetry"}
 
 
 class TestPresetOverrides:
@@ -434,6 +434,8 @@ class TestLevelClimb:
 
         def pinned(vcfg, k):
             lowers = box(vcfg, k)
+            if k < 2:  # auto's probe of the rule
+                return lowers
             nu = threshold(vcfg)
             l2 = dataclasses.replace(lowers[1], value=nu * factor, tol=tol * certify.BUDGET_FLOOR_REL * nu)
             return lowers[:1] + [l2] + lowers[2:]

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from starspec import certify, fem, geom
-from starspec.exact import PI2, box_eigs, equilateral_eigs
+from starspec.exact import PI2, EigList, box_eigs, equilateral_eigs
 from starspec.geom import BC, EdgeRole, Polygon, simple_polygon
 
 DN_SQUARE = Polygon(
@@ -569,10 +569,23 @@ class TestShiftedLevels:
         assert np.all(np.diff(np.array(spec.level_values), axis=0) <= 1e-13)
 
     def test_an_inertia_below_k_raises(self, monkeypatch):
-        # one DN-square eigenvalue lies below each finer shift but the k = 2
-        # it needs; level 0's three rungs, the last of which it solves, count truly
-        _tampered_splu(monkeypatch, inertia_shift=-1, untouched=3)
+        # each finer level's solve returns one value, not the k = 2 it needs
+        below = fem.eigs_below
+
+        def one_value(prob, sigma, v0=None, factor=None):
+            ritz = below(prob, sigma, v0, factor)
+            return ritz if v0 is None else EigList(ritz.values[:1], ritz.provenance[:1], ritz.vectors[:, :1])
+
+        monkeypatch.setattr(fem, "eigs_below", one_value)
         with pytest.raises(fem.SolverFailure, match="inertia 1 below 2"):
+            fem.dn_spectrum(DN_SQUARE, 2, 2, 0.25)
+
+    def test_an_undercount_never_stops_lanczos(self, monkeypatch):
+        # one DN-square eigenvalue lies below each finer shift by the tampered
+        # inertia, two by T's Ritz values, so Lanczos never holds exactly one;
+        # level 0's three rungs, the last of which it solves, count truly
+        _tampered_splu(monkeypatch, inertia_shift=-1, untouched=3)
+        with pytest.raises(fem.SolverFailure, match="Lanczos found no 1 Ritz values"):
             fem.dn_spectrum(DN_SQUARE, 2, 2, 0.25)
 
     def test_a_neumann_kernel_keeps_the_shift_positive(self, monkeypatch):
@@ -609,24 +622,27 @@ class TestSolvers:
 
     def test_too_many_eigs_raises(self):
         prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.6))
-        with pytest.raises(fem.SolverFailure):
-            fem.lowest_eigs(prob, 10_000)
-        # a shift above every eigenvalue: an inertia of n, which Lanczos cannot reach
         n = prob.stiffness.shape[0]
-        with pytest.raises(fem.SolverFailure, match=f"requested {n} eigenvalues from {n} DOF"):
-            fem.eigs_below(prob, 1e9)
+        with pytest.raises(fem.SolverFailure, match=f"requested {n + 1} eigenvalues from {n} DOF"):
+            fem.lowest_eigs(prob, n + 1)
 
-    def test_the_sparse_solver_is_capped_at_100_restarts(self, monkeypatch):
-        prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.25))
-        seen, eigsh = {}, spla.eigsh
+    def test_a_shift_above_every_eigenvalue_solves_them_all(self):
+        # an inertia of n: the Lanczos basis spans the whole space; one
+        # Gram-Schmidt pass loses orthogonality long before that
+        prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.6))
+        n = prob.stiffness.shape[0]
+        dense = scipy.linalg.eigh(prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True)
+        ritz = fem.eigs_below(prob, 1e9)
+        assert len(ritz) == n == 20
+        assert ritz.values == pytest.approx(dense, rel=1e-12)
 
-        def spy(*args, **kwargs):
-            seen.update(kwargs)
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "eigsh", spy)
-        fem.lowest_eigs(prob, 3)
-        assert seen["maxiter"] == 100
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_a_rung_holding_every_value_solves(self, k):
+        # the 6-DOF Neumann triangle: the rung 64.064 holds 4 values, 256.256 all 6
+        prob = fem.assemble(fem.triangulate(NEUMANN_TRIANGLE, 0.5))
+        dense = scipy.linalg.eigh(prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True)
+        assert prob.stiffness.shape[0] == 6
+        assert fem.lowest_eigs(prob, k).values == pytest.approx(dense[:k], rel=1e-12, abs=1e-12)
 
     def test_every_factorization_is_minimum_degree_ldlt_without_relaxation(self, monkeypatch):
         # COLAMD makes the crossing's 81k-DOF factor larger and slower, and the
@@ -638,15 +654,36 @@ class TestSolvers:
         want = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
         assert len(calls) >= 2 and all(kwargs == want for _, kwargs in calls)
 
-    def test_no_convergence_is_a_solver_failure(self, monkeypatch):
-        prob = fem.assemble(fem.triangulate(DN_SQUARE, 0.25))
+    @pytest.mark.parametrize("sigma, m, steps", [(None, 1, 60), (30.0, 11, 84)])
+    def test_the_step_cap_raises(self, monkeypatch, sigma, m, steps):
+        # no residual passes a negative tolerance: min(n, max(4 m + 40, 60))
+        # solves on the 238 DOF, then a failure
+        prob, count_shift = _count_problem("t_junction")
+        sigma = sigma or count_shift
+        assert fem._factor(prob, sigma)[1] == m
+        counts = _solves_per_call(monkeypatch)
+        monkeypatch.setattr(fem, "LANCZOS_TOL", -1.0)
+        with pytest.raises(fem.SolverFailure, match=f"found no {m} Ritz values below the shift .* in {steps} steps"):
+            fem.eigs_below(prob, sigma)
+        assert counts == [steps]
 
-        def stalled(A, k, **kwargs):
-            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
-
-        monkeypatch.setattr(spla, "eigsh", stalled)
-        with pytest.raises(fem.SolverFailure, match="No convergence"):
-            fem.lowest_eigs(prob, 3)
+    def test_the_count_bits_do_not_depend_on_the_blas_thread_count(self):
+        # the level-3 count of configs/rounded_corner.json (L 2, 13,919 DOF)
+        code = (
+            "import hashlib, sys; import numpy as np; from starspec import certify, fem, geom; "
+            "vcfg = geom.load_config(sys.argv[1]); mesh, caps = certify._truncated_mesh(vcfg, 2.0, 3); "
+            "prob = fem.assemble(mesh, caps); nu = certify.threshold(vcfg); "
+            "ritz = fem.eigs_below(prob, nu - certify.BUDGET_FLOOR_REL * nu); "
+            "print(prob.stiffness.shape[0], len(ritz), hashlib.sha256(np.array(ritz.values).tobytes() + ritz.vectors.tobytes()).hexdigest())"
+        )
+        src = str(Path(fem.__file__).resolve().parents[1])
+        config = str(Path("configs/rounded_corner.json").resolve())
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            outs.append(subprocess.run([sys.executable, "-c", code, config], env=env, capture_output=True, text=True, check=True).stdout)
+        assert outs[0].split()[:2] == ["13919", "1"]
+        assert outs[0] == outs[1]
 
 
 
@@ -689,36 +726,26 @@ def _count_problem(name: str):
     return fem.assemble(fem.triangulate(poly, certify.FEM_H0), certify.tail_caps(poly)), nu - certify.BUDGET_FLOOR_REL * nu
 
 
-def _count_solves(monkeypatch) -> list:
-    """Count the shift-invert solves of every eigsh call from here on."""
-    solves, eigsh = [], spla.eigsh
-
-    def counting(*args, OPinv, **kwargs):
-        def solve(x):
-            solves.append(1)
-            return OPinv.matvec(x)
-
-        return eigsh(*args, OPinv=spla.LinearOperator(OPinv.shape, matvec=solve, dtype=float), **kwargs)
-
-    monkeypatch.setattr(spla, "eigsh", counting)
-    return solves
-
-
 def _solves_per_call(monkeypatch) -> list:
-    """The shift-invert solves of each eigsh call from here on, one count
-    per call."""
-    counts, eigsh = [], spla.eigsh
+    """The shift-invert solves (lu.solve calls) of each fem.eigs_below call
+    from here on, one count per call."""
+    counts, below, factor = [], fem.eigs_below, fem._factor
 
-    def counting(*args, OPinv, **kwargs):
+    def counting_below(*args, **kwargs):
         counts.append(0)
+        return below(*args, **kwargs)
+
+    def counting_factor(prob, sigma):
+        lu, m = factor(prob, sigma)
 
         def solve(x):
             counts[-1] += 1
-            return OPinv.matvec(x)
+            return lu.solve(x)
 
-        return eigsh(*args, OPinv=spla.LinearOperator(OPinv.shape, matvec=solve, dtype=float), **kwargs)
+        return SimpleNamespace(solve=solve), m
 
-    monkeypatch.setattr(spla, "eigsh", counting)
+    monkeypatch.setattr(fem, "eigs_below", counting_below)
+    monkeypatch.setattr(fem, "_factor", counting_factor)
     return counts
 
 
@@ -734,8 +761,8 @@ class TestWarmStart:
         below = fem.eigs_below
         monkeypatch.setattr(fem, "eigs_below", lambda prob, sigma, v0=None, factor=None: below(prob, sigma, factor=factor))
         cold = fem.dn_spectrum(poly, 2, 3, 0.5)
-        assert (len(warm_counts), counts[1]) == (3, 24)
-        assert warm_counts[0] == counts[0] and max(warm_counts[1:]) <= 16
+        assert len(warm_counts) == len(counts) == 3 and warm_counts[0] == counts[0]
+        assert all(warm <= cold for warm, cold in zip(warm_counts, counts)) and warm_counts[1] < counts[1]
         assert np.array(warm.level_values) == pytest.approx(np.array(cold.level_values), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("case", ["crossing", "neumann_k1"])
@@ -764,19 +791,36 @@ class TestLanczosTolerance:
     # leave the values at rounding, at fewer solves than ARPACK's default of eps
     def test_both_solvers_stop_at_sqrt_eps_residuals(self, monkeypatch):
         assert fem.LANCZOS_TOL == math.sqrt(np.finfo(float).eps)
-        calls = _spy(monkeypatch, spla, "eigsh")
         prob, sigma = _count_problem("t_junction")
-        fem.lowest_eigs(prob, 2)
-        fem.eigs_below(prob, sigma)
-        assert [kwargs["tol"] for _, kwargs in calls] == [fem.LANCZOS_TOL, fem.LANCZOS_TOL]
+        counts = _solves_per_call(monkeypatch)
+        got = fem.lowest_eigs(prob, 2).values + fem.eigs_below(prob, sigma).values
+        at_sqrt_eps = list(counts)
+        counts.clear()
+        monkeypatch.setattr(fem, "LANCZOS_TOL", np.finfo(float).eps)
+        assert got == pytest.approx(fem.lowest_eigs(prob, 2).values + fem.eigs_below(prob, sigma).values, rel=1e-12)
+        assert len(at_sqrt_eps) == len(counts) == 2
+        assert all(fewer < more for fewer, more in zip(at_sqrt_eps, counts))
 
     # at ARPACK's default tolerance (machine precision) these took 21 and 36
     @pytest.mark.parametrize("name, eps_solves", [("t_junction", 21), ("crossing", 36)])
     def test_the_count_takes_fewer_solves(self, monkeypatch, name, eps_solves):
         prob, sigma = _count_problem(name)
-        solves = _count_solves(monkeypatch)
+        counts = _solves_per_call(monkeypatch)
         assert len(fem.eigs_below(prob, sigma)) == 1
-        assert 0 < len(solves) < eps_solves
+        assert len(counts) == 1 and 0 < counts[0] < eps_solves
+
+    @pytest.mark.parametrize("tol", [0.5, 1e-2])
+    def test_values_are_rayleigh_ritz_upper_bounds_at_any_tolerance(self, monkeypatch, tol):
+        # a loose stop leaves Ritz values of T below the eigenvalues they
+        # approximate; the Rayleigh-Ritz projection onto their vectors does not
+        prob, _ = _count_problem("t_junction")
+        dense = scipy.linalg.eigh(prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True)
+        monkeypatch.setattr(fem, "LANCZOS_TOL", tol)
+        ritz = fem.eigs_below(prob, 16.016)
+        got, X = np.array(ritz.values), ritz.vectors
+        assert len(got) == 7 and np.all(got >= dense[:7] * (1 - 1e-12))
+        assert np.abs(X.T @ (prob.mass @ X) - np.eye(7)).max() < 1e-12
+        assert np.abs(X.T @ (prob.stiffness @ X) - np.diag(got)).max() < 1e-10 * got[-1]
 
     @pytest.mark.parametrize("name", ["t_junction", "crossing"])
     def test_count_values_match_dense(self, name):
@@ -806,8 +850,9 @@ class TestInertiaCount:
 
     def test_no_eigenvalue_below_the_shift_solves_nothing(self, monkeypatch):
         prob, sigma = _truncated_problem("rounded_corner", 2.0, 0.5, 1)
-        monkeypatch.setattr(spla, "eigsh", None)  # any solve would fail
+        counts = _solves_per_call(monkeypatch)
         assert fem.eigs_below(prob, sigma).values == ()
+        assert counts == [0]
 
     def test_row_pivoting_raises(self, monkeypatch):
         prob, sigma = _truncated_problem("t_junction", 2.0, 0.5, 1)
@@ -825,11 +870,18 @@ class TestInertiaCount:
 
     def test_an_overcount_fails_whatever_vectors_the_solver_returns(self, monkeypatch):
         # min-max: the k-th Rayleigh-Ritz value of any k vectors is at least
-        # lambda_k, which an overcount puts at or above the shift
+        # lambda_k, which an overcount puts at or above the shift; T's Ritz
+        # pairs are replaced by random vectors with converged negative values
         prob, sigma = _truncated_problem("t_junction", 2.0, 0.5, 1)
         _tampered_splu(monkeypatch, inertia_shift=1)
         rng = np.random.default_rng(0)
-        monkeypatch.setattr(spla, "eigsh", lambda K, k, **kw: (None, rng.standard_normal((K.shape[0], k))))
+
+        def random_pairs(alpha, beta):
+            vectors = rng.standard_normal((len(alpha), len(alpha)))
+            vectors[-1] = 0.0  # zero residuals
+            return -np.ones(len(alpha)), vectors
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", random_pairs)
         with pytest.raises(fem.SolverFailure, match="not below the shift"):
             fem.eigs_below(prob, sigma)
 
