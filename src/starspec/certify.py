@@ -168,7 +168,7 @@ def _fem_upper_bounds(vcfg: ValidatedConfig, length: float, levels: int, nu: flo
         )
         for i, v in enumerate(eigs.values, start=1)
     ]
-    return out, {**mesh_params, "shift": shift, "inertia": len(eigs)}
+    return out, {**mesh_params, "shift": shift, "inertia": len(eigs), **eigs.lanczos}
 
 
 def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
@@ -298,8 +298,8 @@ def count_discrete(
     vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: Optional[dict] = None
 ) -> tuple[int, list[SpectralBound]]:
     """Number of certified discrete eigenvalues below the threshold, with the
-    upper bounds that witness them.  A FEM count records its mesh, shift and
-    inertia in extra["fem_count"]: a count of 0 has no bound to carry them.
+    upper bounds that witness them.  A FEM count records its mesh, shift, inertia
+    and Lanczos run in extra["fem_count"]: a count of 0 has no bound to carry them.
     A family_fact count is 1, witnessed by the fact of _FACTS that binds."""
     return _COUNT_RULES[plan.count_strategy](vcfg, plan, nu, {} if extra is None else extra)
 

@@ -7,12 +7,13 @@ each new edge midpoint is numbered in order of first appearance (triangle
 edges in triangle order, then boundary edges).
 
 Every eigensolve is eigs_below: _factor, a minimum-degree L D L^T of
-K - sigma M on the one pattern K and M share, whose inertia fixes how many
-eigenvalues lie below sigma, then shift-invert Lanczos in NumPy for that many
-and one Rayleigh-Ritz projection.  lowest_eigs counts a ladder of shifts by
-_factor alone and solves the first rung that holds k values on that rung's
-factor; dn_spectrum's level 0 is lowest_eigs, each finer level one eigs_below
-just above the coarser lambda_k, warm-started from the coarser level.
+K - sigma M on the pattern K and M share, whose inertia counts the eigenvalues
+below sigma, then shift-invert Lanczos in NumPy for that many (three M
+products a step, restarted on an invariant space) and one Rayleigh-Ritz
+projection.  lowest_eigs counts a ladder of shifts by _factor alone and solves
+the first rung holding k values on its factor; dn_spectrum's level 0 is
+lowest_eigs, each finer level one eigs_below just above the coarser lambda_k,
+warm-started from it.
 
 FEM eigenvalues from a conforming space are variational upper bounds; they
 are never used as lower bounds anywhere in the package.
@@ -357,7 +358,8 @@ def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProbl
 def _factor(prob: DiscreteProblem, sigma: float):
     """Every sparse FEM factorization, of K - sigma M as CSC (K and M share a
     symmetric pattern): symmetric-mode SuperLU without row pivoting (checked),
-    an L D L^T with D = diag(U), on minimum degree; relax=1: relaxation pads it.
+    an L D L^T with D = diag(U), on minimum degree; relax=1: relaxation pads it;
+    panel_size=1: wider panels only cost time on supernodes this narrow.
     Returns the factor and its inertia m, the number of negative entries of D:
     by Sylvester, the number of eigenvalues of (K, M) below sigma."""
     import scipy.sparse as sp
@@ -366,7 +368,7 @@ def _factor(prob: DiscreteProblem, sigma: float):
     K, M = prob.stiffness, prob.mass
     A = sp.csc_matrix((K.data - sigma * M.data, K.indices, K.indptr), shape=K.shape)
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0, options={"SymmetricMode": True})
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1, diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError as exc:  # an exactly singular pivot: the shift is an eigenvalue
         raise SolverFailure(str(exc)) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -376,46 +378,58 @@ def _factor(prob: DiscreteProblem, sigma: float):
 
 def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None, factor: tuple | None = None) -> EigList:
     """Every FEM eigensolve: the Rayleigh-Ritz pairs of (K, M) below sigma.
-    Their number m is the inertia of K - sigma M = P^T L D L^T P (the
-    _factor, or the factor given, which is that _factor).  Lanczos on
-    (K - sigma M)^-1 M in the M inner product from v0 (default: constant),
-    its basis stored once as rows, each new vector orthogonalized against all
-    of them by classical Gram-Schmidt twice, stops without a restart when T
-    has exactly m negative Ritz values 1 / (lambda - sigma), each to a
-    LANCZOS_TOL residual.  One Rayleigh-Ritz projection onto their vectors
+    Their number m is the inertia of K - sigma M = P^T L D L^T P (_factor's,
+    or the factor given).  Lanczos on (K - sigma M)^-1 M in the M inner product
+    from v0 (default: constant), its basis stored once as rows, each new vector
+    orthogonalized against all of them by classical Gram-Schmidt twice (an M
+    product a pass, one for b = ||w||_M, whose M w / b is the next M q), stops
+    when T has exactly m negative Ritz values 1 / (lambda - sigma), each to a
+    LANCZOS_TOL residual.  b <= eps ||h||, the rounding that subtracting the
+    coefficients h leaves (||h|| is the solve's ||w||_M when b = 0), is an
+    invariant space: beta is 0, and Lanczos goes on from a seeded normal
+    vector (ARPACK's dgetv0).  One Rayleigh-Ritz projection onto their vectors
     makes them M-orthonormal and the values upper bounds whatever the
-    residuals.  Every dense reduction is np.einsum, never @ (BLAS splits sums
-    over its threads), so no bit depends on the thread count.  No stop in
-    min(n, max(4 m + 40, 60)) steps or an m-th value >= sigma raise."""
+    residuals.  Every dense reduction is np.einsum, never @: no bit depends on
+    the BLAS threads.  No stop in min(n, max(4 m + 40, 60)) steps or an m-th
+    value >= sigma raise; lanczos records steps, restarts, max |b s_j / theta_j|."""
     import scipy.linalg
 
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
     lu, m = factor or _factor(prob, sigma)
     if m == 0:
-        return EigList((), (), np.empty((n, 0)))
+        return EigList((), (), np.empty((n, 0)), {"lanczos_steps": 0, "restarts": 0, "residual": 0.0})
     Q = np.empty((min(n, max(4 * m + 40, 60)), n))  # the basis, a row per step: untouched rows take no memory
+
+    def orthogonalized(w, rows):  # w, M w, ||w||_M and the summed coefficients after two passes against Q[:rows]
+        h = 0.0
+        for _ in range(2):
+            c = np.einsum("ki,i->k", Q[:rows], M @ w)
+            w, h = w - np.einsum("ki,k->i", Q[:rows], c), h + c
+        Mw = M @ w
+        return w, Mw, math.sqrt(np.einsum("i,i", w, Mw)), h
+
     w = np.ones(n) if v0 is None else v0
-    b, alpha, beta = math.sqrt(np.einsum("i,i", w, M @ w)), [], []
+    Mw = M @ w
+    b, alpha, beta = math.sqrt(np.einsum("i,i", w, Mw)), [], []
     for j in range(len(Q)):
         Q[j] = w / b
-        w, alpha = lu.solve(M @ Q[j]), alpha + [0.0]
-        for _ in range(2):
-            h = np.einsum("ki,i->k", Q[: j + 1], M @ w)
-            w -= np.einsum("ki,k->i", Q[: j + 1], h)
-            alpha[-1] += h[j]
-        b = math.sqrt(np.einsum("i,i", w, M @ w))
+        w, Mw, b, h = orthogonalized(lu.solve(Mw / b), j + 1)
+        alpha, r = alpha + [h[j]], b if b > np.finfo(float).eps * math.sqrt(np.einsum("k,k", h, h)) else 0.0
         theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta)  # ascending: the negative ones first
-        if np.count_nonzero(theta < 0) == m and np.all(np.abs(b * S[-1, :m]) <= LANCZOS_TOL * np.abs(theta[:m])):
+        if np.count_nonzero(theta < 0) == m and np.all(np.abs(r * S[-1, :m]) <= LANCZOS_TOL * np.abs(theta[:m])):
             break
-        beta.append(b)
+        beta.append(r)
+        if r == 0.0:  # an invariant subspace: restart from a fresh vector
+            w, Mw, b, _ = orthogonalized(np.random.default_rng(j).standard_normal(n), j + 1)
     else:
         raise SolverFailure(f"Lanczos found no {m} Ritz values below the shift {sigma:.17g} in {len(Q)} steps")
     X = np.einsum("ki,ka->ia", Q[: j + 1], S[:, :m])
     vals, Y = scipy.linalg.eigh(np.einsum("ia,ib->ab", X, K @ X), np.einsum("ia,ib->ab", X, M @ X))
     if vals[-1] >= sigma:
         raise SolverFailure(f"Rayleigh-Ritz value {vals[-1]:.17g} is not below the shift {sigma:.17g}")
-    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), np.einsum("ia,ab->ib", X, Y))
+    record = {"lanczos_steps": j + 1, "restarts": beta.count(0.0), "residual": float(np.max(np.abs(r * S[-1, :m]) / np.abs(theta[:m])))}
+    return EigList(tuple(float(v) for v in vals), tuple("fem-ritz" for _ in vals), np.einsum("ia,ab->ib", X, Y), record)
 
 
 def lowest_eigs(prob: DiscreteProblem, k: int) -> EigList:

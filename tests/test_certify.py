@@ -338,12 +338,15 @@ class TestSingleSolveCount:
         # a count of 0 (rounded_corner on this mesh) has no fem-upper step,
         # so the record of the count is what names its mesh
         rec = v.extra["fem_count"]
-        assert list(rec) == ["length", "h0", "levels", "kappa", "dof", "h", "min_angle", "shift", "inertia"]
+        assert list(rec) == ["length", "h0", "levels", "kappa", "dof", "h", "min_angle", "shift", "inertia", "lanczos_steps", "restarts", "residual"]
         assert rec["kappa"] == certify.TAIL_KAPPA
         assert (rec["length"], rec["h0"], rec["levels"]) == (plan.truncation_length, certify.FEM_H0, plan.fem_levels)
         assert rec["dof"] == dofs[0]
         assert rec["shift"] == threshold(vcfg) - certify.BUDGET_FLOOR_REL * threshold(vcfg)
         assert rec["inertia"] == len(v.upper_bounds) == (name != "rounded_corner")
+        # the Lanczos record: no step on a count of 0, else residuals within the stop's tolerance
+        assert rec["restarts"] == 0 and (rec["lanczos_steps"] > 0) == (rec["inertia"] > 0)
+        assert 0 <= rec["residual"] <= fem.LANCZOS_TOL and (rec["residual"] > 0) == (rec["inertia"] > 0)
         assert {b.trace[0].params["length"] for b in v.upper_bounds} <= {plan.truncation_length}
 
 

@@ -644,6 +644,29 @@ class TestSolvers:
         assert prob.stiffness.shape[0] == 6
         assert fem.lowest_eigs(prob, k).values == pytest.approx(dense[:k], rel=1e-12, abs=1e-12)
 
+    def test_an_invariant_subspace_restarts_from_a_fresh_vector(self):
+        # the 153-DOF Neumann triangle at an inertia of n: the Krylov space
+        # from the constant turns invariant before the last step, and the
+        # rounding noise left in w, orthogonalized twice, is not orthogonal
+        prob = fem.assemble(fem.triangulate(NEUMANN_TRIANGLE, 0.125))
+        dense = scipy.linalg.eigh(prob.stiffness.toarray(), prob.mass.toarray(), eigvals_only=True)
+        ritz = fem.eigs_below(prob, 2e4)
+        assert len(ritz) == prob.stiffness.shape[0] == 153
+        assert ritz.values == pytest.approx(dense, rel=1e-12, abs=1e-12)
+        assert ritz.lanczos["restarts"] > 0 and ritz.lanczos["residual"] == 0.0
+
+    @pytest.mark.parametrize("sigma", [None, 16.016], ids=["count", "m7"])
+    def test_a_step_takes_three_mass_products(self, monkeypatch, sigma):
+        # one per Gram-Schmidt pass and the norm's M w, which divided by b is
+        # the next step's M q; one more starts Lanczos, one projects X
+        prob, count_shift = _count_problem("t_junction")
+        prob.mass = _CountedProducts(prob.mass)
+        counts = _solves_per_call(monkeypatch)
+        ritz = fem.eigs_below(prob, sigma or count_shift)
+        assert prob.mass.ndims == [1] * (3 * counts[0] + 1) + [2]
+        assert ritz.lanczos["lanczos_steps"] == counts[0] and ritz.lanczos["restarts"] == 0
+        assert 0 < ritz.lanczos["residual"] <= fem.LANCZOS_TOL
+
     def test_every_factorization_is_minimum_degree_ldlt_without_relaxation(self, monkeypatch):
         # COLAMD makes the crossing's 81k-DOF factor larger and slower, and the
         # default supernode relaxation makes factoring it take 22 s, not 0.5 s
@@ -651,7 +674,7 @@ class TestSolvers:
         calls = _spy(monkeypatch, spla, "splu")
         fem.lowest_eigs(prob, 2)  # a factorization per rung of its ladder
         fem.eigs_below(prob, sigma)
-        want = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
+        want = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1, "diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
         assert len(calls) >= 2 and all(kwargs == want for _, kwargs in calls)
 
     @pytest.mark.parametrize("sigma, m, steps", [(None, 1, 60), (30.0, 11, 84)])
@@ -724,6 +747,20 @@ def _count_problem(name: str):
     poly = geom.truncate(vcfg, plan.truncation_length)
     nu = certify.threshold(vcfg)
     return fem.assemble(fem.triangulate(poly, certify.FEM_H0), certify.tail_caps(poly)), nu - certify.BUDGET_FLOOR_REL * nu
+
+
+class _CountedProducts:
+    """A sparse matrix that records the ndim of each operand it multiplies."""
+
+    def __init__(self, matrix):
+        self.matrix, self.ndims = matrix, []
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+    def __matmul__(self, other):
+        self.ndims.append(np.ndim(other))
+        return self.matrix @ other
 
 
 def _solves_per_call(monkeypatch) -> list:
