@@ -8,7 +8,7 @@ decompositions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import (
     Direction,
@@ -33,15 +33,15 @@ class ContainmentViolation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     rule: str
     params: dict
     value: float
 
 
-@dataclass(frozen=True)
-class SpectralBound:
+class SpectralBound(NamedTuple):
+    """An immutable bound record; _replace gives a modified copy."""
+
     operator: str
     index: int  # eigenvalue index, 1-based
     value: float
@@ -51,12 +51,12 @@ class SpectralBound:
 
     def extended(self, step: TraceStep, *, operator=None, value=None, tol_add=0.0):
         return SpectralBound(
-            operator=operator if operator is not None else self.operator,
-            index=self.index,
-            value=value if value is not None else self.value,
-            direction=self.direction,
-            trace=self.trace + (step,),
-            tol=self.tol + tol_add,
+            self.operator if operator is None else operator,
+            self.index,
+            self.value if value is None else value,
+            self.direction,
+            self.trace + (step,),
+            self.tol + tol_add,
         )
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, Optional
 
 from . import bounds as bnd
 from . import exact, fem, geom
@@ -70,8 +70,7 @@ class CertificationPlan:
 PLAN_FIELDS = frozenset(f.name for f in fields(CertificationPlan))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     certified: bool
     n_discrete: Optional[int]
@@ -82,7 +81,7 @@ class Verdict:
     budget: float
     lower_bounds: tuple[SpectralBound, ...]
     upper_bounds: tuple[SpectralBound, ...]
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
     def to_dict(self) -> dict:
         """The report: margins as a name/value list and one trace list with
@@ -371,7 +370,7 @@ def _pi6_embedding() -> SpectralBound:
         "equilateral-eig", {"side": side, "bc": "dirichlet"},
     )[3]
     step = TraceStep("symmetry-restriction", {"admissible_rank": 2, "full_rank": 4}, base.value)
-    return replace(base.extended(step, operator="half-even-pi6"), index=2)
+    return base.extended(step, operator="half-even-pi6")._replace(index=2)
 
 
 def _lower_broken_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
@@ -490,12 +489,12 @@ def _rigor(all_bounds: list[SpectralBound]) -> str:
     return "analytic"
 
 
-def _inconclusive(name: str, nu: float, reason: str, uppers=(), lowers=()) -> Verdict:
+def _inconclusive(name: str, nu: float, reason: str, extra: dict, uppers=(), lowers=()) -> Verdict:
     used = list(uppers) + list(lowers)
     return Verdict(
         name=name, certified=False, n_discrete=None, rigor=_rigor(used), nu=nu,
         margins={}, reason=reason, budget=_budget(nu, used),
-        lower_bounds=tuple(lowers), upper_bounds=tuple(uppers),
+        lower_bounds=tuple(lowers), upper_bounds=tuple(uppers), extra=extra,
     )
 
 
@@ -564,9 +563,9 @@ def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> V
         else:
             v = _verdict(vcfg, plan, name, nu)
     except Unbound as e:
-        return _inconclusive(name, nu, str(e))
+        return _inconclusive(name, nu, str(e), {})
     rungs = {"skipped_rungs": skipped, "unsolved_rungs": unsolved}
-    return replace(v, extra={**v.extra, **{k: r for k, r in rungs.items() if r}})
+    return v._replace(extra={**v.extra, **{k: r for k, r in rungs.items() if r}})
 
 
 def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:
@@ -579,7 +578,7 @@ def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: floa
     lowers = dn_lower_bounds(vcfg, plan, n + 1)
     if len(lowers) <= n:
         reason = f"lower-bound pipeline provides only {len(lowers)} values, need {n + 1}"
-        return replace(_inconclusive(name, nu, reason, uppers, lowers), extra=extra)
+        return _inconclusive(name, nu, reason, extra, uppers, lowers)
     used = list(uppers) + list(lowers)
     budget = _budget(nu, used)
     rigor = _rigor(used)

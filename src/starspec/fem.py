@@ -393,6 +393,7 @@ def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None
     the BLAS threads.  No stop in min(n, max(4 m + 40, 60)) steps or an m-th
     value >= sigma raise; lanczos records steps, restarts, max |b s_j / theta_j|."""
     import scipy.linalg
+    from scipy.linalg.lapack import dstevd
 
     K, M = prob.stiffness, prob.mass
     n = K.shape[0]
@@ -416,9 +417,13 @@ def eigs_below(prob: DiscreteProblem, sigma: float, v0: np.ndarray | None = None
         Q[j] = w / b
         w, Mw, b, h = orthogonalized(lu.solve(Mw / b), j + 1)
         alpha, r = alpha + [h[j]], b if b > np.finfo(float).eps * math.sqrt(np.einsum("k,k", h, h)) else 0.0
-        theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta)  # ascending: the negative ones first
-        if np.count_nonzero(theta < 0) == m and np.all(np.abs(r * S[-1, :m]) <= LANCZOS_TOL * np.abs(theta[:m])):
-            break
+        if j + 1 >= m:  # a T of fewer than m rows has fewer than m Ritz values
+            # eigh_tridiagonal's full-spectrum driver (e needs one entry at n = 1); ascending: the negative ones first
+            theta, S, info = dstevd(alpha, beta or [0.0])
+            if info:
+                raise SolverFailure(f"dstevd failed with info {info} on the {j + 1}-step Lanczos matrix")
+            if np.count_nonzero(theta < 0) == m and np.all(np.abs(r * S[-1, :m]) <= LANCZOS_TOL * np.abs(theta[:m])):
+                break
         beta.append(r)
         if r == 0.0:  # an invariant subspace: restart from a fresh vector
             w, Mw, b, _ = orthogonalized(np.random.default_rng(j).standard_normal(n), j + 1)

@@ -207,10 +207,15 @@ class StarWaveguideConfig:
 
 @dataclass(frozen=True)
 class ValidatedConfig:
+    """A config that validate_config accepted; name, center, branches and
+    is_3d read through to it."""
+
     cfg: StarWaveguideConfig
 
-    def __getattr__(self, item):
-        return getattr(self.cfg, item)
+    name = property(lambda self: self.cfg.name)
+    center = property(lambda self: self.cfg.center)
+    branches = property(lambda self: self.cfg.branches)
+    is_3d = property(lambda self: self.cfg.is_3d)
 
 
 def validate_config(cfg: StarWaveguideConfig) -> ValidatedConfig:

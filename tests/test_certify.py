@@ -169,6 +169,16 @@ class TestVerdicts:
             assert key in d
         assert d["trace"][0]["direction"] == "lower"
 
+    def test_certificate_records_cannot_be_changed(self):
+        vcfg, plan = preset("broken", alpha=1.0, count_strategy="family_fact")
+        v = run_certify(vcfg, plan, name=vcfg.name)
+        bound = v.lower_bounds[1]
+        records = [(bound.trace[0], "value"), (bound, "value"), (bound, "trace"), (v, "certified"), (v, "extra"),
+                   (vcfg, "cfg"), (vcfg, "center")]
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
     def test_traces_replay_to_reported_values(self):
         vcfg, plan = preset("rect_two_eigs")
         v = run_certify(vcfg, plan, name="rect")
@@ -440,7 +450,7 @@ class TestLevelClimb:
             if k < 2:  # auto's probe of the rule
                 return lowers
             nu = threshold(vcfg)
-            l2 = dataclasses.replace(lowers[1], value=nu * factor, tol=tol * certify.BUDGET_FLOOR_REL * nu)
+            l2 = lowers[1]._replace(value=nu * factor, tol=tol * certify.BUDGET_FLOOR_REL * nu)
             return lowers[:1] + [l2] + lowers[2:]
 
         monkeypatch.setitem(certify._LOWER_RULES, "box", pinned)
@@ -818,6 +828,11 @@ class TestSweepHelpers:
         ]
         assert certify.first_certified(rows) == 0.5
         assert certify.first_certified(rows[:1]) is None
+
+    def test_a_sweep_row_is_a_dataclass(self):
+        # the benchmark digests each families row as dataclasses.astuple(row)
+        row = certify.sweep_broken([1.0])[0]
+        assert dataclasses.astuple(row) == (row.param, row.nu, row.certified, row.n, row.dn_margin, row.reason)
 
     def test_y_interval_roots(self):
         a1, a2 = y_alpha_certified_interval()

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, deterministic reports, CSV outputs."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -512,7 +511,7 @@ class TestMeshCommand:
         box = certify._LOWER_RULES["box"]
 
         def halved(vcfg, k):
-            return [dataclasses.replace(b, value=b.value / 2) for b in box(vcfg, k)]
+            return [b._replace(value=b.value / 2) for b in box(vcfg, k)]
 
         monkeypatch.setitem(certify._LOWER_RULES, "box", halved)
         code, out, err = run(capsys, *argv)
