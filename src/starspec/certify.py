@@ -202,54 +202,6 @@ def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float
     return _n_below(ub, nu), ub
 
 
-def _y_alpha(c: Polygon) -> float:
-    """atan2(sin, cos) of a Y center, whose apex stands at 1/(2 sin): cos is
-    1 + y0 / apex for the triangle, whose bottom cut stands at
-    y0 = (cos - 1) / (2 sin), and vertex 2 of a pentagon, (cos, .) below
-    pi/3, where edge 1 is a wall, or (0.5 - cos, .) above it."""
-    top = c.vertices[2 if c.n_edges == 3 else 3][1]
-    if c.n_edges == 3:
-        cos = 1 + c.vertices[0][1] / top
-    else:
-        cos = c.vertices[2][0] if c.edge_tags[1] is BC.DIRICHLET else 0.5 - c.vertices[2][0]
-    return math.atan2(1 / (2 * top), cos)
-
-
-# family -> (its polygon at alpha, for a center c of the family; the vertex
-# counts it builds, None for any; the alpha read back from a center)
-_FAMILIES = {
-    "bent-guide": (lambda a, c: _broken_polygon(a), (4,), lambda c: math.atan2(-c.vertices[1][0], -c.vertices[1][1])),
-    "Y-junction": (lambda a, c: _y_center_polygon(a), (3, 5), _y_alpha),
-    "sector": (lambda a, c: _rounded_corner_polygon(a, c.n_edges - 2), None,
-               lambda c: math.atan2(c.vertices[-1][1], c.vertices[-1][0])),
-}
-ALPHA_ULPS = 2  # reading alpha back loses up to two roundings; 30,000 seeded angles per family needed no more
-
-
-def _family_alpha(vcfg: ValidatedConfig, family: str, rule: str = "") -> Optional[float]:
-    """The alpha whose family polygon is exactly the center: the alpha read
-    back from the center, or else the nearest float within ALPHA_ULPS of it
-    that rebuilds the center.  The test stays float equality, so no binding
-    widens, and a vertex count the family never builds is refused before any
-    polygon is built.  With none, Unbound names the rule, or without a rule
-    the result is None."""
-    polygon, counts, read = _FAMILIES[family]
-    c = vcfg.center
-    if not vcfg.is_3d and (counts is None or c.n_edges in counts):
-        try:
-            below = above = read(c)
-            for _ in range(ALPHA_ULPS + 1):
-                for alpha in (below, above):
-                    if polygon(alpha, c) == c:
-                        return alpha
-                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-        except (ArithmeticError, ValueError):  # no family polygon at this alpha
-            pass
-    if rule:
-        raise Unbound(f"{rule} needs a {family} center: this one is the family's polygon at no alpha")
-    return None
-
-
 def _is_config(vcfg: ValidatedConfig, build) -> bool:
     """Whether the config has the center and branches of build()."""
     ref = build()
@@ -261,10 +213,10 @@ def _is_config(vcfg: ValidatedConfig, build) -> bool:
 # bound state exists, n_true >= 1; a center lower bound for index 2 then gives
 # n_true = 1.  The fact and anchor texts go into the assumption step.
 _FACTS = {
-    "bent_guide": (lambda vcfg: _family_alpha(vcfg, "bent-guide") is not None,
+    "bent_guide": (lambda vcfg: geom.family_alpha(vcfg.center, "bent-guide") is not None,
                    "bent guides of constant width always have nonempty discrete spectrum", None,
                    "Exner-Seba, J. Math. Phys. 30 (1989) 2574; Avishai et al., Phys. Rev. B 44 (1991) 8028"),
-    "y_junction": (lambda vcfg: _family_alpha(vcfg, "Y-junction") is not None,
+    "y_junction": (lambda vcfg: geom.family_alpha(vcfg.center, "Y-junction") is not None,
                    "junction contains a bent guide of complementary angle", "bent_guide",
                    "Dirichlet monotonicity and the bent_guide fact"),
     "cube_square": (lambda vcfg: _is_config(vcfg, cube_square_config),
@@ -356,6 +308,15 @@ def _lower_neumann_equilateral(vcfg: ValidatedConfig, k: int) -> list[SpectralBo
         DN_CENTER_OP, eigs, Direction.LOWER, "equilateral-eig",
         {"side": side, "bc": "neumann"},
     )
+
+
+def _family_alpha(vcfg: ValidatedConfig, family: str, rule: str) -> float:
+    """The alpha of geom.family_alpha; a center that is the family's polygon
+    at no alpha is Unbound, named by the rule."""
+    alpha = geom.family_alpha(vcfg.center, family)
+    if alpha is None:
+        raise Unbound(f"{rule} needs a {family} center: this one is the family's polygon at no alpha")
+    return alpha
 
 
 @functools.cache
@@ -705,83 +666,12 @@ def t_junction_config() -> ValidatedConfig:
     ))
 
 
-def y_junction_config() -> ValidatedConfig:
-    return y_alpha_config(math.pi / 3, name="y_junction")
-
-
-@functools.lru_cache(maxsize=1)  # the preset, the fact binding and the chain share one build
-def _y_center_polygon(alpha: float) -> Polygon:
-    """Smallest center of the three-ray junction with half-opening alpha
-    measured from the vertical: a triangle at pi/3, a convex pentagon below
-    it (the two upper cuts meet the walls at the apex, since the binding
-    disjointness is between the two upper branches) and a concave pentagon
-    above it (the upper cuts bind against the bottom cut)."""
-    if not 0 < alpha < math.pi / 2:
-        raise geom.InvalidGeometry(f"alpha = {alpha} is not in (0, pi/2)")
-    s, c = math.sin(alpha), math.cos(alpha)
-    y0 = (c - 1) / (2 * s)  # bottom cut height
-    top = (0.0, 1.0 / (2 * s))
-    if abs(alpha - math.pi / 3) < 1e-12:
-        verts = [(-0.5, y0), (0.5, y0), top]
-        tags = [BC.NEUMANN] * 3
-        roles = [EdgeRole.CUT] * 3
-    elif alpha < math.pi / 3:
-        yr = (2 * c * c - 1) / (2 * s)
-        verts = [(-0.5, y0), (0.5, y0), (c, yr), top, (-c, yr)]
-        tags = [BC.NEUMANN, BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.DIRICHLET]
-        roles = [EdgeRole.CUT, EdgeRole.WALL, EdgeRole.CUT, EdgeRole.CUT, EdgeRole.WALL]
-    else:
-        qr = (0.5 - c, y0 + s)
-        ql = (-0.5 + c, y0 + s)
-        verts = [(-0.5, y0), (0.5, y0), qr, top, ql]
-        tags = [BC.NEUMANN, BC.NEUMANN, BC.DIRICHLET, BC.DIRICHLET, BC.NEUMANN]
-        roles = [EdgeRole.CUT, EdgeRole.CUT, EdgeRole.WALL, EdgeRole.WALL, EdgeRole.CUT]
-    return Polygon(tuple(verts), tuple(tags), tuple(roles))
-
-
-def y_alpha_config(alpha: float, name: str | None = None) -> ValidatedConfig:
-    return _unit_star(name or f"y_alpha_{alpha:.6g}", _y_center_polygon(alpha))
-
-
-@functools.lru_cache(maxsize=1)  # the preset, the fact binding and the chain share one build
-def _broken_polygon(alpha: float) -> Polygon:
-    if not 0 < alpha < math.pi / 2:
-        raise geom.InvalidGeometry(f"alpha = {alpha} is not in (0, pi/2)")
-    s, c = math.sin(alpha), math.cos(alpha)
-    verts = ((-1.0 / s, 0.0), (-s, -c), (0.0, 0.0), (-s, c))
-    tags = (BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.DIRICHLET)
-    roles = (EdgeRole.WALL, EdgeRole.CUT, EdgeRole.CUT, EdgeRole.WALL)
-    return Polygon(verts, tags, roles)
-
-
-def broken_config(alpha: float) -> ValidatedConfig:
-    return _unit_star(f"broken_{alpha:.6g}", _broken_polygon(alpha))
-
-
 def crossing_config() -> ValidatedConfig:
     return _unit_star("crossing", Polygon(
         vertices=((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)),
         edge_tags=(BC.NEUMANN,) * 4,
         edge_roles=(EdgeRole.CUT,) * 4,
     ))
-
-
-def _rounded_corner_polygon(alpha: float, arc_segments: int) -> Polygon:
-    """Inscribed polygonal stand-in for the circular-sector center: the arc is
-    replaced by an inscribed polyline, so truncated FEM values stay upper
-    bounds for the true rounded waveguide."""
-    verts: list[tuple[float, float]] = [(0.0, 0.0)]
-    for i in range(arc_segments + 1):
-        th = alpha * i / arc_segments
-        verts.append((math.cos(th), math.sin(th)))
-    radii = (0, len(verts) - 1)  # the two straight edges are cuts
-    tags = tuple(BC.NEUMANN if i in radii else BC.DIRICHLET for i in range(len(verts)))
-    roles = tuple(EdgeRole.CUT if i in radii else EdgeRole.WALL for i in range(len(verts)))
-    return Polygon(tuple(verts), tags, roles)
-
-
-def rounded_corner_config(alpha: float, arc_segments: int = 24) -> ValidatedConfig:
-    return _unit_star(f"rounded_corner_{alpha:.6g}", _rounded_corner_polygon(alpha, arc_segments))
 
 
 def rect_two_eigs_config(a: float, b: float) -> ValidatedConfig:
@@ -829,21 +719,23 @@ def cube_disk_config() -> ValidatedConfig:
 # required shape keyword.  rect_two_eigs, y_alpha and broken name their
 # lower rule: the region and the sweeps run them by the thousand, and auto
 # would probe the rules before theirs on every verdict.  Every rule reads the center's shape, alpha
-# included, from the config.  The builders call the public config
-# constructors by their module-level names, so a wrapper or monkeypatch on
-# those sees every call.
+# included, from the config.  The builders look up the config constructors
+# and geom's family polygons by their module-level names, so a wrapper or
+# monkeypatch on those sees every call.
 _PRESETS = {
     "t_junction": (lambda: t_junction_config(), {}, {}),
-    "y_junction": (lambda: y_junction_config(), {}, {}),
+    "y_junction": (lambda: _unit_star("y_junction", geom.y_center_polygon(math.pi / 3)), {}, {}),
     "crossing": (lambda: crossing_config(), {}, {}),
     "crossing_symmetric": (lambda: crossing_config(), {}, {"lower_strategy": "crossing_symmetry"}),
-    "rounded_corner": (lambda alpha: rounded_corner_config(alpha), {"alpha": math.pi / 2}, {}),
+    "rounded_corner": (lambda alpha: _unit_star(f"rounded_corner_{alpha:.6g}", geom.rounded_corner_polygon(alpha, 24)),
+                       {"alpha": math.pi / 2}, {}),
     "rect_two_eigs": (lambda a, b: rect_two_eigs_config(a, b), {"a": 2.381, "b": 2.041}, {
         "count_strategy": "exact_box_B", "lower_strategy": "box"}),
     "cube_square": (lambda: cube_square_config(), {}, {"count_strategy": "family_fact"}),
     "cube_disk": (lambda: cube_disk_config(), {}, {"count_strategy": "family_fact"}),
-    "y_alpha": (lambda alpha: y_alpha_config(alpha), {"alpha": None}, {"lower_strategy": "y_chain"}),
-    "broken": (lambda alpha: broken_config(alpha), {"alpha": None}, {
+    "y_alpha": (lambda alpha: _unit_star(f"y_alpha_{alpha:.6g}", geom.y_center_polygon(alpha)), {"alpha": None}, {
+        "lower_strategy": "y_chain"}),
+    "broken": (lambda alpha: _unit_star(f"broken_{alpha:.6g}", geom.broken_polygon(alpha)), {"alpha": None}, {
         "lower_strategy": "broken_chain", "truncation_length": 4.0}),
 }
 

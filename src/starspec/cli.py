@@ -78,7 +78,10 @@ def _write(text: str, path: str | None) -> None:
 
 def _overrides(args) -> dict:
     """The plan flags the user set, then the keys of the --params object."""
-    extra = json.loads(args.params)
+    try:
+        extra = json.loads(args.params)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("--params: nested too deeply") from None
     if not isinstance(extra, dict):
         raise ValueError("--params must be a JSON object")
     flags = {k: v for k, v in vars(args).items() if k in certify.PLAN_FIELDS and v is not None}

@@ -115,15 +115,9 @@ class FemSpectrum:
 def _ear_clip(vertices: np.ndarray) -> list[tuple[int, int, int]]:
     """Triangulate a simple CCW polygon (collinear vertices allowed)."""
     pts = vertices.tolist()  # float arithmetic on Python floats: the same bits, without NumPy scalar overhead
-    n = len(pts)
-    idx = list(range(n))
+    idx = list(range(len(pts)))
     tris = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * n * n:
-            raise MeshFailure("ear clipping stalled; polygon may be degenerate")
-        clipped = False
+    while len(idx) > 3:  # each pass clips an ear or raises
         m = len(idx)
         for pos in range(m):
             i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % m]
@@ -135,9 +129,8 @@ def _ear_clip(vertices: np.ndarray) -> list[tuple[int, int, int]]:
                 continue  # another vertex lies in or on the ear
             tris.append((i0, i1, i2))
             idx.pop(pos)
-            clipped = True
             break
-        if not clipped:
+        else:
             raise MeshFailure("no clippable ear found; polygon may be degenerate")
     i0, i1, i2 = idx
     if orient(pts[i0], pts[i1], pts[i2]) <= 1e-14:

@@ -4,11 +4,13 @@ A star waveguide is a bounded center polygon with half-infinite branches
 attached along designated "cut" edges.  This module owns the polygon /
 cross-section / configuration types, validation and truncation (center plus
 finite branch stubs whose caps carry the exponential tails of the upper
-bounds).
+bounds), and the centers of the one-parameter families with the alpha that
+binds a center to its family.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -355,12 +357,117 @@ def _meets_half_strip(poly: Polygon, cap: int, pieces) -> bool:
     return False
 
 
+# -- the one-parameter family centers ---------------------------------------
+
+
+@functools.lru_cache(maxsize=1)  # the preset, the fact binding and the chain share one build
+def y_center_polygon(alpha: float) -> Polygon:
+    """Smallest center of the three-ray junction with half-opening alpha
+    measured from the vertical: a triangle at pi/3, a convex pentagon below
+    it (the two upper cuts meet the walls at the apex, since the binding
+    disjointness is between the two upper branches) and a concave pentagon
+    above it (the upper cuts bind against the bottom cut)."""
+    if not 0 < alpha < math.pi / 2:
+        raise InvalidGeometry(f"alpha = {alpha} is not in (0, pi/2)")
+    s, c = math.sin(alpha), math.cos(alpha)
+    y0 = (c - 1) / (2 * s)  # bottom cut height
+    top = (0.0, 1.0 / (2 * s))
+    if abs(alpha - math.pi / 3) < 1e-12:
+        verts = [(-0.5, y0), (0.5, y0), top]
+        tags = [BC.NEUMANN] * 3
+        roles = [EdgeRole.CUT] * 3
+    elif alpha < math.pi / 3:
+        yr = (2 * c * c - 1) / (2 * s)
+        verts = [(-0.5, y0), (0.5, y0), (c, yr), top, (-c, yr)]
+        tags = [BC.NEUMANN, BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.DIRICHLET]
+        roles = [EdgeRole.CUT, EdgeRole.WALL, EdgeRole.CUT, EdgeRole.CUT, EdgeRole.WALL]
+    else:
+        qr = (0.5 - c, y0 + s)
+        ql = (-0.5 + c, y0 + s)
+        verts = [(-0.5, y0), (0.5, y0), qr, top, ql]
+        tags = [BC.NEUMANN, BC.NEUMANN, BC.DIRICHLET, BC.DIRICHLET, BC.NEUMANN]
+        roles = [EdgeRole.CUT, EdgeRole.CUT, EdgeRole.WALL, EdgeRole.WALL, EdgeRole.CUT]
+    return Polygon(tuple(verts), tuple(tags), tuple(roles))
+
+
+@functools.lru_cache(maxsize=1)  # the preset, the fact binding and the chain share one build
+def broken_polygon(alpha: float) -> Polygon:
+    if not 0 < alpha < math.pi / 2:
+        raise InvalidGeometry(f"alpha = {alpha} is not in (0, pi/2)")
+    s, c = math.sin(alpha), math.cos(alpha)
+    verts = ((-1.0 / s, 0.0), (-s, -c), (0.0, 0.0), (-s, c))
+    tags = (BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.DIRICHLET)
+    roles = (EdgeRole.WALL, EdgeRole.CUT, EdgeRole.CUT, EdgeRole.WALL)
+    return Polygon(verts, tags, roles)
+
+
+def rounded_corner_polygon(alpha: float, arc_segments: int) -> Polygon:
+    """Inscribed polygonal stand-in for the circular-sector center: the arc is
+    replaced by an inscribed polyline, so truncated FEM values stay upper
+    bounds for the true rounded waveguide."""
+    verts: list[tuple[float, float]] = [(0.0, 0.0)]
+    for i in range(arc_segments + 1):
+        th = alpha * i / arc_segments
+        verts.append((math.cos(th), math.sin(th)))
+    radii = (0, len(verts) - 1)  # the two straight edges are cuts
+    tags = tuple(BC.NEUMANN if i in radii else BC.DIRICHLET for i in range(len(verts)))
+    roles = tuple(EdgeRole.CUT if i in radii else EdgeRole.WALL for i in range(len(verts)))
+    return Polygon(tuple(verts), tags, roles)
+
+
+def _y_alpha(c: Polygon) -> float:
+    """atan2(sin, cos) of a Y center, whose apex stands at 1/(2 sin): cos is
+    1 + y0 / apex for the triangle, whose bottom cut stands at
+    y0 = (cos - 1) / (2 sin), and vertex 2 of a pentagon, (cos, .) below
+    pi/3, where edge 1 is a wall, or (0.5 - cos, .) above it."""
+    top = c.vertices[2 if c.n_edges == 3 else 3][1]
+    if c.n_edges == 3:
+        cos = 1 + c.vertices[0][1] / top
+    else:
+        cos = c.vertices[2][0] if c.edge_tags[1] is BC.DIRICHLET else 0.5 - c.vertices[2][0]
+    return math.atan2(1 / (2 * top), cos)
+
+
+# family -> (its polygon at alpha, for a center c of the family; the vertex
+# counts it builds, None for any; the alpha read back from a center)
+FAMILIES = {
+    "bent-guide": (lambda a, c: broken_polygon(a), (4,), lambda c: math.atan2(-c.vertices[1][0], -c.vertices[1][1])),
+    "Y-junction": (lambda a, c: y_center_polygon(a), (3, 5), _y_alpha),
+    "sector": (lambda a, c: rounded_corner_polygon(a, c.n_edges - 2), None,
+               lambda c: math.atan2(c.vertices[-1][1], c.vertices[-1][0])),
+}
+ALPHA_ULPS = 2  # reading alpha back loses up to two roundings; 30,000 seeded angles per family needed no more
+
+
+def family_alpha(center: Polygon | Box3, family: str) -> Optional[float]:
+    """The alpha whose family polygon is exactly the center, or None: the
+    alpha read back from the center, or else the nearest float within
+    ALPHA_ULPS of it that rebuilds the center.  The test stays float
+    equality, so no binding widens, and a box or a vertex count the family
+    never builds is refused before any polygon is built."""
+    polygon, counts, read = FAMILIES[family]
+    if isinstance(center, Polygon) and (counts is None or center.n_edges in counts):
+        try:
+            below = above = read(center)
+            for _ in range(ALPHA_ULPS + 1):
+                for alpha in (below, above):
+                    if polygon(alpha, center) == center:
+                        return alpha
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        except (ArithmeticError, ValueError):  # no family polygon at this alpha
+            pass
+    return None
+
+
 # -- config files -----------------------------------------------------------
 
 
 def load_config(path: str) -> ValidatedConfig:
     with open(path) as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise _malformed(path, "nested too deeply") from None
     return validate_config(config_from_dict(raw))
 
 

@@ -68,7 +68,7 @@ class TestThreshold:
         # a wider branch lowers the threshold: the bent guide with unit-width
         # branches keeps threshold pi^2 regardless of the angle
         for a in (0.5, 1.0, 1.4):
-            assert threshold(certify.broken_config(a)) == pytest.approx(PI2, rel=1e-12)
+            assert threshold(preset("broken", alpha=a)[0]) == pytest.approx(PI2, rel=1e-12)
 
 
 class TestCounting:
@@ -222,8 +222,8 @@ class TestPresetOverrides:
         assert plan.truncation_length == 2.0
         # alpha is a shape keyword of the family presets, never a plan field
         assert "alpha" not in certify.PLAN_FIELDS
-        assert preset("broken", alpha=1.0)[0].center == certify._broken_polygon(1.0)
-        assert preset("rounded_corner")[0].center == certify._rounded_corner_polygon(math.pi / 2, 24)
+        assert preset("broken", alpha=1.0)[0].center == geom.broken_polygon(1.0)
+        assert preset("rounded_corner")[0].center == geom.rounded_corner_polygon(math.pi / 2, 24)
         with pytest.raises(NoPipeline, match="^preset 'y_junction' takes no parameter alpha$"):
             preset("y_junction", alpha=1.0)
         with pytest.raises(NoPipeline, match="^a configuration file takes no parameter alpha$"):
@@ -598,6 +598,18 @@ class TestSweepAnchor:
         assert sweep([1.0])[0].certified
         assert dofs == []
 
+    def test_a_sweep_builds_each_family_polygon_as_often_as_before(self):
+        # the preset, the fact binding and the chain of a verdict share one
+        # cached build, and a one-ulp read-back neighbour builds again: a
+        # lost cache builds more
+        rng = random.Random(1)
+        for sweep, build, lo, hi, misses in [(certify.sweep_broken, geom.broken_polygon, 0.35, 1.57, 2242),
+                                             (certify.sweep_y_alpha, geom.y_center_polygon, 0.6, 1.5, 2291)]:
+            alphas = [rng.uniform(lo, hi) for _ in range(2000)]
+            build.cache_clear()
+            sweep(alphas)
+            assert build.cache_info().misses == misses
+
 
 class TestFamilyFacts:
     # (fact, preset, its keywords, config file): each fact binds its preset and
@@ -645,9 +657,9 @@ class TestAlphaRecovery:
     # family -> (its config builder, the lower rule and the fact that bind it,
     # the angles drawn)
     FAMILIES = {
-        "bent-guide": (certify.broken_config, "broken_chain", "bent_guide", (0.35, 1.56)),
-        "Y-junction": (certify.y_alpha_config, "y_chain", "y_junction", (0.35, 1.56)),
-        "sector": (certify.rounded_corner_config, "sector", None, (0.35, 3.0)),
+        "bent-guide": (lambda a: preset("broken", alpha=a)[0], "broken_chain", "bent_guide", (0.35, 1.56)),
+        "Y-junction": (lambda a: preset("y_alpha", alpha=a)[0], "y_chain", "y_junction", (0.35, 1.56)),
+        "sector": (lambda a: preset("rounded_corner", alpha=a)[0], "sector", None, (0.35, 3.0)),
     }
 
     # the Y builder makes a triangle for every alpha within 1e-12 of pi/3
@@ -655,13 +667,13 @@ class TestAlphaRecovery:
                              + [("Y-junction", math.pi / 3 - 1e-12, math.pi / 3 + 1e-12)])
     def test_alpha_reads_back_from_the_center(self, family, lo, hi):
         build = self.FAMILIES[family][0]
-        polygon = certify._FAMILIES[family][0]
+        polygon = geom.FAMILIES[family][0]
         rng = random.Random(26)
         neighbours = 0
         for _ in range(2000):
             a = rng.uniform(lo, hi)
             vcfg = build(a)
-            got = certify._family_alpha(vcfg, family)
+            got = geom.family_alpha(vcfg.center, family)
             if got != a:  # only a one-ulp neighbour that builds the same center
                 assert got in (math.nextafter(a, 0.0), math.nextafter(a, 4.0)), (a, got)
                 assert polygon(got, vcfg.center) == vcfg.center
@@ -673,13 +685,13 @@ class TestAlphaRecovery:
     def test_a_center_one_ulp_off_is_bound_by_neither_rule_nor_fact(self, family, alpha):
         build, rule, fact, _ = self.FAMILIES[family]
         vcfg = build(alpha)
-        assert certify._family_alpha(vcfg, family) == alpha
+        assert geom.family_alpha(vcfg.center, family) == alpha
         if fact:
             assert certify._FACTS[fact][0](vcfg)
         for i in range(vcfg.center.n_edges):
             for j in (0, 1):
                 moved = _moved(vcfg, i, j)
-                assert certify._family_alpha(moved, family) is None
+                assert geom.family_alpha(moved.center, family) is None
                 with pytest.raises(certify.Unbound, match=f"^{rule} needs a {family} center"):
                     certify._LOWER_RULES[rule](moved, 2)
                 assert not any(binds(moved) for binds, *_ in certify._FACTS.values())
@@ -687,18 +699,18 @@ class TestAlphaRecovery:
     def test_a_triangle_off_pi_3_reads_back_its_own_alpha(self):
         # the triangle at pi/3 + 1e-13 differs from the one at pi/3 in its last bits
         alpha = math.pi / 3 + 1e-13
-        assert certify._family_alpha(certify.y_alpha_config(alpha), "Y-junction") == alpha
+        assert geom.family_alpha(geom.y_center_polygon(alpha), "Y-junction") == alpha
         row = certify.sweep_y_alpha([alpha])[0]
         assert (row.certified, row.n) == (True, 1)
 
     def test_the_shipped_family_files_read_back_their_alpha(self):
         for stem, family, alpha in [("broken_1.0", "bent-guide", 1.0), ("y_alpha_0.95", "Y-junction", 0.95),
                                     ("y_junction", "Y-junction", math.pi / 3), ("rounded_corner", "sector", math.pi / 2)]:
-            assert certify._family_alpha(geom.load_config(f"configs/{stem}.json"), family) == alpha
+            assert geom.family_alpha(geom.load_config(f"configs/{stem}.json").center, family) == alpha
 
     def test_a_vertex_count_the_family_never_builds_builds_no_polygon(self, monkeypatch):
-        built = _spy_calls(monkeypatch, certify, "_broken_polygon")
-        assert certify._family_alpha(certify.y_alpha_config(0.95), "bent-guide") is None
+        built = _spy_calls(monkeypatch, geom, "broken_polygon")
+        assert geom.family_alpha(geom.y_center_polygon(0.95), "bent-guide") is None
         assert built == []
 
 
@@ -804,17 +816,17 @@ class TestCrossingSymmetry:
 class TestGeometryBuilders:
     def test_y_center_valid_across_the_angle_range(self):
         for alpha in (0.6, 0.9, math.pi / 3, 1.2, 1.45):
-            vcfg = certify.y_alpha_config(alpha)
+            vcfg = preset("y_alpha", alpha=alpha)[0]
             assert vcfg.center.is_simple()
             assert vcfg.center.area() > 0
             assert len(vcfg.branches) == 3
 
     def test_y_junction_is_the_symmetric_case(self):
-        vcfg = certify.y_junction_config()
+        vcfg = preset("y_junction")[0]
         assert vcfg.center.n_edges == 3
 
     def test_rounded_corner_has_arc_wall(self):
-        vcfg = certify.rounded_corner_config(math.pi / 2)
+        vcfg = preset("rounded_corner")[0]
         assert vcfg.center.n_edges > 10  # polyline approximation of the arc
         assert len(vcfg.branches) == 2
 

@@ -343,6 +343,20 @@ class TestAlphaErrors:
         assert out == ""
         assert err.startswith("error: malformed configuration")
 
+    DEEP = "[" * 100_000  # deeper than the JSON decoder's recursion limit
+
+    @pytest.mark.parametrize("command", ["certify", "mesh"])
+    def test_a_deeply_nested_file_exits_one(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        done = fresh(command, str(path))
+        assert (done.returncode, done.stdout) == (cli.EXIT_ERROR, "")
+        assert done.stderr == f"error: malformed configuration: {path}: nested too deeply\n"
+
+    def test_deeply_nested_params_exit_one(self):
+        done = fresh("certify", "--preset", "t_junction", "--params", self.DEEP)
+        assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_ERROR, "", "error: --params: nested too deeply\n")
+
     def test_no_input_exits_one(self, capsys):
         code, out, err = run(capsys, "certify")
         assert code == cli.EXIT_ERROR

@@ -148,8 +148,8 @@ def _flip_inputs():
     vcfgs += [geom.load_config(str(path)) for path in sorted(Path("configs").glob("*.json"))]
     vcfgs = [v for v in vcfgs if isinstance(v.center, Polygon)]
     polys = [v.center for v in vcfgs] + [geom.truncate(v, length) for v in vcfgs for length in (2.0, 3.0, 4.0)]
-    polys += [geom.truncate(certify.broken_config(float(a)), 2.0) for a in np.linspace(0.3, 1.5, 12)]
-    polys += [geom.truncate(certify.y_alpha_config(float(a)), 2.0) for a in np.linspace(0.55, 1.45, 12)]
+    polys += [geom.truncate(certify.preset("broken", alpha=float(a))[0], 2.0) for a in np.linspace(0.3, 1.5, 12)]
+    polys += [geom.truncate(certify.preset("y_alpha", alpha=float(a))[0], 2.0) for a in np.linspace(0.55, 1.45, 12)]
     vertices = [np.array(p.vertices, dtype=float) for p in polys]
     rng = np.random.default_rng(19)
     for n in rng.integers(8, 81, size=40):
@@ -172,7 +172,7 @@ class TestDelaunayFlips:
 
     def test_the_flips_run_until_no_edge_flips(self):
         # the 64-segment arc needs 63 flips; the last arc triangle's angle is 90 / 64 degrees
-        poly = geom.truncate(certify.rounded_corner_config(math.pi / 2, 64), 2.0)
+        poly = geom.truncate(certify._unit_star("rounded_corner", geom.rounded_corner_polygon(math.pi / 2, 64)), 2.0)
         mesh = fem.triangulate(poly, 1e3)  # no refinement
         assert _delaunay_excess(mesh) <= 1e-9
         assert mesh.min_angle_deg() == pytest.approx(90 / 64, rel=1e-9)
@@ -940,8 +940,8 @@ class TestTriangulateGolden:
         configs = [(certify.preset(name)[0], length)
                    for name in ("t_junction", "y_junction", "crossing", "rounded_corner", "rect_two_eigs")
                    for length in (1.0, 2.0, 3.0, 4.0)]
-        configs += [(certify.broken_config(float(a)), 2.0) for a in np.linspace(0.3, 1.5, 12)]
-        configs += [(certify.y_alpha_config(float(a)), 2.0) for a in np.linspace(0.55, 1.45, 12)]
+        configs += [(certify.preset("broken", alpha=float(a))[0], 2.0) for a in np.linspace(0.3, 1.5, 12)]
+        configs += [(certify.preset("y_alpha", alpha=float(a))[0], 2.0) for a in np.linspace(0.55, 1.45, 12)]
         digest = hashlib.sha256()
         for vcfg, length in configs:
             digest.update(fem.mesh_text_dump(fem.triangulate(geom.truncate(vcfg, length), 0.5)).encode())

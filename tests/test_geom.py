@@ -159,8 +159,8 @@ class TestTruncate:
     @pytest.mark.parametrize("length", [1.0, 2.0, 3.0, 4.0])
     def test_every_preset_and_config_has_disjoint_half_strips(self, length):
         configs = [certify.preset(n)[0] for n in certify.PRESET_NAMES]
-        configs += [certify.broken_config(a) for a in (0.1, 0.5, 1.0, 1.5)]
-        configs += [certify.y_alpha_config(a) for a in (0.3, 0.9, 1.3, 1.55)]
+        configs += [certify.preset("broken", alpha=a)[0] for a in (0.1, 0.5, 1.0, 1.5)]
+        configs += [certify.preset("y_alpha", alpha=a)[0] for a in (0.3, 0.9, 1.3, 1.55)]
         configs += [geom.load_config(str(p)) for p in sorted(Path("configs").glob("*.json"))]
         for vcfg in configs:
             if vcfg.is_3d:
@@ -231,3 +231,12 @@ class TestConfigIO:
         assert len(paths) >= 8
         for p in paths:
             geom.load_config(p)
+
+
+class TestFamilyAlpha:
+    @pytest.mark.parametrize("family", sorted(geom.FAMILIES))
+    def test_a_box_or_a_fixed_shape_binds_no_family(self, family):
+        box = geom.Box3(dims=(1.0, 1.0, 1.0), axis_bcs=((BC.DIRICHLET, BC.NEUMANN),) * 3)
+        assert geom.family_alpha(box, family) is None
+        for stem in ("t_junction", "crossing", "straight_strip"):
+            assert geom.family_alpha(geom.load_config(f"configs/{stem}.json").center, family) is None
