@@ -8,6 +8,7 @@ decompositions.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import NamedTuple
 
 from .exact import (
@@ -19,6 +20,9 @@ from .exact import (
     right_triangle_dn_lower_bound,
 )
 from .geom import Polygon, orient
+
+_LOWER, _UPPER = Direction.LOWER, Direction.UPPER  # a module global reads faster than an Enum member
+_VALUE = attrgetter("value")
 
 
 class DirectionMismatch(ValueError):
@@ -49,34 +53,21 @@ class SpectralBound(NamedTuple):
     trace: tuple[TraceStep, ...]
     tol: float = 0.0  # accumulated floating-point tolerance budget
 
-    def extended(self, step: TraceStep, *, operator=None, value=None, tol_add=0.0):
-        return SpectralBound(
-            self.operator if operator is None else operator,
-            self.index,
-            self.value if value is None else value,
-            self.direction,
-            self.trace + (step,),
-            self.tol + tol_add,
-        )
+
+# _make of a field tuple builds a record without the NamedTuple __new__ call;
+# the sweeps build a dozen records per verdict, thousands of times
+_step, _bound = TraceStep._make, SpectralBound._make
 
 
 def lower_bound(operator: str, index: int, value: float, rule: str, params: dict, tol: float = 0.0) -> SpectralBound:
-    return SpectralBound(
-        operator, index, value, Direction.LOWER,
-        (TraceStep(rule, params, value),), tol,
-    )
+    return _bound((operator, index, value, _LOWER, (_step((rule, params, value)),), tol))
 
 
 def bounds_from_eiglist(operator: str, eigs: EigList, direction: Direction, rule: str, params: dict) -> list[SpectralBound]:
-    out = []
-    for i, (v, prov) in enumerate(zip(eigs.values, eigs.provenance), start=1):
-        p = dict(params)
-        p["index"] = i
-        p["provenance"] = prov
-        out.append(
-            SpectralBound(operator, i, v, direction, (TraceStep(rule, p, v),), 0.0)
-        )
-    return out
+    return [
+        _bound((operator, i, v, direction, (_step((rule, {**params, "index": i, "provenance": prov}, v)),), 0.0))
+        for i, (v, prov) in enumerate(zip(eigs.values, eigs.provenance), start=1)
+    ]
 
 
 # -- rules ------------------------------------------------------------------
@@ -87,12 +78,10 @@ def dirichlet_monotone(sub_bounds: list[SpectralBound], waveguide_op: str) -> li
     shrinking a Dirichlet domain raises every eigenvalue."""
     out = []
     for b in sub_bounds:
-        if b.direction is not Direction.UPPER:
+        if b.direction is not _UPPER:
             raise DirectionMismatch("domain monotonicity transports upper bounds only")
-        step = TraceStep(
-            "dirichlet-monotone", {"from": b.operator, "index": b.index}, b.value
-        )
-        out.append(b.extended(step, operator=waveguide_op))
+        step = _step(("dirichlet-monotone", {"from": b.operator, "index": b.index}, b.value))
+        out.append(_bound((waveguide_op, b.index, b.value, b.direction, b.trace + (step,), b.tol)))
     return out
 
 
@@ -105,19 +94,18 @@ def scale_bound(src: list[SpectralBound], coeffs: tuple[float, float], target_op
     factor = min(c1**-2, c2**-2)
     out = []
     for b in src:
-        if b.direction is not Direction.LOWER:
+        if b.direction is not _LOWER:
             raise DirectionMismatch("scale_bound transports lower bounds only")
         v = factor * b.value
-        step = TraceStep("scale", {"coeffs": [c1, c2], "factor": factor, "input": b.value}, v)
-        out.append(b.extended(step, operator=target_op, value=v, tol_add=1e-13 * abs(v)))
+        step = _step(("scale", {"coeffs": [c1, c2], "factor": factor, "input": b.value}, v))
+        out.append(_bound((target_op, b.index, v, b.direction, b.trace + (step,), b.tol + 1e-13 * abs(v))))
     return out
 
 
 def _near_boundary(edges, x: float, y: float, tol: float) -> bool:
-    """Whether (x, y) lies within tol of one of the segments edges."""
-    for (x0, y0), (x1, y1) in edges:
-        dx, dy = x1 - x0, y1 - y0
-        L2 = dx * dx + dy * dy
+    """Whether (x, y) lies within tol of one of the segments edges, each
+    given as its start, direction and squared length."""
+    for x0, y0, dx, dy, L2 in edges:
         t = max(0.0, min(1.0, ((x - x0) * dx + (y - y0) * dy) / L2))
         px, py = x0 + t * dx, y0 + t * dy
         if math.hypot(x - px, y - py) <= tol:
@@ -125,11 +113,14 @@ def _near_boundary(edges, x: float, y: float, tol: float) -> bool:
     return False
 
 
-def _is_convex(poly: Polygon) -> bool:
-    """No self-crossing and no turn against the orientation (a straight angle
-    is allowed)."""
-    v, sign = poly.vertices, math.copysign(1.0, poly.signed_area())
-    return not any(sign * orient(a, b, c) < 0 for a, b, c in zip(v, v[1:] + v[:1], v[2:] + v[:2])) and poly.is_simple()
+def _is_convex(poly: Polygon, sign: float) -> bool:
+    """No self-crossing and no turn against the orientation sign (a straight
+    angle is allowed)."""
+    v = poly.vertices
+    for a, b, c in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
+        if sign * orient(a, b, c) < 0:
+            return False
+    return poly.is_simple()
 
 
 def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> None:
@@ -138,13 +129,19 @@ def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> Non
     every edge of outer (the orientation signs) or within tol of its
     boundary.  A non-convex outer is refused: its vertices say nothing about
     the edges between them."""
-    if not _is_convex(outer):
-        raise ContainmentViolation("the enclosure is not convex")
     sign = math.copysign(1.0, outer.signed_area())
-    edges = [outer.edge(i) for i in range(outer.n_edges)]
-    for v in inner.vertices:
-        if not (all(sign * orient(p, q, v) > 0 for p, q in edges) or _near_boundary(edges, *v, tol)):
-            raise ContainmentViolation(f"vertex ({v[0]}, {v[1]}) of the inner domain lies outside the enclosure")
+    if not _is_convex(outer, sign):
+        raise ContainmentViolation("the enclosure is not convex")
+    edges = []  # start, direction and squared length of each edge of outer
+    for (x0, y0), (x1, y1) in map(outer.edge, range(outer.n_edges)):
+        dx, dy = x1 - x0, y1 - y0
+        edges.append((x0, y0, dx, dy, dx * dx + dy * dy))
+    for x, y in inner.vertices:
+        for x0, y0, dx, dy, _ in edges:
+            if not sign * (dx * (y - y0) - dy * (x - x0)) > 0:  # orient((x0, y0), (x1, y1), (x, y))
+                if _near_boundary(edges, x, y, tol):
+                    break
+                raise ContainmentViolation(f"vertex ({x}, {y}) of the inner domain lies outside the enclosure")
 
 
 def neumann_enclosure_bounds(
@@ -163,14 +160,10 @@ def neumann_enclosure_bounds(
     check_containment(center, enclosure)
     out = []
     for b in enclosure_bounds:
-        if b.direction is not Direction.LOWER:
+        if b.direction is not _LOWER:
             raise DirectionMismatch("enclosure transports lower bounds only")
-        step = TraceStep(
-            "neumann-enclosure",
-            {"enclosure": enclosure_name, "index": b.index, "from": b.operator},
-            b.value,
-        )
-        out.append(b.extended(step, operator=dn_op))
+        step = _step(("neumann-enclosure", {"enclosure": enclosure_name, "index": b.index, "from": b.operator}, b.value))
+        out.append(_bound((dn_op, b.index, b.value, b.direction, b.trace + (step,), b.tol)))
     return out
 
 
@@ -183,26 +176,18 @@ def direct_sum_bounds(
     eigenvalues beyond the listed ones still dominate its last listed bound,
     each part is tail-extended by repeating that last bound before merging.
     """
-    if any(b.direction is not Direction.LOWER for bs in parts for b in bs):
-        raise DirectionMismatch("direct_sum_bounds merges lower bounds only")
-    entries: list[tuple[float, SpectralBound]] = []
+    entries: list[SpectralBound] = []
     for bs in parts:
-        if not bs:
-            continue
-        for b in bs:
-            entries.append((b.value, b))
-        last = bs[-1]
-        for _ in range(k - len(bs)):
-            entries.append((last.value, last))
-    entries.sort(key=lambda t: t[0])
+        entries += bs
+        entries += bs[-1:] * (k - len(bs))
+    for b in entries:
+        if b.direction is not _LOWER:
+            raise DirectionMismatch("direct_sum_bounds merges lower bounds only")
+    entries.sort(key=_VALUE)  # stable: equal values keep the part order
     out = []
-    for i, (v, src) in enumerate(entries[:k], start=1):
-        step = TraceStep(
-            "direct-sum", {"part_operator": src.operator, "part_index": src.index}, v
-        )
-        out.append(
-            SpectralBound(sum_op, i, v, Direction.LOWER, src.trace + (step,), src.tol)
-        )
+    for i, b in enumerate(entries[:k], start=1):
+        step = _step(("direct-sum", {"part_operator": b.operator, "part_index": b.index}, b.value))
+        out.append(_bound((sum_op, i, b.value, _LOWER, b.trace + (step,), b.tol)))
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from . import bounds as bnd
@@ -103,11 +104,14 @@ class Verdict(NamedTuple):
 def threshold(vcfg: ValidatedConfig) -> float:
     """Bottom of the essential spectrum: the smallest first Dirichlet
     eigenvalue among the branch cross-sections."""
-    return min(exact.cross_section_threshold(b.cross_section) for b in vcfg.branches)
+    return min([exact.cross_section_threshold(b.cross_section) for b in vcfg.branches])
+
+
+_TOL = attrgetter("tol")
 
 
 def _budget(nu: float, used: list[SpectralBound]) -> float:
-    return max(sum(b.tol for b in used), BUDGET_FLOOR_REL * nu)
+    return max(sum(map(_TOL, used)), BUDGET_FLOOR_REL * nu)
 
 
 # -- counting (upper-bound) pipelines --------------------------------------
@@ -213,10 +217,10 @@ def _is_config(vcfg: ValidatedConfig, build) -> bool:
 # bound state exists, n_true >= 1; a center lower bound for index 2 then gives
 # n_true = 1.  The fact and anchor texts go into the assumption step.
 _FACTS = {
-    "bent_guide": (lambda vcfg: geom.family_alpha(vcfg.center, "bent-guide") is not None,
+    "bent_guide": (lambda vcfg: vcfg.family_alpha("bent-guide") is not None,
                    "bent guides of constant width always have nonempty discrete spectrum", None,
                    "Exner-Seba, J. Math. Phys. 30 (1989) 2574; Avishai et al., Phys. Rev. B 44 (1991) 8028"),
-    "y_junction": (lambda vcfg: geom.family_alpha(vcfg.center, "Y-junction") is not None,
+    "y_junction": (lambda vcfg: vcfg.family_alpha("Y-junction") is not None,
                    "junction contains a bent guide of complementary angle", "bent_guide",
                    "Dirichlet monotonicity and the bent_guide fact"),
     "cube_square": (lambda vcfg: _is_config(vcfg, cube_square_config),
@@ -231,11 +235,18 @@ _FACTS = {
 def _count_family_fact(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
     """One eigenvalue below nu, witnessed by the first fact of _FACTS whose
     binding accepts the config; with none it is Unbound."""
-    for binds, fact, anchor, _ in _FACTS.values():
+    for name, (binds, _, _, _) in _FACTS.items():
         if binds(vcfg):
-            step = TraceStep("assumption", {"fact": fact, "anchor": anchor}, 1.0)
-            return 1, [SpectralBound(WAVEGUIDE_OP, 1, nu, Direction.UPPER, (step,), 0.0)]
+            return 1, [SpectralBound(WAVEGUIDE_OP, 1, nu, Direction.UPPER, (_fact_step(name),), 0.0)]
     raise Unbound(f"family_fact has no fact proved for this config (facts: {', '.join(_FACTS)})")
+
+
+@functools.cache
+def _fact_step(name: str) -> TraceStep:
+    """The assumption step of a fact of _FACTS; no alpha enters it, so it is
+    built once and every verdict shares it."""
+    _, fact, anchor, _ = _FACTS[name]
+    return TraceStep("assumption", {"fact": fact, "anchor": anchor}, 1.0)
 
 
 _COUNT_RULES = {
@@ -290,10 +301,7 @@ def _lower_box(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
         "box-eig", {"dims": dims, "bcs": bcs},
     )
     if relaxed:
-        out = [
-            b.extended(TraceStep("neumann-relaxation", {"detail": relaxed}, b.value))
-            for b in out
-        ]
+        out = [b._replace(trace=b.trace + (TraceStep("neumann-relaxation", {"detail": relaxed}, b.value),)) for b in out]
     return out
 
 
@@ -311,9 +319,9 @@ def _lower_neumann_equilateral(vcfg: ValidatedConfig, k: int) -> list[SpectralBo
 
 
 def _family_alpha(vcfg: ValidatedConfig, family: str, rule: str) -> float:
-    """The alpha of geom.family_alpha; a center that is the family's polygon
-    at no alpha is Unbound, named by the rule."""
-    alpha = geom.family_alpha(vcfg.center, family)
+    """The alpha of geom.family_alpha, bound once per config; a center that
+    is the family's polygon at no alpha is Unbound, named by the rule."""
+    alpha = vcfg.family_alpha(family)
     if alpha is None:
         raise Unbound(f"{rule} needs a {family} center: this one is the family's polygon at no alpha")
     return alpha
@@ -331,7 +339,10 @@ def _pi6_embedding() -> SpectralBound:
         "equilateral-eig", {"side": side, "bc": "dirichlet"},
     )[3]
     step = TraceStep("symmetry-restriction", {"admissible_rank": 2, "full_rank": 4}, base.value)
-    return base.extended(step, operator="half-even-pi6")._replace(index=2)
+    return base._replace(operator="half-even-pi6", index=2, trace=base.trace + (step,))
+
+
+_EVEN_FLOOR = bnd.lower_bound("half-even", 1, 0.0, "trivial-floor", {})  # no alpha enters: every verdict shares it
 
 
 def _lower_broken_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
@@ -346,10 +357,7 @@ def _lower_broken_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     # coefficients (c, 1) covers both directions.  The first eigenvalue is
     # only floored by 0.
     c = (1.0 / math.tan(alpha)) / math.sqrt(3)
-    even = [
-        bnd.lower_bound("half-even", 1, 0.0, "trivial-floor", {}),
-        bnd.scale_bound([_pi6_embedding()], (c, 1.0), "half-even")[0],
-    ]
+    even = [_EVEN_FLOOR, *bnd.scale_bound([_pi6_embedding()], (c, 1.0), "half-even")]
     return bnd.direct_sum_bounds([odd, even], DN_CENTER_OP, k)
 
 
@@ -377,7 +385,7 @@ def _lower_y_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     )
     on_m = bnd.scale_bound(eq, coeffs, "enclosure-neumann")
     y0 = vcfg.center.vertices[0][1]  # the isosceles enclosure stands on the bottom cut
-    enclosure = geom.simple_polygon([(-l / 2, y0), (l / 2, y0), (0.0, y0 + h)])
+    enclosure = Polygon(((-l / 2, y0), (l / 2, y0), (0.0, y0 + h)), (BC.DIRICHLET,) * 3, (EdgeRole.WALL,) * 3)
     return bnd.neumann_enclosure_bounds(DN_CENTER_OP, vcfg.center, enclosure, on_m, enclosure_name=name)
 
 
@@ -440,14 +448,14 @@ def _first_binding_rule(vcfg: ValidatedConfig) -> str:
 
 
 def _rigor(all_bounds: list[SpectralBound]) -> str:
-    if not all_bounds:
-        return "none"
-    rules = {s.rule for b in all_bounds for s in b.trace}
-    if "assumption" in rules:
-        return "assumed"
-    if "fem-upper" in rules:
-        return "numerically_assisted"
-    return "analytic"
+    rigor = "analytic" if all_bounds else "none"
+    for b in all_bounds:
+        for step in b.trace:
+            if step.rule == "assumption":
+                return "assumed"
+            if step.rule == "fem-upper":
+                rigor = "numerically_assisted"
+    return rigor
 
 
 def _inconclusive(name: str, nu: float, reason: str, extra: dict, uppers=(), lowers=()) -> Verdict:
@@ -540,23 +548,25 @@ def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: floa
     if len(lowers) <= n:
         reason = f"lower-bound pipeline provides only {len(lowers)} values, need {n + 1}"
         return _inconclusive(name, nu, reason, extra, uppers, lowers)
-    used = list(uppers) + list(lowers)
+    used = [*uppers, *lowers]
     budget = _budget(nu, used)
-    rigor = _rigor(used)
-    l_next = lowers[n]
-    dn_margin = l_next.value - nu
+    dn_margin = lowers[n].value - nu
     margins = {"dn_gap": dn_margin}
     count_margin = None
-    real_uppers = [b for b in uppers if b.trace[-1].rule != "assumption" and b.trace[0].rule != "assumption"]
+    real_uppers = []
+    for b in uppers:
+        if b.trace[-1].rule != "assumption" and b.trace[0].rule != "assumption":
+            real_uppers.append(b)
     if n >= 1 and len(real_uppers) >= n:
         count_margin = nu - real_uppers[n - 1].value
         margins["count_gap"] = count_margin
     # bracketing consistency: each center lower bound must not exceed the
     # matching waveguide upper bound
-    consistent = all(
-        lowers[j].value <= real_uppers[j].value + budget
-        for j in range(min(n, len(real_uppers), len(lowers)))
-    )
+    consistent = True
+    for lower, upper in zip(lowers[:n], real_uppers):
+        if not lower.value <= upper.value + budget:
+            consistent = False
+            break
     certified = dn_margin > budget and (count_margin is None or count_margin > budget) and consistent
     if certified:
         reason = f"{n} eigenvalue(s) below threshold; center lower bound exceeds threshold by {dn_margin:.6g}"
@@ -566,19 +576,8 @@ def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: floa
         reason = f"center lower bound margin {dn_margin:.6g} within tolerance budget {budget:.6g}"
     else:
         reason = f"count margin {count_margin:.6g} within tolerance budget {budget:.6g}"
-    return Verdict(
-        name=name,
-        certified=certified,
-        n_discrete=n if certified else None,
-        rigor=rigor,
-        nu=nu,
-        margins=margins,
-        reason=reason,
-        budget=budget,
-        lower_bounds=tuple(lowers),
-        upper_bounds=tuple(uppers),
-        extra=extra,
-    )
+    return Verdict(name, certified, n if certified else None, _rigor(used), nu, margins, reason, budget,
+                   tuple(lowers), tuple(uppers), extra)
 
 
 def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:

@@ -82,6 +82,8 @@ def _overrides(args) -> dict:
         extra = json.loads(args.params)
     except RecursionError:  # the decoder recurses once per nesting level
         raise ValueError("--params: nested too deeply") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"--params: {e}") from None
     if not isinstance(extra, dict):
         raise ValueError("--params must be a JSON object")
     flags = {k: v for k, v in vars(args).items() if k in certify.PLAN_FIELDS and v is not None}

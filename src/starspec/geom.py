@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -96,7 +96,8 @@ class Polygon:
         return len(self.vertices)
 
     def edge(self, i: int) -> tuple[tuple[float, float], tuple[float, float]]:
-        return self.vertices[i], self.vertices[(i + 1) % self.n_edges]
+        v = self.vertices
+        return v[i], v[(i + 1) % len(v)]
 
     def edge_length(self, i: int) -> float:
         (x0, y0), (x1, y1) = self.edge(i)
@@ -114,11 +115,12 @@ class Polygon:
 
     def is_simple(self) -> bool:
         n = self.n_edges
+        edges = [self.edge(i) for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 if j == i or (j + 1) % n == i or (i + 1) % n == j:
                     continue  # adjacent edges share a vertex
-                if _segments_intersect(*self.edge(i), *self.edge(j)):
+                if _segments_intersect(*edges[i], *edges[j]):
                     return False
         return True
 
@@ -213,11 +215,19 @@ class ValidatedConfig:
     is_3d read through to it."""
 
     cfg: StarWaveguideConfig
+    _alphas: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # family -> its family_alpha
 
     name = property(lambda self: self.cfg.name)
     center = property(lambda self: self.cfg.center)
     branches = property(lambda self: self.cfg.branches)
     is_3d = property(lambda self: self.cfg.is_3d)
+
+    def family_alpha(self, family: str) -> Optional[float]:
+        """family_alpha of the center, bound on the first call for the family
+        and read back from then on."""
+        if family not in self._alphas:
+            self._alphas[family] = family_alpha(self.cfg.center, family)
+        return self._alphas[family]
 
 
 def validate_config(cfg: StarWaveguideConfig) -> ValidatedConfig:
@@ -446,12 +456,13 @@ def family_alpha(center: Polygon | Box3, family: str) -> Optional[float]:
     equality, so no binding widens, and a box or a vertex count the family
     never builds is refused before any polygon is built."""
     polygon, counts, read = FAMILIES[family]
-    if isinstance(center, Polygon) and (counts is None or center.n_edges in counts):
+    if isinstance(center, Polygon) and (counts is None or len(center.vertices) in counts):
         try:
             below = above = read(center)
             for _ in range(ALPHA_ULPS + 1):
                 for alpha in (below, above):
-                    if polygon(alpha, center) == center:
+                    built = polygon(alpha, center)
+                    if built is center or built == center:  # a preset's center is the cached build itself
                         return alpha
                 below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
         except (ArithmeticError, ValueError):  # no family polygon at this alpha
@@ -468,6 +479,8 @@ def load_config(path: str) -> ValidatedConfig:
             raw = json.load(f)
         except RecursionError:  # the decoder recurses once per nesting level
             raise _malformed(path, "nested too deeply") from None
+        except json.JSONDecodeError as e:
+            raise _malformed(path, str(e)) from None
     return validate_config(config_from_dict(raw))
 
 

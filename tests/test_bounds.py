@@ -1,6 +1,7 @@
 """Bound rules: soundness against exact spectra, trace replay, direct sums."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from starspec.bounds import (
     trace_to_json,
 )
 from starspec.exact import PI2, box_eigs, equilateral_eigs
-from starspec.geom import Polygon, simple_polygon
+from starspec.geom import BC, EdgeRole, Polygon, orient, simple_polygon
 
 REPLAY_REL = 1e-13
 
@@ -160,6 +161,72 @@ class TestRules:
     def test_a_straight_angle_keeps_an_enclosure_convex(self, clockwise):
         outer = _enclosure([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         check_containment(simple_polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]), outer)
+
+
+def _reference_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> str | None:
+    """The message of the ContainmentViolation that check_containment raised
+    when it tested each vertex with orient and a fresh _near_boundary scan of
+    the raw edges, or None where it accepted."""
+    v = outer.vertices
+    sign = math.copysign(1.0, outer.signed_area())
+    if any(sign * orient(a, b, c) < 0 for a, b, c in zip(v, v[1:] + v[:1], v[2:] + v[:2])) or not outer.is_simple():
+        return "the enclosure is not convex"
+    edges = [outer.edge(i) for i in range(outer.n_edges)]
+    for x, y in inner.vertices:
+        if all(sign * orient(p, q, (x, y)) > 0 for p, q in edges):
+            continue
+        for (x0, y0), (x1, y1) in edges:
+            dx, dy = x1 - x0, y1 - y0
+            t = max(0.0, min(1.0, ((x - x0) * dx + (y - y0) * dy) / (dx * dx + dy * dy)))
+            if math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)) <= tol:
+                break
+        else:
+            return f"vertex ({x}, {y}) of the inner domain lies outside the enclosure"
+    return None
+
+
+class TestContainmentMatchesPerVertexScan:
+    def test_seeded_enclosures(self):
+        # 4,000 convex enclosures of 3-8 vertices on an ellipse, half of them
+        # clockwise and a quarter translated far from the origin; each inner
+        # vertex lies on an edge (up to rounding), 1e-11 to 1e-9 off it on
+        # either side, or far inside or outside
+        rng = random.Random(11)
+        outcomes = {"accepted": 0, "vertex": 0}
+        for _ in range(4000):
+            n = rng.randint(3, 8)
+            rx, ry, cx, cy = rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), 0.0, 0.0
+            if rng.random() < 0.25:
+                cx, cy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+            angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
+            verts = [(cx + rx * math.cos(a), cy + ry * math.sin(a)) for a in angles]
+            outer = _enclosure(verts, clockwise=rng.random() < 0.5)
+            inner_verts = []
+            for _ in range(rng.randint(3, 6)):
+                (x0, y0), (x1, y1) = outer.edge(rng.randrange(n))
+                t = rng.random()
+                x, y = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+                kind = rng.choice(["on", "off", "off", "far"])
+                if kind == "off":
+                    length = math.hypot(x1 - x0, y1 - y0)
+                    d = rng.choice([-1, 1]) * 10 ** rng.uniform(-11, -9) / length
+                    x, y = x + d * (y1 - y0), y - d * (x1 - x0)
+                elif kind == "far":
+                    s = rng.choice([0.5, 1.5])
+                    x, y = cx + s * (x - cx), cy + s * (y - cy)
+                inner_verts.append((x, y))
+            m = len(inner_verts)
+            inner = Polygon(tuple(inner_verts), (BC.DIRICHLET,) * m, (EdgeRole.WALL,) * m)
+            want = _reference_containment(inner, outer)
+            try:
+                check_containment(inner, outer)
+                got = None
+            except ContainmentViolation as e:
+                got = str(e)
+            assert got == want, (outer.vertices, inner.vertices)
+            outcomes["accepted" if got is None else got.split()[0]] += 1
+        # both outcomes are common, and no ellipse polygon is refused as non-convex
+        assert min(outcomes.values()) > 800 and sum(outcomes.values()) == 4000
 
 
 class TestDirectSum:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import random
 from pathlib import Path
@@ -571,6 +572,60 @@ class TestTailCaps:
         assert triangulated == [0.5]  # (2.0, 0.5, 2) refines the (2.0, 0.5, 1) mesh
 
 
+class TestFamilyReports:
+    # sha256 of the whole reports (traces, tols, budgets, margins) of seeded
+    # family_fact verdicts: bent angles on both sides of the critical 0.408637,
+    # with 0.41 and 0.84 as np.arange(0.30, ..., 0.01) makes them, whose alpha
+    # reads back as its one-ulp neighbour; Y angles below, at and above pi/3;
+    # and rect_two_eigs points of the region grid, in and out of the region,
+    # under their preset plan
+    GOLDEN = "17747dc6ecf013cf7c083a7ccecf711fc8200e0362fcd9272c8a62a81dd13142"
+
+    @staticmethod
+    def _reports() -> list[str]:
+        rng = random.Random(7)
+        runs = []
+        for a in [0.36, 0.4086, 0.408637, 0.4087, 0.4100000000000001, 0.8400000000000005, 1.0, 1.56] + [rng.uniform(0.35, 1.57) for _ in range(12)]:
+            runs.append(preset("broken", alpha=a, count_strategy="family_fact"))
+        for a in [0.6, 0.95, math.pi / 3, 1.2, 1.5] + [rng.uniform(0.6, 1.5) for _ in range(10)]:
+            runs.append(preset("y_alpha", alpha=a, count_strategy="family_fact"))
+        grid = [(i / 301, 0.5 * j / 151) for i in range(1, 301) for j in range(1, 151)]
+        inside = [p for p in grid if region_inside(*p)]
+        points = rng.sample(inside, 14) + rng.sample([p for p in grid if not region_inside(*p)], 6)
+        runs += [preset("rect_two_eigs", a=1.0 / x, b=1.0 / y) for x, y in points]
+        return [cli.dumps_report(run_certify(vcfg, plan, name=vcfg.name).to_dict()) for vcfg, plan in runs]
+
+    def test_report_bytes_are_pinned(self):
+        assert hashlib.sha256("".join(self._reports()).encode()).hexdigest() == self.GOLDEN
+
+    def test_the_reports_cover_both_verdicts_of_each_family(self):
+        seen = {(r["name"].split("_")[0], r["verdict"]) for r in map(json.loads, self._reports())}
+        assert seen == {(family, v) for family in ("broken", "y", "rect") for v in ("CertifiedNoResonance", "Inconclusive")}
+
+
+class TestLowerRuleOracle:
+    def test_every_lower_bound_lies_below_the_fem_upper_bound(self):
+        """Differential oracle for the lower rules: for seeded members of the
+        domains of box, broken_chain, y_chain and sector, each l_k (k = 1, 2)
+        lies at or below the finest P1 value of fem.dn_spectrum(center, 2, 3,
+        0.25), an upper bound of the same mixed-condition center operator.
+        The check is loose: over 44 members the smallest ratios u/l were 1.12
+        (sector) to 1.57 (y_chain), and among these members box comes closest
+        at about 1.006.  It catches a formula wrong by more than that slack,
+        not a small drift."""
+        rng = random.Random(3)
+        members = []
+        for _ in range(2):
+            members += [("box", preset("rect_two_eigs", a=rng.uniform(1.0, 3.0), b=rng.uniform(2.1, 3.0))[0]),
+                        ("broken_chain", preset("broken", alpha=rng.uniform(0.35, 1.5))[0]),
+                        ("y_chain", preset("y_alpha", alpha=rng.uniform(0.6, 1.5))[0]),
+                        ("sector", preset("rounded_corner", alpha=rng.uniform(0.35, 3.0))[0])]
+        for rule, vcfg in members:
+            lowers = [b.value for b in certify._LOWER_RULES[rule](vcfg, 2)]
+            uppers = fem.dn_spectrum(vcfg.center, 2, 3, 0.25).level_values[-1]
+            assert len(lowers) == 2 and all(l <= u for l, u in zip(lowers, uppers)), (rule, vcfg.name, lowers, uppers)
+
+
 class TestSweepAnchor:
     # sha256 of the sweep_broken rows on 0.30-1.56 and the sweep_y_alpha rows
     # on 0.60-1.49 (0.01 grids) as CSV; at 0.41 and 0.84 the bent guide's
@@ -599,12 +654,13 @@ class TestSweepAnchor:
         assert dofs == []
 
     def test_a_sweep_builds_each_family_polygon_as_often_as_before(self):
-        # the preset, the fact binding and the chain of a verdict share one
-        # cached build, and a one-ulp read-back neighbour builds again: a
-        # lost cache builds more
+        # the preset and the alpha binding of a verdict share one cached build,
+        # a one-ulp read-back neighbour builds again, and the fact and the
+        # chain read the binding the config keeps: a lost cache or a second
+        # binding builds more
         rng = random.Random(1)
-        for sweep, build, lo, hi, misses in [(certify.sweep_broken, geom.broken_polygon, 0.35, 1.57, 2242),
-                                             (certify.sweep_y_alpha, geom.y_center_polygon, 0.6, 1.5, 2291)]:
+        for sweep, build, lo, hi, misses in [(certify.sweep_broken, geom.broken_polygon, 0.35, 1.57, 2161),
+                                             (certify.sweep_y_alpha, geom.y_center_polygon, 0.6, 1.5, 2178)]:
             alphas = [rng.uniform(lo, hi) for _ in range(2000)]
             build.cache_clear()
             sweep(alphas)
@@ -712,6 +768,17 @@ class TestAlphaRecovery:
         built = _spy_calls(monkeypatch, geom, "broken_polygon")
         assert geom.family_alpha(geom.y_center_polygon(0.95), "bent-guide") is None
         assert built == []
+
+    @pytest.mark.parametrize("name, alpha, families", [("broken", 1.0, ["bent-guide"]),
+                                                       ("y_alpha", 0.95, ["bent-guide", "Y-junction"])])
+    def test_a_verdict_binds_each_family_once(self, monkeypatch, name, alpha, families):
+        # the fact binding and the chain read the alpha the config keeps, and
+        # a second verdict on the same config binds nothing again
+        vcfg, plan = preset(name, alpha=alpha, count_strategy="family_fact")
+        bound = _spy_calls(monkeypatch, geom, "family_alpha")
+        for _ in range(2):
+            assert run_certify(vcfg, plan, name=name).certified
+        assert bound == [(vcfg.center, family) for family in families]
 
 
 class TestAutoLowerRule:

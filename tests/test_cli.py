@@ -357,6 +357,19 @@ class TestAlphaErrors:
         done = fresh("certify", "--preset", "t_junction", "--params", self.DEEP)
         assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_ERROR, "", "error: --params: nested too deeply\n")
 
+    @pytest.mark.parametrize("command", ["certify", "mesh"])
+    def test_a_truncated_file_exits_one_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"name": ')
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == f"error: malformed configuration: {path}: Expecting value: line 1 column 10 (char 9)\n"
+
+    def test_truncated_params_exit_one_naming_the_flag(self, capsys):
+        code, out, err = run(capsys, "certify", "--preset", "t_junction", "--params", '{"fem_levels": ')
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == "error: --params: Expecting value: line 1 column 16 (char 15)\n"
+
     def test_no_input_exits_one(self, capsys):
         code, out, err = run(capsys, "certify")
         assert code == cli.EXIT_ERROR
