@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from . import bounds as bnd
 from . import exact, fem, geom
 from .bounds import Direction, SpectralBound, TraceStep
@@ -650,11 +652,14 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
 # -- geometry builders for the catalog examples ----------------------------
 
 
+_UNIT_INTERVAL = CrossSection.interval(1.0)
+
+
 def _unit_star(name: str, poly: Polygon) -> ValidatedConfig:
     """The validated config of poly with a unit-width branch on every cut
     edge, in edge order."""
-    cuts = (i for i, role in enumerate(poly.edge_roles) if role is EdgeRole.CUT)
-    return geom.validate_config(StarWaveguideConfig(name, poly, tuple(Branch(i, CrossSection.interval(1.0)) for i in cuts)))
+    branches = tuple([Branch(i, _UNIT_INTERVAL) for i, role in enumerate(poly.edge_roles) if role is EdgeRole.CUT])
+    return geom.validate_config(StarWaveguideConfig(name, poly, branches))
 
 
 def t_junction_config() -> ValidatedConfig:
@@ -749,26 +754,39 @@ def make_plan(kw: dict, base=None, shape=frozenset(), where="a configuration fil
     return CertificationPlan(**{**(base or {}), **{k: v for k, v in kw.items() if k in PLAN_FIELDS}})
 
 
+def _shape(name: str, kw: dict) -> dict:
+    """The shape keywords of a preset, kw's values over their defaults; each must be a number."""
+    if name not in _PRESETS:
+        raise NoPipeline(f"unknown preset {name!r}")
+    shape = {k: kw.get(k, v) for k, v in _PRESETS[name][1].items()}
+    for k, v in shape.items():
+        if not _is_number(v):
+            raise NoPipeline(f"preset {name!r} needs {k}" if v is None else f"{k} = {v!r}: must be a number")
+    return shape
+
+
+def _plan(name: str, kw: dict) -> CertificationPlan:
+    """The checked plan of a preset, which no shape keyword changes: a sweep makes it once."""
+    return make_plan(kw, _PRESETS[name][2], _PRESETS[name][1].keys(), f"preset {name!r}")
+
+
 def preset(name: str, /, **kw) -> tuple[ValidatedConfig, CertificationPlan]:
     """Config and plan of a catalog example.  A keyword is a
     CertificationPlan field or one of the preset's shape keywords, which are
     numbers and go to the config builder.  The plan is checked before the
     config is built."""
-    if name not in _PRESETS:
-        raise NoPipeline(f"unknown preset {name!r}")
-    build, shape_defaults, plan_kw = _PRESETS[name]
-    shape = {k: kw.get(k, v) for k, v in shape_defaults.items()}
-    for k, v in shape.items():
-        if not _is_number(v):
-            raise NoPipeline(f"preset {name!r} needs {k}" if v is None else f"{k} = {v!r}: must be a number")
-    plan = make_plan({**kw, **shape}, plan_kw, shape.keys(), f"preset {name!r}")
-    return build(**shape), plan
+    shape, plan = _shape(name, kw), _plan(name, kw)
+    return _PRESETS[name][0](**shape), plan
 
 
 PRESET_NAMES = tuple(n for n, (_, shape, _) in _PRESETS.items() if None not in shape.values())
 
 
 # -- sweeps and the parameter region ---------------------------------------
+
+
+# the most points a sweep or the region grid takes, refused before allocating (README gives the cost)
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass
@@ -784,10 +802,12 @@ class SweepRow:
 def _sweep(family: str, alphas) -> list[SweepRow]:
     """Per-angle verdicts from the analytic center bounds and the family_fact
     count: every angle of both families binds a fact of _FACTS, so a sweep
-    solves no mesh."""
+    solves no mesh.  Each angle is checked, built and validated as preset() does."""
+    plan = _plan(family, {"count_strategy": "family_fact"})
+    build = _PRESETS[family][0]
     rows = []
     for a in alphas:
-        vcfg, plan = preset(family, alpha=a, count_strategy="family_fact")
+        vcfg = build(**_shape(family, {"alpha": a}))
         v = certify(vcfg, plan, name=vcfg.name)
         rows.append(SweepRow(a, v.nu, v.certified, v.n_discrete, v.margins["dn_gap"], v.reason))
     return rows
@@ -822,31 +842,31 @@ def y_alpha_certified_interval() -> tuple[float, float]:
     return float(a1), float(a2)
 
 
-def region_inside(x: float, y: float) -> bool:
+def region_inside(x, y):
     """Membership in the two-eigenvalue parameter region, written in the
-    reciprocal coordinates x = 1/a, y = 1/b (all inequalities strict)."""
-    if not (x > 0 and 0 < y < 0.5):
-        return False
+    reciprocal coordinates x = 1/a, y = 1/b (all inequalities strict): a
+    bool for floats, elementwise for NumPy arrays."""
     q1 = 4 * x * x + y * y  # lambda_2 of the Dirichlet box below threshold
     q2 = 25 * x * x / 4 + y * y  # lambda_3 of the relaxed box above threshold
     q3 = x * x / 4 + 4 * y * y  # second transverse mode above threshold
-    return q1 < 1 and q2 > 1 and q3 > 1
+    return (x > 0) & (0 < y) & (y < 0.5) & (q1 < 1) & (q2 > 1) & (q3 > 1)
 
 
 def region_rows(nx: int, ny: int) -> list[tuple[float, float, bool, bool]]:
-    """Grid over (x, y) in (0,1) x (0,0.5): inside flag plus the verdict of
-    the full certification at the corresponding (a, b)."""
-    rows = []
-    for i in range(1, nx + 1):
-        x = i / (nx + 1)
-        for j in range(1, ny + 1):
-            y = 0.5 * j / (ny + 1)
-            inside = region_inside(x, y)
-            certified = False
-            if inside:
-                a, b = 1.0 / x, 1.0 / y
-                vcfg, plan = preset("rect_two_eigs", a=a, b=b)
-                v = certify(vcfg, plan, name=f"rect({a:.4g},{b:.4g})")
-                certified = v.certified and v.n_discrete == 2
-            rows.append((x, y, inside, certified))
-    return rows
+    """Grid over (x, y) in (0,1) x (0,0.5): the inside flags of one region_inside call over the
+    grid, and the verdict of the full certification at each inside (a, b), whose point is
+    checked, built and validated as preset() does."""
+    if max(nx, 0) * max(ny, 0) > MAX_GRID_POINTS:
+        raise ValueError(f"a region grid of {nx} x {ny} points exceeds the cap of {MAX_GRID_POINTS} grid points")
+    xs = [i / (nx + 1) for i in range(1, nx + 1)]
+    ys = [0.5 * j / (ny + 1) for j in range(1, ny + 1)]
+    inside_grid = region_inside(np.array(xs)[:, None], np.array(ys)).tolist()
+    plan, build = _plan("rect_two_eigs", {}), _PRESETS["rect_two_eigs"][0]
+
+    def certified(x: float, y: float) -> bool:
+        a, b = 1.0 / x, 1.0 / y
+        vcfg = build(**_shape("rect_two_eigs", {"a": a, "b": b}))
+        v = certify(vcfg, plan, name=f"rect({a:.4g},{b:.4g})")
+        return v.certified and v.n_discrete == 2
+
+    return [(x, y, inside, inside and certified(x, y)) for x, row in zip(xs, inside_grid) for y, inside in zip(ys, row)]

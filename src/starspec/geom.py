@@ -114,13 +114,14 @@ class Polygon:
         return abs(self.signed_area())
 
     def is_simple(self) -> bool:
-        n = self.n_edges
-        edges = [self.edge(i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue  # adjacent edges share a vertex
-                if _segments_intersect(*edges[i], *edges[j]):
+        v = self.vertices
+        n = len(v)
+        edges = list(zip(v, v[1:] + v[:1]))  # edge(i) for every i
+        for i in range(n - 2):
+            p, q = edges[i]
+            # the non-adjacent edges after i: edge 0 meets edge n-1 at vertex 0
+            for j in range(i + 2, n - 1 if i == 0 else n):
+                if _segments_intersect(p, q, *edges[j]):
                     return False
         return True
 
@@ -161,25 +162,22 @@ def orient(a, b, c):
 
 def _segments_intersect(p, q, r, s) -> bool:
     """Proper or touching intersection of closed segments pq and rs."""
-    d1, d2, d3, d4 = orient(r, s, p), orient(r, s, q), orient(p, q, r), orient(p, q, s)
+    # orient(r, s, p), orient(r, s, q), orient(p, q, r) and orient(p, q, s), each direction taken once
+    rx, ry, px, py = s[0] - r[0], s[1] - r[1], q[0] - p[0], q[1] - p[1]
+    d1, d2 = rx * (p[1] - r[1]) - ry * (p[0] - r[0]), rx * (q[1] - r[1]) - ry * (q[0] - r[0])
+    d3, d4 = px * (r[1] - p[1]) - py * (r[0] - p[0]), px * (s[1] - p[1]) - py * (s[0] - p[0])
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0:
         return True
+    return ((d1 == 0 and _on_seg(r, s, p)) or (d2 == 0 and _on_seg(r, s, q))
+            or (d3 == 0 and _on_seg(p, q, r)) or (d4 == 0 and _on_seg(p, q, s)))
 
-    def on_seg(a, b, c):
-        return (
-            min(a[0], b[0]) - 1e-14 <= c[0] <= max(a[0], b[0]) + 1e-14
-            and min(a[1], b[1]) - 1e-14 <= c[1] <= max(a[1], b[1]) + 1e-14
-        )
 
-    if d1 == 0 and on_seg(r, s, p):
-        return True
-    if d2 == 0 and on_seg(r, s, q):
-        return True
-    if d3 == 0 and on_seg(p, q, r):
-        return True
-    if d4 == 0 and on_seg(p, q, s):
-        return True
-    return False
+def _on_seg(a, b, c) -> bool:
+    """Whether c lies in the bounding box of segment ab, widened by 1e-14."""
+    return (
+        min(a[0], b[0]) - 1e-14 <= c[0] <= max(a[0], b[0]) + 1e-14
+        and min(a[1], b[1]) - 1e-14 <= c[1] <= max(a[1], b[1]) + 1e-14
+    )
 
 
 @dataclass(frozen=True)
@@ -248,9 +246,10 @@ def _validate_2d(cfg: StarWaveguideConfig) -> None:
         raise InvalidGeometry("center polygon must be positively oriented")
     if not poly.is_simple():
         raise InvalidGeometry("center polygon is self-intersecting")
-    cut_edges = [i for i, r in enumerate(poly.edge_roles) if r is EdgeRole.CUT]
+    cut, neumann = EdgeRole.CUT, BC.NEUMANN  # an Enum member read costs about 100 ns on Python 3.11
+    cut_edges = [i for i, r in enumerate(poly.edge_roles) if r is cut]
     for i in cut_edges:
-        if poly.edge_tags[i] is not BC.NEUMANN:
+        if poly.edge_tags[i] is not neumann:
             raise InvalidGeometry(f"cut edge {i} must carry the Neumann tag")
     seen = set()
     for br in cfg.branches:

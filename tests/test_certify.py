@@ -48,6 +48,13 @@ def _spy_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def _plans_made(monkeypatch) -> list:
+    """Every CertificationPlan checked from here on."""
+    made, post_init = [], CertificationPlan.__post_init__
+    monkeypatch.setattr(CertificationPlan, "__post_init__", lambda plan: made.append(plan) or post_init(plan))
+    return made
+
+
 def _moved(vcfg, i: int, j: int):
     """vcfg with coordinate j of center vertex i moved up by one ulp."""
     verts = [list(v) for v in vcfg.center.vertices]
@@ -653,6 +660,24 @@ class TestSweepAnchor:
         assert sweep([1.0])[0].certified
         assert dofs == []
 
+    def test_a_sweep_makes_its_plan_once_and_validates_every_angle(self, monkeypatch):
+        made = _plans_made(monkeypatch)
+        validated = _spy_calls(monkeypatch, geom, "validate_config")
+        alphas = np.linspace(0.35, 1.57, 2000)
+        rows = certify.sweep_broken(alphas)
+        assert len(made) == 1 and len(rows) == 2000
+        assert [c.center for (c,) in validated] == [geom.broken_polygon(a) for a in alphas]
+
+    @pytest.mark.parametrize("sweep, family, alphas", [(certify.sweep_broken, "broken", [1.0, "x"]),
+                                                       (certify.sweep_y_alpha, "y_alpha", [True]),
+                                                       (certify.sweep_broken, "broken", [None])])
+    def test_every_angle_is_checked_as_preset_checks_it(self, sweep, family, alphas):
+        with pytest.raises(NoPipeline) as want:
+            preset(family, alpha=alphas[-1], count_strategy="family_fact")
+        with pytest.raises(NoPipeline) as got:
+            sweep(alphas)
+        assert str(got.value) == str(want.value)
+
     def test_a_sweep_builds_each_family_polygon_as_often_as_before(self):
         # the preset and the alpha binding of a verdict share one cached build,
         # a one-ulp read-back neighbour builds again, and the fact and the
@@ -926,6 +951,46 @@ class TestRegion:
         assert not region_inside(0.42, 0.3)  # third inequality violated
         assert not region_inside(0.5, 0.5)  # boundary of the admissible band
         assert not region_inside(-0.1, 0.2)
+
+    # sha256 of repr(region_rows(100, 50)) and of the default region CSV:
+    # the vectorized inside flags must leave every row, and its types, as
+    # the point-by-point loop wrote them
+    ROWS = "dfefcd53f5835f26ca7574c1bb5c911fb5cfcca25fd97436670922080b250e81"
+    CSV = "e6dffbde8f1a591d31034ce08e3e7235db1a8aaacf71143ed0822c9a27b9d688"
+
+    def test_rows_and_csv_are_pinned(self, tmp_path):
+        assert hashlib.sha256(repr(region_rows(100, 50)).encode()).hexdigest() == self.ROWS
+        assert cli.run(["region", "-o", str(tmp_path / "region.csv")]) == cli.EXIT_CERTIFIED
+        assert hashlib.sha256((tmp_path / "region.csv").read_bytes()).hexdigest() == self.CSV
+
+    def test_rows_hold_python_floats_and_bools(self):
+        # a np.float64 or np.bool_ in a row changes its repr, and so the
+        # benchmark's region digests
+        rows = region_rows(100, 50)
+        assert {tuple(map(type, row)) for row in rows} == {(float, float, bool, bool)}
+
+    @staticmethod
+    def _inside_reference(x: float, y: float) -> bool:
+        """The point-by-point membership test region_inside replaced."""
+        if not (x > 0 and 0 < y < 0.5):
+            return False
+        return 4 * x * x + y * y < 1 and 25 * x * x / 4 + y * y > 1 and x * x / 4 + 4 * y * y > 1
+
+    def test_the_grid_membership_is_the_pointwise_one(self):
+        xs = np.array([i / 301 for i in range(1, 301)] + [-0.1, 0.0, 0.5, 1.0, 2.0])
+        ys = np.array([0.5 * j / 151 for j in range(1, 151)] + [-0.1, 0.0, 0.25, 0.5, 0.6])
+        grid = region_inside(xs[:, None], ys)
+        assert grid.shape == (305, 155) and grid.dtype == bool
+        want = [[self._inside_reference(x, y) for y in ys.tolist()] for x in xs.tolist()]
+        assert grid.tolist() == want == [[region_inside(x, y) for y in ys.tolist()] for x in xs.tolist()]
+        assert type(region_inside(0.42, 0.49)) is bool
+
+    def test_the_grid_makes_its_plan_once_and_validates_every_inside_point(self, monkeypatch):
+        made = _plans_made(monkeypatch)
+        validated = _spy_calls(monkeypatch, geom, "validate_config")
+        rows = region_rows(100, 50)
+        assert len(made) <= 1
+        assert len(validated) == sum(r[2] for r in rows) > 0
 
     def test_grid_rows_certify_inside_points(self):
         # the admissible set is a thin sliver near y = 1/2, so the grid must

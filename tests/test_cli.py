@@ -477,6 +477,14 @@ class TestRegionCommand:
         assert code == cli.EXIT_ERROR
         assert "resolution" in err
 
+    def test_a_grid_past_the_cap_exits_one_before_allocating(self, capsys):
+        # 10^10 points: refused at once, before any grid array is allocated
+        code, out, err = run(capsys, "region", "--nx", "100000", "--ny", "100000")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == f"error: a region grid of 100000 x 100000 points exceeds the cap of {certify.MAX_GRID_POINTS} grid points\n"
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            certify.region_rows(1001, 1000)
+
 
 class TestMeshCommand:
     def test_text_dump_from_shipped_config(self, capsys):
@@ -578,6 +586,10 @@ class TestSweepCommand:
             (("--start", "1.02", "--stop", "1.0"), "start <= stop"),
             (("--start", "nan", "--stop", "1.0"), "start <= stop"),
             (("--start", "1.0", "--stop", "inf"), "start <= stop"),
+            # 1.2e13 angles: refused before np.arange allocates them
+            (("--start", "0.35", "--stop", "1.57", "--step", "1e-13"), "exceeds the cap of 1000000 grid points"),
+            (("--start", "0.35", "--stop", "1.57", "--step", "5e-324"), "exceeds the cap of 1000000 grid points"),
+            (("--start", "1.0", "--stop", "1.0", "--step", "1e-19"), "exceeds the cap of 1000000 grid points"),
         ],
     )
     def test_a_bad_grid_exits_one(self, capsys, grid, message):
@@ -585,6 +597,13 @@ class TestSweepCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_a_grid_at_the_cap_is_not_refused(self, monkeypatch, capsys):
+        # np.arange(1.0, 1.04 + 1e-12, 0.01) has 5 points; the cap refuses only more
+        monkeypatch.setattr(certify, "MAX_GRID_POINTS", 5)
+        assert run(capsys, "sweep", "--family", "broken", "--start", "1.0", "--stop", "1.04", "--step", "0.01")[0] == cli.EXIT_CERTIFIED
+        monkeypatch.setattr(certify, "MAX_GRID_POINTS", 4)
+        assert run(capsys, "sweep", "--family", "broken", "--start", "1.0", "--stop", "1.04", "--step", "0.01")[0] == cli.EXIT_ERROR
 
     @pytest.mark.parametrize(
         "argv",

@@ -52,6 +52,65 @@ class TestPolygon:
         )
         assert not bowtie.is_simple()
 
+    @staticmethod
+    def _segments_meet(p, q, r, s) -> bool:
+        """The closed-segment test written on geom.orient, as _segments_intersect expands it."""
+        d1, d2, d3, d4 = geom.orient(r, s, p), geom.orient(r, s, q), geom.orient(p, q, r), geom.orient(p, q, s)
+        if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0:
+            return True
+        return any(d == 0 and geom._on_seg(a, b, c) for d, a, b, c in ((d1, r, s, p), (d2, r, s, q), (d3, p, q, r), (d4, p, q, s)))
+
+    @classmethod
+    def _crossing_pairs(cls, p: Polygon) -> list[tuple[int, int]]:
+        """Every pair i < j of edges that share no vertex and meet: the
+        all-pairs loop is_simple must agree with."""
+        n = p.n_edges
+        return [(i, j) for i in range(n) for j in range(i + 1, n)
+                if (j + 1) % n != i and (i + 1) % n != j and cls._segments_meet(*p.edge(i), *p.edge(j))]
+
+    @given(st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-2, 2)), min_size=8, max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_the_segment_test_is_the_orient_one(self, c):
+        # integer coordinates give touching and collinear segments, floats near-collinear ones
+        p, q, r, s = (c[0], c[1]), (c[2], c[3]), (c[4], c[5]), (c[6], c[7])
+        assert geom._segments_intersect(p, q, r, s) is self._segments_meet(p, q, r, s)
+
+    @staticmethod
+    def _rotated(vertices, k: int) -> Polygon:
+        v = vertices[k:] + vertices[:k]
+        return Polygon(tuple(map(tuple, v)), (BC.DIRICHLET,) * len(v), (EdgeRole.WALL,) * len(v))
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=9))
+    @settings(max_examples=400, deadline=None)
+    def test_is_simple_agrees_with_the_all_pairs_loop(self, points):
+        # small integer coordinates: many vertices on far edges and collinear overlaps
+        p = self._rotated([tuple(map(float, v)) for v in points], 0)
+        assert p.is_simple() == (self._crossing_pairs(p) == [])
+
+    @pytest.mark.parametrize("vertices, name", [
+        # edges 0 and 2 cross, every other pair is apart: the bowtie, and a
+        # pentagon and a hexagon grown from it
+        ([(0, 0), (1, 1), (1, 0), (0, 1)], "bowtie"),
+        ([(0, 0), (2, 2), (2, 0), (0, 2), (-1, 1)], "pentagon"),
+        ([(0, 0), (2, 2), (2, 0), (0, 2), (-1, 2), (-1, 1)], "hexagon"),
+        # vertex 3 lies on the far edge 0
+        ([(0, 0), (4, 0), (4, 4), (2, 0), (-1, 2)], "vertex on a far edge"),
+        # edge 4 lies along edge 0
+        ([(0, 0), (4, 0), (4, 2), (3, 2), (3, 0), (1, 0), (1, 2), (0, 2)], "collinear overlap"),
+    ])
+    def test_every_rotation_of_a_lone_crossing_is_found(self, vertices, name):
+        # rotating the vertices moves the one meeting pair through every
+        # position, the wrap-around pairs (0, n-2) and (1, n-1) included
+        n, lone = len(vertices), name in ("bowtie", "pentagon", "hexagon")
+        seen = set()
+        for k in range(n):
+            p = self._rotated([tuple(map(float, v)) for v in vertices], k)
+            pairs = self._crossing_pairs(p)
+            assert pairs and not p.is_simple(), (name, k, pairs)
+            assert len(pairs) == 1 or not lone
+            seen.update(pairs)
+        assert {(0, n - 2), (1, n - 1)} <= seen or not lone
+
     def test_edge_length(self):
         p = simple_polygon([(0, 0), (3, 0), (0, 4)])
         assert p.edge_length(0) == pytest.approx(3.0)
