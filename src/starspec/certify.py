@@ -658,8 +658,8 @@ _UNIT_INTERVAL = CrossSection.interval(1.0)
 def _unit_star(name: str, poly: Polygon) -> ValidatedConfig:
     """The validated config of poly with a unit-width branch on every cut
     edge, in edge order."""
-    branches = tuple([Branch(i, _UNIT_INTERVAL) for i, role in enumerate(poly.edge_roles) if role is EdgeRole.CUT])
-    return geom.validate_config(StarWaveguideConfig(name, poly, branches))
+    cuts = (i for i, role in enumerate(poly.edge_roles) if role is EdgeRole.CUT)
+    return geom.validate_config(StarWaveguideConfig(name, poly, tuple(Branch(i, _UNIT_INTERVAL) for i in cuts)))
 
 
 def t_junction_config() -> ValidatedConfig:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import platform
@@ -133,10 +134,15 @@ def cmd_spectrum(args) -> int:
 
 
 def _sweep_csv(rows: list[certify.SweepRow]) -> str:
-    verdicts = {True: "CertifiedNoResonance", False: "Inconclusive"}
-    return "param,nu,verdict,n,dn_margin\n" + "".join(
-        f"{r.param:.17g},{r.nu:.17g},{verdicts[r.certified]},{'' if r.n is None else r.n},{r.dn_margin:.17g}\n" for r in rows
-    )
+    buf = io.StringIO()
+    buf.write("param,nu,verdict,n,dn_margin\n")
+    for r in rows:
+        verdict = "CertifiedNoResonance" if r.certified else "Inconclusive"
+        n = "" if r.n is None else str(r.n)
+        buf.write(
+            f"{format(r.param, '.17g')},{format(r.nu, '.17g')},{verdict},{n},{format(r.dn_margin, '.17g')}\n"
+        )
+    return buf.getvalue()
 
 
 def cmd_sweep(args) -> int:
@@ -145,9 +151,7 @@ def cmd_sweep(args) -> int:
     if not 0 < args.step < math.inf:
         raise ValueError(f"--step must be positive and finite, not {args.step}")
     if (args.stop + 1e-12 - args.start) / args.step > certify.MAX_GRID_POINTS:  # np.arange makes the ceiling of it
-        raise ValueError(
-            f"a sweep grid from {args.start} to {args.stop} in steps of {args.step} exceeds the cap of {certify.MAX_GRID_POINTS} grid points"
-        )
+        raise ValueError(f"--step {args.step} makes a sweep grid that exceeds the cap of {certify.MAX_GRID_POINTS} grid points")
     grid = np.arange(args.start, args.stop + 1e-12, args.step)
     sweep = {"broken": certify.sweep_broken, "y_alpha": certify.sweep_y_alpha}[args.family]
     rows = sweep(grid)
@@ -162,8 +166,13 @@ def cmd_region(args) -> int:
     if args.nx < 10 or args.ny < 10:
         raise ValueError("grid resolution must be at least 10 per axis")
     rows = certify.region_rows(args.nx, args.ny)
-    lines = (f"{x:.17g},{y:.17g},{str(inside).lower()},{str(cert).lower()}\n" for x, y, inside, cert in rows)
-    _write("x,y,inside,certified\n" + "".join(lines), args.output)
+    buf = io.StringIO()
+    buf.write("x,y,inside,certified\n")
+    for x, y, inside, cert in rows:
+        buf.write(
+            f"{format(x, '.17g')},{format(y, '.17g')},{str(inside).lower()},{str(cert).lower()}\n"
+        )
+    _write(buf.getvalue(), args.output)
     return EXIT_CERTIFIED
 
 

@@ -54,11 +54,16 @@ class TestPolygon:
 
     @staticmethod
     def _segments_meet(p, q, r, s) -> bool:
-        """The closed-segment test written on geom.orient, as _segments_intersect expands it."""
+        """The closed-segment test on geom.orient, with its own copy of the
+        1e-14-widened bounding-box test: the reference for _segments_intersect."""
+        def on_seg(a, b, c):
+            return (min(a[0], b[0]) - 1e-14 <= c[0] <= max(a[0], b[0]) + 1e-14
+                    and min(a[1], b[1]) - 1e-14 <= c[1] <= max(a[1], b[1]) + 1e-14)
+
         d1, d2, d3, d4 = geom.orient(r, s, p), geom.orient(r, s, q), geom.orient(p, q, r), geom.orient(p, q, s)
         if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0:
             return True
-        return any(d == 0 and geom._on_seg(a, b, c) for d, a, b, c in ((d1, r, s, p), (d2, r, s, q), (d3, p, q, r), (d4, p, q, s)))
+        return any(d == 0 and on_seg(a, b, c) for d, a, b, c in ((d1, r, s, p), (d2, r, s, q), (d3, p, q, r), (d4, p, q, s)))
 
     @classmethod
     def _crossing_pairs(cls, p: Polygon) -> list[tuple[int, int]]:
@@ -70,7 +75,7 @@ class TestPolygon:
 
     @given(st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-2, 2)), min_size=8, max_size=8))
     @settings(max_examples=500, deadline=None)
-    def test_the_segment_test_is_the_orient_one(self, c):
+    def test_the_segment_test_matches_the_reference(self, c):
         # integer coordinates give touching and collinear segments, floats near-collinear ones
         p, q, r, s = (c[0], c[1]), (c[2], c[3]), (c[4], c[5]), (c[6], c[7])
         assert geom._segments_intersect(p, q, r, s) is self._segments_meet(p, q, r, s)
