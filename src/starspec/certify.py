@@ -22,7 +22,7 @@ from . import bounds as bnd
 from . import exact, fem, geom
 from .bounds import Direction, SpectralBound, TraceStep
 from .exact import PI2
-from .geom import BC, Branch, CrossSection, EdgeRole, Polygon, StarWaveguideConfig, ValidatedConfig
+from .geom import BC, Branch, CrossSection, EdgeRole, Polygon, StarWaveguideConfig
 
 BUDGET_FLOOR_REL = 1e-8
 FEM_UPPER_TOL_REL = 1e-8
@@ -103,7 +103,7 @@ class Verdict(NamedTuple):
         }
 
 
-def threshold(vcfg: ValidatedConfig) -> float:
+def threshold(vcfg: StarWaveguideConfig) -> float:
     """Bottom of the essential spectrum: the smallest first Dirichlet
     eigenvalue among the branch cross-sections."""
     return min([exact.cross_section_threshold(b.cross_section) for b in vcfg.branches])
@@ -139,7 +139,7 @@ def tail_caps(poly: Polygon) -> dict[int, float]:
 
 
 @functools.lru_cache(maxsize=1)
-def _truncated_mesh(vcfg: ValidatedConfig, length: float, levels: int) -> tuple[fem.Mesh, dict]:
+def _truncated_mesh(vcfg: StarWaveguideConfig, length: float, levels: int) -> tuple[fem.Mesh, dict]:
     """The mesh of a refinement level of the truncated guide and its tail
     caps: level 1 triangulates at FEM_H0, and each finer level refines the
     previous one's mesh, so a climb through the levels triangulates once."""
@@ -150,7 +150,7 @@ def _truncated_mesh(vcfg: ValidatedConfig, length: float, levels: int) -> tuple[
     return fem.refine(mesh), caps
 
 
-def _fem_upper_bounds(vcfg: ValidatedConfig, length: float, levels: int, nu: float) -> tuple[list[SpectralBound], dict]:
+def _fem_upper_bounds(vcfg: StarWaveguideConfig, length: float, levels: int, nu: float) -> tuple[list[SpectralBound], dict]:
     """Upper bounds for every eigenvalue below the counting cut, from one
     factorization on a refinement level of the truncated guide with tail
     caps, and the record of that count.  Each P1 function continues beyond
@@ -176,7 +176,7 @@ def _fem_upper_bounds(vcfg: ValidatedConfig, length: float, levels: int, nu: flo
     return out, {**mesh_params, "shift": shift, "inertia": len(eigs), **eigs.lanczos}
 
 
-def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
+def _count_fem(vcfg: StarWaveguideConfig, plan: CertificationPlan, nu: float, extra: dict):
     """FEM count on refinement level fem_levels of the tail-capped guide
     truncated at truncation_length: inertia says how many eigenvalues of the
     P1-and-tail space lie below the cut and Rayleigh-Ritz values bound them.
@@ -193,7 +193,7 @@ def _count_fem(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra:
     return _n_below(ub, nu), ub
 
 
-def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
+def _count_exact_box_B(vcfg: StarWaveguideConfig, plan: CertificationPlan, nu: float, extra: dict):
     """The box center with Dirichlet conditions all round is a waveguide
     subdomain: every lattice value below the counting cut is an upper bound.
     Each axis value (m pi / d)^2 of one below the cut is, so m < d sqrt(cut)
@@ -208,9 +208,9 @@ def _count_exact_box_B(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float
     return _n_below(ub, nu), ub
 
 
-def _is_config(vcfg: ValidatedConfig, build) -> bool:
-    """Whether the config has the center and branches of build()."""
-    ref = build()
+def _is_config(vcfg: StarWaveguideConfig, name: str) -> bool:
+    """Whether the config has the center and branches of the preset name."""
+    ref = _PRESETS[name][0]()
     return (vcfg.center, vcfg.branches) == (ref.center, ref.branches)
 
 
@@ -225,16 +225,16 @@ _FACTS = {
     "y_junction": (lambda vcfg: vcfg.family_alpha("Y-junction") is not None,
                    "junction contains a bent guide of complementary angle", "bent_guide",
                    "Dirichlet monotonicity and the bent_guide fact"),
-    "cube_square": (lambda vcfg: _is_config(vcfg, cube_square_config),
+    "cube_square": (lambda vcfg: _is_config(vcfg, "cube_square"),
                     "prism over the right-angle bent strip is a Dirichlet subdomain", "2d-bent-guide-fem",
                     "Dirichlet monotonicity, separation of variables and the bent_guide fact for its right angle"),
-    "cube_disk": (lambda vcfg: _is_config(vcfg, cube_disk_config),
+    "cube_disk": (lambda vcfg: _is_config(vcfg, "cube_disk"),
                   "sharply bent circular cylinder inside the junction binds a state", None,
                   "Exner-Kovarik, Quantum Waveguides, Springer 2015, ch. 1: a broken circular tube binds a state"),
 }
 
 
-def _count_family_fact(vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: dict):
+def _count_family_fact(vcfg: StarWaveguideConfig, plan: CertificationPlan, nu: float, extra: dict):
     """One eigenvalue below nu, witnessed by the first fact of _FACTS whose
     binding accepts the config; with none it is Unbound."""
     for name, (binds, _, _, _) in _FACTS.items():
@@ -259,7 +259,7 @@ _COUNT_RULES = {
 
 
 def count_discrete(
-    vcfg: ValidatedConfig, plan: CertificationPlan, nu: float, extra: Optional[dict] = None
+    vcfg: StarWaveguideConfig, plan: CertificationPlan, nu: float, extra: Optional[dict] = None
 ) -> tuple[int, list[SpectralBound]]:
     """Number of certified discrete eigenvalues below the threshold, with the
     upper bounds that witness them.  A FEM count records its mesh, shift, inertia
@@ -275,7 +275,7 @@ def count_discrete(
 # it does not describe the center.
 
 
-def _box(vcfg: ValidatedConfig, rule: str) -> tuple[list, list, Optional[str]]:
+def _box(vcfg: StarWaveguideConfig, rule: str) -> tuple[list, list, Optional[str]]:
     """Dims, interval condition pairs (low side first) and relaxation note of
     a Box3 or an axis-aligned rectangle center.  A cut patch, or a side that
     mixes D and N edges, is relaxed to Neumann, which only lowers eigenvalues."""
@@ -295,7 +295,7 @@ def _box(vcfg: ValidatedConfig, rule: str) -> tuple[list, list, Optional[str]]:
     return [hi - lo for lo, hi in bbox], bcs, "branch side relaxed to full Neumann" if mixed else None
 
 
-def _lower_box(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
+def _lower_box(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
     """Separable box with the center's dims and interval condition pairs."""
     dims, bcs, relaxed = _box(vcfg, "box")
     out = bnd.bounds_from_eiglist(
@@ -307,7 +307,7 @@ def _lower_box(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     return out
 
 
-def _lower_neumann_equilateral(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
+def _lower_neumann_equilateral(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
     c = vcfg.center
     sides = [] if vcfg.is_3d else [c.edge_length(i) for i in range(c.n_edges)]
     side = max(sides, default=0.0)
@@ -320,7 +320,7 @@ def _lower_neumann_equilateral(vcfg: ValidatedConfig, k: int) -> list[SpectralBo
     )
 
 
-def _family_alpha(vcfg: ValidatedConfig, family: str, rule: str) -> float:
+def _family_alpha(vcfg: StarWaveguideConfig, family: str, rule: str) -> float:
     """The alpha of geom.family_alpha, bound once per config; a center that
     is the family's polygon at no alpha is Unbound, named by the rule."""
     alpha = vcfg.family_alpha(family)
@@ -347,7 +347,7 @@ def _pi6_embedding() -> SpectralBound:
 _EVEN_FLOOR = bnd.lower_bound("half-even", 1, 0.0, "trivial-floor", {})  # no alpha enters: every verdict shares it
 
 
-def _lower_broken_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
+def _lower_broken_chain(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
     """Reflection split of the bent-guide center into a Dirichlet-hypotenuse
     and a Neumann-hypotenuse right triangle, floored analytically."""
     alpha = _family_alpha(vcfg, "bent-guide", "broken_chain")
@@ -363,7 +363,7 @@ def _lower_broken_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     return bnd.direct_sum_bounds([odd, even], DN_CENTER_OP, k)
 
 
-def _lower_y_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
+def _lower_y_chain(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
     """Neumann triangle enclosure of the Y-junction center plus contraction
     to an equilateral triangle."""
     alpha = _family_alpha(vcfg, "Y-junction", "y_chain")
@@ -391,7 +391,7 @@ def _lower_y_chain(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
     return bnd.neumann_enclosure_bounds(DN_CENTER_OP, vcfg.center, enclosure, on_m, enclosure_name=name)
 
 
-def _lower_sector(vcfg: ValidatedConfig, k: int) -> list[SpectralBound]:
+def _lower_sector(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
     """Analytic lower bounds for the circular-sector center spectrum from the
     Bessel-zero inequalities; k = 2 is what certification needs.  They bound
     every polygon inscribed in the sector with Dirichlet on its arc side.
@@ -430,12 +430,12 @@ _LOWER_RULES = {
 }
 
 
-def dn_lower_bounds(vcfg: ValidatedConfig, plan: CertificationPlan, upto: int) -> list[SpectralBound]:
+def dn_lower_bounds(vcfg: StarWaveguideConfig, plan: CertificationPlan, upto: int) -> list[SpectralBound]:
     rule = _first_binding_rule(vcfg) if plan.lower_strategy == "auto" else plan.lower_strategy
     return _LOWER_RULES[rule](vcfg, upto)
 
 
-def _first_binding_rule(vcfg: ValidatedConfig) -> str:
+def _first_binding_rule(vcfg: StarWaveguideConfig) -> str:
     """The first rule of _LOWER_RULES that describes the center."""
     for name, rule in _LOWER_RULES.items():
         try:
@@ -494,7 +494,7 @@ def _rung_record(plan: CertificationPlan, levels: int, reason: str) -> dict:
     return {"length": plan.truncation_length, "h0": FEM_H0, "levels": levels, "reason": reason}
 
 
-def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> Verdict:
+def certify(vcfg: StarWaveguideConfig, plan: CertificationPlan, name: str = "") -> Verdict:
     """The verdict on the first refinement level 1, ..., plan.fem_levels of
     the FEM count that certifies, or else on the finest, with the skipped
     levels and their reasons in extra.  The upper bounds hold on every level
@@ -539,7 +539,7 @@ def certify(vcfg: ValidatedConfig, plan: CertificationPlan, name: str = "") -> V
     return v._replace(extra={**v.extra, **{k: r for k, r in rungs.items() if r}})
 
 
-def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:
+def _verdict(vcfg: StarWaveguideConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:
     """The verdict on the plan's mesh; raises Unbound for a rule that does
     not describe the center."""
     if plan.lower_strategy == "crossing_symmetry":
@@ -582,7 +582,7 @@ def _verdict(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: floa
                    tuple(lowers), tuple(uppers), extra)
 
 
-def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:
+def _certify_crossing_symmetry(vcfg: StarWaveguideConfig, plan: CertificationPlan, name: str, nu: float) -> Verdict:
     """Crossing-strips certification through the mirror-parity decomposition.
 
     Each parity (j, k) of the quarter domain splits, after inserting Neumann
@@ -592,10 +592,10 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
     to the waveguide count and each parity to keep a block strictly above
     the threshold.
 
-    The bookkeeping describes crossing_config() only, whose center and
+    The bookkeeping describes the crossing preset only, whose center and
     branches are mirror-symmetric by construction, so a config with a
     different center or branches is Inconclusive."""
-    if not _is_config(vcfg, crossing_config):
+    if not _is_config(vcfg, "crossing"):
         raise Unbound("crossing_symmetry applies only to the crossing of two unit strips")
     extra: dict = {}
     n_total, uppers = count_discrete(vcfg, plan, nu, extra)
@@ -655,30 +655,14 @@ def _certify_crossing_symmetry(vcfg: ValidatedConfig, plan: CertificationPlan, n
 _UNIT_INTERVAL = CrossSection.interval(1.0)
 
 
-def _unit_star(name: str, poly: Polygon) -> ValidatedConfig:
-    """The validated config of poly with a unit-width branch on every cut
-    edge, in edge order."""
+def _unit_star(name: str, poly: Polygon) -> StarWaveguideConfig:
+    """The config of poly with a unit-width branch on every cut edge, in edge
+    order."""
     cuts = (i for i, role in enumerate(poly.edge_roles) if role is EdgeRole.CUT)
-    return geom.validate_config(StarWaveguideConfig(name, poly, tuple(Branch(i, _UNIT_INTERVAL) for i in cuts)))
+    return StarWaveguideConfig(name, poly, tuple(Branch(i, _UNIT_INTERVAL) for i in cuts))
 
 
-def t_junction_config() -> ValidatedConfig:
-    return _unit_star("t_junction", Polygon(
-        vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
-        edge_tags=(BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.NEUMANN),
-        edge_roles=(EdgeRole.WALL, EdgeRole.CUT, EdgeRole.CUT, EdgeRole.CUT),
-    ))
-
-
-def crossing_config() -> ValidatedConfig:
-    return _unit_star("crossing", Polygon(
-        vertices=((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)),
-        edge_tags=(BC.NEUMANN,) * 4,
-        edge_roles=(EdgeRole.CUT,) * 4,
-    ))
-
-
-def rect_two_eigs_config(a: float, b: float) -> ValidatedConfig:
+def _rect_two_eigs(a: float, b: float) -> StarWaveguideConfig:
     """Rectangle center of width a and height b > 2 with two unit-width
     branches on the side of length b."""
     if b <= 2:
@@ -696,23 +680,11 @@ def rect_two_eigs_config(a: float, b: float) -> ValidatedConfig:
     return _unit_star(f"rect_{a:.6g}x{b:.6g}", Polygon(tuple(verts), tuple(tags), tuple(roles)))
 
 
-def _cube_config(name: str, duct: CrossSection) -> ValidatedConfig:
+def _cube_config(name: str, duct: CrossSection) -> StarWaveguideConfig:
     """Unit cube with Dirichlet low faces and a duct of the given
     cross-section on each (Neumann) high face."""
     box = geom.Box3(dims=(1.0, 1.0, 1.0), axis_bcs=((BC.DIRICHLET, BC.NEUMANN),) * 3)
-    return geom.validate_config(
-        StarWaveguideConfig(
-            name=name, center=box, branches=tuple(Branch(2 * ax + 1, duct) for ax in range(3))
-        )
-    )
-
-
-def cube_square_config() -> ValidatedConfig:
-    return _cube_config("cube_square", CrossSection.rectangle(1.0, 1.0))
-
-
-def cube_disk_config() -> ValidatedConfig:
-    return _cube_config("cube_disk", CrossSection.disk(0.5))
+    return StarWaveguideConfig(name=name, center=box, branches=tuple(Branch(2 * ax + 1, duct) for ax in range(3)))
 
 
 # -- presets ----------------------------------------------------------------
@@ -723,20 +695,28 @@ def cube_disk_config() -> ValidatedConfig:
 # required shape keyword.  rect_two_eigs, y_alpha and broken name their
 # lower rule: the region and the sweeps run them by the thousand, and auto
 # would probe the rules before theirs on every verdict.  Every rule reads the center's shape, alpha
-# included, from the config.  The builders look up the config constructors
-# and geom's family polygons by their module-level names, so a wrapper or
-# monkeypatch on those sees every call.
+# included, from the config.  preset(name)[0] is the one way to get a catalog
+# config.  The builders look up geom's family polygons by their module-level
+# names, so a wrapper or monkeypatch on those sees every call.
 _PRESETS = {
-    "t_junction": (lambda: t_junction_config(), {}, {}),
+    "t_junction": (lambda: _unit_star("t_junction", Polygon(
+        vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+        edge_tags=(BC.DIRICHLET, BC.NEUMANN, BC.NEUMANN, BC.NEUMANN),
+        edge_roles=(EdgeRole.WALL, EdgeRole.CUT, EdgeRole.CUT, EdgeRole.CUT),
+    )), {}, {}),
     "y_junction": (lambda: _unit_star("y_junction", geom.y_center_polygon(math.pi / 3)), {}, {}),
-    "crossing": (lambda: crossing_config(), {}, {}),
-    "crossing_symmetric": (lambda: crossing_config(), {}, {"lower_strategy": "crossing_symmetry"}),
+    "crossing": (lambda: _unit_star("crossing", Polygon(
+        vertices=((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)),
+        edge_tags=(BC.NEUMANN,) * 4,
+        edge_roles=(EdgeRole.CUT,) * 4,
+    )), {}, {}),
+    "crossing_symmetric": (lambda: _PRESETS["crossing"][0](), {}, {"lower_strategy": "crossing_symmetry"}),
     "rounded_corner": (lambda alpha: _unit_star(f"rounded_corner_{alpha:.6g}", geom.rounded_corner_polygon(alpha, 24)),
                        {"alpha": math.pi / 2}, {}),
-    "rect_two_eigs": (lambda a, b: rect_two_eigs_config(a, b), {"a": 2.381, "b": 2.041}, {
+    "rect_two_eigs": (_rect_two_eigs, {"a": 2.381, "b": 2.041}, {
         "count_strategy": "exact_box_B", "lower_strategy": "box"}),
-    "cube_square": (lambda: cube_square_config(), {}, {"count_strategy": "family_fact"}),
-    "cube_disk": (lambda: cube_disk_config(), {}, {"count_strategy": "family_fact"}),
+    "cube_square": (lambda: _cube_config("cube_square", CrossSection.rectangle(1.0, 1.0)), {}, {"count_strategy": "family_fact"}),
+    "cube_disk": (lambda: _cube_config("cube_disk", CrossSection.disk(0.5)), {}, {"count_strategy": "family_fact"}),
     "y_alpha": (lambda alpha: _unit_star(f"y_alpha_{alpha:.6g}", geom.y_center_polygon(alpha)), {"alpha": None}, {
         "lower_strategy": "y_chain"}),
     "broken": (lambda alpha: _unit_star(f"broken_{alpha:.6g}", geom.broken_polygon(alpha)), {"alpha": None}, {
@@ -770,7 +750,7 @@ def _plan(name: str, kw: dict) -> CertificationPlan:
     return make_plan(kw, _PRESETS[name][2], _PRESETS[name][1].keys(), f"preset {name!r}")
 
 
-def preset(name: str, /, **kw) -> tuple[ValidatedConfig, CertificationPlan]:
+def preset(name: str, /, **kw) -> tuple[StarWaveguideConfig, CertificationPlan]:
     """Config and plan of a catalog example.  A keyword is a
     CertificationPlan field or one of the preset's shape keywords, which are
     numbers and go to the config builder.  The plan is checked before the

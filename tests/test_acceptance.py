@@ -152,8 +152,7 @@ def test_criterion_6_two_eigenvalue_region():
     x, y = 0.42, 0.3
     assert not certify.region_inside(x, y)
     a, b = 1 / x, 1 / y
-    _, plan = preset("rect_two_eigs", a=a, b=b)
-    v_bad = run_certify(certify.rect_two_eigs_config(a, b), plan, name="bad")
+    v_bad = run_certify(*preset("rect_two_eigs", a=a, b=b), name="bad")
     assert not (v_bad.certified and v_bad.n_discrete == 2)
     _passline(6, "rectangle two-eigenvalue region certifies exactly where admissible")
 

@@ -25,7 +25,7 @@ from starspec.bounds import (
     trace_to_json,
 )
 from starspec.exact import PI2, box_eigs, equilateral_eigs
-from starspec.geom import BC, EdgeRole, Polygon, orient, simple_polygon
+from starspec.geom import BC, EdgeRole, Polygon, orient
 
 REPLAY_REL = 1e-13
 
@@ -33,10 +33,16 @@ REPLAY_REL = 1e-13
 EITHER_ORIENTATION = pytest.mark.parametrize("clockwise", [False, True], ids=["ccw", "cw"])
 
 
+def _walls(vertices) -> Polygon:
+    """The polygon of the vertices, in their order, with a Dirichlet wall on every edge."""
+    n = len(vertices)
+    return Polygon(tuple(tuple(map(float, v)) for v in vertices), (BC.DIRICHLET,) * n, (EdgeRole.WALL,) * n)
+
+
 def _enclosure(vertices, clockwise):
-    """simple_polygon(vertices), or with clockwise its vertices reversed as a
-    raw Polygon: simple_polygon would orient them counterclockwise again."""
-    outer = simple_polygon(vertices)
+    """_walls(vertices) of counterclockwise vertices, or with clockwise its
+    vertices reversed."""
+    outer = _walls(vertices)
     return Polygon(outer.vertices[::-1], outer.edge_tags, outer.edge_roles) if clockwise else outer
 
 
@@ -92,7 +98,7 @@ class TestRules:
             "neumann-square", box_eigs((1.0, 1.0), ("NN", "NN"), 4), Direction.LOWER,
             "box-eig", {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]},
         )
-        square = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        square = _walls([(0, 0), (1, 0), (1, 1), (0, 1)])
         lows = neumann_enclosure_bounds("dn-square", square, square, neu)
         mixed = box_eigs((1.0, 1.0), ("NN", "DN"), 4).values
         for b, ev in zip(lows, mixed):
@@ -100,7 +106,7 @@ class TestRules:
 
     @EITHER_ORIENTATION
     def test_neumann_enclosure_containment_violation(self, clockwise):
-        inner = simple_polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+        inner = _walls([(0, 0), (2, 0), (2, 1), (0, 1)])
         outer = _enclosure([(0, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         lows = bounds_from_eiglist(
             "outer", box_eigs((1.0, 1.0), ("NN", "NN"), 2), Direction.LOWER,
@@ -111,7 +117,7 @@ class TestRules:
 
     @EITHER_ORIENTATION
     def test_neumann_enclosure_bounds_transport(self, clockwise):
-        inner = simple_polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)])
+        inner = _walls([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)])
         outer = _enclosure([(0, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         lows = bounds_from_eiglist(
             "outer", box_eigs((1.0, 1.0), ("NN", "NN"), 2), Direction.LOWER,
@@ -123,7 +129,7 @@ class TestRules:
 
     @EITHER_ORIENTATION
     def test_containment_accepts_touching_boundary(self, clockwise):
-        inner = simple_polygon([(0, 0), (1, 0), (0.5, 0.5)])
+        inner = _walls([(0, 0), (1, 0), (0.5, 0.5)])
         outer = _enclosure([(0, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         check_containment(inner, outer)  # shared edge is fine
 
@@ -132,7 +138,7 @@ class TestRules:
     @staticmethod
     def _poking_triangle(d, first):
         verts = [(1.0 + d, 0.5), (0.5, 0.8), (0.5, 0.2)]
-        return simple_polygon(verts[-first:] + verts[:-first])
+        return _walls(verts[-first:] + verts[:-first])
 
     @EITHER_ORIENTATION
     @pytest.mark.parametrize("first", [0, 1, 2])
@@ -153,14 +159,14 @@ class TestRules:
     )
     @EITHER_ORIENTATION
     def test_a_non_convex_enclosure_is_refused(self, outer, clockwise):
-        inner = simple_polygon([(0.1, 0.1), (1.9, 0.1), (0.1, 1.9)])
+        inner = _walls([(0.1, 0.1), (1.9, 0.1), (0.1, 1.9)])
         with pytest.raises(ContainmentViolation, match="not convex"):
             check_containment(inner, _enclosure(outer, clockwise))
 
     @EITHER_ORIENTATION
     def test_a_straight_angle_keeps_an_enclosure_convex(self, clockwise):
         outer = _enclosure([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)], clockwise)
-        check_containment(simple_polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]), outer)
+        check_containment(_walls([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]), outer)
 
 
 def _reference_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> str | None:

@@ -60,15 +60,15 @@ def _moved(vcfg, i: int, j: int):
     verts = [list(v) for v in vcfg.center.vertices]
     verts[i][j] = math.nextafter(verts[i][j], math.inf)
     center = dataclasses.replace(vcfg.center, vertices=tuple(map(tuple, verts)))
-    return geom.validate_config(dataclasses.replace(vcfg.cfg, center=center))
+    return dataclasses.replace(vcfg, center=center)
 
 
 class TestThreshold:
     def test_examples(self):
-        assert threshold(certify.t_junction_config()) == pytest.approx(PI2, rel=1e-12)
-        assert threshold(certify.rect_two_eigs_config(2.381, 2.041)) == pytest.approx(PI2, rel=1e-12)
-        assert threshold(certify.cube_square_config()) == pytest.approx(2 * PI2, rel=1e-12)
-        assert threshold(certify.cube_disk_config()) == pytest.approx(
+        assert threshold(certify.preset("t_junction")[0]) == pytest.approx(PI2, rel=1e-12)
+        assert threshold(certify.preset("rect_two_eigs", a=2.381, b=2.041)[0]) == pytest.approx(PI2, rel=1e-12)
+        assert threshold(certify.preset("cube_square")[0]) == pytest.approx(2 * PI2, rel=1e-12)
+        assert threshold(certify.preset("cube_disk")[0]) == pytest.approx(
             4 * bessel_zero(0.0, 1) ** 2, rel=1e-12
         )
 
@@ -335,10 +335,10 @@ class TestShapeBinding:
         assert v.margins == {} and v.lower_bounds == ()
 
     def test_box_reads_the_center(self):
-        assert certify._box(certify.t_junction_config(), "box") == ([1.0, 1.0], ["NN", "DN"], None)
-        assert certify._box(certify.rect_two_eigs_config(3.0, 2.5), "box") == (
+        assert certify._box(certify.preset("t_junction")[0], "box") == ([1.0, 1.0], ["NN", "DN"], None)
+        assert certify._box(certify.preset("rect_two_eigs", a=3.0, b=2.5)[0], "box") == (
             [3.0, 2.5], ["DN", "DD"], "branch side relaxed to full Neumann")
-        assert certify._box(certify.cube_disk_config(), "box") == (
+        assert certify._box(certify.preset("cube_disk")[0], "box") == (
             [1.0, 1.0, 1.0], ["DN", "DN", "DN"], "cut patch relaxed to full face")
 
 
@@ -540,7 +540,7 @@ class TestTailCaps:
         assert tail[0] < dirichlet[0]
 
     def test_the_caps_are_the_branch_ends(self):
-        vcfg = certify.t_junction_config()
+        vcfg = certify.preset("t_junction")[0]
         poly = geom.truncate(vcfg, 2.0)
         caps = certify.tail_caps(poly)
         assert caps == {2: certify.TAIL_KAPPA, 5: certify.TAIL_KAPPA, 8: certify.TAIL_KAPPA}
@@ -854,7 +854,7 @@ class TestVerdictInequalities:
 
         monkeypatch.setitem(certify._COUNT_RULES, "pinned", count)
         monkeypatch.setitem(certify._LOWER_RULES, "pinned", lambda vcfg, k: list(lowers))
-        return run_certify(certify.t_junction_config(), CertificationPlan("pinned", "pinned"))
+        return run_certify(certify.preset("t_junction")[0], CertificationPlan("pinned", "pinned"))
 
     @staticmethod
     def _lower(index: int, value: float, tol: float = 0.0) -> bnd.SpectralBound:
@@ -893,7 +893,7 @@ class TestCrossingSymmetry:
         # the stub supplies the waveguide count so the parity bookkeeping can
         # be checked without the finite-element step
         plan = CertificationPlan(count_strategy="stub", lower_strategy="crossing_symmetry")
-        v = run_certify(certify.crossing_config(), plan, name="crossing-sym")
+        v = run_certify(certify.preset("crossing")[0], plan, name="crossing-sym")
         assert v.certified
         assert v.n_discrete == 1
         p = v.extra["parities"]

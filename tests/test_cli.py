@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, deterministic reports, CSV outputs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 import scipy
 
-from starspec import certify, cli, fem
+from starspec import certify, cli, fem, geom
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -334,6 +335,27 @@ class TestAlphaErrors:
         bad.write_text(json.dumps(cfg))
         code, out, err = run(capsys, "certify", str(bad))
         assert (code, out, err) == (cli.EXIT_ERROR, "", f"error: malformed configuration: {path}: unknown key\n")
+
+    @pytest.fixture
+    def big_json(self, tmp_path) -> Path:
+        """A regular 1,001-gon center with one branch: valid but for its vertex count."""
+        n, r = 1001, 1.0
+        verts = [[r * math.cos(2 * math.pi * i / n), r * math.sin(2 * math.pi * i / n)] for i in range(n)]
+        width = math.hypot(verts[1][0] - verts[0][0], verts[1][1] - verts[0][1])
+        center = {"vertices": verts, "edge_tags": ["N"] + ["D"] * (n - 1), "edge_roles": ["cut"] + ["wall"] * (n - 1)}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "center": center,
+                                    "branches": [{"edge": 0, "cross_section": {"type": "interval", "dims": [width]}}]}))
+        return path
+
+    @pytest.mark.parametrize("command", ["certify", "mesh"])
+    def test_a_center_past_the_vertex_cap_exits_one(self, capsys, big_json, command):
+        code, out, err = run(capsys, command, str(big_json))
+        assert (code, out, err) == (cli.EXIT_ERROR, "", "error: center polygon has 1001 vertices, more than the cap of 1000 vertices\n")
+
+    def test_the_file_past_the_cap_is_otherwise_valid(self, monkeypatch, big_json):
+        monkeypatch.setattr(geom, "MAX_VERTICES", 1001)
+        assert geom.load_config(str(big_json)).center.n_edges == 1001
 
     def test_non_object_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "list.json"

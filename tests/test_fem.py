@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from starspec import certify, fem, geom
 from starspec.exact import PI2, EigList, box_eigs, equilateral_eigs
-from starspec.geom import BC, EdgeRole, Polygon, simple_polygon
+from starspec.geom import BC, EdgeRole, Polygon
 
 DN_SQUARE = Polygon(
     vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
@@ -28,6 +28,14 @@ NEUMANN_TRIANGLE = Polygon(
     vertices=((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)),
     edge_tags=(BC.NEUMANN,) * 3,
     edge_roles=(EdgeRole.CUT,) * 3,
+)
+
+NEUMANN_SQUARE = Polygon(DN_SQUARE.vertices, (BC.NEUMANN,) * 4, (EdgeRole.WALL,) * 4)
+
+L_SHAPE = Polygon(
+    vertices=((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)),
+    edge_tags=(BC.DIRICHLET,) * 6,
+    edge_roles=(EdgeRole.WALL,) * 6,
 )
 
 
@@ -71,7 +79,7 @@ class TestMeshing:
             assert tag_length(fine, tag) == pytest.approx(tag_length(mesh, tag), rel=1e-12)
 
     def test_nonconvex_polygon_meshes(self):
-        ell = simple_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        ell = L_SHAPE
         mesh = fem.triangulate(ell, 0.25)
         assert _area(mesh) == pytest.approx(3.0, rel=1e-12)
 
@@ -298,7 +306,7 @@ class TestAssembly:
 
     def test_mass_sums_to_area(self):
         # all-Neumann polygons keep every node, so the mass matrix integrates 1 * 1
-        for poly in (simple_polygon(DN_SQUARE.vertices, [BC.NEUMANN] * 4), NEUMANN_TRIANGLE):
+        for poly in (NEUMANN_SQUARE, NEUMANN_TRIANGLE):
             prob = fem.assemble(fem.triangulate(poly, 0.25))
             assert prob.mass.sum() == pytest.approx(poly.area(), rel=1e-12)
 
@@ -385,7 +393,7 @@ class TestRefineNumbering:
         [
             DN_SQUARE,
             NEUMANN_TRIANGLE,
-            simple_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+            L_SHAPE,
         ],
     )
     def test_matches_edge_loop_reference(self, poly):
@@ -453,7 +461,7 @@ class TestProlongation:
             assert {tuple(sorted(e)) for e in fine.parents.tolist()} == edges
             mesh = fine
 
-    @pytest.mark.parametrize("poly", [DN_SQUARE, simple_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])])
+    @pytest.mark.parametrize("poly", [DN_SQUARE, L_SHAPE])
     def test_a_linear_function_is_reproduced_exactly(self, poly):
         # dyadic nodes keep every value exact
         f = lambda p: 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 1]
@@ -808,7 +816,7 @@ class TestWarmStart:
         # prolongation is an exact eigenvector of the finer level
         code = (
             "import hashlib, math, sys; from starspec import certify, fem, geom; "
-            "tri = geom.simple_polygon([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], [geom.BC.NEUMANN] * 3); "
+            "tri = geom.Polygon(((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)), (geom.BC.NEUMANN,) * 3, (geom.EdgeRole.WALL,) * 3); "
             "cases = {'crossing': (geom.truncate(certify.preset('crossing')[0], 3.0), 2, 3, 0.5), "
             "'neumann_k1': (tri, 1, 3, 0.25), 'y_junction': (geom.truncate(certify.preset('y_junction')[0], 3.0), 2, 3, 0.5)}; "
             "bits = lambda spec: hashlib.sha256(b''.join(v.tobytes() for v in spec.level_values)).hexdigest(); "
@@ -971,7 +979,7 @@ class TestTailCaps:
         # u = a + b y on the cap x = 1 of an all-Neumann unit square continues
         # as u e^{-kappa t}: energy (b^2 + kappa^2 |u|^2) / 2 kappa and mass
         # |u|^2 / 2 kappa, with |u|^2 = a^2 + a b + b^2 / 3; P1 holds u exactly
-        square = simple_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], [BC.NEUMANN] * 4)
+        square = NEUMANN_SQUARE
         mesh = fem.refine(fem.triangulate(square, 0.5))
         plain, tailed = fem.assemble(mesh), fem.assemble(mesh, {1: kappa})
         assert np.array_equal(plain.free_nodes, tailed.free_nodes)
@@ -982,7 +990,7 @@ class TestTailCaps:
         assert u @ (tailed.mass - plain.mass) @ u == pytest.approx(norm2 / (2 * kappa), rel=1e-12)
 
     def test_cap_nodes_are_free_and_wall_corners_stay_dirichlet(self):
-        poly = geom.truncate(certify.t_junction_config(), 2.0)
+        poly = geom.truncate(certify.preset("t_junction")[0], 2.0)
         mesh = fem.triangulate(poly, 0.5)
         caps = certify.tail_caps(poly)
         plain, tailed = fem.assemble(mesh), fem.assemble(mesh, caps)

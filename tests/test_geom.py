@@ -1,7 +1,11 @@
 """Geometry layer: polygons, configuration validation, truncation, config I/O."""
 
+import dataclasses
+import json
 import math
+import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,27 +21,29 @@ from starspec.geom import (
     Polygon,
     StarWaveguideConfig,
     StubOverlap,
-    simple_polygon,
     truncate,
-    validate_config,
 )
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
 def t_config():
-    return certify.t_junction_config()
+    return certify.preset("t_junction")[0]
+
+
+def walls(vertices) -> Polygon:
+    """The polygon of the vertices, in their order, with a Dirichlet wall on every edge."""
+    n = len(vertices)
+    return Polygon(tuple(tuple(map(float, v)) for v in vertices), (BC.DIRICHLET,) * n, (EdgeRole.WALL,) * n)
 
 
 class TestPolygon:
-    def test_signed_area_and_orientation(self):
-        p = simple_polygon(UNIT_SQUARE)
-        assert p.signed_area() == pytest.approx(1.0)
-        q = simple_polygon(list(reversed(UNIT_SQUARE)))
-        assert q.signed_area() == pytest.approx(1.0)  # orientation fixed
+    def test_signed_area_follows_the_vertex_order(self):
+        assert walls(UNIT_SQUARE).signed_area() == 1.0
+        assert walls(UNIT_SQUARE[::-1]).signed_area() == -1.0
 
     def test_outward_normal_unit_square(self):
-        p = simple_polygon(UNIT_SQUARE)
+        p = walls(UNIT_SQUARE)
         normals = [p.outward_normal(i) for i in range(4)]
         assert normals[0] == pytest.approx((0.0, -1.0))
         assert normals[1] == pytest.approx((1.0, 0.0))
@@ -117,7 +123,7 @@ class TestPolygon:
         assert {(0, n - 2), (1, n - 1)} <= seen or not lone
 
     def test_edge_length(self):
-        p = simple_polygon([(0, 0), (3, 0), (0, 4)])
+        p = walls([(0, 0), (3, 0), (0, 4)])
         assert p.edge_length(0) == pytest.approx(3.0)
         assert p.edge_length(1) == pytest.approx(5.0)
 
@@ -135,45 +141,99 @@ class TestPolygon:
         angles = sorted(angles)
         assume(min(b - a for a, b in zip(angles, angles[1:])) > 0.05)
         pts = [(r * math.cos(a), r * math.sin(a)) for a in angles]
-        p = simple_polygon(pts)
+        p = walls(pts)
         assert p.is_simple()
         assert p.signed_area() > 0
         # vertices in convex position: the polygon contains its centroid
         cx = sum(x for x, _ in pts) / len(pts)
         cy = sum(y for _, y in pts) / len(pts)
         e = 1e-6  # the thinnest polygon drawn (three vertices 0.05 apart, r = 0.5) has its centroid 2e-4 inside
-        bounds.check_containment(simple_polygon([(cx + e, cy), (cx, cy + e), (cx - e, cy - e)]), p)
+        bounds.check_containment(walls([(cx + e, cy), (cx, cy + e), (cx - e, cy - e)]), p)
+
+
+D, N = BC.DIRICHLET, BC.NEUMANN
+W, C = EdgeRole.WALL, EdgeRole.CUT
+T_CENTER = Polygon(tuple(UNIT_SQUARE), (D, N, N, N), (W, C, C, C))
+UNIT_BRANCHES = tuple(Branch(i, CrossSection.interval(1.0)) for i in (1, 2, 3))
+CUBE = geom.Box3(dims=(1.0, 1.0, 1.0), axis_bcs=((D, N),) * 3)
+SQUARE_DUCT = CrossSection.rectangle(1.0, 1.0)
+
+
+def _duct(face, section=SQUARE_DUCT):
+    return (Branch(face, section),)
 
 
 class TestValidation:
+    # (center, branches, the message of the InvalidGeometry they raise)
+    INVALID = {
+        "cut-width": (Polygon(tuple(UNIT_SQUARE), (D, N, D, D), (W, C, W, W)),
+                      (Branch(1, CrossSection.interval(2.0)),), "branch width 2.0 does not match cut edge length 1.0"),
+        "dirichlet-cut": (Polygon(tuple(UNIT_SQUARE), (D,) * 4, (W, C, W, W)), UNIT_BRANCHES[:1],
+                          "cut edge 1 must carry the Neumann tag"),
+        "no-branch": (T_CENTER, (), "configuration has no branch"),
+        "clockwise": (walls(UNIT_SQUARE[::-1]), UNIT_BRANCHES[:1], "center polygon must be positively oriented"),
+        "self-intersecting": (walls([(0, 0), (2, 2), (2, 0), (0, 2), (-1, 1)]), UNIT_BRANCHES[:1],
+                              "center polygon is self-intersecting"),
+        "nan-vertex": (walls([(0, 0), (1, 0), (math.nan, 1)]), UNIT_BRANCHES[:1],
+                       "center vertices must be pairs of finite numbers"),
+        "shared-cut": (T_CENTER, UNIT_BRANCHES[:1] + UNIT_BRANCHES, "two branches share cut edge 1"),
+        "wall-branch": (T_CENTER, (Branch(0, CrossSection.interval(1.0)),) + UNIT_BRANCHES,
+                        "branch references non-cut edge 0"),
+        "2d-rectangle": (T_CENTER, (Branch(1, SQUARE_DUCT),) + UNIT_BRANCHES[1:],
+                         "2D branches must have interval cross-sections"),
+        "uncovered-cut": (T_CENTER, UNIT_BRANCHES[:2], "cut edges [3] have no branch attached"),
+        "two-axis-pairs": (geom.Box3(CUBE.dims, CUBE.axis_bcs[:2]), _duct(1),
+                           "box center needs three dims and three axis_bcs pairs"),
+        "face-range": (CUBE, _duct(6), "cut face index 6 out of range"),
+        "shared-face": (CUBE, _duct(1) * 2, "two branches share cut face 1"),
+        "dirichlet-face": (CUBE, _duct(0), "cut face 0 must carry the Neumann tag"),
+        "duct-mismatch": (CUBE, _duct(1, CrossSection.rectangle(1.0, 2.0)), "rectangular branch must match the cut face"),
+        "disk-too-wide": (CUBE, _duct(1, CrossSection.disk(0.8)), "disk branch does not fit inside the cut face"),
+        "3d-interval": (CUBE, _duct(1, CrossSection.interval(1.0)), "3D branches must be rectangles or disks"),
+    }
+
+    @staticmethod
+    def _routes(center, branches, valid=None) -> list[str]:
+        """The InvalidGeometry message of each way to build the config: the
+        constructor, config_from_dict and dataclasses.replace on a valid one."""
+        valid = valid or certify.preset("cube_square" if isinstance(center, geom.Box3) else "t_junction")[0]
+        as_dict = geom.config_to_dict(SimpleNamespace(name="bad", center=center, branches=branches,
+                                                      is_3d=isinstance(center, geom.Box3)))
+        routes = [lambda: StarWaveguideConfig("bad", center, branches), lambda: geom.config_from_dict(as_dict),
+                  lambda: dataclasses.replace(valid, center=center, branches=branches)]
+        messages = []
+        for build in routes:
+            with pytest.raises(InvalidGeometry) as e:
+                build()
+            messages.append(str(e.value))
+        return messages
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_an_invalid_config_cannot_be_built(self, case):
+        center, branches, message = self.INVALID[case]
+        assert self._routes(center, branches) == [message] * 3
+
+    def test_a_center_past_the_vertex_cap_is_refused_before_the_simplicity_test(self, monkeypatch):
+        monkeypatch.setattr(geom, "MAX_VERTICES", 4)
+        valid = t_config()  # four vertices: at the cap
+        monkeypatch.setattr(Polygon, "is_simple", lambda self: pytest.fail("is_simple ran"))
+        monkeypatch.setattr(Polygon, "signed_area", lambda self: pytest.fail("signed_area ran"))
+        pentagon = geom.y_center_polygon(1.0)
+        branches = tuple(Branch(i, CrossSection.interval(1.0)) for i, r in enumerate(pentagon.edge_roles) if r is C)
+        assert self._routes(pentagon, branches, valid) == ["center polygon has 5 vertices, more than the cap of 4 vertices"] * 3
+
+    def test_a_bound_alpha_leaves_equality_hash_and_repr_alone(self):
+        # the mesh cache keys on the config: a verdict that bound alpha must
+        # not make the next config of the same geometry a cache miss
+        bound, fresh = (geom.load_config("configs/broken_1.0.json") for _ in range(2))
+        assert bound.family_alpha("bent-guide") == 1.0 and bound._alphas and not fresh._alphas
+        assert bound == fresh and hash(bound) == hash(fresh) and repr(bound) == repr(fresh)
+        assert certify._truncated_mesh(bound, 2.0, 1) is certify._truncated_mesh(fresh, 2.0, 1)
+
     def test_t_junction_valid(self):
         vcfg = t_config()
         assert len(vcfg.branches) == 3
         assert not vcfg.is_3d
-
-    def test_cut_width_mismatch_rejected(self):
-        sq = Polygon(
-            vertices=tuple(UNIT_SQUARE),
-            edge_tags=(BC.DIRICHLET, BC.NEUMANN, BC.DIRICHLET, BC.DIRICHLET),
-            edge_roles=(EdgeRole.WALL, EdgeRole.CUT, EdgeRole.WALL, EdgeRole.WALL),
-        )
-        cfg = StarWaveguideConfig(
-            name="bad", center=sq, branches=(Branch(1, CrossSection.interval(2.0)),)
-        )
-        with pytest.raises(InvalidGeometry):
-            validate_config(cfg)
-
-    def test_dirichlet_cut_rejected(self):
-        sq = Polygon(
-            vertices=tuple(UNIT_SQUARE),
-            edge_tags=(BC.DIRICHLET, BC.DIRICHLET, BC.DIRICHLET, BC.DIRICHLET),
-            edge_roles=(EdgeRole.WALL, EdgeRole.CUT, EdgeRole.WALL, EdgeRole.WALL),
-        )
-        cfg = StarWaveguideConfig(
-            name="bad", center=sq, branches=(Branch(1, CrossSection.interval(1.0)),)
-        )
-        with pytest.raises(InvalidGeometry):
-            validate_config(cfg)
 
     def test_an_all_neumann_center_validates(self):
         # the crossing's center: every edge is a cut with a branch
@@ -183,19 +243,11 @@ class TestValidation:
             edge_roles=(EdgeRole.CUT,) * 4,
         )
         branches = tuple(Branch(i, CrossSection.interval(1.0)) for i in range(4))
-        assert validate_config(StarWaveguideConfig(name="x", center=sq, branches=branches)).name == "x"
+        assert StarWaveguideConfig(name="x", center=sq, branches=branches).name == "x"
 
     def test_3d_box_valid(self):
-        vcfg = certify.cube_square_config()
+        vcfg = certify.preset("cube_square")[0]
         assert vcfg.is_3d
-
-    def test_3d_disk_must_fit(self):
-        box = geom.Box3(dims=(1.0, 1.0, 1.0), axis_bcs=((BC.DIRICHLET, BC.NEUMANN),) * 3)
-        cfg = StarWaveguideConfig(
-            name="bad", center=box, branches=(Branch(1, CrossSection.disk(0.8)),)
-        )
-        with pytest.raises(InvalidGeometry):
-            validate_config(cfg)
 
 
 class TestTruncate:
@@ -212,7 +264,7 @@ class TestTruncate:
         assert a4 - a2 == pytest.approx(3 * 2.0)
 
     def test_crossing_truncation(self):
-        poly = truncate(certify.crossing_config(), 2.0)
+        poly = truncate(certify.preset("crossing")[0], 2.0)
         assert poly.area() == pytest.approx(1.0 + 4 * 2.0)
 
     @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
@@ -236,6 +288,19 @@ class TestTruncate:
             widths = sorted(b.cross_section.dims[0] for b in vcfg.branches)
             assert sorted(poly.edge_length(i) for i in caps) == pytest.approx(widths, rel=1e-12)
 
+    def test_the_truncated_polygon_is_counterclockwise(self):
+        # each stub adds its positive area w L to the center's, so truncate
+        # never needs to reverse its vertex list
+        rng = random.Random(3)
+        configs = [certify.preset(n)[0] for n in certify.PRESET_NAMES]
+        for name, lo, hi in [("broken", 0.1, 1.5), ("y_alpha", 0.3, 1.55), ("rounded_corner", 0.3, math.pi)]:
+            configs += [certify.preset(name, alpha=rng.uniform(lo, hi))[0] for _ in range(20)]
+        configs += [geom.load_config(str(p)) for p in sorted(Path("configs").glob("*.json"))]
+        for vcfg in configs:
+            if not vcfg.is_3d:
+                length = rng.uniform(0.5, 4.0)
+                assert truncate(vcfg, length).signed_area() > 0, (vcfg.name, length)
+
     def test_facing_cuts_overlap_raises(self):
         # U-shaped center with facing cuts on the inner prong walls: long
         # stubs collide across the notch, and the half-strips beyond the caps
@@ -251,12 +316,10 @@ class TestTruncate:
             edge_tags=(D, D, D, D, N, D, D, D, N, D, D, D),
             edge_roles=(W, W, W, W, C, W, W, W, C, W, W, W),
         )
-        vcfg = validate_config(
-            StarWaveguideConfig(
-                name="u",
-                center=u,
-                branches=(Branch(4, CrossSection.interval(1.0)), Branch(8, CrossSection.interval(1.0))),
-            )
+        vcfg = StarWaveguideConfig(
+            name="u",
+            center=u,
+            branches=(Branch(4, CrossSection.interval(1.0)), Branch(8, CrossSection.interval(1.0))),
         )
         with pytest.raises(StubOverlap, match="half-strips beyond the caps at length 0.5 overlap"):
             truncate(vcfg, 0.5)
@@ -267,9 +330,8 @@ class TestTruncate:
 class TestConfigIO:
     def test_round_trip_2d(self, tmp_path):
         vcfg = t_config()
-        d = geom.config_to_dict(vcfg.cfg)
+        d = geom.config_to_dict(vcfg)
         path = tmp_path / "t.json"
-        import json
 
         path.write_text(json.dumps(d))
         back = geom.load_config(str(path))
@@ -278,10 +340,9 @@ class TestConfigIO:
         assert back.center.edge_tags == vcfg.center.edge_tags
 
     def test_round_trip_3d(self, tmp_path):
-        vcfg = certify.cube_disk_config()
-        d = geom.config_to_dict(vcfg.cfg)
+        vcfg = certify.preset("cube_disk")[0]
+        d = geom.config_to_dict(vcfg)
         path = tmp_path / "c.json"
-        import json
 
         path.write_text(json.dumps(d))
         back = geom.load_config(str(path))
