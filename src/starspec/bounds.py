@@ -63,11 +63,14 @@ def lower_bound(operator: str, index: int, value: float, rule: str, params: dict
     return _bound((operator, index, value, _LOWER, (_step((rule, params, value)),), tol))
 
 
-def bounds_from_eiglist(operator: str, eigs: EigList, direction: Direction, rule: str, params: dict) -> list[SpectralBound]:
-    return [
-        _bound((operator, i, v, direction, (_step((rule, {**params, "index": i, "provenance": prov}, v)),), 0.0))
-        for i, (v, prov) in enumerate(zip(eigs.values, eigs.provenance), start=1)
-    ]
+def bounds_from_eiglist(operator: str, eigs: EigList, direction: Direction, rule: str, params: dict, then=None) -> list[SpectralBound]:
+    """A bound for each value of eigs, traced by a step of rule and, for a
+    (rule, params) pair then, a step of it at the same value."""
+    out = []
+    for i, (v, prov) in enumerate(zip(eigs.values, eigs.provenance), start=1):
+        trace = (_step((rule, {**params, "index": i, "provenance": prov}, v)),) + ((_step((*then, v)),) if then else ())
+        out.append(_bound((operator, i, v, direction, trace, 0.0)))
+    return out
 
 
 # -- rules ------------------------------------------------------------------

@@ -276,35 +276,18 @@ def count_discrete(
 
 
 def _box(vcfg: StarWaveguideConfig, rule: str) -> tuple[list, list, Optional[str]]:
-    """Dims, interval condition pairs (low side first) and relaxation note of
-    a Box3 or an axis-aligned rectangle center.  A cut patch, or a side that
-    mixes D and N edges, is relaxed to Neumann, which only lowers eigenvalues."""
-    c = vcfg.center
-    if vcfg.is_3d:
-        return list(c.dims), [a.value + b.value for a, b in c.axis_bcs], "cut patch relaxed to full face"
-    bbox = [(min(xs), max(xs)) for xs in zip(*c.vertices)]
-    sides: dict = {}  # (axis, 0 for the low side or 1 for the high side) -> tags of its edges
-    for i, tag in enumerate(c.edge_tags):
-        p, q = c.edge(i)
-        ax = 0 if p[0] == q[0] else 1
-        if p[ax] != q[ax] or p[ax] not in bbox[ax]:
-            raise Unbound(f"{rule} needs an axis-aligned rectangle or box center")
-        sides.setdefault((ax, bbox[ax].index(p[ax])), set()).add(tag)
-    bcs = ["".join("N" if BC.NEUMANN in sides[ax, e] else "D" for e in (0, 1)) for ax in (0, 1)]
-    mixed = any(len(tags) > 1 for tags in sides.values())
-    return [hi - lo for lo, hi in bbox], bcs, "branch side relaxed to full Neumann" if mixed else None
+    """The center's geom.axis_box, read once per config; a center that is no
+    axis-aligned rectangle or box is Unbound, named by the rule."""
+    if vcfg.axis_box is None:
+        raise Unbound(f"{rule} needs an axis-aligned rectangle or box center")
+    return vcfg.axis_box
 
 
 def _lower_box(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
     """Separable box with the center's dims and interval condition pairs."""
     dims, bcs, relaxed = _box(vcfg, "box")
-    out = bnd.bounds_from_eiglist(
-        DN_CENTER_OP, exact.box_eigs(tuple(dims), tuple(bcs), k), Direction.LOWER,
-        "box-eig", {"dims": dims, "bcs": bcs},
-    )
-    if relaxed:
-        out = [b._replace(trace=b.trace + (TraceStep("neumann-relaxation", {"detail": relaxed}, b.value),)) for b in out]
-    return out
+    eigs, then = exact.box_eigs(tuple(dims), tuple(bcs), k), relaxed and ("neumann-relaxation", {"detail": relaxed})
+    return bnd.bounds_from_eiglist(DN_CENTER_OP, eigs, Direction.LOWER, "box-eig", {"dims": dims, "bcs": bcs}, then)
 
 
 def _lower_neumann_equilateral(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
@@ -769,7 +752,7 @@ PRESET_NAMES = tuple(n for n, (_, shape, _) in _PRESETS.items() if None not in s
 MAX_GRID_POINTS = 1_000_000
 
 
-@dataclass
+@dataclass(slots=True)  # no per-row __dict__: a sweep holds one row per angle
 class SweepRow:
     param: float
     nu: float

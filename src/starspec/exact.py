@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,21 +59,12 @@ class EigList:
         return self.values[i]
 
 
-def _sorted_prefix(pairs: list[tuple[float, str]], k: int) -> EigList:
-    pairs.sort(key=lambda p: p[0])
-    head = pairs[:k]
-    return EigList(tuple(v for v, _ in head), tuple(p for _, p in head))
-
-
 # endpoint pair -> (first mode number n, shift): the values are ((n - shift) pi / length)^2
 _INTERVAL_MODES = {"DD": (1, 0), "NN": (0, 0), "DN": (1, 0.5), "ND": (1, 0.5)}
 
 
-def interval_eigs(length: float, bc: str, k: int) -> EigList:
-    """First k eigenvalues of -u'' on (0, length) with endpoint conditions bc.
-
-    bc is one of "DD", "NN", "DN", "ND".
-    """
+def _interval_values(length: float, bc: str, k: int) -> tuple[range, list[float]]:
+    """Mode numbers and values of the first k eigenvalues of interval_eigs."""
     if not 0 < length < math.inf:
         raise ValueError(f"length must be positive and finite, not {length}")
     if k < 1:
@@ -81,60 +73,67 @@ def interval_eigs(length: float, bc: str, k: int) -> EigList:
         raise ValueError(f"unknown boundary pair {bc!r}")
     first, shift = _INTERVAL_MODES[bc]
     ns = range(first, first + k)
-    return EigList(tuple(((n - shift) * math.pi / length) ** 2 for n in ns), tuple(f"interval-{bc}(n={n})" for n in ns))
+    return ns, [((n - shift) * math.pi / length) ** 2 for n in ns]
+
+
+def interval_eigs(length: float, bc: str, k: int) -> EigList:
+    """First k eigenvalues of -u'' on (0, length) with endpoint conditions bc, one of "DD", "NN", "DN", "ND"."""
+    ns, values = _interval_values(length, bc, k)
+    return EigList(tuple(values), tuple(f"interval-{bc}(n={n})" for n in ns))
 
 
 def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int, below: float = math.inf) -> EigList:
     """First k eigenvalues of the separable box Laplacian below `below`.
 
-    The k-th smallest sum uses at most the k-th smallest value on each axis,
-    so k values per axis make the sorted k-prefix complete; axis values are
-    nonnegative and ascending, so a partial sum >= `below` ends its branch.
-    The r^d >= k lattice points of the r lowest values on each axis give k
-    sums no larger than their largest, added in the enumeration's order, so
-    `below` is capped just above that sum.
+    The k-th smallest sum uses at most the k-th smallest value on each axis, so k values per
+    axis make the sorted k-prefix complete; axis values are nonnegative and ascending, so a
+    partial sum >= `below` ends its branch.  The r^d >= k lattice points of the r lowest values
+    on each axis give k sums no larger than their largest, added in the enumeration's order, so
+    `below` is capped just above that sum.  The walk visits the lattice in index order, axis by
+    axis; only the axis values below `below` get a name, and only the k points kept a label.
     """
     d = len(dims)
     if d not in (1, 2, 3) or len(bcs) != d:
         raise ValueError("dims/bcs must have matching length 1, 2 or 3")
     if k < 1:
         raise ValueError("k must be >= 1")
-    axes = [interval_eigs(dims[i], bcs[i], k) for i in range(d)]
+    axes = [_interval_values(length, bc, k) for length, bc in zip(dims, bcs)]
     r = round(k ** (1 / d))
     r += r**d < k  # the least r with r^d >= k
     corner = 0.0
-    for axis in axes:
-        corner += axis.values[r - 1]
-    below = min(below, math.nextafter(corner, math.inf))
-    pairs: list[tuple[float, str]] = []
-
-    def rec(axis: int, total: float, label: list[str]):
-        if axis == d:
-            pairs.append((total, "box[" + ",".join(label) + "]"))
-            return
-        for v, p in zip(axes[axis].values, axes[axis].provenance):
-            if total + v >= below:
-                break
-            label.append(p)
-            rec(axis + 1, total + v, label)
-            label.pop()
-
-    rec(0, 0.0, [])
-    return _sorted_prefix(pairs, k)
+    for _, values in axes:
+        corner += values[r - 1]
+    below = min(math.nextafter(corner, math.inf), below)
+    walk = [(0.0, ())]  # (partial sum, its index on each axis so far)
+    for _, values in axes:
+        step = []
+        for total, index in walk:
+            for j, v in enumerate(values):
+                v = total + v
+                if v >= below:
+                    break
+                step.append((v, index + (j,)))
+        walk = step
+    walk.sort()  # by sum, then by index: the walk's own order among equal sums
+    kept = walk[:k]  # each index j of an axis has values[j] < below
+    names = [[f"interval-{bc}(n={n})" for n in ns[:bisect_left(values, below)]] for bc, (ns, values) in zip(bcs, axes)]
+    return EigList(tuple([v for v, _ in kept]), tuple(["box[" + ",".join(map(list.__getitem__, names, i)) + "]" for _, i in kept]))
 
 
 @functools.cache
 def _equilateral_lattice(bc: str, k: int) -> EigList:
-    """The k smallest m^2 + m n + n^2 of the bc index lattice, with labels."""
+    """The k smallest m^2 + m n + n^2 of the bc index lattice, with labels.  The r x r index square
+    from lo holds r^2 >= k lattice points (a pair m != n twice), none above top = 3 (lo + r - 1)^2, so
+    the pairs m <= n up to top (m^2 <= top / 3, n^2 <= top), walked in index order, hold the k
+    smallest: about 1.8 k points are walked, and only the k kept get a label."""
     lo = 1 if bc == "dirichlet" else 0
-    # m^2 + mn + n^2 >= 3/4 (m+n)^2 for m,n >= 0; a cap of lo + k + 2 index
-    # values per axis safely covers the k smallest lattice values
-    cap = lo + k + 2
-    pairs: list[tuple[int, str]] = []
-    for m in range(lo, cap + 1):
-        for n in range(m, cap + 1):
-            pairs += [(m * m + m * n + n * n, f"equilateral-{bc[0].upper()}(m={m},n={n})")] * (1 if m == n else 2)
-    return _sorted_prefix(pairs, k)
+    r = math.isqrt(k - 1) + 1  # the least r with r^2 >= k
+    top = 3 * (lo + r - 1) ** 2
+    pairs = [(q, m, n) for m in range(lo, lo + r) for n in range(m, 2 * (lo + r))
+             if (q := m * m + m * n + n * n) <= top for _ in range(1 + (m < n))]
+    pairs.sort()  # by value, then by index: the walk's own order among equal values
+    head, tag = pairs[:k], bc[0].upper()
+    return EigList(tuple(q for q, _, _ in head), tuple(f"equilateral-{tag}(m={m},n={n})" for _, m, n in head))
 
 
 def equilateral_eigs(side: float, bc: str, k: int) -> EigList:
@@ -238,7 +237,8 @@ def sector_dn_eigs(alpha: float, radius: float, k: int) -> EigList:
             for kk in range(1, k_max + 1):
                 z = bessel_zero(s, kk)
                 pairs.append(((z / radius) ** 2, f"sector(n={n},k={kk})"))
-        out = _sorted_prefix(pairs, k)
+        pairs.sort(key=lambda p: p[0])
+        out = EigList(tuple(v for v, _ in pairs[:k]), tuple(p for _, p in pairs[:k]))
         top = out.values[-1]
         # first omitted candidates: (n_max+1, 1) and (*, k_max+1)
         lb_n = (bessel_zero_lower_bound(math.pi * (n_max + 1) / alpha, 1) / radius) ** 2

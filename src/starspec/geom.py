@@ -199,6 +199,29 @@ class StarWaveguideConfig:
             self._alphas[family] = family_alpha(self.center, family)
         return self._alphas[family]
 
+    @functools.cached_property  # not a field: kept outside ==, hash and repr, like _alphas
+    def axis_box(self) -> Optional[tuple[list, list, Optional[str]]]:
+        """axis_box of the center, read on the first use and kept from then on."""
+        return axis_box(self.center)
+
+
+def axis_box(center: Polygon | Box3) -> Optional[tuple[list, list, Optional[str]]]:
+    """Dims, interval condition pairs (low side first) and relaxation note of a Box3 or an axis-aligned rectangle
+    center, or None.  A cut patch, or a side that mixes D and N edges, is relaxed to Neumann: eigenvalues only drop."""
+    if isinstance(center, Box3):
+        return list(center.dims), [a.value + b.value for a, b in center.axis_bcs], "cut patch relaxed to full face"
+    v = center.vertices
+    bbox = [(min(xs), max(xs)) for xs in zip(*v)]
+    sides: dict = {}  # (axis, 0 for the low side or 1 for the high side) -> tags of its edges
+    for p, q, tag in zip(v, v[1:] + v[:1], center.edge_tags):
+        ax = 0 if p[0] == q[0] else 1
+        if p[ax] != q[ax] or p[ax] not in bbox[ax]:
+            return None
+        sides.setdefault((ax, bbox[ax].index(p[ax])), []).append(tag)
+    side = {key: "N" if BC.NEUMANN in tags else "D" for key, tags in sides.items()}
+    note = "branch side relaxed to full Neumann" if any(BC.NEUMANN in t and BC.DIRICHLET in t for t in sides.values()) else None
+    return [hi - lo for lo, hi in bbox], [side[ax, 0] + side[ax, 1] for ax in (0, 1)], note
+
 
 def validate_config(cfg: StarWaveguideConfig) -> None:
     if not cfg.branches:

@@ -341,6 +341,45 @@ class TestShapeBinding:
         assert certify._box(certify.preset("cube_disk")[0], "box") == (
             [1.0, 1.0, 1.0], ["DN", "DN", "DN"], "cut patch relaxed to full face")
 
+    def test_a_rectangle_verdict_reads_its_box_once(self, monkeypatch):
+        vcfg, plan = preset("rect_two_eigs")
+        read = _spy_calls(monkeypatch, geom, "axis_box")
+        for _ in range(2):
+            v = run_certify(vcfg, plan, name="rect")
+            assert v.certified and v.n_discrete == 2
+        assert read == [(vcfg.center,)]
+        # the count and the lower rule share the one reading
+        dims = {id(b.trace[0].params["dims"]) for b in v.lower_bounds + v.upper_bounds}
+        assert dims == {id(vcfg.axis_box[0])}
+        wider = dataclasses.replace(vcfg, center=preset("rect_two_eigs", a=3.0)[0].center)
+        same = dataclasses.replace(vcfg)
+        assert wider.axis_box[0] == [3.0, 2.041] and same.axis_box == vcfg.axis_box
+        assert read == [(vcfg.center,), (wider.center,), (vcfg.center,)]
+
+    @pytest.mark.parametrize("rule", ["box", "exact_box_B"])
+    def test_a_center_that_is_no_rectangle_is_unbound(self, rule):
+        with pytest.raises(certify.Unbound, match=f"^{rule} needs an axis-aligned rectangle or box center$"):
+            certify._box(preset("y_junction")[0], rule)
+
+    def test_auto_probes_box_and_reads_a_non_rectangle_once(self, monkeypatch):
+        vcfg, plan = preset("y_junction")
+        read = _spy_calls(monkeypatch, geom, "axis_box")
+        unbound, box = [], certify._LOWER_RULES["box"]
+
+        def probe(vcfg, k):
+            try:
+                return box(vcfg, k)
+            except certify.Unbound as e:
+                unbound.append(str(e))
+                raise
+
+        monkeypatch.setitem(certify._LOWER_RULES, "box", probe)
+        v = run_certify(vcfg, _fact_plan(plan), name="y")
+        assert v.lower_bounds[0].trace[0].rule == "equilateral-eig"
+        assert certify._first_binding_rule(vcfg) == "neumann_equilateral"
+        assert unbound == ["box needs an axis-aligned rectangle or box center"] * 2
+        assert read == [(vcfg.center,)]
+
 
 class TestSingleSolveCount:
     # coarse meshes keep each solve in milliseconds; the count rule is the same
@@ -937,6 +976,13 @@ class TestSweepHelpers:
         # the benchmark digests each families row as dataclasses.astuple(row)
         row = certify.sweep_broken([1.0])[0]
         assert dataclasses.astuple(row) == (row.param, row.nu, row.certified, row.n, row.dn_margin, row.reason)
+
+    def test_a_sweep_row_has_no_instance_dict(self):
+        # a sweep holds one row per angle, up to MAX_GRID_POINTS of them
+        row = certify.SweepRow(0.5, PI2, True, 1, 0.5, "r")
+        assert not hasattr(row, "__dict__")
+        assert repr(row) == "SweepRow(param=0.5, nu=%r, certified=True, n=1, dn_margin=0.5, reason='r')" % PI2
+        assert row == certify.SweepRow(0.5, PI2, True, 1, 0.5, "r") != certify.SweepRow(0.5, PI2, True, 1, 0.5, "")
 
     def test_y_interval_roots(self):
         a1, a2 = y_alpha_certified_interval()

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, deterministic reports, CSV outputs."""
 
+import hashlib
 import json
 import math
 import os
@@ -472,6 +473,29 @@ class TestSpectrumCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:")
+
+    # sha256 of the box spectrum report without its versions, as the
+    # recursive lattice walk printed it: ties, one to three axes, every pair
+    BOX_REPORTS = {
+        ("-k", "1"): "18fdccc106c4f3b791eacd11908266b39c3771dd933e0ca29f82ba785a6793ae",
+        ("-k", "40"): "39099d7398614a0e3f9cd814c4a1c570ed7b389415ff0c200b774cd40bf7835d",
+        ("--dims", "2.381", "2.041", "--bcs", "DD", "ND", "-k", "300"):
+            "9d53323403cdbfa528f662f7517c1ae505040752a403bec1da0f78cbc3947ff3",
+        ("--dims", "1", "1", "1", "--bcs", "DN", "DN", "DN", "-k", "40"):
+            "121e4a16a76988a9e092c790b10915ba7da40c34f9121ef2aae434bafb970dd5",
+        ("--dims", "1.3", "0.7", "2", "--bcs", "NN", "DD", "ND", "-k", "2000"):
+            "84b7b77f44f185554c3f2b0c398aaf20acdc5cabce0563ac5a36a0ac2321ee6c",
+        ("--dims", "0.8", "--bcs", "NN", "-k", "7"): "61d922da65847124e1c92174968dd54284013a70e135f542a0df3488cb5af085",
+        ("--dims", "40", "40", "--bcs", "NN", "DN", "-k", "27"):
+            "6127c25b788a57aa67e43241c81489f287a36f5b30c6196aa5e505bd64cd0658",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(BOX_REPORTS))
+    def test_box_reports_are_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, "spectrum", "--shape", "box", *argv)
+        report, _ = out.rsplit(', "versions": ', 1)
+        assert code == cli.EXIT_CERTIFIED
+        assert hashlib.sha256(report.encode()).hexdigest() == self.BOX_REPORTS[argv]
 
     def test_equilateral_defaults_to_dirichlet(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--shape", "equilateral", "-k", "1")

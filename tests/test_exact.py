@@ -145,6 +145,52 @@ class TestBox:
         got = box_eigs((1.0, 1.0), ("NN", "DN"), 2).values
         assert got == pytest.approx((PI2 / 4, 5 * PI2 / 4), rel=REL)
 
+    @staticmethod
+    def _recursive_box_eigs(dims, bcs, k, below=math.inf):
+        # the walk as a recursive closure over the axis EigLists, labelling
+        # every lattice point it visits
+        d = len(dims)
+        axes = [interval_eigs(dims[i], bcs[i], k) for i in range(d)]
+        r = round(k ** (1 / d))
+        r += r**d < k
+        corner = 0.0
+        for axis in axes:
+            corner += axis.values[r - 1]
+        below = min(below, math.nextafter(corner, math.inf))
+        pairs = []
+
+        def rec(axis, total, label):
+            if axis == d:
+                pairs.append((total, "box[" + ",".join(label) + "]"))
+                return
+            for v, p in zip(axes[axis].values, axes[axis].provenance):
+                if total + v >= below:
+                    break
+                label.append(p)
+                rec(axis + 1, total + v, label)
+                label.pop()
+
+        rec(0, 0.0, [])
+        pairs.sort(key=lambda p: p[0])
+        return tuple(v for v, _ in pairs[:k]), tuple(p for _, p in pairs[:k])
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda d: st.tuples(
+                # a few repeated lengths make equal dims, and so tied sums, common
+                st.lists(st.sampled_from([0.5, 1.0, 1.3, 2.0]) | st.floats(min_value=0.3, max_value=4.0), min_size=d, max_size=d),
+                st.lists(st.sampled_from(["DD", "NN", "DN", "ND"]), min_size=d, max_size=d),
+            )
+        ),
+        st.integers(min_value=1, max_value=40),
+        st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=400.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_walk_matches_the_recursive_walk(self, shape, k, below):
+        dims, bcs = map(tuple, shape)
+        got = box_eigs(dims, bcs, k, below=below)
+        assert (got.values, got.provenance) == self._recursive_box_eigs(dims, bcs, k, below)
+
 
 def brute_force_equilateral(side, bc, k, cap=25):
     scale = 16 * PI2 / (9 * side**2)
@@ -184,6 +230,25 @@ class TestEquilateral:
                 pairs += [(v, f"equilateral-{bc[0].upper()}(m={m},n={n})")] * (1 if m == n else 2)
         pairs.sort(key=lambda p: p[0])
         return tuple(v for v, _ in pairs[:k]), tuple(p for _, p in pairs[:k])
+
+    @staticmethod
+    def _square_lattice(bc, k):
+        # every pair up to lo + k + 2 on each index, labelled and sorted
+        lo = 1 if bc == "dirichlet" else 0
+        cap = lo + k + 2
+        pairs = []
+        for m in range(lo, cap + 1):
+            for n in range(m, cap + 1):
+                pairs += [(m * m + m * n + n * n, f"equilateral-{bc[0].upper()}(m={m},n={n})")] * (1 if m == n else 2)
+        pairs.sort(key=lambda p: p[0])
+        return tuple(v for v, _ in pairs[:k]), tuple(p for _, p in pairs[:k])
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_the_radius_walk_matches_the_square_walk(self, bc):
+        # every k to 120, then every tenth to 300: the square walk is O(k^2)
+        for k in [*range(1, 121), *range(130, 301, 10)]:
+            got = exact._equilateral_lattice(bc, k)
+            assert (got.values, got.provenance) == self._square_lattice(bc, k), k
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("side", [1.0, 2 * math.sqrt(3), 0.37, 1 / 3, math.pi, 250.0])

@@ -230,6 +230,12 @@ class TestValidation:
         assert bound == fresh and hash(bound) == hash(fresh) and repr(bound) == repr(fresh)
         assert certify._truncated_mesh(bound, 2.0, 1) is certify._truncated_mesh(fresh, 2.0, 1)
 
+    def test_a_read_box_leaves_equality_hash_and_repr_alone(self):
+        bound, fresh = (geom.load_config("configs/rect_two_eigs.json") for _ in range(2))
+        assert bound.axis_box == ([2.381, 2.041], ["DN", "DD"], "branch side relaxed to full Neumann")
+        assert "axis_box" in vars(bound) and "axis_box" not in vars(fresh)
+        assert bound == fresh and hash(bound) == hash(fresh) and repr(bound) == repr(fresh)
+
     def test_t_junction_valid(self):
         vcfg = t_config()
         assert len(vcfg.branches) == 3
