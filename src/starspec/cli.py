@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
+import itertools
 import json
 import math
 import platform
@@ -68,12 +68,14 @@ def _versions() -> dict:
     }
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text, path: str | None) -> None:
+    """Write a str, or each str of an iterable as it comes, to path or, for "-", to stdout."""
+    lines = (text,) if isinstance(text, str) else text
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w") as f:
-            f.write(text)
+            f.writelines(lines)
 
 
 def _overrides(args) -> dict:
@@ -113,10 +115,14 @@ SPECTRA = {
     "equilateral": lambda args, bc: exact.equilateral_eigs(args.side, bc.lower(), args.k),
     "sector": lambda args, bc: exact.sector_dn_eigs(args.alpha, args.radius, args.k),
 }
+# the largest -k: at it the sector takes the longest, about 8 s and 110 MB (see README)
+MAX_EIGENVALUES = 100_000
 
 
 def cmd_spectrum(args) -> int:
     shape = args.shape
+    if args.k > MAX_EIGENVALUES:
+        raise ValueError(f"-k {args.k} exceeds the cap of {MAX_EIGENVALUES} eigenvalues")
     if not all(map(math.isfinite, [args.length, args.side, args.alpha, args.radius, *args.dims])):
         raise ValueError("--length, --side, --alpha, --radius and --dims must be finite")
     eigs = SPECTRA[shape](args, args.bc or ("dirichlet" if shape == "equilateral" else "DD"))
@@ -133,16 +139,13 @@ def cmd_spectrum(args) -> int:
     return EXIT_CERTIFIED
 
 
-def _sweep_csv(rows: list[certify.SweepRow]) -> str:
-    buf = io.StringIO()
-    buf.write("param,nu,verdict,n,dn_margin\n")
+def _sweep_csv(rows: list[certify.SweepRow]):
+    """The sweep's CSV lines, each formatted as it is asked for."""
+    yield "param,nu,verdict,n,dn_margin\n"
     for r in rows:
         verdict = "CertifiedNoResonance" if r.certified else "Inconclusive"
         n = "" if r.n is None else str(r.n)
-        buf.write(
-            f"{format(r.param, '.17g')},{format(r.nu, '.17g')},{verdict},{n},{format(r.dn_margin, '.17g')}\n"
-        )
-    return buf.getvalue()
+        yield f"{format(r.param, '.17g')},{format(r.nu, '.17g')},{verdict},{n},{format(r.dn_margin, '.17g')}\n"
 
 
 def cmd_sweep(args) -> int:
@@ -166,13 +169,8 @@ def cmd_region(args) -> int:
     if args.nx < 10 or args.ny < 10:
         raise ValueError("grid resolution must be at least 10 per axis")
     rows = certify.region_rows(args.nx, args.ny)
-    buf = io.StringIO()
-    buf.write("x,y,inside,certified\n")
-    for x, y, inside, cert in rows:
-        buf.write(
-            f"{format(x, '.17g')},{format(y, '.17g')},{str(inside).lower()},{str(cert).lower()}\n"
-        )
-    _write(buf.getvalue(), args.output)
+    lines = (f"{format(x, '.17g')},{format(y, '.17g')},{str(inside).lower()},{str(cert).lower()}\n" for x, y, inside, cert in rows)
+    _write(itertools.chain(["x,y,inside,certified\n"], lines), args.output)
     return EXIT_CERTIFIED
 
 

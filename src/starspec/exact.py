@@ -8,6 +8,8 @@ lower bounds used by the certification rules.
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -21,10 +23,6 @@ BESSEL_MAX_ITER = 200
 
 
 class ConvergenceFailure(RuntimeError):
-    pass
-
-
-class CapsTooSmall(ValueError):
     pass
 
 
@@ -120,19 +118,26 @@ def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int, below: float
     return EigList(tuple([v for v, _ in kept]), tuple(["box[" + ",".join(map(list.__getitem__, names, i)) + "]" for _, i in kept]))
 
 
+def _ascending(root, children):
+    """Yield root and its descendants in ascending order, children(*node) being a node's.  No child
+    is below its parent, so each node not yet yielded has an ancestor on the heap that is no larger:
+    the heap's least is the least left.  A node's children are made only once it is taken."""
+    heap = [root]
+    while heap:
+        node = heapq.heappop(heap)
+        yield node
+        for child in children(*node):
+            heapq.heappush(heap, child)
+
+
 @functools.cache
 def _equilateral_lattice(bc: str, k: int) -> EigList:
-    """The k smallest m^2 + m n + n^2 of the bc index lattice, with labels.  The r x r index square
-    from lo holds r^2 >= k lattice points (a pair m != n twice), none above top = 3 (lo + r - 1)^2, so
-    the pairs m <= n up to top (m^2 <= top / 3, n^2 <= top), walked in index order, hold the k
-    smallest: about 1.8 k points are walked, and only the k kept get a label."""
+    """The k smallest q = m^2 + m n + n^2 of the bc index lattice, with labels: the pairs m <= n by
+    value, then by index, a pair m != n taken twice.  (m, n + 1) is a child of (m, n), and so is
+    (m + 1, m + 1) when m = n."""
     lo = 1 if bc == "dirichlet" else 0
-    r = math.isqrt(k - 1) + 1  # the least r with r^2 >= k
-    top = 3 * (lo + r - 1) ** 2
-    pairs = [(q, m, n) for m in range(lo, lo + r) for n in range(m, 2 * (lo + r))
-             if (q := m * m + m * n + n * n) <= top for _ in range(1 + (m < n))]
-    pairs.sort()  # by value, then by index: the walk's own order among equal values
-    head, tag = pairs[:k], bc[0].upper()
+    walk = _ascending((3 * lo * lo, lo, lo), lambda q, m, n: [(q + m + 2 * n + 1, m, n + 1)] + ([(3 * (m + 1) ** 2, m + 1, m + 1)] if m == n else []))
+    head, tag = list(itertools.islice((node for node in walk for _ in range(1 + (node[1] < node[2]))), k)), bc[0].upper()
     return EigList(tuple(q for q, _, _ in head), tuple(f"equilateral-{tag}(m={m},n={n})" for _, m, n in head))
 
 
@@ -183,71 +188,64 @@ def bessel_zero_lower_bound(s: float, k: int) -> float:
     return b
 
 
-def bessel_zero(s: float, k: int) -> float:
-    """k-th positive zero of J_s via sign-change bracketing and bisection.
+def _bessel_zeros(s: float):
+    """The positive zeros of J_s, s >= 0, in ascending order, by a unit-step sign-change scan and
+    bisection; the j-th zero must come within BESSEL_MAX_ITER j steps of the start."""
+    from scipy.optimize import brentq
 
-    Consecutive zeros of J_s (s >= 0) are separated by more than 3 for the
-    small orders used here, so a unit-step scan cannot skip a zero.
+    # all positive zeros exceed s; start just above the analytic floor
+    x = max(s + 1e-6, bessel_zero_lower_bound(s, 1) - 1.5, 1e-6)
+    f_prev, found = bessel_j(s, x), 0
+    for i in itertools.count():
+        if i == BESSEL_MAX_ITER * (found + 1):
+            raise ConvergenceFailure(f"could not locate zero {found + 1} of J_{s}")
+        x_next = x + 1.0
+        f_next = bessel_j(s, x_next)
+        if f_prev == 0.0:
+            found += 1
+            yield x
+        elif f_prev * f_next < 0:
+            found += 1
+            yield float(brentq(lambda t: bessel_j(s, t), x, x_next, xtol=1e-13, rtol=1e-13, maxiter=BESSEL_MAX_ITER))
+        x, f_prev = x_next, f_next
+
+
+def bessel_zero(s: float, k: int) -> float:
+    """k-th positive zero of J_s, the k-th of _bessel_zeros.
+
+    Consecutive zeros of J_s, s >= 0, are more than 3 apart (the smallest gap is
+    j_{0,2} - j_{0,1} ~ 3.115), so a unit-step scan cannot skip a zero.
     """
     if s < 0:
         raise ValueError("order must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    from scipy.optimize import brentq
-
-    # all positive zeros exceed s; start just above the analytic floor
-    x = max(s + 1e-6, bessel_zero_lower_bound(s, 1) - 1.5, 1e-6)
-    step = 1.0
-    f_prev = bessel_j(s, x)
-    found = 0
-    for _ in range(BESSEL_MAX_ITER * k):
-        x_next = x + step
-        f_next = bessel_j(s, x_next)
-        if f_prev == 0.0:
-            found += 1
-            if found == k:
-                return x
-        elif f_prev * f_next < 0:
-            found += 1
-            if found == k:
-                root = brentq(lambda t: bessel_j(s, t), x, x_next, xtol=1e-13, rtol=1e-13, maxiter=BESSEL_MAX_ITER)
-                return float(root)
-        x, f_prev = x_next, f_next
-    raise ConvergenceFailure(f"could not locate zero {k} of J_{s}")
+    return next(itertools.islice(_bessel_zeros(s), k - 1, None))
 
 
 def sector_dn_eigs(alpha: float, radius: float, k: int) -> EigList:
     """Eigenvalues of the circular-sector operator with Dirichlet on the arc
     and Neumann on the two radii: (j_{pi n / alpha, k'} / radius)^2.
 
-    The sorted k-prefix is certified complete by checking that the first
-    omitted index in each direction already exceeds the k-th kept value
-    (via the analytic zero lower bound); the index caps grow until it is.
+    The modes (n, k') are walked by value, then by index.  The zeros of J_s rise with their rank
+    and with the order s (Watson, Bessel Functions, 15.6), so (n, k' + 1), and (n + 1, 1) when
+    k' = 1, are no smaller than (n, k') and are its children.  Each order is scanned once, and
+    k values take at most 2k - 1 zeros of at most k orders.
     """
     if not 0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
     if not 0 < radius < math.inf or k < 1:
         raise ValueError("radius must be positive and finite and k >= 1")
-    # (n_max + 1) * k_max >= k candidates, so the prefix always has k values
-    n_max = k_max = max(2, k)
-    for _ in range(20):
-        pairs = []
-        for n in range(n_max + 1):
-            s = math.pi * n / alpha
-            for kk in range(1, k_max + 1):
-                z = bessel_zero(s, kk)
-                pairs.append(((z / radius) ** 2, f"sector(n={n},k={kk})"))
-        pairs.sort(key=lambda p: p[0])
-        out = EigList(tuple(v for v, _ in pairs[:k]), tuple(p for _, p in pairs[:k]))
-        top = out.values[-1]
-        # first omitted candidates: (n_max+1, 1) and (*, k_max+1)
-        lb_n = (bessel_zero_lower_bound(math.pi * (n_max + 1) / alpha, 1) / radius) ** 2
-        lb_k = (bessel_zero_lower_bound(0.0, k_max + 1) / radius) ** 2
-        if lb_n > top and lb_k > top:
-            return out
-        n_max += 2
-        k_max += 2
-    raise CapsTooSmall("automatic cap growth did not certify completeness")
+    scans = []  # scans[n]: the zeros of J_{pi n / alpha} not yet taken
+
+    def mode(n: int, kk: int) -> tuple[float, int, int]:
+        if n == len(scans):
+            scans.append(_bessel_zeros(math.pi * n / alpha))
+        return (next(scans[n]) / radius) ** 2, n, kk
+
+    walk = _ascending(mode(0, 1), lambda _, n, kk: [mode(n, kk + 1)] + ([mode(n + 1, 1)] if kk == 1 else []))
+    head = list(itertools.islice(walk, k))
+    return EigList(tuple(v for v, _, _ in head), tuple(f"sector(n={n},k={kk})" for _, n, kk in head))
 
 
 # -- special-purpose analytic bounds ---------------------------------------

@@ -680,8 +680,8 @@ class TestSweepAnchor:
 
     def test_rows_are_unchanged(self):
         texts = [
-            cli._sweep_csv(certify.sweep_broken(np.arange(0.30, 1.56 + 1e-12, 0.01))),
-            cli._sweep_csv(certify.sweep_y_alpha(np.arange(0.60, 1.49 + 1e-12, 0.01))),
+            *cli._sweep_csv(certify.sweep_broken(np.arange(0.30, 1.56 + 1e-12, 0.01))),
+            *cli._sweep_csv(certify.sweep_y_alpha(np.arange(0.60, 1.49 + 1e-12, 0.01))),
         ]
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == self.ROWS
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import scipy
 
-from starspec import certify, cli, fem, geom
+from starspec import certify, cli, exact, fem, geom
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -473,6 +473,20 @@ class TestSpectrumCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("shape", sorted(cli.SPECTRA))
+    def test_a_k_past_the_cap_exits_one_before_any_spectrum(self, monkeypatch, capsys, shape):
+        # -k 10^9 on an interval would allocate 10^9 values and labels
+        for name in ("interval_eigs", "box_eigs", "equilateral_eigs", "sector_dn_eigs"):
+            monkeypatch.setattr(exact, name, lambda *args: pytest.fail("a spectrum was computed"))
+        code, out, err = run(capsys, "spectrum", "--shape", shape, "-k", "1000000000")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == f"error: -k 1000000000 exceeds the cap of {cli.MAX_EIGENVALUES} eigenvalues\n"
+
+    def test_a_k_at_the_cap_is_not_refused(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_EIGENVALUES", 3)
+        assert run(capsys, "spectrum", "--shape", "sector", "-k", "3")[0] == cli.EXIT_CERTIFIED
+        assert run(capsys, "spectrum", "--shape", "sector", "-k", "4")[0] == cli.EXIT_ERROR
 
     # sha256 of the box spectrum report without its versions, as the
     # recursive lattice walk printed it: ties, one to three axes, every pair

@@ -1,5 +1,6 @@
 """Closed-form spectra: brute-force oracles, Bessel machinery, analytic bounds."""
 
+import functools
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from starspec import certify, exact
 from starspec.exact import (
     PI2,
+    ConvergenceFailure,
     OutOfRange,
     bessel_j,
     bessel_zero,
@@ -243,12 +245,29 @@ class TestEquilateral:
         pairs.sort(key=lambda p: p[0])
         return tuple(v for v, _ in pairs[:k]), tuple(p for _, p in pairs[:k])
 
+    @staticmethod
+    def _index_square_lattice(bc, k):
+        # the pairs m <= n of the r x r index square's value bound, r^2 >= k, sorted
+        lo = 1 if bc == "dirichlet" else 0
+        r = math.isqrt(k - 1) + 1
+        top = 3 * (lo + r - 1) ** 2
+        pairs = [(q, m, n) for m in range(lo, lo + r) for n in range(m, 2 * (lo + r))
+                 if (q := m * m + m * n + n * n) <= top for _ in range(1 + (m < n))]
+        pairs.sort()
+        return tuple(q for q, _, _ in pairs[:k]), tuple(f"equilateral-{bc[0].upper()}(m={m},n={n})" for _, m, n in pairs[:k])
+
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    def test_the_radius_walk_matches_the_square_walk(self, bc):
+    def test_the_ascending_walk_matches_the_square_walk(self, bc):
         # every k to 120, then every tenth to 300: the square walk is O(k^2)
         for k in [*range(1, 121), *range(130, 301, 10)]:
             got = exact._equilateral_lattice(bc, k)
             assert (got.values, got.provenance) == self._square_lattice(bc, k), k
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_the_ascending_walk_matches_the_index_square_bound(self, bc):
+        for k in [*range(1, 200), 2000, 20000]:
+            got = exact._equilateral_lattice(bc, k)
+            assert (got.values, got.provenance) == self._index_square_lattice(bc, k), k
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("side", [1.0, 2 * math.sqrt(3), 0.37, 1 / 3, math.pi, 250.0])
@@ -266,11 +285,33 @@ KNOWN_BESSEL_ZEROS = {
 }
 
 
+def rescan_zero(s, k):
+    # the k-th zero of J_s by a scan from the start for each k, on the same grid and bracket
+    from scipy.optimize import brentq
+
+    x = max(s + 1e-6, bessel_zero_lower_bound(s, 1) - 1.5, 1e-6)
+    f_prev, found = bessel_j(s, x), 0
+    for _ in range(exact.BESSEL_MAX_ITER * k):
+        f_next = bessel_j(s, x + 1.0)
+        if f_prev == 0.0 or f_prev * f_next < 0:
+            found += 1
+            if found == k:
+                return x if f_prev == 0.0 else float(brentq(lambda t: bessel_j(s, t), x, x + 1.0, xtol=1e-13, rtol=1e-13, maxiter=exact.BESSEL_MAX_ITER))
+        x, f_prev = x + 1.0, f_next
+    raise ConvergenceFailure(f"could not locate zero {k} of J_{s}")
+
+
 class TestBessel:
     def test_zeros_match_reference(self):
         for s, zeros in KNOWN_BESSEL_ZEROS.items():
             for k, z in enumerate(zeros, start=1):
                 assert bessel_zero(s, k) == pytest.approx(z, rel=1e-12)
+            assert list(itertools.islice(exact._bessel_zeros(s), len(zeros))) == pytest.approx(zeros, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0, 10.5, 63.0])
+    def test_one_scan_gives_every_zero_of_its_order(self, s):
+        scanned = list(itertools.islice(exact._bessel_zeros(s), 30))
+        assert scanned == [bessel_zero(s, k) for k in range(1, 31)] == [rescan_zero(s, k) for k in range(1, 31)]
 
     def test_half_order_zeros_are_multiples_of_pi(self):
         # J_{1/2} is proportional to sin(x)/sqrt(x)
@@ -301,7 +342,60 @@ class TestBessel:
         assert abs(bessel_j(0.0, 2.404825557695773)) < 1e-12
 
 
+cached_rescan_zero = functools.cache(rescan_zero)
+
+
+def cap_growth_sector(alpha, radius, k):
+    # the (n_max + 1) x k_max candidates, sorted, with caps grown until the analytic floors of the
+    # first omitted order and rank lie above the k-th value
+    n_max = k_max = max(2, k)
+    for _ in range(20):
+        pairs = [((cached_rescan_zero(math.pi * n / alpha, kk) / radius) ** 2, f"sector(n={n},k={kk})")
+                 for n in range(n_max + 1) for kk in range(1, k_max + 1)]
+        pairs.sort(key=lambda p: p[0])  # equal values stay in index order
+        top = pairs[k - 1][0]
+        lb_n = (bessel_zero_lower_bound(math.pi * (n_max + 1) / alpha, 1) / radius) ** 2
+        lb_k = (bessel_zero_lower_bound(0.0, k_max + 1) / radius) ** 2
+        if lb_n > top and lb_k > top:
+            return tuple(v for v, _ in pairs[:k]), tuple(p for _, p in pairs[:k])
+        n_max += 2
+        k_max += 2
+    raise AssertionError("the caps did not grow far enough")
+
+
 class TestSector:
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, math.pi / 3, math.pi / 2, 2.5])
+    def test_the_walk_matches_the_cap_growth(self, alpha, radius):
+        for k in range(1, 21):
+            got = sector_dn_eigs(alpha, radius, k)
+            assert (got.values, got.provenance) == cap_growth_sector(alpha, radius, k), k
+
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, math.pi / 2, 3.1])
+    def test_the_walk_takes_at_most_2k_minus_1_zeros_of_k_orders(self, monkeypatch, alpha):
+        scan, orders, zeros = exact._bessel_zeros, [], []
+
+        def spy(s):
+            orders.append(s)
+            for z in scan(s):
+                zeros.append(z)
+                yield z
+
+        monkeypatch.setattr(exact, "_bessel_zeros", spy)
+        for k in [1, 2, 3, 5, 10, 40, 200]:
+            orders.clear()
+            zeros.clear()
+            sector_dn_eigs(alpha, 1.0, k)
+            assert len(zeros) <= 2 * k - 1 and len(orders) <= k, (k, len(zeros), len(orders))
+            assert orders == [math.pi * n / alpha for n in range(len(orders))]
+
+    def test_a_first_value_needs_no_second_order(self):
+        # order pi / 1e-6 has no zero the scan can reach; k = 1 never opens it, k = 2 does
+        eigs = sector_dn_eigs(1e-6, 1.0, 1)
+        assert (eigs.values, eigs.provenance) == ((bessel_zero(0.0, 1) ** 2,), ("sector(n=0,k=1)",))
+        with pytest.raises(ConvergenceFailure, match="could not locate zero 1 of J_3141592.6"):
+            sector_dn_eigs(1e-6, 1.0, 2)
+
     def test_right_angle_sector_values(self):
         # Dirichlet arc, Neumann radii: zeros of J_{2n} for opening pi/2
         eigs = sector_dn_eigs(math.pi / 2, 1.0, 3)
