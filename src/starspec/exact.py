@@ -3,6 +3,11 @@
 Intervals, boxes with mixed per-side conditions, equilateral triangles,
 circular sectors (via Bessel zeros), plus the special-purpose analytic
 lower bounds used by the certification rules.
+
+Every closed form (interval_eigs, box_eigs, equilateral_eigs, sector_dn_eigs,
+cross_section_threshold) returns only normal finite floats, or exactly 0.0 for
+a zero mode (an NN interval's n = 0, the Neumann triangle's (0, 0)); for a size
+outside that range, _representable raises ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,6 +24,8 @@ from enum import Enum
 import numpy as np
 
 PI2 = math.pi**2
+# the smallest positive normal float: an eigenvalue below it has lost bits or underflowed to 0
+TINY = sys.float_info.min
 # unit steps scanned per sought zero, and brentq's iteration cap
 BESSEL_MAX_ITER = 200
 
@@ -57,21 +65,37 @@ class EigList:
         return self.values[i]
 
 
+def _out_of_range(name: str, size) -> ValueError:
+    return ValueError(f"{name} {size!r} gives an eigenvalue outside the normal float range [{TINY!r}, {sys.float_info.max!r}]")
+
+
+def _representable(name: str, size, zero_modes: int, values) -> list[float]:
+    """values(), an ascending list, if its first zero_modes (0 or 1) items are exactly 0.0 and the rest normal
+    finite floats (its first and last bound them); else, or if values overflows a ** 2 or divides by 0, ValueError."""
+    try:
+        v = values()
+        if (not zero_modes or v[0] == 0.0) and (len(v) == zero_modes or TINY <= v[zero_modes] and v[-1] < math.inf):
+            return v
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise _out_of_range(name, size)
+
+
 # endpoint pair -> (first mode number n, shift): the values are ((n - shift) pi / length)^2
 _INTERVAL_MODES = {"DD": (1, 0), "NN": (0, 0), "DN": (1, 0.5), "ND": (1, 0.5)}
 
 
-def _interval_values(length: float, bc: str, k: int) -> tuple[range, list[float]]:
-    """Mode numbers and values of the first k eigenvalues of interval_eigs."""
+def _interval_values(length: float, bc: str, k: int, name: str = "length") -> tuple[range, list[float]]:
+    """Mode numbers and values of the first k eigenvalues of interval_eigs; name is the size's in an error."""
     if not 0 < length < math.inf:
-        raise ValueError(f"length must be positive and finite, not {length}")
+        raise ValueError(f"{name} must be positive and finite, not {length}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if bc not in _INTERVAL_MODES:
         raise ValueError(f"unknown boundary pair {bc!r}")
     first, shift = _INTERVAL_MODES[bc]
     ns = range(first, first + k)
-    return ns, [((n - shift) * math.pi / length) ** 2 for n in ns]
+    return ns, _representable(name, length, 1 - first, lambda: [((n - shift) * math.pi / length) ** 2 for n in ns])
 
 
 def interval_eigs(length: float, bc: str, k: int) -> EigList:
@@ -89,18 +113,19 @@ def box_eigs(dims: tuple[float, ...], bcs: tuple[str, ...], k: int, below: float
     on each axis give k sums no larger than their largest, added in the enumeration's order, so
     `below` is capped just above that sum.  The walk visits the lattice in index order, axis by
     axis; only the axis values below `below` get a name, and only the k points kept a label.
+    Each axis is an interval_eigs in range; a corner sum that overflows is refused, even if the k smallest do not.
     """
     d = len(dims)
     if d not in (1, 2, 3) or len(bcs) != d:
         raise ValueError("dims/bcs must have matching length 1, 2 or 3")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    axes = [_interval_values(length, bc, k) for length, bc in zip(dims, bcs)]
+    axes = [_interval_values(length, bc, k, "dims entry") for length, bc in zip(dims, bcs)]
     r = round(k ** (1 / d))
     r += r**d < k  # the least r with r^d >= k
     corner = 0.0
     for _, values in axes:
         corner += values[r - 1]
+    if corner == math.inf:
+        raise _out_of_range("dims", dims)
     below = min(math.nextafter(corner, math.inf), below)
     walk = [(0.0, ())]  # (partial sum, its index on each axis so far)
     for _, values in axes:
@@ -154,21 +179,26 @@ def equilateral_eigs(side: float, bc: str, k: int) -> EigList:
         raise ValueError("k must be >= 1")
     if bc not in ("dirichlet", "neumann"):
         raise ValueError("bc must be 'dirichlet' or 'neumann'")
-    scale = 16 * PI2 / (9 * side**2)
     lattice = _equilateral_lattice(bc, k)
-    return EigList(tuple(scale * q for q in lattice.values), lattice.provenance)
+    scaled = _representable("side", side, int(bc == "neumann"), lambda: [scale * q for scale in [16 * PI2 / (9 * side**2)] for q in lattice.values])
+    return EigList(tuple(scaled), lattice.provenance)
 
 
 # -- Bessel machinery -------------------------------------------------------
+
+
+def _jv(s: float, x: float):
+    """scipy.special.jv, imported on the first call, which binds it in this function's place."""
+    global _jv
+    from scipy.special import jv as _jv
+    return _jv(s, x)
 
 
 def bessel_j(s: float, x: float) -> float:
     """Bessel function J_s(x) for order s >= 0, x >= 0."""
     if s < 0 or x < 0:
         raise ValueError("bessel_j needs s >= 0 and x >= 0")
-    from scipy.special import jv
-
-    return float(jv(s, x))
+    return float(_jv(s, x))
 
 
 def bessel_zero_lower_bound(s: float, k: int) -> float:
@@ -236,16 +266,18 @@ def sector_dn_eigs(alpha: float, radius: float, k: int) -> EigList:
         raise ValueError("alpha must lie in (0, pi)")
     if not 0 < radius < math.inf or k < 1:
         raise ValueError("radius must be positive and finite and k >= 1")
-    scans = []  # scans[n]: the zeros of J_{pi n / alpha} not yet taken
+    scans, head = [], []  # scans[n]: the zeros of J_{pi n / alpha} not yet taken; head: the modes walked
 
     def mode(n: int, kk: int) -> tuple[float, int, int]:
         if n == len(scans):
             scans.append(_bessel_zeros(math.pi * n / alpha))
         return (next(scans[n]) / radius) ** 2, n, kk
 
-    walk = _ascending(mode(0, 1), lambda _, n, kk: [mode(n, kk + 1)] + ([mode(n + 1, 1)] if kk == 1 else []))
-    head = list(itertools.islice(walk, k))
-    return EigList(tuple(v for v, _, _ in head), tuple(f"sector(n={n},k={kk})" for _, n, kk in head))
+    def values() -> list[float]:
+        head.extend(itertools.islice(_ascending(mode(0, 1), lambda _, n, kk: [mode(n, kk + 1)] + ([mode(n + 1, 1)] if kk == 1 else [])), k))
+        return [v for v, _, _ in head]
+
+    return EigList(tuple(_representable("radius", radius, 0, values)), tuple(f"sector(n={n},k={kk})" for _, n, kk in head))
 
 
 # -- special-purpose analytic bounds ---------------------------------------
@@ -260,18 +292,22 @@ def right_triangle_dn_lower_bound(alpha: float) -> float:
     return PI2 * (1 + math.tan(alpha) ** 2 / 4)
 
 
+# each cross-section kind's first Dirichlet eigenvalue, from its dims
+_THRESHOLDS = {
+    "interval": lambda w: PI2 / w**2,
+    "rectangle": lambda a, b: PI2 * (1 / a**2 + 1 / b**2),
+    "disk": lambda r: (bessel_zero(0.0, 1) / r) ** 2,
+}
+
+
+@functools.lru_cache(maxsize=1024)  # a sweep's verdicts share a few cross-sections: each is checked once
+def _threshold(kind: str, dims: tuple[float, ...]) -> float:
+    return _representable("cross-section dims", dims, 0, lambda: [_THRESHOLDS[kind](*dims)])[0]
+
+
 def cross_section_threshold(cs) -> float:
-    """First Dirichlet eigenvalue of a branch cross-section."""
-    if cs.kind == "interval":
-        (w,) = cs.dims
-        return PI2 / w**2
-    if cs.kind == "rectangle":
-        a, b = cs.dims
-        return PI2 * (1 / a**2 + 1 / b**2)
-    if cs.kind == "disk":
-        (r,) = cs.dims
-        return (bessel_zero(0.0, 1) / r) ** 2
-    raise ValueError(f"unknown cross-section kind {cs.kind!r}")
+    """First Dirichlet eigenvalue of a branch cross-section (geom.CrossSection refuses an unknown kind)."""
+    return _threshold(cs.kind, cs.dims)
 
 
 def y_alpha_threshold(alpha: float) -> float:

@@ -4,7 +4,9 @@ refinement, sparse assembly, and Richardson-extrapolated spectra.
 
 Refinement is nested and deterministic: the old nodes keep their indices and
 each new edge midpoint is numbered in order of first appearance (triangle
-edges in triangle order, then boundary edges).
+edges in triangle order, then boundary edges).  A Mesh's boundary is its edges,
+the polygon edge each came from and the polygon's tags, held once; free_nodes
+alone says which nodes the space keeps (assemble eliminates the rest).
 
 Every eigensolve is eigs_below: _factor, a minimum-degree L D L^T of
 K - sigma M on the pattern K and M share, whose inertia counts the eigenvalues
@@ -62,8 +64,8 @@ class Mesh:
     nodes: np.ndarray  # (N, 2) float
     triangles: np.ndarray  # (T, 3) int, positively oriented
     boundary_edges: np.ndarray  # (B, 2) int node pairs
-    boundary_tags: list[BC]
-    boundary_src: list[int]  # polygon edge id each boundary edge came from
+    boundary_src: np.ndarray  # (B,) int: the polygon edge each boundary edge came from
+    edge_tags: tuple[BC, ...]  # the polygon's, once: boundary edge i has edge_tags[boundary_src[i]]
     parents: np.ndarray | None = None  # (midpoints, 2) old-node pair of each node refine added
 
     def _corners(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,28 +226,15 @@ def triangulate(poly: Polygon, h_target: float) -> Mesh:
         raise MeshFailure("zero-area polygon")
     verts = np.array(poly.vertices, dtype=float)
     tris = [list(t) for t in _ear_clip(verts)]
-    fixed = {
-        tuple(sorted((i, (i + 1) % poly.n_edges))) for i in range(poly.n_edges)
-    }
-    _delaunay_flips(verts, tris, fixed)
-    bedges = np.array([[i, (i + 1) % poly.n_edges] for i in range(poly.n_edges)])
-    mesh = Mesh(
-        nodes=verts,
-        triangles=_orient_ccw(verts, np.array(tris, dtype=int)),
-        boundary_edges=bedges,
-        boundary_tags=list(poly.edge_tags),
-        boundary_src=list(range(poly.n_edges)),
-    )
+    bedges = [(i, (i + 1) % poly.n_edges) for i in range(poly.n_edges)]
+    _delaunay_flips(verts, tris, {tuple(sorted(e)) for e in bedges})
+    tris = np.array(tris, dtype=int)
+    flip = orient(*verts[tris].transpose(1, 2, 0)) < 0  # make every triangle counterclockwise
+    tris[flip, 1:] = tris[flip, 2:0:-1]
+    mesh = Mesh(verts, tris, np.array(bedges), np.arange(poly.n_edges), tuple(poly.edge_tags))
     while mesh.max_diameter() > h_target:
         mesh = refine(mesh)
     return mesh
-
-
-def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    out = tris.copy()
-    flip = orient(*nodes[tris].transpose(1, 2, 0)) < 0
-    out[flip, 1], out[flip, 2] = tris[flip, 2], tris[flip, 1]
-    return out
 
 
 def refine(mesh: Mesh) -> Mesh:
@@ -261,9 +250,7 @@ def refine(mesh: Mesh) -> Mesh:
     if 4 * len(tris) > MAX_TRIANGLES:
         raise MeshFailure(f"refining to {4 * len(tris)} triangles exceeds the cap of {MAX_TRIANGLES} triangles")
     bedges = mesh.boundary_edges
-    pairs = np.concatenate(
-        [np.stack([tris, tris[:, [1, 2, 0]]], axis=2).reshape(-1, 2), bedges]
-    )
+    pairs = np.concatenate([np.stack([tris, tris[:, [1, 2, 0]]], axis=2).reshape(-1, 2), bedges])
     keys = np.minimum(pairs[:, 0], pairs[:, 1]) * nn + np.maximum(pairs[:, 0], pairs[:, 1])
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -271,34 +258,33 @@ def refine(mesh: Mesh) -> Mesh:
     rank[order] = np.arange(len(order))
     mid = nn + rank[inverse]
     parents = pairs[first[order]]
-    nodes = np.concatenate(
-        [mesh.nodes, 0.5 * (mesh.nodes[parents[:, 0]] + mesh.nodes[parents[:, 1]])]
-    )
+    nodes = np.concatenate([mesh.nodes, 0.5 * (mesh.nodes[parents[:, 0]] + mesh.nodes[parents[:, 1]])])
 
     a, b, c = tris.T
     ab, bc, ca = mid[: 3 * len(tris)].reshape(-1, 3).T
     new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
     m = mid[3 * len(tris):]
     new_bedges = np.stack([bedges[:, 0], m, m, bedges[:, 1]], axis=1).reshape(-1, 2)
-    return Mesh(
-        nodes=nodes,
-        triangles=new_tris,
-        boundary_edges=new_bedges,
-        boundary_tags=[tag for tag in mesh.boundary_tags for _ in range(2)],
-        boundary_src=[src for src in mesh.boundary_src for _ in range(2)],
-        parents=parents,
-    )
+    return Mesh(nodes, new_tris, new_bedges, np.repeat(mesh.boundary_src, 2), mesh.edge_tags, parents)
 
 
 # -- assembly and solve -----------------------------------------------------
 
 
+def free_nodes(mesh: Mesh, tails=()) -> np.ndarray:
+    """The nodes of the FEM space, ascending: all but those on a Dirichlet boundary edge whose
+    polygon edge is not a tail cap (tails: polygon edge ids)."""
+    dirichlet = np.array([tag is BC.DIRICHLET and i not in tails for i, tag in enumerate(mesh.edge_tags)], dtype=bool)
+    fixed = np.zeros(len(mesh.nodes), dtype=bool)
+    fixed[mesh.boundary_edges[dirichlet[mesh.boundary_src]]] = True
+    return np.flatnonzero(~fixed)
+
+
 def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProblem:
-    """P1 stiffness and consistent mass over free nodes; Dirichlet nodes
-    (anything on a Dirichlet boundary edge) are eliminated, Neumann edges
-    contribute nothing (natural condition).  K and M share one CSR pattern:
-    the diagonal and each edge between free nodes, summed once and mirrored,
-    so each is bitwise its own CSC.
+    """P1 stiffness and consistent mass over free_nodes; every other node is
+    eliminated, and Neumann edges contribute nothing (natural condition).  K
+    and M share one CSR pattern: the diagonal and each edge between free
+    nodes, summed once and mirrored, so each is bitwise its own CSC.
 
     tails maps a polygon edge id to a decay rate kappa > 0 and makes that
     edge a tail cap: each function continues beyond it as u(s) e^{-kappa t}
@@ -315,19 +301,18 @@ def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProbl
     area = 0.5 * (x[0] * b[0] + x[1] * b[1] + x[2] * b[2])
     if np.any(area <= 0):
         raise MeshFailure("mesh contains non-positively-oriented triangles")
-    cap = np.array([src in tails for src in mesh.boundary_src], dtype=bool)
-    is_dirichlet = np.array([tag is BC.DIRICHLET for tag in mesh.boundary_tags], dtype=bool) & ~cap
-    dirichlet = np.bincount(mesh.boundary_edges[is_dirichlet].ravel(), minlength=nn) > 0
-    free = np.flatnonzero(~dirichlet)
+    free = free_nodes(mesh, tails)
     nf = len(free)
-    index = np.where(dirichlet, nn, np.cumsum(~dirichlet) - 1)  # the free nodes first
+    index = np.full(nn, nn)  # the free nodes first, in order; every other node past them
+    index[free] = np.arange(nf)
     # each triangle's edges (corner i, corner i + 1): ends, K and M; then its diagonal: node, K and M
     i = index[mesh.triangles.T].ravel()
     terms = [i, np.roll(i, -len(area)), ((b * b[nxt] + c * c[nxt]) / (4.0 * area)).ravel(), np.tile(area / 12.0, 3),
              i, ((b * b + c * c) / (4.0 * area)).ravel(), np.tile(area / 6.0, 3)]
+    cap = np.isin(mesh.boundary_src, list(tails))
     if cap.any():
         e = mesh.boundary_edges[cap]
-        k = np.array([tails[src] for src in np.asarray(mesh.boundary_src)[cap]])
+        k = np.array([tails[src] for src in mesh.boundary_src[cap]])
         h = np.hypot(*(mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]).T)
         e = index[e.T]  # K1 = [1 -1; -1 1] / h and M1 = [2 1; 1 2] h / 6
         cap_terms = [e[0], e[1], (-1.0 / h + k * k * (h / 6.0)) / (2 * k), h / 6.0 / (2 * k),
@@ -500,44 +485,29 @@ def _extrapolate(level_values: list[np.ndarray]) -> FemSpectrum:
 
 
 def mesh_text_dump(mesh: Mesh) -> str:
-    lines = [f"nodes {len(mesh.nodes)}"]
-    for i, (x, y) in enumerate(mesh.nodes):
-        lines.append(f"n {i} {x:.17g} {y:.17g}")
-    lines.append(f"triangles {len(mesh.triangles)}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"t {a} {b} {c}")
-    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
-    for (i, j), tag, src in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.boundary_src):
-        lines.append(f"b {i} {j} {tag.value} {src}")
+    tags = [tag.value for tag in mesh.edge_tags]
+    lines = [f"nodes {len(mesh.nodes)}", *(f"n {i} {x:.17g} {y:.17g}" for i, (x, y) in enumerate(mesh.nodes.tolist()))]
+    lines += [f"triangles {len(mesh.triangles)}", *(f"t {a} {b} {c}" for a, b, c in mesh.triangles.tolist())]
+    lines += [f"boundary_edges {len(mesh.boundary_edges)}"]
+    lines += [f"b {i} {j} {tags[src]} {src}" for (i, j), src in zip(mesh.boundary_edges.tolist(), mesh.boundary_src.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def mesh_svg(mesh: Mesh, size: int = 640) -> str:
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)
     pad = 0.05 * span
 
     def tx(p):
-        return (
-            (p[0] - lo[0] + pad) / (span + 2 * pad) * size,
-            size - (p[1] - lo[1] + pad) / (span + 2 * pad) * size,
-        )
+        return (p[0] - lo[0] + pad) / (span + 2 * pad) * size, size - (p[1] - lo[1] + pad) / (span + 2 * pad) * size
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">'
-    ]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">']
     for a, b, c in mesh.triangles:
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(tx, mesh.nodes[[a, b, c]]))
-        parts.append(
-            f'<polygon points="{pts}" fill="none" stroke="#bbbbbb" stroke-width="0.5"/>'
-        )
-    colors = {BC.DIRICHLET: "#d62728", BC.NEUMANN: "#1f77b4"}
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        parts.append(f'<polygon points="{pts}" fill="none" stroke="#bbbbbb" stroke-width="0.5"/>')
+    colors = [{BC.DIRICHLET: "#d62728", BC.NEUMANN: "#1f77b4"}[tag] for tag in mesh.edge_tags]
+    for (i, j), src in zip(mesh.boundary_edges, mesh.boundary_src):
         (x1, y1), (x2, y2) = tx(mesh.nodes[i]), tx(mesh.nodes[j])
-        parts.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{colors[tag]}" stroke-width="2"/>'
-        )
+        parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="{colors[src]}" stroke-width="2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -285,6 +285,19 @@ class TestAlphaErrors:
         assert code == cli.EXIT_CERTIFIED
         assert json.loads(out)["n"] == 1
 
+    @pytest.mark.parametrize("width", [1e-160, 1e160])
+    def test_a_branch_width_without_a_float_threshold_exits_one_naming_it(self, tmp_path, capsys, width):
+        # the t_junction scaled to width 1e-160 has nu = pi^2 / 1e-320 = inf; at 1e160, width^2 overflows
+        cfg = json.loads(Path("configs/t_junction.json").read_text())
+        cfg["center"]["vertices"] = [[width * x, width * y] for x, y in cfg["center"]["vertices"]]
+        for branch in cfg["branches"]:
+            branch["cross_section"]["dims"] = [width * d for d in branch["cross_section"]["dims"]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "certify", str(path))
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == f"error: cross-section dims ({width!r},) gives an eigenvalue outside the normal float range [{sys.float_info.min!r}, {sys.float_info.max!r}]\n"
+
     @pytest.mark.parametrize(
         "stem, edit, message",
         [
@@ -474,6 +487,17 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    SIZE_FLAGS = {"interval": ("--length",), "box": ("--dims", "1"), "equilateral": ("--side",), "sector": ("--radius",)}
+
+    @pytest.mark.parametrize("size", ["1e-200", "1e200"])
+    @pytest.mark.parametrize("shape", sorted(cli.SPECTRA))
+    def test_a_size_without_float_eigenvalues_exits_one_naming_it(self, capsys, shape, size):
+        # 1e-200: (pi / size)^2 overflows, or size^2 underflows to 0; 1e200: every value underflows to 0
+        code, out, err = run(capsys, "spectrum", "--shape", shape, *self.SIZE_FLAGS[shape], size)
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" {float(size)!r} gives an eigenvalue outside the normal float range" in err
+
     @pytest.mark.parametrize("shape", sorted(cli.SPECTRA))
     def test_a_k_past_the_cap_exits_one_before_any_spectrum(self, monkeypatch, capsys, shape):
         # -k 10^9 on an interval would allocate 10^9 values and labels
@@ -613,6 +637,24 @@ class TestMeshCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error:") and "cap of 4096 triangles" in err
+
+    @pytest.mark.parametrize("path", sorted(Path("configs").glob("*.json")), ids=lambda p: p.stem)
+    def test_the_dof_is_the_free_node_count_of_assemble_without_assembling(self, capsys, monkeypatch, tmp_path, path):
+        vcfg = geom.load_config(str(path))
+        assemble = fem.assemble
+        monkeypatch.setattr(fem, "assemble", lambda *args: pytest.fail("mesh assembled the matrices"))
+        for levels in (1, 2, 3):
+            for truncate in (False, True):
+                code, _, err = run(capsys, "mesh", str(path), "--levels", str(levels), *["--truncate"] * truncate, "-o", str(tmp_path / "dump"))
+                if vcfg.is_3d:
+                    assert code == cli.EXIT_ERROR and "2D config" in err
+                    continue
+                poly = geom.truncate(vcfg, certify.CertificationPlan.truncation_length) if truncate else vcfg.center
+                mesh = fem.triangulate(poly, certify.FEM_H0)
+                for _ in range(levels - 1):
+                    mesh = fem.refine(mesh)
+                assert code == cli.EXIT_CERTIFIED
+                assert f" dof={assemble(mesh, certify.tail_caps(poly)).free_nodes.size} " in err
 
     def test_svg_output(self, capsys):
         code, out, _ = run(

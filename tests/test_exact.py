@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -460,6 +461,91 @@ class TestSpecialBounds:
             assert v == pytest.approx(16 * PI2 * s**4 / (9 * c**2 * (2 - c) ** 2), rel=1e-12)
         elif alpha > math.pi / 3:
             assert v == pytest.approx(16 * PI2 / (3 * math.tan(alpha) ** 2), rel=1e-12)
+
+
+# sizes log-uniform from the subnormal 1e-320 to 1e300, past both ends of the float range of every closed form
+SIZES = st.floats(min_value=-320.0, max_value=300.0).map(lambda e: 10.0**e)
+ZERO_MODES = {"interval-NN(n=0)", "equilateral-N(m=0,n=0)", "box[interval-NN(n=0)]", "box[interval-NN(n=0),interval-NN(n=0)]",
+              "box[interval-NN(n=0),interval-NN(n=0),interval-NN(n=0)]"}
+
+
+def assert_floats(values, labels=None):
+    """Each value is a normal finite float, or exactly 0.0 for a zero mode."""
+    for i, v in enumerate(values):
+        assert type(v) is float and v < math.inf
+        assert v >= exact.TINY or (v == 0.0 and labels is not None and labels[i] in ZERO_MODES), (i, v)
+
+
+class TestRepresentableSizes:
+    """Every closed form returns floats it can stand behind, or raises ValueError naming the
+    size; never OverflowError, ZeroDivisionError, inf or nan."""
+
+    @staticmethod
+    def check(call, *sizes):
+        try:
+            eigs = call()
+        except ValueError as e:
+            assert "gives an eigenvalue outside the normal float range" in str(e)
+            assert any(repr(size) in str(e) for size in sizes)
+        else:
+            values, labels = ([eigs], None) if isinstance(eigs, float) else (eigs.values, eigs.provenance)
+            assert_floats(values, labels)
+
+    @given(SIZES, st.sampled_from(["DD", "NN", "DN", "ND"]), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=300, deadline=None)
+    def test_interval(self, length, bc, k):
+        self.check(lambda: interval_eigs(length, bc, k), length)
+
+    @given(st.lists(st.tuples(SIZES, st.sampled_from(["DD", "NN", "DN", "ND"])), min_size=1, max_size=3), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=300, deadline=None)
+    def test_box(self, axes, k):
+        dims, bcs = zip(*axes)
+        self.check(lambda: box_eigs(dims, bcs, k), *dims)
+
+    @given(SIZES, st.sampled_from(["dirichlet", "neumann"]), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=300, deadline=None)
+    def test_equilateral(self, side, bc, k):
+        self.check(lambda: equilateral_eigs(side, bc, k), side)
+
+    @given(st.floats(min_value=0.05, max_value=3.1), SIZES, st.integers(min_value=1, max_value=200))
+    @settings(max_examples=100, deadline=None)
+    def test_sector(self, alpha, radius, k):
+        self.check(lambda: sector_dn_eigs(alpha, radius, k), radius)
+
+    @given(st.sampled_from([CrossSection.interval, CrossSection.rectangle, CrossSection.disk]), st.lists(SIZES, min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_cross_section_threshold(self, kind, dims):
+        cs = kind(*dims[: 2 if kind is CrossSection.rectangle else 1])
+        self.check(lambda: cross_section_threshold(cs), *cs.dims)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: interval_eigs(1e-200, "DD", 1), "length 1e-200"),  # (pi / length)^2 overflows
+            (lambda: interval_eigs(1e-320, "DD", 1), "length 1e-320"),  # pi / length is inf
+            (lambda: interval_eigs(1e200, "NN", 2), "length 1e+200"),  # n = 1 underflows to 0
+            (lambda: interval_eigs(1e155, "DD", 1), "length 1e+155"),  # a subnormal
+            (lambda: box_eigs((1.0, 1e-200), ("NN", "DD"), 1), "dims entry 1e-200"),
+            (lambda: box_eigs((3.2e-154, 3.2e-154), ("DD", "DD"), 1), "dims (3.2e-154, 3.2e-154)"),  # a sum past the largest float
+            (lambda: equilateral_eigs(1e-200, "dirichlet", 1), "side 1e-200"),  # side^2 underflows to 0
+            (lambda: equilateral_eigs(1e-160, "neumann", 1), "side 1e-160"),  # inf * 0 at the zero mode
+            (lambda: equilateral_eigs(1e200, "neumann", 1), "side 1e+200"),  # side^2 overflows
+            (lambda: sector_dn_eigs(1.0, 1e-200, 1), "radius 1e-200"),
+            (lambda: sector_dn_eigs(1.0, 1e200, 1), "radius 1e+200"),
+            (lambda: cross_section_threshold(CrossSection.interval(1e-160)), "cross-section dims (1e-160,)"),  # nu = inf
+            (lambda: cross_section_threshold(CrossSection.rectangle(1.0, 1e-170)), "cross-section dims (1.0, 1e-170)"),
+            (lambda: cross_section_threshold(CrossSection.disk(1e160)), "cross-section dims (1e+160,)"),
+        ],
+    )
+    def test_an_out_of_range_size_is_named(self, call, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} gives an eigenvalue outside the normal float range")):
+            call()
+
+    def test_a_zero_mode_is_zero_at_any_size(self):
+        assert interval_eigs(1e200, "NN", 1).values == (0.0,)
+        assert interval_eigs(1e-320, "NN", 1).values == (0.0,)
+        assert box_eigs((1e200, 1e-300), ("NN", "NN"), 1).values == (0.0,)
+        assert equilateral_eigs(1e150, "neumann", 1).values == (0.0,)
 
 
 class TestEigList:

@@ -70,8 +70,8 @@ class TestMeshing:
         # total boundary length per tag is conserved
         def tag_length(m, tag):
             total = 0.0
-            for (a, b), t in zip(m.boundary_edges, m.boundary_tags):
-                if t is tag:
+            for (a, b), src in zip(m.boundary_edges, m.boundary_src):
+                if m.edge_tags[src] is tag:
                     total += np.linalg.norm(m.nodes[a] - m.nodes[b])
             return total
 
@@ -263,14 +263,14 @@ def _coo_assemble(mesh, tails=None):
     cap = np.array([src in tails for src in mesh.boundary_src], dtype=bool)
     if cap.any():
         e = mesh.boundary_edges[cap]
-        k = np.array([tails[src] for src in np.asarray(mesh.boundary_src)[cap]])[:, None, None]
+        k = np.array([tails[src] for src in mesh.boundary_src[cap]])[:, None, None]
         h = np.hypot(*(mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]).T)[:, None, None]
         k1, m1 = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h, np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
         ke, me = np.concatenate([ke, ((k1 + k * k * m1) / (2 * k)).ravel()]), np.concatenate([me, (m1 / (2 * k)).ravel()])
         rows, cols = np.concatenate([rows, np.repeat(e, 2, axis=1).ravel()]), np.concatenate([cols, np.tile(e, (1, 2)).ravel()])
     K = sp.coo_matrix((ke, (rows, cols)), shape=(nn, nn)).tocsr()
     M = sp.coo_matrix((me, (rows, cols)), shape=(nn, nn)).tocsr()
-    is_dirichlet = np.array([tag is BC.DIRICHLET for tag in mesh.boundary_tags], dtype=bool) & ~cap
+    is_dirichlet = np.array([mesh.edge_tags[src] is BC.DIRICHLET for src in mesh.boundary_src], dtype=bool) & ~cap
     free = np.setdiff1d(np.arange(nn), mesh.boundary_edges[is_dirichlet])
     return free, K[np.ix_(free, free)].tocsr(), M[np.ix_(free, free)].tocsr()
 
@@ -404,8 +404,8 @@ class TestRefineNumbering:
             assert np.array_equal(fine.nodes, nodes)
             assert np.array_equal(fine.triangles, tris)
             assert np.array_equal(fine.boundary_edges, bedges)
-            assert fine.boundary_tags == [t for t in mesh.boundary_tags for _ in range(2)]
-            assert fine.boundary_src == [s for s in mesh.boundary_src for _ in range(2)]
+            assert fine.edge_tags is mesh.edge_tags
+            assert fine.boundary_src.tolist() == [s for s in mesh.boundary_src.tolist() for _ in range(2)]
             mesh = fine
 
     def test_old_nodes_are_a_prefix(self, meshes):
