@@ -16,25 +16,12 @@ from .exact import (
     EigList,
     box_eigs,
     equilateral_eigs,
-    interval_eigs,
     right_triangle_dn_lower_bound,
 )
 from .geom import Polygon, orient
 
 _LOWER, _UPPER = Direction.LOWER, Direction.UPPER  # a module global reads faster than an Enum member
 _VALUE = attrgetter("value")
-
-
-class DirectionMismatch(ValueError):
-    pass
-
-
-class NonPositiveCoeff(ValueError):
-    pass
-
-
-class ContainmentViolation(ValueError):
-    pass
 
 
 class TraceStep(NamedTuple):
@@ -82,7 +69,7 @@ def dirichlet_monotone(sub_bounds: list[SpectralBound], waveguide_op: str) -> li
     out = []
     for b in sub_bounds:
         if b.direction is not _UPPER:
-            raise DirectionMismatch("domain monotonicity transports upper bounds only")
+            raise ValueError("domain monotonicity transports upper bounds only")
         step = _step(("dirichlet-monotone", {"from": b.operator, "index": b.index}, b.value))
         out.append(_bound((waveguide_op, b.index, b.value, b.direction, b.trace + (step,), b.tol)))
     return out
@@ -93,12 +80,12 @@ def scale_bound(src: list[SpectralBound], coeffs: tuple[float, float], target_op
     lambda_k(image) >= min(c_i^-2) * lambda_k(source)."""
     c1, c2 = coeffs
     if c1 <= 0 or c2 <= 0:
-        raise NonPositiveCoeff("scaling coefficients must be positive")
+        raise ValueError("scaling coefficients must be positive")
     factor = min(c1**-2, c2**-2)
     out = []
     for b in src:
         if b.direction is not _LOWER:
-            raise DirectionMismatch("scale_bound transports lower bounds only")
+            raise ValueError("scale_bound transports lower bounds only")
         v = factor * b.value
         step = _step(("scale", {"coeffs": [c1, c2], "factor": factor, "input": b.value}, v))
         out.append(_bound((target_op, b.index, v, b.direction, b.trace + (step,), b.tol + 1e-13 * abs(v))))
@@ -134,7 +121,7 @@ def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> Non
     the edges between them."""
     sign = math.copysign(1.0, outer.signed_area())
     if not _is_convex(outer, sign):
-        raise ContainmentViolation("the enclosure is not convex")
+        raise ValueError("the enclosure is not convex")
     edges = []  # start, direction and squared length of each edge of outer
     for (x0, y0), (x1, y1) in map(outer.edge, range(outer.n_edges)):
         dx, dy = x1 - x0, y1 - y0
@@ -144,7 +131,7 @@ def check_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> Non
             if not sign * (dx * (y - y0) - dy * (x - x0)) > 0:  # orient((x0, y0), (x1, y1), (x, y))
                 if _near_boundary(edges, x, y, tol):
                     break
-                raise ContainmentViolation(f"vertex ({x}, {y}) of the inner domain lies outside the enclosure")
+                raise ValueError(f"vertex ({x}, {y}) of the inner domain lies outside the enclosure")
 
 
 def neumann_enclosure_bounds(
@@ -164,7 +151,7 @@ def neumann_enclosure_bounds(
     out = []
     for b in enclosure_bounds:
         if b.direction is not _LOWER:
-            raise DirectionMismatch("enclosure transports lower bounds only")
+            raise ValueError("enclosure transports lower bounds only")
         step = _step(("neumann-enclosure", {"enclosure": enclosure_name, "index": b.index, "from": b.operator}, b.value))
         out.append(_bound((dn_op, b.index, b.value, b.direction, b.trace + (step,), b.tol)))
     return out
@@ -185,7 +172,7 @@ def direct_sum_bounds(
         entries += bs[-1:] * (k - len(bs))
     for b in entries:
         if b.direction is not _LOWER:
-            raise DirectionMismatch("direct_sum_bounds merges lower bounds only")
+            raise ValueError("direct_sum_bounds merges lower bounds only")
     entries.sort(key=_VALUE)  # stable: equal values keep the part order
     out = []
     for i, b in enumerate(entries[:k], start=1):
@@ -200,8 +187,6 @@ def direct_sum_bounds(
 def _replay_step(step: TraceStep, prev: float | None) -> float:
     p = step.params
     rule = step.rule
-    if rule == "interval-eig":
-        return interval_eigs(p["length"], p["bc"], p["index"])[p["index"] - 1]
     if rule == "box-eig":
         return box_eigs(tuple(p["dims"]), tuple(p["bcs"]), p["index"])[p["index"] - 1]
     if rule == "equilateral-eig":

@@ -33,10 +33,6 @@ WAVEGUIDE_OP = "waveguide-dirichlet"
 DN_CENTER_OP = "dn-center"
 
 
-class NoPipeline(ValueError):
-    pass
-
-
 class Unbound(ValueError):
     """The rule does not describe the center; certify() makes it Inconclusive."""
 
@@ -50,7 +46,7 @@ def _is_number(value) -> bool:
 class CertificationPlan:
     """Replayable strategy: how to count eigenvalues below the threshold and
     how to bound the center spectrum from below.  Construction checks the
-    whole plan and raises NoPipeline naming the first bad field, so a plan
+    whole plan and raises ValueError naming the first bad field, so a plan
     that exists can run, and a rejected one solves no mesh."""
 
     count_strategy: str = "fem"  # a key of _COUNT_RULES
@@ -63,11 +59,11 @@ class CertificationPlan:
         for key, rules in strategies.items():
             name = getattr(self, key)
             if not isinstance(name, str) or name not in rules:
-                raise NoPipeline(f"{key} = {name!r} is not one of {', '.join(rules)}")
+                raise ValueError(f"{key} = {name!r} is not one of {', '.join(rules)}")
         if not _is_number(self.truncation_length) or not 0 < self.truncation_length < math.inf:
-            raise NoPipeline(f"truncation_length = {self.truncation_length!r}: must be a positive finite number")
+            raise ValueError(f"truncation_length = {self.truncation_length!r}: must be a positive finite number")
         if not isinstance(self.fem_levels, int) or isinstance(self.fem_levels, bool) or self.fem_levels < 1:
-            raise NoPipeline(f"fem_levels = {self.fem_levels!r}: must be an integer >= 1")
+            raise ValueError(f"fem_levels = {self.fem_levels!r}: must be an integer >= 1")
 
 
 PLAN_FIELDS = frozenset(f.name for f in fields(CertificationPlan))
@@ -713,18 +709,18 @@ def make_plan(kw: dict, base=None, shape=frozenset(), where="a configuration fil
     kw that is neither a plan field nor in shape is refused."""
     unknown = kw.keys() - PLAN_FIELDS - shape
     if unknown:
-        raise NoPipeline(f"{where} takes no parameter {', '.join(sorted(unknown))}")
+        raise ValueError(f"{where} takes no parameter {', '.join(sorted(unknown))}")
     return CertificationPlan(**{**(base or {}), **{k: v for k, v in kw.items() if k in PLAN_FIELDS}})
 
 
 def _shape(name: str, kw: dict) -> dict:
     """The shape keywords of a preset, kw's values over their defaults; each must be a number."""
     if name not in _PRESETS:
-        raise NoPipeline(f"unknown preset {name!r}")
+        raise ValueError(f"unknown preset {name!r}")
     shape = {k: kw.get(k, v) for k, v in _PRESETS[name][1].items()}
     for k, v in shape.items():
         if not _is_number(v):
-            raise NoPipeline(f"preset {name!r} needs {k}" if v is None else f"{k} = {v!r}: must be a number")
+            raise ValueError(f"preset {name!r} needs {k}" if v is None else f"{k} = {v!r}: must be a number")
     return shape
 
 

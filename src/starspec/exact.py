@@ -34,10 +34,6 @@ class ConvergenceFailure(RuntimeError):
     pass
 
 
-class OutOfRange(ValueError):
-    pass
-
-
 class Direction(Enum):
     LOWER = "lower"
     UPPER = "upper"
@@ -209,7 +205,7 @@ def bessel_zero_lower_bound(s: float, k: int) -> float:
     bound is returned.
     """
     if s <= -0.5:
-        raise OutOfRange("lower bound requires s > -1/2")
+        raise ValueError("lower bound requires s > -1/2")
     if k < 1:
         raise ValueError("k must be >= 1")
     b = s + k * math.pi - math.pi / 2 + 0.5
@@ -288,7 +284,7 @@ def right_triangle_dn_lower_bound(alpha: float) -> float:
     right-triangle operator with Dirichlet on the short leg and hypotenuse
     and Neumann on the long leg (the odd half of the bent-guide center)."""
     if not 0 < alpha < math.pi / 2:
-        raise OutOfRange("alpha must lie in (0, pi/2)")
+        raise ValueError("alpha must lie in (0, pi/2)")
     return PI2 * (1 + math.tan(alpha) ** 2 / 4)
 
 
@@ -319,7 +315,7 @@ def y_alpha_threshold(alpha: float) -> float:
     alpha > pi/3: 16 pi^2 / (3 tan^2(a)); both give 16 pi^2 / 9 at pi/3.
     """
     if not 0 < alpha < math.pi / 2:
-        raise OutOfRange("alpha must lie in (0, pi/2)")
+        raise ValueError("alpha must lie in (0, pi/2)")
     if alpha <= math.pi / 3:
         s, c = math.sin(alpha), math.cos(alpha)
         return 16 * PI2 * s**4 / (9 * c**2 * (2 - c) ** 2)
@@ -330,6 +326,6 @@ def y_alpha_enclosure_triangle(alpha: float) -> tuple[float, float]:
     """Base length and height of the isosceles Neumann enclosure triangle of
     the convex-pentagon Y-junction center (alpha < pi/3)."""
     if not 0 < alpha < math.pi / 3:
-        raise OutOfRange("enclosure triangle applies for alpha in (0, pi/3)")
+        raise ValueError("enclosure triangle applies for alpha in (0, pi/3)")
     s, c = math.sin(alpha), math.cos(alpha)
     return (2 - c) * c / s**2, (2 - c) / (2 * s)

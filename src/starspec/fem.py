@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -484,30 +485,39 @@ def _extrapolate(level_values: list[np.ndarray]) -> FemSpectrum:
 # -- debug output -----------------------------------------------------------
 
 
-def mesh_text_dump(mesh: Mesh) -> str:
+def _rows(a: np.ndarray, chunk: int = 4096) -> Iterator[list]:
+    """The rows of a as lists, converted a chunk at a time: a dump holds no list of the whole array."""
+    for start in range(0, len(a), chunk):
+        yield from a[start:start + chunk].tolist()
+
+
+def mesh_text_dump(mesh: Mesh) -> Iterator[str]:
+    """The mesh as lines of text, one at a time: nodes, triangles, then the boundary edges with their tags."""
     tags = [tag.value for tag in mesh.edge_tags]
-    lines = [f"nodes {len(mesh.nodes)}", *(f"n {i} {x:.17g} {y:.17g}" for i, (x, y) in enumerate(mesh.nodes.tolist()))]
-    lines += [f"triangles {len(mesh.triangles)}", *(f"t {a} {b} {c}" for a, b, c in mesh.triangles.tolist())]
-    lines += [f"boundary_edges {len(mesh.boundary_edges)}"]
-    lines += [f"b {i} {j} {tags[src]} {src}" for (i, j), src in zip(mesh.boundary_edges.tolist(), mesh.boundary_src.tolist())]
-    return "\n".join(lines) + "\n"
+    yield f"nodes {len(mesh.nodes)}\n"
+    for i, (x, y) in enumerate(_rows(mesh.nodes)):
+        yield f"n {i} {x:.17g} {y:.17g}\n"
+    yield f"triangles {len(mesh.triangles)}\n"
+    for a, b, c in _rows(mesh.triangles):
+        yield f"t {a} {b} {c}\n"
+    yield f"boundary_edges {len(mesh.boundary_edges)}\n"
+    for (i, j), src in zip(mesh.boundary_edges.tolist(), mesh.boundary_src.tolist()):
+        yield f"b {i} {j} {tags[src]} {src}\n"
 
 
-def mesh_svg(mesh: Mesh, size: int = 640) -> str:
+def mesh_svg(mesh: Mesh, size: int = 640) -> Iterator[str]:
+    """The mesh as lines of an SVG picture, one at a time: grey triangles, boundary edges red (Dirichlet) or blue."""
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)
     pad = 0.05 * span
-
-    def tx(p):
-        return (p[0] - lo[0] + pad) / (span + 2 * pad) * size, size - (p[1] - lo[1] + pad) / (span + 2 * pad) * size
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">']
-    for a, b, c in mesh.triangles:
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(tx, mesh.nodes[[a, b, c]]))
-        parts.append(f'<polygon points="{pts}" fill="none" stroke="#bbbbbb" stroke-width="0.5"/>')
+    xy = (mesh.nodes - lo + pad) / (span + 2 * pad) * size  # picture coordinates, y pointing down
+    xy[:, 1] = size - xy[:, 1]
+    yield f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
+    point = [f"{x:.2f},{y:.2f}" for x, y in _rows(xy)]
+    for a, b, c in _rows(mesh.triangles):
+        yield f'<polygon points="{point[a]} {point[b]} {point[c]}" fill="none" stroke="#bbbbbb" stroke-width="0.5"/>\n'
     colors = [{BC.DIRICHLET: "#d62728", BC.NEUMANN: "#1f77b4"}[tag] for tag in mesh.edge_tags]
-    for (i, j), src in zip(mesh.boundary_edges, mesh.boundary_src):
-        (x1, y1), (x2, y2) = tx(mesh.nodes[i]), tx(mesh.nodes[j])
-        parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="{colors[src]}" stroke-width="2"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    for (i, j), src in zip(mesh.boundary_edges.tolist(), mesh.boundary_src.tolist()):
+        (x1, y1), (x2, y2) = xy[i].tolist(), xy[j].tolist()
+        yield f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="{colors[src]}" stroke-width="2"/>\n'
+    yield "</svg>\n"

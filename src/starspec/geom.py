@@ -27,10 +27,6 @@ class InvalidGeometry(ValueError):
     pass
 
 
-class StubOverlap(InvalidGeometry):
-    pass
-
-
 class BC(Enum):
     DIRICHLET = "D"
     NEUMANN = "N"
@@ -301,7 +297,7 @@ def truncate(cfg: StarWaveguideConfig, length: float) -> Polygon:
     upper bounds for the waveguide ones.  The far end of each stub, its cap,
     has the cut role: beyond it the branch goes on as a half-strip, and the
     half-strips must meet neither each other nor the truncated polygon, or
-    StubOverlap is raised.
+    InvalidGeometry is raised.
     """
     if cfg.is_3d:
         raise InvalidGeometry("truncate applies to 2D configs only")
@@ -321,15 +317,13 @@ def truncate(cfg: StarWaveguideConfig, length: float) -> Polygon:
             roles += [EdgeRole.CUT, EdgeRole.WALL]
     out = Polygon(tuple(verts), (BC.DIRICHLET,) * len(verts), tuple(roles))
     if not out.is_simple():
-        raise StubOverlap(
-            f"branch stubs of length {length} self-intersect; shorten the stubs"
-        )
+        raise InvalidGeometry(f"branch stubs of length {length} self-intersect; shorten the stubs")
     caps = [i for i, r in enumerate(out.edge_roles) if r is EdgeRole.CUT]
     # every edge as a segment (start, direction, 1), then the side rays (start, direction, inf) of every half-strip
     pieces = [(p, (q[0] - p[0], q[1] - p[1]), 1.0) for p, q in map(out.edge, range(out.n_edges))]
     pieces += [(v, out.outward_normal(i), math.inf) for i in caps for v in out.edge(i)]
     if any(_meets_half_strip(out, i, pieces) for i in caps):
-        raise StubOverlap(f"the branch half-strips beyond the caps at length {length} overlap")
+        raise InvalidGeometry(f"the branch half-strips beyond the caps at length {length} overlap")
     return out
 
 

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from starspec import bounds as bnd
 from starspec.bounds import (
-    ContainmentViolation,
     Direction,
-    DirectionMismatch,
     SpectralBound,
     TraceStep,
     bounds_from_eiglist,
@@ -56,7 +54,7 @@ def dn_square_lowers(k=3):
 
 class TestRules:
     def test_dirichlet_monotone_rejects_lowers(self):
-        with pytest.raises(DirectionMismatch):
+        with pytest.raises(ValueError, match="^domain monotonicity transports upper bounds only$"):
             dirichlet_monotone(dn_square_lowers(), "waveguide")
 
     def test_scale_bound_rectangle_oracle(self):
@@ -88,7 +86,7 @@ class TestRules:
             assert b.value == pytest.approx(ev, rel=1e-12)
 
     def test_scale_bound_rejects_nonpositive(self):
-        with pytest.raises(bnd.NonPositiveCoeff):
+        with pytest.raises(ValueError, match="^scaling coefficients must be positive$"):
             scale_bound(dn_square_lowers(), (0.0, 1.0), "y")
 
     def test_neumann_enclosure_square_oracle(self):
@@ -112,7 +110,7 @@ class TestRules:
             "outer", box_eigs((1.0, 1.0), ("NN", "NN"), 2), Direction.LOWER,
             "box-eig", {"dims": [1.0, 1.0], "bcs": ["NN", "NN"]},
         )
-        with pytest.raises(ContainmentViolation):
+        with pytest.raises(ValueError, match=r"^vertex \(2\.0, 0\.0\) of the inner domain lies outside the enclosure$"):
             neumann_enclosure_bounds("x", inner, outer, lows)
 
     @EITHER_ORIENTATION
@@ -145,7 +143,7 @@ class TestRules:
     def test_every_vertex_is_checked_with_the_same_tolerance(self, first, clockwise):
         outer = _enclosure([(0, 0), (1, 0), (1, 1), (0, 1)], clockwise)
         check_containment(self._poking_triangle(0.5e-10, first), outer)  # tol / 2 outside
-        with pytest.raises(ContainmentViolation, match="vertex"):
+        with pytest.raises(ValueError, match=r"^vertex \(.*\) of the inner domain lies outside the enclosure$"):
             check_containment(self._poking_triangle(2e-10, first), outer)  # 2 tol outside
 
     @pytest.mark.parametrize(
@@ -160,7 +158,7 @@ class TestRules:
     @EITHER_ORIENTATION
     def test_a_non_convex_enclosure_is_refused(self, outer, clockwise):
         inner = _walls([(0.1, 0.1), (1.9, 0.1), (0.1, 1.9)])
-        with pytest.raises(ContainmentViolation, match="not convex"):
+        with pytest.raises(ValueError, match="^the enclosure is not convex$"):
             check_containment(inner, _enclosure(outer, clockwise))
 
     @EITHER_ORIENTATION
@@ -170,7 +168,7 @@ class TestRules:
 
 
 def _reference_containment(inner: Polygon, outer: Polygon, tol: float = 1e-10) -> str | None:
-    """The message of the ContainmentViolation that check_containment raised
+    """The message of the ValueError that check_containment raised
     when it tested each vertex with orient and a fresh _near_boundary scan of
     the raw edges, or None where it accepted."""
     v = outer.vertices
@@ -227,7 +225,7 @@ class TestContainmentMatchesPerVertexScan:
             try:
                 check_containment(inner, outer)
                 got = None
-            except ContainmentViolation as e:
+            except ValueError as e:
                 got = str(e)
             assert got == want, (outer.vertices, inner.vertices)
             outcomes["accepted" if got is None else got.split()[0]] += 1
@@ -251,7 +249,7 @@ class TestDirectSum:
         lo = [lower_bound("a", 1, 1.0, "interval-eig", {"length": 1, "bc": "DD", "index": 1})]
         step = TraceStep("interval-eig", {"length": 1, "bc": "DD", "index": 1}, 2.0)
         hi = [SpectralBound("b", 1, 2.0, Direction.UPPER, (step,))]
-        with pytest.raises(DirectionMismatch):
+        with pytest.raises(ValueError, match="^direct_sum_bounds merges lower bounds only$"):
             direct_sum_bounds([lo, hi], "sum", 2)
 
     @given(

@@ -13,7 +13,6 @@ from starspec import certify, exact
 from starspec.exact import (
     PI2,
     ConvergenceFailure,
-    OutOfRange,
     bessel_j,
     bessel_zero,
     bessel_zero_lower_bound,
@@ -335,7 +334,7 @@ class TestBessel:
                 assert bessel_zero_lower_bound(s, k) < bessel_zero(s, k)
 
     def test_lower_bound_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match=r"^lower bound requires s > -1/2$"):
             bessel_zero_lower_bound(-0.6, 1)
 
     def test_bessel_j_values(self):
@@ -425,7 +424,7 @@ class TestSector:
 class TestSpecialBounds:
     def test_right_triangle_floor(self):
         assert right_triangle_dn_lower_bound(math.pi / 4) == pytest.approx(PI2 * 1.25, rel=REL)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, pi/2\)$"):
             right_triangle_dn_lower_bound(math.pi / 2)
 
     def test_thresholds(self):

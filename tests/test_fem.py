@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -385,7 +386,7 @@ class TestRefineNumbering:
     def test_golden_dump(self, meshes):
         _, fine = meshes
         assert len(fine.nodes) == 4257
-        digest = hashlib.sha256(fem.mesh_text_dump(fine).encode()).hexdigest()
+        digest = hashlib.sha256("".join(fem.mesh_text_dump(fine)).encode()).hexdigest()
         assert digest == T_JUNCTION_REFINED_SHA256
 
     @pytest.mark.parametrize(
@@ -952,7 +953,7 @@ class TestTriangulateGolden:
         configs += [(certify.preset("y_alpha", alpha=float(a))[0], 2.0) for a in np.linspace(0.55, 1.45, 12)]
         digest = hashlib.sha256()
         for vcfg, length in configs:
-            digest.update(fem.mesh_text_dump(fem.triangulate(geom.truncate(vcfg, length), 0.5)).encode())
+            digest.update("".join(fem.mesh_text_dump(fem.triangulate(geom.truncate(vcfg, length), 0.5))).encode())
         assert digest.hexdigest() == self.GOLDEN
 
     # sha256 of the ear clip and then the flipped triangles of every
@@ -1003,11 +1004,21 @@ class TestTailCaps:
 class TestDumps:
     def test_text_dump_contains_counts(self):
         mesh = fem.triangulate(DN_SQUARE, 0.5)
-        dump = fem.mesh_text_dump(mesh)
+        dump = "".join(fem.mesh_text_dump(mesh))
         assert str(mesh.nodes.shape[0]) in dump
 
     def test_svg_has_triangles(self):
         mesh = fem.triangulate(DN_SQUARE, 0.5)
-        svg = fem.mesh_svg(mesh)
+        svg = "".join(fem.mesh_svg(mesh))
         assert svg.startswith("<svg") or "<svg" in svg
         assert "polygon" in svg or "path" in svg or "line" in svg
+
+    @pytest.mark.parametrize("dump", [fem.mesh_text_dump, fem.mesh_svg])
+    def test_a_dump_streams_its_lines(self, dump):
+        # the mesh command writes each line as it comes: no dump holds the whole text
+        mesh = fem.triangulate(DN_SQUARE, 0.5)
+        lines = dump(mesh)
+        assert isinstance(lines, Iterator)
+        first = next(lines)
+        assert first.endswith("\n") and first.count("\n") == 1
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)

@@ -20,7 +20,6 @@ from starspec.geom import (
     InvalidGeometry,
     Polygon,
     StarWaveguideConfig,
-    StubOverlap,
     truncate,
 )
 
@@ -287,7 +286,7 @@ class TestTruncate:
         for vcfg in configs:
             if vcfg.is_3d:
                 continue
-            poly = truncate(vcfg, length)  # raises StubOverlap if the half-strips meet
+            poly = truncate(vcfg, length)  # raises InvalidGeometry if the half-strips meet
             caps = [i for i, r in enumerate(poly.edge_roles) if r is EdgeRole.CUT]
             assert len(caps) == len(vcfg.branches)
             assert all(poly.edge_tags[i] is BC.DIRICHLET for i in caps)
@@ -327,9 +326,9 @@ class TestTruncate:
             center=u,
             branches=(Branch(4, CrossSection.interval(1.0)), Branch(8, CrossSection.interval(1.0))),
         )
-        with pytest.raises(StubOverlap, match="half-strips beyond the caps at length 0.5 overlap"):
+        with pytest.raises(InvalidGeometry, match="^the branch half-strips beyond the caps at length 0.5 overlap$"):
             truncate(vcfg, 0.5)
-        with pytest.raises(StubOverlap, match="self-intersect"):
+        with pytest.raises(InvalidGeometry, match="^branch stubs of length 10.0 self-intersect; shorten the stubs$"):
             truncate(vcfg, 10.0)
 
 

@@ -5,11 +5,14 @@ A public module-level function or class of src/starspec must be referenced
 from another package module, from its own module, from the benchmark
 (perfbench/*.py) or from a script (scripts/*.py).  A public method, property
 or dataclass field of a package class must be read as an attribute in one of
-those files.  Code that only the tests reach is deleted together with its
-tests; a name kept for a planned caller goes in RESERVED with the reason.
+those files, and a public exception class must be named in an except clause
+of one: an error that no caller tells apart from its base raises the base.
+Code that only the tests reach is deleted together with its tests; a name
+kept for a planned caller goes in RESERVED with the reason.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +66,11 @@ def _attribute_reads(tree: ast.Module) -> set[str]:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def _caught(tree: ast.Module) -> set[str]:
+    """The names in the except clauses of a file."""
+    return set().union(*(_references(h.type) for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and h.type))
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -97,6 +105,18 @@ def test_every_public_member_is_read_outside_the_tests():
         if name not in read
     ]
     assert unread == [], f"only the tests read {', '.join(unread)}"
+
+
+def test_every_public_exception_class_is_caught_by_name_outside_the_tests():
+    modules, callers = _program()
+    caught = set().union(*map(_caught, callers))
+    uncaught = []
+    for path, tree in modules.items():
+        for name in _definitions(tree):
+            obj = getattr(importlib.import_module(f"starspec.{path.stem}"), name)
+            if isinstance(obj, type) and issubclass(obj, BaseException) and name not in caught:
+                uncaught.append(f"{path.stem}.{name}")
+    assert uncaught == [], f"only the tests catch {', '.join(uncaught)}"
 
 
 def test_every_reserved_name_is_still_defined():
