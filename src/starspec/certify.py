@@ -158,9 +158,9 @@ def _fem_upper_bounds(vcfg: StarWaveguideConfig, length: float, levels: int, nu:
     prob = fem.assemble(mesh, caps)
     shift = nu - BUDGET_FLOOR_REL * nu  # below nu, the cut that _n_below applies
     eigs = fem.eigs_below(prob, shift)
-    # deterministic mesh diagnostics: free nodes, largest edge, smallest angle
-    diagnostics = {"dof": int(prob.free_nodes.size), "h": mesh.max_diameter(), "min_angle": mesh.min_angle_deg()}
-    mesh_params = {"length": length, "h0": FEM_H0, "levels": levels, "kappa": TAIL_KAPPA, **diagnostics}
+    h, min_angle = mesh.quality()  # deterministic mesh diagnostics: free nodes, largest edge, smallest angle
+    mesh_params = {"length": length, "h0": FEM_H0, "levels": levels, "kappa": TAIL_KAPPA,
+                   "dof": int(prob.free_nodes.size), "h": h, "min_angle": min_angle}
     # each tolerance covers rounding in forming the Rayleigh-Ritz pencil
     out = [
         SpectralBound(

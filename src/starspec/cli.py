@@ -183,8 +183,9 @@ def cmd_mesh(args) -> int:
     for _ in range(args.levels - 1):
         mesh = fem.refine(mesh)
     _write((fem.mesh_svg if args.format == "svg" else fem.mesh_text_dump)(mesh), args.output)
+    h, min_angle = mesh.quality()
     sys.stderr.write(f"nodes={mesh.nodes.shape[0]} dof={fem.free_nodes(mesh, certify.tail_caps(poly)).size} triangles={mesh.triangles.shape[0]} "
-                     f"max_diameter={mesh.max_diameter():.6g} min_angle={mesh.min_angle_deg():.4g}\n")
+                     f"max_diameter={h:.6g} min_angle={min_angle:.4g}\n")
     return EXIT_CERTIFIED
 
 

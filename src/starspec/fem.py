@@ -50,6 +50,7 @@ NESTED_SHIFT = 1e-3
 # (||r||^2 / gap), so sqrt(eps) residuals leave the values at rounding; any
 # tolerance keeps them Rayleigh-Ritz upper bounds, so soundness never depends on it
 LANCZOS_TOL = math.sqrt(np.finfo(float).eps)
+CHUNK = 4096  # the rows a pass over a whole mesh (Mesh.quality, the dumps) takes at a time
 
 
 class MeshFailure(RuntimeError):
@@ -71,27 +72,24 @@ class Mesh:
 
     def _corners(self) -> tuple[np.ndarray, np.ndarray]:
         """(3, T) x and y coordinates of the triangle corners, corner i in row
-        i; the diagnostics and assemble work on these rows, since NumPy's
-        axis=1 reductions over (T, 2) arrays cost several times the arithmetic."""
+        i; assemble works on these rows, since NumPy's axis=1 reductions over
+        (T, 2) arrays cost several times the arithmetic."""
         return self.nodes[:, 0][self.triangles.T], self.nodes[:, 1][self.triangles.T]
 
-    def max_diameter(self) -> float:
-        x, y = self._corners()
-        d = []
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            dx, dy = x[i] - x[j], y[i] - y[j]
-            d.append(np.sqrt(dx * dx + dy * dy))
-        return float(np.max(d))
-
-    def min_angle_deg(self) -> float:
-        x, y = self._corners()
-        angles = []
-        for i in range(3):
-            ax, ay = x[(i + 1) % 3] - x[i], y[(i + 1) % 3] - y[i]
-            bx, by = x[(i + 2) % 3] - x[i], y[(i + 2) % 3] - y[i]
-            cosang = (ax * bx + ay * by) / (np.sqrt(ax * ax + ay * ay) * np.sqrt(bx * bx + by * by))
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-        return float(np.min(angles))
+    def quality(self) -> tuple[float, float]:
+        """(h, min_angle): the longest edge and the smallest corner angle in degrees, in one pass over the
+        triangles CHUNK at a time.  min_angle is one math.acos of the largest corner cosine, so no bit of it
+        depends on NumPy's CPU dispatch (np.arccos of an array does); h, a max of square roots, is exact."""
+        xs, ys = self.nodes[:, 0], self.nodes[:, 1]
+        h = cos_max = -math.inf
+        for start in range(0, len(self.triangles), CHUNK):
+            t = self.triangles[start:start + CHUNK, [2, 0, 1, 2, 0]].T
+            x, y = xs[t], ys[t]
+            ex, ey = x[1:] - x[:-1], y[1:] - y[:-1]  # the edges into corners 0, 1, 2 and 0 again
+            length = np.sqrt(ex * ex + ey * ey)
+            cos = -(ex[1:] * ex[:-1] + ey[1:] * ey[:-1]) / (length[1:] * length[:-1])  # at corners 0, 1, 2
+            h, cos_max = max(h, float(length.max())), max(cos_max, float(cos.max()))
+        return h, math.degrees(math.acos(min(1.0, cos_max)))
 
     def prolong(self, u: np.ndarray) -> np.ndarray:
         """P1 interpolation of u, given on the nodes of the mesh refine made this one from."""
@@ -233,7 +231,7 @@ def triangulate(poly: Polygon, h_target: float) -> Mesh:
     flip = orient(*verts[tris].transpose(1, 2, 0)) < 0  # make every triangle counterclockwise
     tris[flip, 1:] = tris[flip, 2:0:-1]
     mesh = Mesh(verts, tris, np.array(bedges), np.arange(poly.n_edges), tuple(poly.edge_tags))
-    while mesh.max_diameter() > h_target:
+    while mesh.quality()[0] > h_target:
         mesh = refine(mesh)
     return mesh
 
@@ -485,10 +483,10 @@ def _extrapolate(level_values: list[np.ndarray]) -> FemSpectrum:
 # -- debug output -----------------------------------------------------------
 
 
-def _rows(a: np.ndarray, chunk: int = 4096) -> Iterator[list]:
-    """The rows of a as lists, converted a chunk at a time: a dump holds no list of the whole array."""
-    for start in range(0, len(a), chunk):
-        yield from a[start:start + chunk].tolist()
+def _rows(a: np.ndarray) -> Iterator[list]:
+    """The rows of a as lists, converted CHUNK at a time: a dump holds no list of the whole array."""
+    for start in range(0, len(a), CHUNK):
+        yield from a[start:start + CHUNK].tolist()
 
 
 def mesh_text_dump(mesh: Mesh) -> Iterator[str]:

@@ -547,8 +547,8 @@ class TestLevelClimb:
     def test_fem_upper_steps_carry_mesh_diagnostics(self):
         vcfg, plan = preset("t_junction")
         v = run_certify(vcfg, plan)
-        mesh = fem.triangulate(geom.truncate(vcfg, 2.0), 0.5)
-        want = {"dof": _dof(vcfg, 2.0, 0.5, 1), "h": mesh.max_diameter(), "min_angle": mesh.min_angle_deg()}
+        h, min_angle = fem.triangulate(geom.truncate(vcfg, 2.0), 0.5).quality()
+        want = {"dof": _dof(vcfg, 2.0, 0.5, 1), "h": h, "min_angle": min_angle}
         for b in v.upper_bounds:
             assert {k: b.trace[0].params[k] for k in want} == want
 

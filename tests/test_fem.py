@@ -1,5 +1,6 @@
 """P1 finite elements: meshing, assembly invariants, convergence."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -49,9 +50,9 @@ def _area(mesh):
 
 class TestMeshing:
     def test_triangulate_respects_target(self):
-        mesh = fem.triangulate(DN_SQUARE, 0.25)
-        assert mesh.max_diameter() <= 0.25 + 1e-12
-        assert mesh.min_angle_deg() > 0
+        h, min_angle = fem.triangulate(DN_SQUARE, 0.25).quality()
+        assert h <= 0.25 + 1e-12
+        assert min_angle > 0
 
     def test_triangle_areas_sum_to_polygon_area(self):
         for poly in (DN_SQUARE, NEUMANN_TRIANGLE):
@@ -63,7 +64,7 @@ class TestMeshing:
         fine = fem.refine(mesh)
         assert fine.triangles.shape[0] == 4 * mesh.triangles.shape[0]
         assert _area(fine) == pytest.approx(_area(mesh), rel=1e-12)
-        assert fine.max_diameter() == pytest.approx(mesh.max_diameter() / 2, rel=1e-12)
+        assert fine.quality()[0] == pytest.approx(mesh.quality()[0] / 2, rel=1e-12)
 
     def test_boundary_tags_survive_refinement(self):
         mesh = fem.triangulate(DN_SQUARE, 0.5)
@@ -184,7 +185,7 @@ class TestDelaunayFlips:
         poly = geom.truncate(certify._unit_star("rounded_corner", geom.rounded_corner_polygon(math.pi / 2, 64)), 2.0)
         mesh = fem.triangulate(poly, 1e3)  # no refinement
         assert _delaunay_excess(mesh) <= 1e-9
-        assert mesh.min_angle_deg() == pytest.approx(90 / 64, rel=1e-9)
+        assert mesh.quality()[1] == pytest.approx(90 / 64, rel=1e-9)
 
 
 class TestRefinementCap:
@@ -208,21 +209,21 @@ class TestRefinementCap:
 
 
 def _norm_max_diameter(mesh):
-    """max_diameter as np.linalg.norm over (T, 2) edge vectors."""
+    """The longest edge, as np.linalg.norm over (T, 2) edge vectors."""
     p = mesh.nodes[mesh.triangles]
     return float(np.max([np.linalg.norm(p[:, i] - p[:, j], axis=1) for i, j in ((0, 1), (1, 2), (2, 0))]))
 
 
 def _norm_min_angle_deg(mesh):
-    """min_angle_deg as np.sum and np.linalg.norm over (T, 2) edge vectors."""
+    """The smallest angle, as one acos of the largest corner cosine from np.sum
+    and np.linalg.norm over (T, 2) edge vectors."""
     p = mesh.nodes[mesh.triangles]
-    angles = []
+    cosines = []
     for i in range(3):
         a = p[:, (i + 1) % 3] - p[:, i]
         b = p[:, (i + 2) % 3] - p[:, i]
-        cosang = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-    return float(np.min(angles))
+        cosines.append(np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)))
+    return math.degrees(math.acos(min(1.0, float(np.max(cosines)))))
 
 
 class TestMeshDiagnostics:
@@ -236,14 +237,50 @@ class TestMeshDiagnostics:
             ("crossing", 3.0, 0.25, 2),
             ("rounded_corner", 2.0, 0.5, 1),
             ("rounded_corner", 3.0, 0.25, 2),
+            # count meshes that end in a partial chunk: 7,168 and 10,240 triangles
+            ("rounded_corner", 2.0, 0.5, 2),
+            ("crossing", 2.0, 0.5, 3),
         ],
     )
     def test_column_formulas_give_the_same_bits(self, name, length, h0, levels):
         mesh = fem.triangulate(geom.truncate(certify.preset(name)[0], length), h0)
         for _ in range(levels - 1):
             mesh = fem.refine(mesh)
-        assert mesh.max_diameter() == _norm_max_diameter(mesh)
-        assert mesh.min_angle_deg() == _norm_min_angle_deg(mesh)
+        assert mesh.quality() == (_norm_max_diameter(mesh), _norm_min_angle_deg(mesh))
+
+    def test_the_worst_triangle_counts_in_every_chunk(self):
+        # one sliver, its corners in each rotation, put on either side of each
+        # chunk boundary of the crossing's 10,240-triangle count mesh
+        mesh, _ = certify._truncated_mesh(certify.preset("crossing")[0], 2.0, 3)
+        assert len(mesh.triangles) % fem.CHUNK  # the last chunk is partial
+        sliver = len(mesh.nodes) + np.arange(3)
+        nodes = np.concatenate([mesh.nodes, [[0.0, 0.0], [10.0, 0.0], [5.0, 0.1]]])
+        for row in (0, fem.CHUNK - 1, fem.CHUNK, 2 * fem.CHUNK, len(mesh.triangles) - 1):
+            for shift in range(3):
+                tris = mesh.triangles.copy()
+                tris[row] = np.roll(sliver, shift)
+                worse = dataclasses.replace(mesh, nodes=nodes, triangles=tris)
+                h, min_angle = worse.quality()
+                assert (h, min_angle) == (10.0, _norm_min_angle_deg(worse))
+                assert min_angle == pytest.approx(math.degrees(math.atan2(0.1, 5.0)), rel=1e-12)
+
+    def test_the_bits_do_not_depend_on_numpy_cpu_dispatch(self):
+        # np.arccos of an array takes a path per CPU feature, and once moved
+        # the last bit of min_angle; NumPy ignores the names a CPU lacks
+        code = (
+            "from starspec import certify; "
+            "print(*(x.hex() for name in ('t_junction', 'crossing') for levels in (1, 2, 3) "
+            "for x in certify._truncated_mesh(certify.preset(name)[0], 2.0, levels)[0].quality()))"
+        )
+        src = str(Path(fem.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        outs = [
+            subprocess.run([sys.executable, "-c", code], env={**env, **disabled}, capture_output=True, text=True, check=True).stdout
+            for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"})
+        ]
+        assert len(outs[0].split()) == 12
+        assert outs[0] == outs[1]
 
 
 def _coo_assemble(mesh, tails=None):
