@@ -22,6 +22,9 @@ from .geom import Polygon, orient
 
 _LOWER, _UPPER = Direction.LOWER, Direction.UPPER  # a module global reads faster than an Enum member
 _VALUE = attrgetter("value")
+# the tol of an analytic value per unit of it: the rounding of the few float operations that make
+# it, far below certify.BUDGET_FLOOR_REL (1e-8); ROADMAP item 13's outward rounding replaces it
+ANALYTIC_TOL_REL = 1e-13
 
 
 class TraceStep(NamedTuple):
@@ -60,6 +63,19 @@ def bounds_from_eiglist(operator: str, eigs: EigList, direction: Direction, rule
     return out
 
 
+# each closed-form trace rule's exact formula of its params, the count k and the formula's keywords
+CLOSED_FORMS = {
+    "box-eig": lambda p, k, **kw: box_eigs(tuple(p["dims"]), tuple(p["bcs"]), k, **kw),
+    "equilateral-eig": lambda p, k: equilateral_eigs(p["side"], p["bc"], k),
+}
+
+
+def closed_form_bounds(operator: str, direction: Direction, rule: str, params: dict, k: int, then=None, **kw) -> list[SpectralBound]:
+    """bounds_from_eiglist of the closed form CLOSED_FORMS[rule] of params: the trace records the
+    params the values are computed from, and replay_bound recomputes them by the same formula."""
+    return bounds_from_eiglist(operator, CLOSED_FORMS[rule](params, k, **kw), direction, rule, params, then)
+
+
 # -- rules ------------------------------------------------------------------
 
 
@@ -88,7 +104,7 @@ def scale_bound(src: list[SpectralBound], coeffs: tuple[float, float], target_op
             raise ValueError("scale_bound transports lower bounds only")
         v = factor * b.value
         step = _step(("scale", {"coeffs": [c1, c2], "factor": factor, "input": b.value}, v))
-        out.append(_bound((target_op, b.index, v, b.direction, b.trace + (step,), b.tol + 1e-13 * abs(v))))
+        out.append(_bound((target_op, b.index, v, b.direction, b.trace + (step,), b.tol + ANALYTIC_TOL_REL * abs(v))))
     return out
 
 
@@ -187,10 +203,8 @@ def direct_sum_bounds(
 def _replay_step(step: TraceStep, prev: float | None) -> float:
     p = step.params
     rule = step.rule
-    if rule == "box-eig":
-        return box_eigs(tuple(p["dims"]), tuple(p["bcs"]), p["index"])[p["index"] - 1]
-    if rule == "equilateral-eig":
-        return equilateral_eigs(p["side"], p["bc"], p["index"])[p["index"] - 1]
+    if rule in CLOSED_FORMS:
+        return CLOSED_FORMS[rule](p, p["index"])[p["index"] - 1]
     if rule == "right-triangle-floor":
         return right_triangle_dn_lower_bound(p["alpha"])
     if rule == "scale":

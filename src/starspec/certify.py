@@ -198,8 +198,7 @@ def _count_exact_box_B(vcfg: StarWaveguideConfig, plan: CertificationPlan, nu: f
     bcs = ["DD"] * len(dims)
     cut = nu - BUDGET_FLOOR_REL * nu
     k = math.prod(math.ceil(d * math.sqrt(cut) / math.pi) - 1 for d in dims)
-    eigs = exact.box_eigs(tuple(dims), tuple(bcs), k, below=cut) if k > 0 else exact.EigList((), ())
-    raw = bnd.bounds_from_eiglist("center-dirichlet", eigs, Direction.UPPER, "box-eig", {"dims": dims, "bcs": bcs})
+    raw = bnd.closed_form_bounds("center-dirichlet", Direction.UPPER, "box-eig", {"dims": dims, "bcs": bcs}, k, below=cut) if k > 0 else []
     ub = bnd.dirichlet_monotone(raw, WAVEGUIDE_OP)
     return _n_below(ub, nu), ub
 
@@ -282,8 +281,8 @@ def _box(vcfg: StarWaveguideConfig, rule: str) -> tuple[list, list, Optional[str
 def _lower_box(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
     """Separable box with the center's dims and interval condition pairs."""
     dims, bcs, relaxed = _box(vcfg, "box")
-    eigs, then = exact.box_eigs(tuple(dims), tuple(bcs), k), relaxed and ("neumann-relaxation", {"detail": relaxed})
-    return bnd.bounds_from_eiglist(DN_CENTER_OP, eigs, Direction.LOWER, "box-eig", {"dims": dims, "bcs": bcs}, then)
+    then = relaxed and ("neumann-relaxation", {"detail": relaxed})
+    return bnd.closed_form_bounds(DN_CENTER_OP, Direction.LOWER, "box-eig", {"dims": dims, "bcs": bcs}, k, then)
 
 
 def _lower_neumann_equilateral(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
@@ -292,11 +291,7 @@ def _lower_neumann_equilateral(vcfg: StarWaveguideConfig, k: int) -> list[Spectr
     side = max(sides, default=0.0)
     if len(sides) != 3 or BC.DIRICHLET in c.edge_tags or side - min(sides) > EQUILATERAL_RTOL * side:
         raise Unbound("neumann_equilateral needs an all-Neumann equilateral triangle center")
-    eigs = exact.equilateral_eigs(side, "neumann", k)
-    return bnd.bounds_from_eiglist(
-        DN_CENTER_OP, eigs, Direction.LOWER, "equilateral-eig",
-        {"side": side, "bc": "neumann"},
-    )
+    return bnd.closed_form_bounds(DN_CENTER_OP, Direction.LOWER, "equilateral-eig", {"side": side, "bc": "neumann"}, k)
 
 
 def _family_alpha(vcfg: StarWaveguideConfig, family: str, rule: str) -> float:
@@ -315,10 +310,7 @@ def _pi6_embedding() -> SpectralBound:
     symmetry-admissible mode is the fourth of the full triangle.  No alpha
     enters, so it is built once and every verdict shares it."""
     side = 2 * math.sqrt(3)
-    base = bnd.bounds_from_eiglist(
-        "equilateral-embed", exact.equilateral_eigs(side, "dirichlet", 4), Direction.LOWER,
-        "equilateral-eig", {"side": side, "bc": "dirichlet"},
-    )[3]
+    base = bnd.closed_form_bounds("equilateral-embed", Direction.LOWER, "equilateral-eig", {"side": side, "bc": "dirichlet"}, 4)[3]
     step = TraceStep("symmetry-restriction", {"admissible_rank": 2, "full_rank": 4}, base.value)
     return base._replace(operator="half-even-pi6", index=2, trace=base.trace + (step,))
 
@@ -331,7 +323,7 @@ def _lower_broken_chain(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound
     and a Neumann-hypotenuse right triangle, floored analytically."""
     alpha = _family_alpha(vcfg, "bent-guide", "broken_chain")
     f_d = exact.right_triangle_dn_lower_bound(alpha)
-    odd = [bnd.lower_bound("half-odd", 1, f_d, "right-triangle-floor", {"alpha": alpha}, tol=1e-13 * f_d)]
+    odd = [bnd.lower_bound("half-odd", 1, f_d, "right-triangle-floor", {"alpha": alpha}, tol=bnd.ANALYTIC_TOL_REL * f_d)]
     # even half: second eigenvalue via the equilateral embedding at pi/6 and
     # the anisotropic stretch along the wall leg from the reference triangle
     # to the target; the factor min((tan a / tan(pi/6))^2, 1) of the
@@ -357,13 +349,7 @@ def _lower_y_chain(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
         side_eq = 1.0
         coeffs = (1.0, h / (math.sqrt(3) / 2))  # stretch along the height
         name = f"isosceles(l=1,h={h:.6g})"
-    eq = bnd.bounds_from_eiglist(
-        "equilateral-neumann",
-        exact.equilateral_eigs(side_eq, "neumann", k),
-        Direction.LOWER,
-        "equilateral-eig",
-        {"side": side_eq, "bc": "neumann"},
-    )
+    eq = bnd.closed_form_bounds("equilateral-neumann", Direction.LOWER, "equilateral-eig", {"side": side_eq, "bc": "neumann"}, k)
     on_m = bnd.scale_bound(eq, coeffs, "enclosure-neumann")
     y0 = vcfg.center.vertices[0][1]  # the isosceles enclosure stands on the bottom cut
     enclosure = Polygon(((-l / 2, y0), (l / 2, y0), (0.0, y0 + h)), (BC.DIRICHLET,) * 3, (EdgeRole.WALL,) * 3)
@@ -394,7 +380,7 @@ def _lower_sector(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
             bnd.lower_bound(
                 DN_CENTER_OP, 2, v, "sector-bessel-floor",
                 {"alpha": alpha, "candidate": label, "zero_lower_bound": z},
-                tol=1e-13 * v,
+                tol=bnd.ANALYTIC_TOL_REL * v,
             )
         )
     return out[:k]

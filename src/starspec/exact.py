@@ -30,10 +30,6 @@ TINY = sys.float_info.min
 BESSEL_MAX_ITER = 200
 
 
-class ConvergenceFailure(RuntimeError):
-    pass
-
-
 class Direction(Enum):
     LOWER = "lower"
     UPPER = "upper"
@@ -224,7 +220,7 @@ def _bessel_zeros(s: float):
     f_prev, found = bessel_j(s, x), 0
     for i in itertools.count():
         if i == BESSEL_MAX_ITER * (found + 1):
-            raise ConvergenceFailure(f"could not locate zero {found + 1} of J_{s}")
+            raise ValueError(f"could not locate zero {found + 1} of J_{s}")
         x_next = x + 1.0
         f_next = bessel_j(s, x_next)
         if f_prev == 0.0:

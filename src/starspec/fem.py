@@ -53,10 +53,6 @@ LANCZOS_TOL = math.sqrt(np.finfo(float).eps)
 CHUNK = 4096  # the rows a pass over a whole mesh (Mesh.quality, the dumps) takes at a time
 
 
-class MeshFailure(RuntimeError):
-    pass
-
-
 class SolverFailure(RuntimeError):
     pass
 
@@ -132,10 +128,10 @@ def _ear_clip(vertices: np.ndarray) -> list[tuple[int, int, int]]:
             idx.pop(pos)
             break
         else:
-            raise MeshFailure("no clippable ear found; polygon may be degenerate")
+            raise ValueError("no clippable ear found; polygon may be degenerate")
     i0, i1, i2 = idx
     if orient(pts[i0], pts[i1], pts[i2]) <= 1e-14:
-        raise MeshFailure("degenerate final triangle")
+        raise ValueError("degenerate final triangle")
     tris.append((i0, i1, i2))
     return tris
 
@@ -147,7 +143,7 @@ def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) 
     full rescan after every flip, but only the edges of the two rewritten
     triangles are tested again.  A flipped-out edge never returns (it lies
     above its replacement on the lifting paraboloid), so the flips number at
-    most the n (n - 1) / 2 node pairs; one more raises MeshFailure."""
+    most the n (n - 1) / 2 node pairs; one more raises ValueError."""
 
     def in_circumcircle(a, b, c, d) -> bool:
         # sign normalized by triangle orientation so the test is order-free
@@ -211,7 +207,7 @@ def _delaunay_flips(nodes: np.ndarray, tris: list[list[int]], fixed_edges: set) 
         place(t2)
         budget -= 1
         if budget == 0:
-            raise MeshFailure("Delaunay flips did not settle")
+            raise ValueError("Delaunay flips did not settle")
         for f in {e, *(edge(t, i) for t in (t1, t2) for i in range(3))}:  # e now has no slot
             test(f)
 
@@ -220,9 +216,9 @@ def triangulate(poly: Polygon, h_target: float) -> Mesh:
     """Mesh the polygon: ear clipping, Delaunay flips, then uniform red
     refinement until the maximum element diameter is at most h_target."""
     if not 0 < h_target < math.inf:
-        raise MeshFailure(f"h_target must be positive and finite, not {h_target}")
+        raise ValueError(f"h_target must be positive and finite, not {h_target}")
     if poly.area() < 1e-14:
-        raise MeshFailure("zero-area polygon")
+        raise ValueError("zero-area polygon")
     verts = np.array(poly.vertices, dtype=float)
     tris = [list(t) for t in _ear_clip(verts)]
     bedges = [(i, (i + 1) % poly.n_edges) for i in range(poly.n_edges)]
@@ -243,11 +239,11 @@ def refine(mesh: Mesh) -> Mesh:
     follows in order of first appearance, scanning the triangle edges
     (a,b), (b,c), (c,a) in triangle order and then the boundary edges.
     Each midpoint is 0.5 * (x_i + x_j) of its parents, the edge's first-seen pair.
-    A refinement past MAX_TRIANGLES raises MeshFailure before allocating."""
+    A refinement past MAX_TRIANGLES raises ValueError before allocating."""
     nn = len(mesh.nodes)
     tris = mesh.triangles
     if 4 * len(tris) > MAX_TRIANGLES:
-        raise MeshFailure(f"refining to {4 * len(tris)} triangles exceeds the cap of {MAX_TRIANGLES} triangles")
+        raise ValueError(f"refining to {4 * len(tris)} triangles exceeds the cap of {MAX_TRIANGLES} triangles")
     bedges = mesh.boundary_edges
     pairs = np.concatenate([np.stack([tris, tris[:, [1, 2, 0]]], axis=2).reshape(-1, 2), bedges])
     keys = np.minimum(pairs[:, 0], pairs[:, 1]) * nn + np.maximum(pairs[:, 0], pairs[:, 1])
@@ -299,7 +295,7 @@ def assemble(mesh: Mesh, tails: dict[int, float] | None = None) -> DiscreteProbl
     b, c = y[nxt] - y[prv], x[prv] - x[nxt]
     area = 0.5 * (x[0] * b[0] + x[1] * b[1] + x[2] * b[2])
     if np.any(area <= 0):
-        raise MeshFailure("mesh contains non-positively-oriented triangles")
+        raise ValueError("mesh contains non-positively-oriented triangles")
     free = free_nodes(mesh, tails)
     nf = len(free)
     index = np.full(nn, nn)  # the free nodes first, in order; every other node past them
@@ -511,9 +507,9 @@ def mesh_svg(mesh: Mesh, size: int = 640) -> Iterator[str]:
     xy = (mesh.nodes - lo + pad) / (span + 2 * pad) * size  # picture coordinates, y pointing down
     xy[:, 1] = size - xy[:, 1]
     yield f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
-    point = [f"{x:.2f},{y:.2f}" for x, y in _rows(xy)]
-    for a, b, c in _rows(mesh.triangles):
-        yield f'<polygon points="{point[a]} {point[b]} {point[c]}" fill="none" stroke="#bbbbbb" stroke-width="0.5"/>\n'
+    for start in range(0, len(mesh.triangles), CHUNK):  # each chunk's corners, formatted as they are written
+        for (xa, ya), (xb, yb), (xc, yc) in xy[mesh.triangles[start:start + CHUNK]].tolist():
+            yield f'<polygon points="{xa:.2f},{ya:.2f} {xb:.2f},{yb:.2f} {xc:.2f},{yc:.2f}" fill="none" stroke="#bbbbbb" stroke-width="0.5"/>\n'
     colors = [{BC.DIRICHLET: "#d62728", BC.NEUMANN: "#1f77b4"}[tag] for tag in mesh.edge_tags]
     for (i, j), src in zip(mesh.boundary_edges.tolist(), mesh.boundary_src.tolist()):
         (x1, y1), (x2, y2) = xy[i].tolist(), xy[j].tolist()

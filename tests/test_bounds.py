@@ -27,6 +27,20 @@ from starspec.geom import BC, EdgeRole, Polygon, orient
 
 REPLAY_REL = 1e-13
 
+# rule -> (params as a rule records them, k, the formula's keywords, the exact call they stand for), for each
+# entry of bounds.CLOSED_FORMS
+CLOSED_FORM_CASES = {
+    "box-eig": [
+        ({"dims": [2.381, 2.041], "bcs": ["DD", "DN"]}, 5, {}, lambda: box_eigs((2.381, 2.041), ("DD", "DN"), 5)),
+        ({"dims": [2.0, 1.5], "bcs": ["DD", "DD"]}, 6, {"below": 12.0}, lambda: box_eigs((2.0, 1.5), ("DD", "DD"), 6, below=12.0)),
+        ({"dims": [1.0, 1.0, 1.0], "bcs": ["DN", "DN", "DN"]}, 4, {}, lambda: box_eigs((1.0, 1.0, 1.0), ("DN", "DN", "DN"), 4)),
+    ],
+    "equilateral-eig": [
+        ({"side": 2 * math.sqrt(3), "bc": "dirichlet"}, 4, {}, lambda: equilateral_eigs(2 * math.sqrt(3), "dirichlet", 4)),
+        ({"side": 1.0, "bc": "neumann"}, 3, {}, lambda: equilateral_eigs(1.0, "neumann", 3)),
+    ],
+}
+
 # every containment outcome holds for the enclosure in either orientation
 EITHER_ORIENTATION = pytest.mark.parametrize("clockwise", [False, True], ids=["ccw", "cw"])
 
@@ -278,6 +292,23 @@ class TestDirectSum:
             oracle_pool.extend([vals[-1]] * max(0, k - len(vals)))
         oracle = sorted(oracle_pool)[:k]
         assert [b.value for b in merged] == pytest.approx(oracle, rel=1e-12)
+
+
+class TestClosedForms:
+    def test_every_closed_form_has_cases(self):
+        assert CLOSED_FORM_CASES.keys() == bnd.CLOSED_FORMS.keys()
+
+    @pytest.mark.parametrize(
+        "rule, params, k, kw, exact_call",
+        [(rule, *case) for rule, cases in CLOSED_FORM_CASES.items() for case in cases],
+        ids=[f"{rule}-{i}" for rule, cases in CLOSED_FORM_CASES.items() for i in range(len(cases))],
+    )
+    def test_the_bounds_are_those_of_the_exact_call(self, rule, params, k, kw, exact_call):
+        then = ("relaxation", {"detail": "x"})
+        for direction in Direction:
+            got = bnd.closed_form_bounds("op", direction, rule, params, k, then, **kw)
+            assert got == bounds_from_eiglist("op", exact_call(), direction, rule, params, then)
+            assert [replay_bound(b) for b in got] == [b.value for b in got]
 
 
 class TestReplay:

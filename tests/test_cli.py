@@ -478,7 +478,7 @@ class TestSpectrumCommand:
             ("--shape", "equilateral", "--bc", "neumann", "--side", "nan"),
             ("--shape", "equilateral", "--side", "-1"),
             ("--shape", "sector", "--radius", "inf"),
-            ("--shape", "sector", "--alpha", "1e-6", "-k", "2"),  # order 3.1e6: exact.ConvergenceFailure
+            ("--shape", "sector", "--alpha", "1e-6", "-k", "2"),  # order 3.1e6: no zero the scan can reach
         ],
     )
     def test_sizes_must_be_finite(self, capsys, argv):
