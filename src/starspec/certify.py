@@ -22,7 +22,7 @@ from . import bounds as bnd
 from . import exact, fem, geom
 from .bounds import Direction, SpectralBound, TraceStep
 from .exact import PI2
-from .geom import BC, Branch, CrossSection, EdgeRole, Polygon, StarWaveguideConfig
+from .geom import BC, Box3, Branch, CrossSection, EdgeRole, Polygon, StarWaveguideConfig
 
 BUDGET_FLOOR_REL = 1e-8
 FEM_UPPER_TOL_REL = 1e-8
@@ -194,7 +194,7 @@ def _count_exact_box_B(vcfg: StarWaveguideConfig, plan: CertificationPlan, nu: f
     subdomain: every lattice value below the counting cut is an upper bound.
     Each axis value (m pi / d)^2 of one below the cut is, so m < d sqrt(cut)
     / pi, and the product k of those counts bounds how many there are."""
-    dims = _box(vcfg, "exact_box_B")[0]
+    dims = _box(vcfg.center, "exact_box_B")[0]
     bcs = ["DD"] * len(dims)
     cut = nu - BUDGET_FLOOR_REL * nu
     k = math.prod(math.ceil(d * math.sqrt(cut) / math.pi) - 1 for d in dims)
@@ -214,10 +214,10 @@ def _is_config(vcfg: StarWaveguideConfig, name: str) -> bool:
 # bound state exists, n_true >= 1; a center lower bound for index 2 then gives
 # n_true = 1.  The fact and anchor texts go into the assumption step.
 _FACTS = {
-    "bent_guide": (lambda vcfg: vcfg.family_alpha("bent-guide") is not None,
+    "bent_guide": (lambda vcfg: vcfg.center.family_alpha("bent-guide") is not None,
                    "bent guides of constant width always have nonempty discrete spectrum", None,
                    "Exner-Seba, J. Math. Phys. 30 (1989) 2574; Avishai et al., Phys. Rev. B 44 (1991) 8028"),
-    "y_junction": (lambda vcfg: vcfg.family_alpha("Y-junction") is not None,
+    "y_junction": (lambda vcfg: vcfg.center.family_alpha("Y-junction") is not None,
                    "junction contains a bent guide of complementary angle", "bent_guide",
                    "Dirichlet monotonicity and the bent_guide fact"),
     "cube_square": (lambda vcfg: _is_config(vcfg, "cube_square"),
@@ -265,39 +265,38 @@ def count_discrete(
 
 # -- lower-bound (center) pipelines ----------------------------------------
 #
-# Each lower rule takes (vcfg, k) and returns lower bounds for the k lowest
-# eigenvalues of the mixed-condition center operator, or raises Unbound when
-# it does not describe the center.
+# Each lower rule takes (center, k) and returns lower bounds for the k lowest
+# eigenvalues of the mixed-condition center operator, or raises Unbound when it
+# does not describe the center; it reads the center alone, held by a config or not.
 
 
-def _box(vcfg: StarWaveguideConfig, rule: str) -> tuple[list, list, Optional[str]]:
-    """The center's geom.axis_box, read once per config; a center that is no
+def _box(center: Polygon | Box3, rule: str) -> tuple[list, list, Optional[str]]:
+    """The center's geom.axis_box, read once per center; a center that is no
     axis-aligned rectangle or box is Unbound, named by the rule."""
-    if vcfg.axis_box is None:
+    if center.axis_box is None:
         raise Unbound(f"{rule} needs an axis-aligned rectangle or box center")
-    return vcfg.axis_box
+    return center.axis_box
 
 
-def _lower_box(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
+def _lower_box(center: Polygon | Box3, k: int) -> list[SpectralBound]:
     """Separable box with the center's dims and interval condition pairs."""
-    dims, bcs, relaxed = _box(vcfg, "box")
+    dims, bcs, relaxed = _box(center, "box")
     then = relaxed and ("neumann-relaxation", {"detail": relaxed})
     return bnd.closed_form_bounds(DN_CENTER_OP, Direction.LOWER, "box-eig", {"dims": dims, "bcs": bcs}, k, then)
 
 
-def _lower_neumann_equilateral(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
-    c = vcfg.center
-    sides = [] if vcfg.is_3d else [c.edge_length(i) for i in range(c.n_edges)]
+def _lower_neumann_equilateral(center: Polygon | Box3, k: int) -> list[SpectralBound]:
+    sides = [] if isinstance(center, Box3) else [center.edge_length(i) for i in range(center.n_edges)]
     side = max(sides, default=0.0)
-    if len(sides) != 3 or BC.DIRICHLET in c.edge_tags or side - min(sides) > EQUILATERAL_RTOL * side:
+    if len(sides) != 3 or BC.DIRICHLET in center.edge_tags or side - min(sides) > EQUILATERAL_RTOL * side:
         raise Unbound("neumann_equilateral needs an all-Neumann equilateral triangle center")
     return bnd.closed_form_bounds(DN_CENTER_OP, Direction.LOWER, "equilateral-eig", {"side": side, "bc": "neumann"}, k)
 
 
-def _family_alpha(vcfg: StarWaveguideConfig, family: str, rule: str) -> float:
-    """The alpha of geom.family_alpha, bound once per config; a center that
+def _family_alpha(center: Polygon | Box3, family: str, rule: str) -> float:
+    """The alpha of geom.family_alpha, bound once per center; a center that
     is the family's polygon at no alpha is Unbound, named by the rule."""
-    alpha = vcfg.family_alpha(family)
+    alpha = center.family_alpha(family)
     if alpha is None:
         raise Unbound(f"{rule} needs a {family} center: this one is the family's polygon at no alpha")
     return alpha
@@ -318,10 +317,10 @@ def _pi6_embedding() -> SpectralBound:
 _EVEN_FLOOR = bnd.lower_bound("half-even", 1, 0.0, "trivial-floor", {})  # no alpha enters: every verdict shares it
 
 
-def _lower_broken_chain(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
+def _lower_broken_chain(center: Polygon | Box3, k: int) -> list[SpectralBound]:
     """Reflection split of the bent-guide center into a Dirichlet-hypotenuse
     and a Neumann-hypotenuse right triangle, floored analytically."""
-    alpha = _family_alpha(vcfg, "bent-guide", "broken_chain")
+    alpha = _family_alpha(center, "bent-guide", "broken_chain")
     f_d = exact.right_triangle_dn_lower_bound(alpha)
     odd = [bnd.lower_bound("half-odd", 1, f_d, "right-triangle-floor", {"alpha": alpha}, tol=bnd.ANALYTIC_TOL_REL * f_d)]
     # even half: second eigenvalue via the equilateral embedding at pi/6 and
@@ -334,10 +333,10 @@ def _lower_broken_chain(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound
     return bnd.direct_sum_bounds([odd, even], DN_CENTER_OP, k)
 
 
-def _lower_y_chain(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
+def _lower_y_chain(center: Polygon | Box3, k: int) -> list[SpectralBound]:
     """Neumann triangle enclosure of the Y-junction center plus contraction
     to an equilateral triangle."""
-    alpha = _family_alpha(vcfg, "Y-junction", "y_chain")
+    alpha = _family_alpha(center, "Y-junction", "y_chain")
     if alpha <= math.pi / 3:
         l, h = exact.y_alpha_enclosure_triangle(alpha) if alpha < math.pi / 3 else (1.0, math.sqrt(3) / 2)
         side_eq = 2 * h / math.sqrt(3)
@@ -351,12 +350,12 @@ def _lower_y_chain(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
         name = f"isosceles(l=1,h={h:.6g})"
     eq = bnd.closed_form_bounds("equilateral-neumann", Direction.LOWER, "equilateral-eig", {"side": side_eq, "bc": "neumann"}, k)
     on_m = bnd.scale_bound(eq, coeffs, "enclosure-neumann")
-    y0 = vcfg.center.vertices[0][1]  # the isosceles enclosure stands on the bottom cut
+    y0 = center.vertices[0][1]  # the isosceles enclosure stands on the bottom cut
     enclosure = Polygon(((-l / 2, y0), (l / 2, y0), (0.0, y0 + h)), (BC.DIRICHLET,) * 3, (EdgeRole.WALL,) * 3)
-    return bnd.neumann_enclosure_bounds(DN_CENTER_OP, vcfg.center, enclosure, on_m, enclosure_name=name)
+    return bnd.neumann_enclosure_bounds(DN_CENTER_OP, center, enclosure, on_m, enclosure_name=name)
 
 
-def _lower_sector(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
+def _lower_sector(center: Polygon | Box3, k: int) -> list[SpectralBound]:
     """Analytic lower bounds for the circular-sector center spectrum from the
     Bessel-zero inequalities; k = 2 is what certification needs.  They bound
     every polygon inscribed in the sector with Dirichlet on its arc side.
@@ -367,22 +366,13 @@ def _lower_sector(vcfg: StarWaveguideConfig, k: int) -> list[SpectralBound]:
     and with k' (both of its branches do, and the second only joins the max
     as s passes 1/2), so each such zero exceeds the floor of (n=1, k'=1) or
     of (n=0, k'=2), and the smaller of those two squares bounds lambda_2."""
-    alpha = _family_alpha(vcfg, "sector", "sector")
+    alpha = _family_alpha(center, "sector", "sector")
     out = [bnd.lower_bound(DN_CENTER_OP, 1, 0.0, "trivial-floor", {})]
     if k >= 2:
-        cand = [
-            ("n=1,k=1", exact.bessel_zero_lower_bound(math.pi / alpha, 1)),
-            ("n=0,k=2", exact.bessel_zero_lower_bound(0.0, 2)),
-        ]
+        cand = [("n=1,k=1", exact.bessel_zero_lower_bound(math.pi / alpha, 1)), ("n=0,k=2", exact.bessel_zero_lower_bound(0.0, 2))]
         label, z = min(cand, key=lambda t: t[1])
-        v = z * z
-        out.append(
-            bnd.lower_bound(
-                DN_CENTER_OP, 2, v, "sector-bessel-floor",
-                {"alpha": alpha, "candidate": label, "zero_lower_bound": z},
-                tol=bnd.ANALYTIC_TOL_REL * v,
-            )
-        )
+        v, params = z * z, {"alpha": alpha, "candidate": label, "zero_lower_bound": z}
+        out.append(bnd.lower_bound(DN_CENTER_OP, 2, v, "sector-bessel-floor", params, tol=bnd.ANALYTIC_TOL_REL * v))
     return out[:k]
 
 
@@ -396,15 +386,15 @@ _LOWER_RULES = {
 
 
 def dn_lower_bounds(vcfg: StarWaveguideConfig, plan: CertificationPlan, upto: int) -> list[SpectralBound]:
-    rule = _first_binding_rule(vcfg) if plan.lower_strategy == "auto" else plan.lower_strategy
-    return _LOWER_RULES[rule](vcfg, upto)
+    rule = _first_binding_rule(vcfg.center) if plan.lower_strategy == "auto" else plan.lower_strategy
+    return _LOWER_RULES[rule](vcfg.center, upto)
 
 
-def _first_binding_rule(vcfg: StarWaveguideConfig) -> str:
+def _first_binding_rule(center: Polygon | Box3) -> str:
     """The first rule of _LOWER_RULES that describes the center."""
     for name, rule in _LOWER_RULES.items():
         try:
-            rule(vcfg, 1)
+            rule(center, 1)
         except Unbound:
             continue
         return name
@@ -478,7 +468,7 @@ def certify(vcfg: StarWaveguideConfig, plan: CertificationPlan, name: str = "") 
     nu = threshold(vcfg)
     try:
         if plan.lower_strategy == "auto":
-            plan = replace(plan, lower_strategy=_first_binding_rule(vcfg))
+            plan = replace(plan, lower_strategy=_first_binding_rule(vcfg.center))
         if plan.count_strategy != "fem":
             return _verdict(vcfg, plan, name, nu)
         skipped, unsolved = [], []
@@ -660,7 +650,7 @@ def _cube_config(name: str, duct: CrossSection) -> StarWaveguideConfig:
 # required shape keyword.  rect_two_eigs, y_alpha and broken name their
 # lower rule: the region and the sweeps run them by the thousand, and auto
 # would probe the rules before theirs on every verdict.  Every rule reads the center's shape, alpha
-# included, from the config.  preset(name)[0] is the one way to get a catalog
+# included, from the center.  preset(name)[0] is the one way to get a catalog
 # config.  The builders look up geom's family polygons by their module-level
 # names, so a wrapper or monkeypatch on those sees every call.
 _PRESETS = {

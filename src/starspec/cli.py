@@ -179,7 +179,10 @@ def cmd_mesh(args) -> int:
     if vcfg.is_3d:
         raise ValueError("mesh needs a 2D config: it triangulates a polygon center")
     poly = geom.truncate(vcfg, args.truncation) if args.truncate else vcfg.center
-    mesh = fem.triangulate(poly, args.h0)
+    mesh, cap = fem.triangulate(poly, args.h0), fem.MAX_TRIANGLES
+    # level n has 4^(n-1) times the triangles of level 1, refused before any refinement; 4^m passes the cap at its bit length
+    if len(mesh.triangles) * 4 ** min(args.levels - 1, cap.bit_length()) > cap:
+        raise ValueError(f"--levels {args.levels} refines level 1's {len(mesh.triangles)} triangles past the cap of {cap} triangles")
     for _ in range(args.levels - 1):
         mesh = fem.refine(mesh)
     _write((fem.mesh_svg if args.format == "svg" else fem.mesh_text_dump)(mesh), args.output)

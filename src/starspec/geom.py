@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -72,8 +72,23 @@ class Branch:
     cross_section: CrossSection
 
 
+class _Readings:
+    """The readings a center keeps from their first use on, in its __dict__ and so outside
+    ==, hash and repr: every config that holds the center shares them."""
+
+    @functools.cached_property
+    def axis_box(self) -> Optional[tuple[list, list, Optional[str]]]:
+        return axis_box(self)
+
+    def family_alpha(self, family: str) -> Optional[float]:
+        alphas = self.__dict__.setdefault("_alphas", {})  # family -> its family_alpha
+        if family not in alphas:
+            alphas[family] = family_alpha(self, family)
+        return alphas[family]
+
+
 @dataclass(frozen=True)
-class Polygon:
+class Polygon(_Readings):
     """Simple positively oriented polygon with per-edge condition and role tags.
 
     Edge i runs from vertex i to vertex (i+1) mod n.
@@ -157,7 +172,7 @@ def _on_seg(a, b, c) -> bool:
 
 
 @dataclass(frozen=True)
-class Box3:
+class Box3(_Readings):
     """Axis-aligned 3D box center for the separable mode.
 
     axis_bcs[d] is a pair of BCs for the two faces orthogonal to axis d;
@@ -179,7 +194,6 @@ class StarWaveguideConfig:
     name: str
     center: Polygon | Box3
     branches: tuple[Branch, ...]
-    _alphas: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # family -> its family_alpha
 
     def __post_init__(self):
         validate_config(self)
@@ -187,18 +201,6 @@ class StarWaveguideConfig:
     @property
     def is_3d(self) -> bool:
         return isinstance(self.center, Box3)
-
-    def family_alpha(self, family: str) -> Optional[float]:
-        """family_alpha of the center, bound on the first call for the family
-        and read back from then on."""
-        if family not in self._alphas:
-            self._alphas[family] = family_alpha(self.center, family)
-        return self._alphas[family]
-
-    @functools.cached_property  # not a field: kept outside ==, hash and repr, like _alphas
-    def axis_box(self) -> Optional[tuple[list, list, Optional[str]]]:
-        """axis_box of the center, read on the first use and kept from then on."""
-        return axis_box(self.center)
 
 
 def axis_box(center: Polygon | Box3) -> Optional[tuple[list, list, Optional[str]]]:

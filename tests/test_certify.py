@@ -341,10 +341,10 @@ class TestShapeBinding:
         assert v.margins == {} and v.lower_bounds == ()
 
     def test_box_reads_the_center(self):
-        assert certify._box(certify.preset("t_junction")[0], "box") == ([1.0, 1.0], ["NN", "DN"], None)
-        assert certify._box(certify.preset("rect_two_eigs", a=3.0, b=2.5)[0], "box") == (
+        assert certify._box(certify.preset("t_junction")[0].center, "box") == ([1.0, 1.0], ["NN", "DN"], None)
+        assert certify._box(certify.preset("rect_two_eigs", a=3.0, b=2.5)[0].center, "box") == (
             [3.0, 2.5], ["DN", "DD"], "branch side relaxed to full Neumann")
-        assert certify._box(certify.preset("cube_disk")[0], "box") == (
+        assert certify._box(certify.preset("cube_disk")[0].center, "box") == (
             [1.0, 1.0, 1.0], ["DN", "DN", "DN"], "cut patch relaxed to full face")
 
     def test_a_rectangle_verdict_reads_its_box_once(self, monkeypatch):
@@ -356,25 +356,29 @@ class TestShapeBinding:
         assert read == [(vcfg.center,)]
         # the count and the lower rule share the one reading
         dims = {id(b.trace[0].params["dims"]) for b in v.lower_bounds + v.upper_bounds}
-        assert dims == {id(vcfg.axis_box[0])}
+        assert dims == {id(vcfg.center.axis_box[0])}
+        # a config with another center reads that center; one that shares the center reads nothing
         wider = dataclasses.replace(vcfg, center=preset("rect_two_eigs", a=3.0)[0].center)
         same = dataclasses.replace(vcfg)
-        assert wider.axis_box[0] == [3.0, 2.041] and same.axis_box == vcfg.axis_box
-        assert read == [(vcfg.center,), (wider.center,), (vcfg.center,)]
+        for other in (wider, same):
+            run_certify(other, plan, name="rect")
+        assert wider.center.axis_box[0] == [3.0, 2.041] and same.center.axis_box is vcfg.center.axis_box
+        assert read == [(vcfg.center,), (wider.center,)]
 
     @pytest.mark.parametrize("rule", ["box", "exact_box_B"])
     def test_a_center_that_is_no_rectangle_is_unbound(self, rule):
         with pytest.raises(certify.Unbound, match=f"^{rule} needs an axis-aligned rectangle or box center$"):
-            certify._box(preset("y_junction")[0], rule)
+            certify._box(preset("y_junction")[0].center, rule)
 
     def test_auto_probes_box_and_reads_a_non_rectangle_once(self, monkeypatch):
+        geom.y_center_polygon.cache_clear()  # a center that has read nothing yet
         vcfg, plan = preset("y_junction")
         read = _spy_calls(monkeypatch, geom, "axis_box")
         unbound, box = [], certify._LOWER_RULES["box"]
 
-        def probe(vcfg, k):
+        def probe(center, k):
             try:
-                return box(vcfg, k)
+                return box(center, k)
             except certify.Unbound as e:
                 unbound.append(str(e))
                 raise
@@ -382,7 +386,7 @@ class TestShapeBinding:
         monkeypatch.setitem(certify._LOWER_RULES, "box", probe)
         v = run_certify(vcfg, _fact_plan(plan), name="y")
         assert v.lower_bounds[0].trace[0].rule == "equilateral-eig"
-        assert certify._first_binding_rule(vcfg) == "neumann_equilateral"
+        assert certify._first_binding_rule(vcfg.center) == "neumann_equilateral"
         assert unbound == ["box needs an axis-aligned rectangle or box center"] * 2
         assert read == [(vcfg.center,)]
 
@@ -497,17 +501,17 @@ class TestLevelClimb:
     )
     def test_a_lower_bound_at_the_threshold_stops_the_climb(self, monkeypatch, factor, tol, solves, certified):
         box = certify._LOWER_RULES["box"]
+        vcfg, plan = preset("t_junction")
+        nu = threshold(vcfg)
 
-        def pinned(vcfg, k):
-            lowers = box(vcfg, k)
+        def pinned(center, k):
+            lowers = box(center, k)
             if k < 2:  # auto's probe of the rule
                 return lowers
-            nu = threshold(vcfg)
             l2 = lowers[1]._replace(value=nu * factor, tol=tol * certify.BUDGET_FLOOR_REL * nu)
             return lowers[:1] + [l2] + lowers[2:]
 
         monkeypatch.setitem(certify._LOWER_RULES, "box", pinned)
-        vcfg, plan = preset("t_junction")
         dofs = _count_solves(monkeypatch)
         v = run_certify(vcfg, plan)
         assert len(dofs) == solves
@@ -634,7 +638,8 @@ class TestFamilyReports:
     GOLDEN = "17747dc6ecf013cf7c083a7ccecf711fc8200e0362fcd9272c8a62a81dd13142"
 
     @staticmethod
-    def _reports() -> list[str]:
+    def runs() -> list[tuple]:
+        """The config and plan of each seeded member."""
         rng = random.Random(7)
         runs = []
         for a in [0.36, 0.4086, 0.408637, 0.4087, 0.4100000000000001, 0.8400000000000005, 1.0, 1.56] + [rng.uniform(0.35, 1.57) for _ in range(12)]:
@@ -644,8 +649,10 @@ class TestFamilyReports:
         grid = [(i / 301, 0.5 * j / 151) for i in range(1, 301) for j in range(1, 151)]
         inside = [p for p in grid if region_inside(*p)]
         points = rng.sample(inside, 14) + rng.sample([p for p in grid if not region_inside(*p)], 6)
-        runs += [preset("rect_two_eigs", a=1.0 / x, b=1.0 / y) for x, y in points]
-        return [cli.dumps_report(run_certify(vcfg, plan, name=vcfg.name).to_dict()) for vcfg, plan in runs]
+        return runs + [preset("rect_two_eigs", a=1.0 / x, b=1.0 / y) for x, y in points]
+
+    def _reports(self) -> list[str]:
+        return [cli.dumps_report(run_certify(vcfg, plan, name=vcfg.name).to_dict()) for vcfg, plan in self.runs()]
 
     def test_report_bytes_are_pinned(self):
         assert hashlib.sha256("".join(self._reports()).encode()).hexdigest() == self.GOLDEN
@@ -673,7 +680,7 @@ class TestLowerRuleOracle:
                         ("y_chain", preset("y_alpha", alpha=rng.uniform(0.6, 1.5))[0]),
                         ("sector", preset("rounded_corner", alpha=rng.uniform(0.35, 3.0))[0])]
         for rule, vcfg in members:
-            lowers = [b.value for b in certify._LOWER_RULES[rule](vcfg, 2)]
+            lowers = [b.value for b in certify._LOWER_RULES[rule](vcfg.center, 2)]
             uppers = fem.dn_spectrum(vcfg.center, 2, 3, 0.25).level_values[-1]
             assert len(lowers) == 2 and all(l <= u for l, u in zip(lowers, uppers)), (rule, vcfg.name, lowers, uppers)
 
@@ -819,7 +826,7 @@ class TestAlphaRecovery:
                 moved = _moved(vcfg, i, j)
                 assert geom.family_alpha(moved.center, family) is None
                 with pytest.raises(certify.Unbound, match=f"^{rule} needs a {family} center"):
-                    certify._LOWER_RULES[rule](moved, 2)
+                    certify._LOWER_RULES[rule](moved.center, 2)
                 assert not any(binds(moved) for binds, *_ in certify._FACTS.values())
 
     def test_a_triangle_off_pi_3_reads_back_its_own_alpha(self):
@@ -842,8 +849,9 @@ class TestAlphaRecovery:
     @pytest.mark.parametrize("name, alpha, families", [("broken", 1.0, ["bent-guide"]),
                                                        ("y_alpha", 0.95, ["bent-guide", "Y-junction"])])
     def test_a_verdict_binds_each_family_once(self, monkeypatch, name, alpha, families):
-        # the fact binding and the chain read the alpha the config keeps, and
+        # the fact binding and the chain read the alpha the center keeps, and
         # a second verdict on the same config binds nothing again
+        geom.broken_polygon.cache_clear(), geom.y_center_polygon.cache_clear()  # centers that have bound nothing yet
         vcfg, plan = preset(name, alpha=alpha, count_strategy="family_fact")
         bound = _spy_calls(monkeypatch, geom, "family_alpha")
         for _ in range(2):
@@ -866,11 +874,11 @@ class TestAutoLowerRule:
         assert sorted(p.stem for p in Path("configs").glob("*.json")) == sorted(self.PICKS)
         for stem, (rule, code) in self.PICKS.items():
             vcfg = geom.load_config(f"configs/{stem}.json")
-            assert certify._first_binding_rule(vcfg) == rule, stem
+            assert certify._first_binding_rule(vcfg.center) == rule, stem
             earlier = list(certify._LOWER_RULES)[: list(certify._LOWER_RULES).index(rule)]
             for name in earlier:
                 with pytest.raises(certify.Unbound):
-                    certify._LOWER_RULES[name](vcfg, 1)
+                    certify._LOWER_RULES[name](vcfg.center, 1)
 
     def test_the_default_plan_certifies_six_config_files_as_their_rule_does(self):
         for stem, (rule, code) in self.PICKS.items():
@@ -879,6 +887,73 @@ class TestAutoLowerRule:
             assert v.certified is (code == 0), stem
             explicit = run_certify(vcfg, certify.make_plan({"lower_strategy": rule}), name=stem)
             assert cli.dumps_report(v.to_dict()) == cli.dumps_report(explicit.to_dict())
+
+
+def _bytes(lowers) -> str:
+    return json.dumps([bnd.bound_to_json(b) for b in lowers])
+
+
+class TestRulesReadTheCenter:
+    """A lower rule reads the center alone: called on the center of a config,
+    the rule its verdict used gives that verdict's lower bounds bit for bit,
+    and it bounds a center that no config holds."""
+
+    @staticmethod
+    def _check(asked: list, vcfg, plan, name: str) -> None:
+        v = run_certify(vcfg, plan, name=name)
+        rule = certify._first_binding_rule(vcfg.center) if plan.lower_strategy == "auto" else plan.lower_strategy
+        k = asked[-1][2]  # the count the verdict asked dn_lower_bounds for
+        assert v.lower_bounds and _bytes(certify._LOWER_RULES[rule](vcfg.center, k)) == _bytes(v.lower_bounds), name
+
+    # every preset but crossing_symmetric, whose parity bookkeeping is no lower rule, and every config file
+    @pytest.mark.parametrize("target", [*(n for n in certify.PRESET_NAMES if n != "crossing_symmetric"),
+                                        *sorted(f"configs/{p.name}" for p in (ROOT / "configs").glob("*.json"))])
+    def test_the_rule_on_the_center_gives_the_verdicts_lower_bounds(self, monkeypatch, target):
+        vcfg, plan = (geom.load_config(ROOT / target), certify.make_plan({})) if target.endswith(".json") else preset(target)
+        if vcfg.is_3d:  # the fem count meshes no box, and its Unbound verdict asks no rule
+            plan = dataclasses.replace(plan, count_strategy="family_fact")
+        self._check(_spy_calls(monkeypatch, certify, "dn_lower_bounds"), vcfg, plan, target)
+
+    def test_so_it_does_on_the_seeded_family_members(self, monkeypatch):
+        asked = _spy_calls(monkeypatch, certify, "dn_lower_bounds")
+        for vcfg, plan in TestFamilyReports.runs():
+            self._check(asked, vcfg, plan, vcfg.name)
+
+    def test_each_analytic_rule_bounds_a_center_no_config_holds(self):
+        geom.broken_polygon.cache_clear(), geom.y_center_polygon.cache_clear()  # no preset has built these yet
+        D, N = geom.BC.DIRICHLET, geom.BC.NEUMANN
+        rectangle = geom.Polygon(((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)),
+                                 (D, N, D, N), (geom.EdgeRole.WALL,) * 4)
+        assert [b.value for b in certify._lower_box(rectangle, 3)] == list(box_eigs((2.0, 1.0), ("NN", "DD"), 3).values)
+        # the other centers are equal to the ones of config files, whose verdicts bound their index 2
+        for rule, center, stem in [("y_chain", geom.y_center_polygon(0.95), "y_alpha_0.95"),
+                                   ("broken_chain", geom.broken_polygon(1.0), "broken_1.0"),
+                                   ("neumann_equilateral", geom.y_center_polygon(math.pi / 3), "y_junction"),
+                                   ("sector", geom.rounded_corner_polygon(math.pi / 2, 24), "rounded_corner")]:
+            vcfg = geom.load_config(f"configs/{stem}.json")
+            assert center == vcfg.center and center is not vcfg.center
+            v = run_certify(vcfg, CertificationPlan("family_fact" if stem != "rounded_corner" else "fem", rule), name=stem)
+            assert _bytes(certify._LOWER_RULES[rule](center, 2)) == _bytes(v.lower_bounds), rule
+
+
+class TestReadingsLiveOnTheCenter:
+    def test_configs_that_share_a_center_read_it_once_between_them(self, monkeypatch):
+        boxes = _spy_calls(monkeypatch, geom, "axis_box")
+        alphas = _spy_calls(monkeypatch, geom, "family_alpha")
+        centers = []
+        for stem, plan in [("rect_two_eigs", CertificationPlan("exact_box_B", "box")),
+                           ("broken_1.0", CertificationPlan("family_fact", "auto"))]:
+            vcfg = geom.load_config(f"configs/{stem}.json")
+            twin = dataclasses.replace(vcfg, name="twin")
+            assert twin.center is vcfg.center
+            for c in (vcfg, twin):
+                assert run_certify(c, plan, name=stem).certified
+                for family in geom.FAMILIES:
+                    c.center.family_alpha(family)
+            centers.append(vcfg.center)
+        # auto probes box on the bent center; its fact binding and chain share one bent-guide alpha
+        assert boxes == [(center,) for center in centers]
+        assert alphas == [(center, family) for center in centers for family in geom.FAMILIES]
 
 
 def _pinned_upper(value: float) -> bnd.SpectralBound:
@@ -898,7 +973,7 @@ class TestVerdictInequalities:
             return certify._n_below(uppers, nu), list(uppers)
 
         monkeypatch.setitem(certify._COUNT_RULES, "pinned", count)
-        monkeypatch.setitem(certify._LOWER_RULES, "pinned", lambda vcfg, k: list(lowers))
+        monkeypatch.setitem(certify._LOWER_RULES, "pinned", lambda center, k: list(lowers))
         return run_certify(certify.preset("t_junction")[0], CertificationPlan("pinned", "pinned"))
 
     @staticmethod

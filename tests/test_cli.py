@@ -608,6 +608,16 @@ class TestMeshCommand:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("levels, code", [(2, 0), (3, 1), (40, 1), (10**9, 1)])
+    def test_levels_past_the_cap_are_refused_before_level_1_is_refined(self, capsys, monkeypatch, levels, code):
+        monkeypatch.setattr(fem, "MAX_TRIANGLES", 2048)  # the t_junction's level 1 has 512 triangles, its level 2 2048
+        refined, refine = [], fem.refine
+        monkeypatch.setattr(fem, "refine", lambda mesh: refined.append(len(mesh.triangles)) or refine(mesh))
+        got, out, err = run(capsys, "mesh", "configs/t_junction.json", "--truncate", "--levels", str(levels))
+        assert got == code and refined.count(512) == (code == 0)  # triangulate refines only coarser meshes
+        if code:
+            assert out == "" and err == f"error: --levels {levels} refines level 1's 512 triangles past the cap of 2048 triangles\n"
+
     @pytest.mark.parametrize("name", ["cube_disk", "cube_square"])
     @pytest.mark.parametrize("argv", [(), ("--truncate",)])
     def test_a_3d_config_is_refused_with_an_error_line(self, capsys, name, argv):
@@ -629,8 +639,8 @@ class TestMeshCommand:
         # the count climbs past level 1 only while no level certifies: l_2 below nu keeps it going
         box = certify._LOWER_RULES["box"]
 
-        def halved(vcfg, k):
-            return [b._replace(value=b.value / 2) for b in box(vcfg, k)]
+        def halved(center, k):
+            return [b._replace(value=b.value / 2) for b in box(center, k)]
 
         monkeypatch.setitem(certify._LOWER_RULES, "box", halved)
         code, out, err = run(capsys, *argv)

@@ -225,15 +225,32 @@ class TestValidation:
         # the mesh cache keys on the config: a verdict that bound alpha must
         # not make the next config of the same geometry a cache miss
         bound, fresh = (geom.load_config("configs/broken_1.0.json") for _ in range(2))
-        assert bound.family_alpha("bent-guide") == 1.0 and bound._alphas and not fresh._alphas
-        assert bound == fresh and hash(bound) == hash(fresh) and repr(bound) == repr(fresh)
+        assert bound.center.family_alpha("bent-guide") == 1.0
+        assert "_alphas" in vars(bound.center) and "_alphas" not in vars(fresh.center)
+        for a, b in [(bound.center, fresh.center), (bound, fresh)]:
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert certify._truncated_mesh(bound, 2.0, 1) is certify._truncated_mesh(fresh, 2.0, 1)
 
     def test_a_read_box_leaves_equality_hash_and_repr_alone(self):
         bound, fresh = (geom.load_config("configs/rect_two_eigs.json") for _ in range(2))
-        assert bound.axis_box == ([2.381, 2.041], ["DN", "DD"], "branch side relaxed to full Neumann")
-        assert "axis_box" in vars(bound) and "axis_box" not in vars(fresh)
-        assert bound == fresh and hash(bound) == hash(fresh) and repr(bound) == repr(fresh)
+        assert bound.center.axis_box == ([2.381, 2.041], ["DN", "DD"], "branch side relaxed to full Neumann")
+        assert "axis_box" in vars(bound.center) and "axis_box" not in vars(fresh.center)
+        for a, b in [(bound.center, fresh.center), (bound, fresh)]:
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_a_family_polygon_that_has_read_equals_a_fresh_center(self):
+        # family_alpha finds a center by built == center, and the build may be
+        # the cached family polygon, which keeps whatever it has read
+        geom.broken_polygon.cache_clear()
+        built = geom.broken_polygon(1.0)
+        box3 = certify.preset("cube_square")[0].center
+        for center in (built, box3):
+            assert center.axis_box == geom.axis_box(center)
+            assert [center.family_alpha(f) for f in geom.FAMILIES] == [geom.family_alpha(center, f) for f in geom.FAMILIES]
+        fresh = geom.load_config("configs/broken_1.0.json").center
+        assert "_alphas" in vars(built) and "_alphas" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert geom.family_alpha(fresh, "bent-guide") == 1.0 and geom.broken_polygon(1.0) is built
 
     def test_t_junction_valid(self):
         vcfg = t_config()
